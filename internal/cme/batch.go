@@ -18,7 +18,6 @@ import (
 	"cachemodel/internal/layout"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/poly"
-	"cachemodel/internal/reuse"
 	"cachemodel/internal/sampling"
 	"cachemodel/internal/trace"
 )
@@ -103,9 +102,10 @@ type BatchOptions struct {
 //     stopping position and verdict — bit-identical to per-candidate
 //     FindMisses, including the logical scan counts;
 //   - the work items of all fused groups — (candidate group, reference,
-//     tile) — feed one pool, tiled exactly like findTiled, and the
-//     per-tile partial counts merge deterministically in item order.
+//     tile) — feed one pool, and the per-tile partial counts merge
+//     deterministically in item order.
 //
+// FindMisses and EstimateMisses are this solver run on a batch of one.
 // Sampled candidates (Plan != nil) are not fused — each (candidate,
 // reference) is one pool item — but they share the Prepared state and the
 // per-reference sample points (the sampling RNG is seeded per reference,
@@ -177,7 +177,7 @@ func (p *Prepared) SolveBatch(ctx context.Context, cands []Candidate, opt BatchO
 			}
 			continue
 		}
-		if err := p.solveLayoutGroup(ctx, m, col, cands, idxs, key, mode, opt, workers, reports, errs); err != nil {
+		if err := p.solveLayoutGroup(ctx, m, col, cands, idxs, mode, opt, workers, reports, errs); err != nil {
 			// Cancellation / hard budget failure: abort the whole batch.
 			stampBatch(reports, start)
 			return reports, err
@@ -286,7 +286,7 @@ func candKey(cfg cache.Config) string {
 // already applied and warmed) and fills their reports. Per-candidate
 // construction failures land in errs; the returned error is reserved for
 // whole-batch aborts (cancellation, NoFallback budget exhaustion).
-func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *obs.Collector, cands []Candidate, idxs []int, layoutID string, mode solveMode, opt BatchOptions, workers int, reports []*Report, errs map[int]error) error {
+func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *obs.Collector, cands []Candidate, idxs []int, mode solveMode, opt BatchOptions, workers int, reports []*Report, errs map[int]error) error {
 	// Deduplicate identical (geometry, mode) candidates inside the group.
 	firstOf := map[string]int{}
 	var solve []int // candidate indices that actually solve
@@ -309,16 +309,10 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 			errs[ci] = fmt.Errorf("candidate %d (%s): %w", ci, cands[ci].Label, err)
 			continue
 		}
-		cs := &batchCand{ci: ci, label: cands[ci].Label, a: a,
-			rep:  &Report{Config: cands[ci].Config, Sampled: mode.sampled},
-			keys: make([]string, len(p.np.Refs)),
-			need: make([]bool, len(p.np.Refs)),
-		}
-		cs.rep.Refs = make([]*RefReport, len(p.np.Refs))
-		for ri, r := range p.np.Refs {
-			cs.rep.Refs[ri] = &RefReport{Ref: r, Volume: p.spaces[r.Stmt].Volume()}
-			cs.need[ri] = true
-			if opt.Cache != nil {
+		cs := newBatchCand(a, ci, cands[ci].Label, mode.sampled)
+		if opt.Cache != nil {
+			cs.keys = make([]string, len(p.np.Refs))
+			for ri, r := range p.np.Refs {
 				cs.keys[ri] = refKey(p.Digest(), r, p.np, cands[ci].Config, mode)
 				if v, ok := opt.Cache.get(cs.keys[ri]); ok {
 					v.fill(cs.rep.Refs[ri])
@@ -332,7 +326,7 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 
 	var serr error
 	if mode.sampled {
-		serr = p.solveSampled(ctx, m, col, states, *opt.Plan, workers)
+		serr = p.solveSampled(ctx, m, col, "solve.batch", states, *opt.Plan, workers)
 	} else {
 		// Geometry-parametric tier (geom.go): plan columns first — it
 		// clears the need masks of members it will answer in closed form,
@@ -352,7 +346,7 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 			}
 			gp = p.planGeom(states, gopt)
 		}
-		serr = p.solveExactFused(ctx, m, col, states, workers)
+		serr = p.solveExactFused(ctx, m, col, "solve.batch", states, workers)
 		if gp != nil {
 			serr = p.finishGeom(ctx, m, col, workers, gp, serr)
 		}
@@ -370,27 +364,15 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 			}
 		}
 	}
-	// Degradation ladder for whatever the budget cut short, mirroring the
-	// solo solvers per candidate.
+	// Degradation ladder for whatever the budget cut short, per candidate.
 	fallback := sampling.DefaultFallback
 	if mode.sampled {
 		fallback = mode.plan
 	}
-	derr := p.degradeBatch(m, states, fallback)
+	derr := p.degradeBatch(ctx, m, states, fallback)
 	if derr == nil && serr != nil {
 		// Cancellation observed by the solver pool on an unlimited meter.
 		derr = serr
-	}
-	for _, cs := range states {
-		cs.rep.Tier = TierExact
-		for _, rr := range cs.rep.Refs {
-			if rr.Tier > cs.rep.Tier {
-				cs.rep.Tier = rr.Tier
-			}
-			if rr.Sampled {
-				cs.rep.Sampled = true
-			}
-		}
 	}
 	for dup, src := range dupOf {
 		if reports[src] == nil {
@@ -403,30 +385,32 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 }
 
 // degradeBatch walks the degradation ladder for every candidate with
-// budget-interrupted references, exactly as Analyzer.degrade does for a
-// solo run: one shared Grace re-arms the meter, incomplete exact-tier
-// refs are resampled under the fallback plan, and whatever still cannot
-// finish drops to the closed-form probabilistic baseline. Cancellation
-// and NoFallback budgets abort instead of degrading.
-func (p *Prepared) degradeBatch(m *budget.Meter, states []*batchCand, fallback sampling.Plan) error {
-	err := m.Err()
-	stamp := func() {
+// budget-interrupted references: one shared Grace re-arms the meter,
+// incomplete exact-tier refs are resampled under the fallback plan (the
+// paper's widened interval after an exact pass), and whatever still
+// cannot finish drops to the closed-form probabilistic baseline.
+// Cancellation, isolated panics, injected transient faults and NoFallback
+// budgets abort instead of degrading — their partial counts carry no
+// guarantee worth papering over. Every report leaves with its aggregate
+// provenance stamped.
+func (p *Prepared) degradeBatch(ctx context.Context, m *budget.Meter, states []*batchCand, fallback sampling.Plan) error {
+	settle := func() {
 		for _, cs := range states {
-			cs.rep.BudgetSpent = m.Spent()
+			cs.rep.settle(m)
 		}
 	}
+	err := m.Err()
 	if err == nil {
-		stamp()
+		settle()
 		return nil
 	}
-	// As in the solo ladder: cancellation, isolated panics and injected
-	// transient faults abort typed instead of degrading — their partial
-	// counts carry no guarantee worth papering over.
 	if errors.Is(err, cerr.ErrCanceled) || errors.Is(err, cerr.ErrPanic) ||
 		errors.Is(err, cerr.ErrTransient) || m.NoFallback() {
-		stamp()
+		settle()
 		return err
 	}
+	_, dspan := obs.StartSpan(ctx, "degrade")
+	defer dspan.End()
 	incomplete := func(cs *batchCand) bool {
 		for _, rr := range cs.rep.Refs {
 			if !rr.Complete {
@@ -435,6 +419,8 @@ func (p *Prepared) degradeBatch(m *budget.Meter, states []*batchCand, fallback s
 		}
 		return false
 	}
+	// TierSampled rung, for references an exact pass left unfinished
+	// (skipped when the interrupted pass already was the sampling pass).
 	firstIncompleteTier := TierProbabilistic
 	for _, cs := range states {
 		for _, rr := range cs.rep.Refs {
@@ -452,18 +438,26 @@ func (p *Prepared) degradeBatch(m *budget.Meter, states []*batchCand, fallback s
 			serr := cs.a.resampleIncomplete(m, cs.rep, fallback)
 			cs.rep.Degraded = true
 			if serr != nil && errors.Is(serr, cerr.ErrCanceled) {
-				stamp()
+				settle()
 				return serr
 			}
 		}
 	}
+	// Probabilistic rung: closed-form, no iteration walks, cannot exhaust.
 	for _, cs := range states {
 		if incomplete(cs) {
 			cs.a.probIncomplete(cs.rep)
 			cs.rep.Degraded = true
 		}
 	}
-	stamp()
+	settle()
+	tier := TierExact
+	for _, cs := range states {
+		if cs.rep.Tier > tier {
+			tier = cs.rep.Tier
+		}
+	}
+	dspan.SetAttr("tier", tier.String())
 	return nil
 }
 
@@ -485,8 +479,8 @@ func copyReport(src *Report, cfg cache.Config) *Report {
 
 // batchCand is the solve state of one non-duplicate candidate within a
 // layout group: its analyzer, its report under construction, its result
-// cache keys, and the per-reference need mask (false where the result
-// cache already supplied the answer).
+// cache keys (nil without a cache), and the per-reference need mask
+// (false where the result cache already supplied the answer).
 type batchCand struct {
 	ci    int
 	label string
@@ -496,13 +490,43 @@ type batchCand struct {
 	need  []bool
 }
 
-// solveSampled runs the sampled solver for every needed (candidate,
-// reference) pair as one pool of items. Bit-identity with per-candidate
-// EstimateMisses comes for free: the sampling RNG is seeded per
-// reference, independently of the geometry, and each item replays exactly
-// the solo code path (including the Adaptive stopping rule when the
-// Prepared Options enable it).
-func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.Collector, states []*batchCand, plan sampling.Plan, workers int) error {
+// newBatchCand opens the solve state of one candidate: an empty report
+// with every reference still needed.
+func newBatchCand(a *Analyzer, ci int, label string, sampled bool) *batchCand {
+	n := len(a.np.Refs)
+	cs := &batchCand{ci: ci, label: label, a: a,
+		rep:  &Report{Config: a.cfg, Sampled: sampled, Refs: make([]*RefReport, n)},
+		need: make([]bool, n),
+	}
+	for ri, r := range a.np.Refs {
+		cs.rep.Refs[ri] = &RefReport{Ref: r, Volume: a.p.spaces[r.Stmt].Volume()}
+		cs.need[ri] = true
+	}
+	return cs
+}
+
+// runLabeled runs one pool work item, behind pprof labels naming its
+// candidate(s), reference and tile when Options.ProfileLabels is set, so
+// CPU profiles attribute samples to individual work items.
+func (p *Prepared) runLabeled(cand, ref, tile string, run func()) {
+	if !p.opt.ProfileLabels {
+		run()
+		return
+	}
+	labels := pprof.Labels("ref", ref, "tile", tile)
+	if cand != "" {
+		labels = pprof.Labels("candidate", cand, "ref", ref, "tile", tile)
+	}
+	pprof.Do(context.Background(), labels, func(context.Context) { run() })
+}
+
+// solveSampled runs the sampled solver of Fig. 6 (right) for every needed
+// (candidate, reference) pair as one pool of items, reporting progress
+// under stage. Each item samples with its own one-candidate classifier;
+// the sampling RNG is seeded per reference, independently of the
+// geometry, so a candidate's report does not depend on the batch around
+// it or on the worker count.
+func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.Collector, stage string, states []*batchCand, plan sampling.Plan, workers int) error {
 	type item struct {
 		cs *batchCand
 		ri int
@@ -548,19 +572,17 @@ func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.C
 					return // another worker tripped the meter
 				}
 				a := it.cs.a
-				c := a.newClassifierW(walker)
+				fc := a.newClassifier(walker)
 				work := a.sampleWorker(plan)
 				r := p.np.Refs[it.ri]
 				rr := it.cs.rep.Refs[it.ri]
-				if a.opt.ProfileLabels {
-					pprof.Do(context.Background(),
-						pprof.Labels("candidate", it.cs.label, "ref", r.ID, "tile", "full"),
-						func(context.Context) { work(c, r, rr, pb) })
-				} else {
-					work(c, r, rr, pb)
+				p.runLabeled(it.cs.label, r.ID, "full", func() { work(fc, r, rr, pb) })
+				fc.release()
+				cur := r.ID
+				if it.cs.label != "" {
+					cur = it.cs.label + "/" + cur
 				}
-				c.release()
-				col.AddProgress("solve.batch", rr.Analyzed, planned, it.cs.label+"/"+r.ID)
+				col.AddProgress(stage, rr.Analyzed, planned, cur)
 			}
 		}()
 	}
@@ -571,45 +593,38 @@ func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.C
 	return nil
 }
 
-// fuseGroup is the unit of fused exact solving: the candidates of one
-// layout group that share a line size. Within the group, an access's
-// memory line, its cold equations and hence its deciding reuse vector are
-// identical for every candidate, so one interval walk decides them all.
+// fuseGroup is the unit of exact solving: the candidates of one layout
+// group that share a line size (a solo solve is a group of one). Within
+// the group, an access's memory line, its cold equations and hence its
+// deciding reuse vector are identical for every candidate, so one
+// interval walk decides them all.
 type fuseGroup struct {
 	lineBytes int64
-	vecs      map[*ir.NRef][]*reuse.Vector
-	memo      map[*reuse.Vector]memoInfo
-	sym       map[*ir.NRef]*refSym
+	ls        *lineShared
 	cands     []*batchCand
 	// active[ri] lists the candidate positions (into cands) that still
 	// need reference ri (result-cache misses).
 	active [][]int
 }
 
-// solveExactFused is the fused exact solver of SolveBatch: candidates are
-// bucketed by line size, each bucket's (reference, tile) items are solved
-// for all bucket candidates in one pass, and all buckets share one pool.
-// When non-uniform (dynamic) reuse is enabled the fused walk would also
-// have to fuse classifyDynamic, so each candidate degenerates to its own
-// bucket and the plain per-candidate classifier runs instead — still on
-// the shared pool and shared Prepared state.
-func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *obs.Collector, states []*batchCand, workers int) error {
-	// Bucket candidates by line size (or singleton buckets under dynamic
-	// reuse, where the fused classifier does not apply).
+// solveExactFused is the exact solver of Fig. 6 (left), shared by
+// FindMisses (one candidate) and SolveBatch: candidates are bucketed by
+// line size, each bucket's (reference, tile) items are solved for all
+// bucket candidates in one pass, and all buckets share one pool. Every
+// reference's RIS is split into tiles in proportion to its share of the
+// program's points, and the per-tile partial counts are summed into
+// per-candidate reports in fixed item order, so the merged reports are
+// bit-identical at any worker count. A reference is Complete only if all
+// its tiles ran to completion. Progress is reported under stage.
+func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *obs.Collector, stage string, states []*batchCand, workers int) error {
 	groups := map[int64]*fuseGroup{}
 	var order []*fuseGroup
 	for _, cs := range states {
 		lb := cs.a.cfg.LineBytes
-		if p.opt.Reuse.NonUniform {
-			lb = -1 // sentinel: never share
-		}
 		g := groups[lb]
-		if g == nil || lb == -1 {
-			ls := p.lineState(cs.a.cfg.LineBytes)
-			g = &fuseGroup{lineBytes: cs.a.cfg.LineBytes, vecs: ls.vecs, memo: ls.memo, sym: ls.sym}
-			if lb != -1 {
-				groups[lb] = g
-			}
+		if g == nil {
+			g = &fuseGroup{lineBytes: lb, ls: cs.a.ls}
+			groups[lb] = g
 			order = append(order, g)
 		}
 		g.cands = append(g.cands, cs)
@@ -625,8 +640,8 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 		}
 	}
 
-	// Work items: (group, ref, tile), tiled proportionally to volume as in
-	// findTiled so one dominant nest spreads across the pool.
+	// Work items: (group, ref, tile), tiled proportionally to volume so
+	// one dominant nest spreads across the pool.
 	type tileItem struct {
 		g    *fuseGroup
 		ri   int
@@ -654,10 +669,12 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 					n = 1
 				}
 			}
-			// As in findTiled, tile choice derives from the symbolic info
-			// regardless of NoSymbolic so both modes tile identically.
+			// Keep the reference's best replication dimension contiguous so
+			// tiling does not truncate symbolic runs. The choice derives
+			// from the symbolic info regardless of NoSymbolic, so both
+			// modes tile identically.
 			avoid := -1
-			if sym := g.sym[r]; sym != nil {
+			if sym := g.ls.sym[r]; sym != nil {
 				avoid = sym.avoid
 			}
 			for _, t := range p.spaces[r.Stmt].TilesAvoiding(n, avoid) {
@@ -714,14 +731,9 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 					fcs[it.g] = fc
 				}
 				var rerr error
-				run := func() { rerr = fc.runTile(ctx, it.ri, it.tile, it.g.active[it.ri], it.parts, pb) }
-				if p.opt.ProfileLabels {
-					pprof.Do(context.Background(),
-						pprof.Labels("candidate", it.g.candLabel(it.ri), "ref", p.np.Refs[it.ri].ID, "tile", tileLabel(it.tile)),
-						func(context.Context) { run() })
-				} else {
-					run()
-				}
+				p.runLabeled(it.g.candLabel(it.ri), p.np.Refs[it.ri].ID, tileLabel(it.tile), func() {
+					rerr = fc.runTile(ctx, it.ri, it.tile, it.g.active[it.ri], it.parts, pb)
+				})
 				if rerr != nil {
 					return // meter tripped; the merge leaves this ref incomplete
 				}
@@ -736,13 +748,13 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 				for k := range it.parts {
 					delta += it.parts[k].Analyzed
 				}
-				col.AddProgress("solve.batch", delta, progTotal, p.np.Refs[it.ri].ID)
+				col.AddProgress(stage, delta, progTotal, p.np.Refs[it.ri].ID)
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Deterministic merge in item order, exactly as findTiled.
+	// Deterministic merge in item order.
 	complete := map[*fuseGroup][]bool{}
 	for _, g := range order {
 		cc := make([]bool, len(p.np.Refs))

@@ -167,9 +167,9 @@ func TestSolveBatchGoldenPaperLRU(t *testing.T) {
 	}
 }
 
-// TestSolveBatchGoldenNonUniform covers the dynamic-reuse fallback: with
-// NonUniform enabled the fused solver degenerates to singleton groups running
-// the plain classifier, and must still match solo FindMisses exactly.
+// TestSolveBatchGoldenNonUniform covers dynamic reuse: with NonUniform
+// enabled the fused walk also decides the non-uniform producers, and must
+// still match solo FindMisses exactly.
 func TestSolveBatchGoldenNonUniform(t *testing.T) {
 	opt := Options{Reuse: reuse.Options{NonUniform: true}}
 	_, p := prepBatch(t, transpose2D(12), opt)

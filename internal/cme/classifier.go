@@ -2,12 +2,10 @@ package cme
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"sync"
 
 	"cachemodel/internal/ir"
 	"cachemodel/internal/reuse"
-	"cachemodel/internal/trace"
 )
 
 // memoInfo is the per-reuse-vector memoization precomputation: invMask has
@@ -33,47 +31,24 @@ type memoEntry struct {
 	evicted bool
 }
 
-// memoPrecompute derives, per depth, the program-wide conditions a depth
-// must satisfy to be translation-invariant:
+// depthTraits are the program-wide per-depth invariance predicates the
+// memo table and the symbolic region solver both build on. coeff[d] holds
+// the shared address coefficient at depth d, valid when shared[d] (zero
+// when zero[d]). They depend only on bounds, guards and address
+// coefficients — never on array bases — so one set serves every geometry
+// and layout. Per depth d:
 //
-//   - rectAt[d]: no loop bound and no guard anywhere in the program
+//   - rect[d]: no loop bound and no guard anywhere in the program
 //     mentions I_{d+1}, so the interval walked between two access times
 //     whose depth-d components both move by t is a pure translate (its
 //     recursion shape and boundary flags are unchanged);
-//   - zeroAt[d]: no reference's linearised address uses I_{d+1} at all, so
+//   - zero[d]: no reference's linearised address uses I_{d+1} at all, so
 //     a translation along d leaves every visited address untouched (the
 //     time loop of a stepped program is the canonical case);
-//   - sharedAt[d]: every reference's linearised address has the same
+//   - shared[d]: every reference's linearised address has the same
 //     coefficient at depth d, so translating along d shifts every address
 //     in the interval (and the consumer's and producer's) by one common
 //     delta, leaving all address differences intact.
-func (a *Analyzer) memoPrecompute() {
-	a.numSets = a.cfg.NumSets()
-	a.wayBytes = a.cfg.LineBytes * a.numSets
-	// Addresses in the model are non-negative (layout validates bases), so
-	// a power-of-two set count lets the per-access set filter strength-
-	// reduce the modulo to a mask.
-	a.setMask = -1
-	if a.numSets&(a.numSets-1) == 0 {
-		a.setMask = a.numSets - 1
-	}
-	// Same strength reduction for addr -> memory line on power-of-two
-	// line sizes.
-	a.lineShift = -1
-	if a.cfg.LineBytes&(a.cfg.LineBytes-1) == 0 {
-		a.lineShift = bits.TrailingZeros64(uint64(a.cfg.LineBytes))
-	}
-	if a.memoInfo == nil { // a Prepared-built analyzer shares its table
-		a.memoInfo = memoTable(a.np, a.vecs)
-	}
-}
-
-// depthTraits are the program-wide per-depth invariance predicates the
-// memo table and the symbolic region solver both build on (see
-// memoPrecompute for their soundness roles). coeff[d] holds the shared
-// address coefficient at depth d, valid when shared[d] (zero when
-// zero[d]). They depend only on bounds, guards and address coefficients —
-// never on array bases — so one set serves every geometry and layout.
 type depthTraits struct {
 	rect   []bool
 	zero   []bool
@@ -212,10 +187,9 @@ func vectorMemoInfo(v *reuse.Vector, rect, zero, shared []bool) memoInfo {
 // walkScratch is the per-walk distinct-line scratch: a linear scan slice
 // for small associativity and an open-addressed probe table beyond
 // distinctLinear ways, plus the memo key buffer. The buffers are recycled
-// through scratchPool across classifiers (and across the per-candidate
-// states of the batch solver), so a sweep spawning workers × candidates
-// classifiers reuses a bounded set of tables instead of re-allocating and
-// re-zeroing them per solve.
+// through scratchPool across classifiers and their per-candidate states,
+// so a sweep spawning workers × candidates states reuses a bounded set of
+// tables instead of re-allocating and re-zeroing them per solve.
 type walkScratch struct {
 	linear   bool
 	distinct []int64
@@ -323,28 +297,6 @@ func (s *walkScratch) memoKey(info memoInfo, idx []int64, addr, wayBytes int64) 
 	return buf
 }
 
-// classifier is the per-worker classification engine: it owns the
-// strength-reduced interval walker, the pooled distinct-line scratch, and
-// the verdict memo arena. Classifiers share the Analyzer's immutable state
-// (vectors, spaces, memo eligibility) but never each other's scratch, so
-// one classifier per goroutine needs no locking.
-type classifier struct {
-	a      *Analyzer
-	w      *trace.Walker
-	noMemo bool
-	memo   map[*reuse.Vector]*vecMemo
-	s      *walkScratch
-	lbuf   []int // reusable producer-point buffers
-	pbuf   []int64
-
-	// Local metric accumulators, flushed into the obs registry once at
-	// release() so the hot loop never touches an atomic.
-	nWalks    int64
-	nMemoHits int64
-	nSteps    int64
-	nMemoOff  int64
-}
-
 // vecMemo is one reuse vector's verdict arena plus its hit-rate-gate
 // state: miss counts consecutive probe misses, and off marks an arena the
 // gate dropped. Folding the gate into the value the arena lookup already
@@ -366,237 +318,3 @@ type vecMemo struct {
 // bit-identical to the always-memo path (and to -nomemo, which never
 // builds the arena at all).
 const memoDisableAfter = 512
-
-func (a *Analyzer) newClassifier() *classifier {
-	return a.newClassifierW(trace.NewWalker(a.np))
-}
-
-// newClassifierW builds a classifier around an existing walker, letting
-// callers that run several classifiers on one goroutine (the batch solver,
-// one per candidate) share a single prepared walker.
-func (a *Analyzer) newClassifierW(w *trace.Walker) *classifier {
-	c := &classifier{a: a, w: w, noMemo: a.opt.NoMemo, s: newWalkScratch(a.cfg.Assoc)}
-	if !c.noMemo {
-		c.memo = map[*reuse.Vector]*vecMemo{}
-	}
-	return c
-}
-
-// release recycles the classifier's scratch and flushes the locally
-// accumulated metrics; the classifier must not be used afterwards.
-func (c *classifier) release() {
-	if c.s != nil {
-		c.s.release()
-		c.s = nil
-	}
-	c.flushMetrics()
-}
-
-// flushMetrics publishes the local walk counters and resets them.
-func (c *classifier) flushMetrics() {
-	mWalks.Add(c.nWalks)
-	mWalkMemoHits.Add(c.nMemoHits)
-	mWalkSteps.Add(c.nSteps)
-	mWalkMemoDisabled.Add(c.nMemoOff)
-	c.nWalks, c.nMemoHits, c.nSteps, c.nMemoOff = 0, 0, 0, 0
-}
-
-func (c *classifier) resetDistinct()          { c.s.reset() }
-func (c *classifier) addDistinct(l int64) int { return c.s.add(l) }
-func (c *classifier) memoKey(info memoInfo, idx []int64, addr int64) []byte {
-	return c.s.memoKey(info, idx, addr, c.a.wayBytes)
-}
-
-// replacementWalk runs the replacement equation along one reuse vector for
-// the consumer at idx: it scans the producer..consumer interval for k
-// distinct contending lines and reports whether the line was evicted plus
-// the number of accesses visited.
-func (c *classifier) replacementWalk(producer, consumer trace.Time, line, set int64, k int) (evicted bool, scanned int64) {
-	cfg := &c.a.cfg
-	c.resetDistinct()
-	numSets, mask, shift := c.a.numSets, c.a.setMask, c.a.lineShift
-	toLine := func(addr int64) int64 {
-		if shift >= 0 {
-			return addr >> shift
-		}
-		return addr / cfg.LineBytes
-	}
-	inSet := func(al int64) bool {
-		if mask >= 0 {
-			return al&mask == set
-		}
-		return al%numSets == set
-	}
-	if c.a.opt.PaperLRU {
-		// The paper's equations verbatim: k distinct set contentions
-		// anywhere in the interval evict the line.
-		c.w.Between(producer, consumer, func(_ *ir.NRef, addr int64) bool {
-			scanned++
-			al := toLine(addr)
-			if al == line || !inSet(al) {
-				return true
-			}
-			if c.addDistinct(al) >= k {
-				evicted = true
-				return false
-			}
-			return true
-		})
-		return evicted, scanned
-	}
-	// Exact LRU: scan backwards from the consumer; the first touch of the
-	// line is its most recent fetch, and the line is evicted iff k
-	// distinct other lines hit the set after that fetch.
-	c.w.BetweenReverse(producer, consumer, func(_ *ir.NRef, addr int64) bool {
-		scanned++
-		al := toLine(addr)
-		if al == line {
-			return false // most recent fetch found; the count stands
-		}
-		if !inSet(al) {
-			return true
-		}
-		if c.addDistinct(al) >= k {
-			evicted = true
-			return false
-		}
-		return true
-	})
-	return evicted, scanned
-}
-
-// classify decides the outcome of reference r's access at idx (the
-// classifyN of the sequential seed path, with memoized walks and the
-// strength-reduced walker). The returned scan count is the logical
-// interference-scan work of the deciding walk — identical whether the
-// verdict came from a walk or from the memo.
-func (c *classifier) classify(r *ir.NRef, idx []int64) (Outcome, int64) {
-	a := c.a
-	addr := r.AddressAt(idx)
-	line := a.cfg.MemLine(addr)
-	set := line % a.numSets
-	k := a.cfg.Assoc
-	consumer := trace.Time{Label: r.Stmt.Label, Idx: idx, Seq: r.Seq}
-
-	for _, v := range a.vecs[r] {
-		plabel, pidx := v.ProducerPointBuf(idx, &c.lbuf, &c.pbuf)
-		// Cold equation: the producer access must exist ...
-		if !a.spaces[v.Producer.Stmt].Contains(pidx) {
-			continue
-		}
-		// ... and touch the same memory line.
-		if a.cfg.MemLine(v.Producer.AddressAt(pidx)) != line {
-			continue
-		}
-		producer := trace.Time{Label: plabel, Idx: pidx, Seq: v.Producer.Seq}
-		var evicted bool
-		var scanned int64
-		info := a.memoInfo[v]
-		var vm *vecMemo
-		if c.memo != nil && info.invMask != 0 {
-			if vm = c.memo[v]; vm == nil {
-				vm = &vecMemo{entries: map[string]memoEntry{}}
-				c.memo[v] = vm
-			}
-		}
-		if vm != nil && !vm.off {
-			key := c.memoKey(info, idx, addr)
-			if e, ok := vm.entries[string(key)]; ok {
-				evicted, scanned = e.evicted, e.scanned
-				c.nMemoHits++
-				vm.miss = 0
-			} else {
-				evicted, scanned = c.replacementWalk(producer, consumer, line, set, k)
-				vm.entries[string(key)] = memoEntry{scanned: scanned, evicted: evicted}
-				c.nWalks++
-				c.nSteps += scanned
-				if vm.miss++; vm.miss >= memoDisableAfter {
-					// Hit-rate gate: the vector keeps walking fresh points,
-					// so stop paying for keys and stores and free its arena.
-					vm.entries = nil
-					vm.off = true
-					c.nMemoOff++
-				}
-			}
-		} else {
-			evicted, scanned = c.replacementWalk(producer, consumer, line, set, k)
-			c.nWalks++
-			c.nSteps += scanned
-		}
-		if evicted {
-			return ReplacementMiss, scanned
-		}
-		return Hit, scanned
-	}
-	if out, more, decided := c.classifyDynamic(r, idx, line, set, k, consumer); decided {
-		return out, more
-	}
-	return ColdMiss, 0
-}
-
-// classifyDynamic resolves non-uniformly generated reuse (§8 future work)
-// once every static reuse vector has fallen through.
-func (c *classifier) classifyDynamic(r *ir.NRef, idx []int64, line, set int64, k int, consumer trace.Time) (Outcome, int64, bool) {
-	a := c.a
-	if a.dyn == nil {
-		return ColdMiss, 0, false
-	}
-	var best trace.Time
-	found := false
-	for _, d := range a.dyn[r] {
-		q, ok := d.ProducerPoint(idx)
-		if !ok {
-			continue
-		}
-		if !a.spaces[d.Producer.Stmt].Contains(q) {
-			continue
-		}
-		pt := trace.Time{Label: d.Producer.Stmt.Label, Idx: q, Seq: d.Producer.Seq}
-		if trace.Compare(pt, consumer) >= 0 {
-			continue
-		}
-		// Same element by construction, hence the same memory line; the
-		// cold equation is satisfied.
-		if !found || trace.Compare(pt, best) > 0 {
-			best = pt
-			found = true
-		}
-	}
-	if !found {
-		return ColdMiss, 0, false
-	}
-	var scanned int64
-	evicted := false
-	cfg := &a.cfg
-	c.resetDistinct()
-	c.w.BetweenReverse(best, consumer, func(_ *ir.NRef, addr int64) bool {
-		scanned++
-		al := addr / cfg.LineBytes
-		if al == line {
-			return false
-		}
-		if al%a.numSets != set {
-			return true
-		}
-		if c.addDistinct(al) >= k {
-			evicted = true
-			return false
-		}
-		return true
-	})
-	if evicted {
-		return ReplacementMiss, scanned, true
-	}
-	return Hit, scanned, true
-}
-
-// memoStats reports arena occupancy (for tests and tuning).
-func (c *classifier) memoStats() (vectors, entries int) {
-	for _, vm := range c.memo {
-		if len(vm.entries) > 0 {
-			vectors++
-			entries += len(vm.entries)
-		}
-	}
-	return vectors, entries
-}

@@ -26,11 +26,8 @@ package cme
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"sync"
 	"time"
@@ -114,6 +111,7 @@ type Options struct {
 	// regenerating them. Reuse vectors depend only on the line geometry
 	// (not associativity), so analyses of the same program at several
 	// associativities can share one generation pass (see reuse.Generate).
+	// Only New honours them, for its configuration's line size.
 	Vectors map[*ir.NRef][]*reuse.Vector
 	// Workers sets the number of goroutines classifying references in
 	// FindMisses / EstimateMisses. 0 uses GOMAXPROCS; 1 runs sequentially.
@@ -130,10 +128,9 @@ type Options struct {
 	// NoSymbolic disables the symbolic region fast path, forcing the exact
 	// solvers to classify every iteration point individually. Reports are
 	// bit-identical either way — the fast path replicates (or counts)
-	// exactly the verdicts enumeration would have produced, and under a
-	// budget it replays the per-point cost stream so checkpoints land on
-	// the same iteration points — so this knob exists for benchmarking the
-	// fast path and for equivalence tests.
+	// exactly the verdicts enumeration would have produced, and budgeted
+	// or cancellable solves always enumerate — so this knob exists for
+	// benchmarking the fast path and for equivalence tests.
 	NoSymbolic bool
 	// Adaptive switches EstimateMisses to sequential sampling: points are
 	// drawn in chunks from the same per-reference RNG stream and a
@@ -151,108 +148,94 @@ type Options struct {
 	ProfileLabels bool
 }
 
-// Analyzer holds the per-program analysis state: reuse vectors, reference
-// iteration spaces and the cache configuration. An Analyzer stays valid
-// and reusable after an interrupted or degraded run: every solver call
-// builds fresh per-run reports and never mutates the shared state.
+// Analyzer is the analysis of one program under one cache configuration:
+// a geometry-dependent view of a Prepared program. An Analyzer stays
+// valid and reusable after an interrupted or degraded run: every solver
+// call builds fresh per-run reports and never mutates the shared state.
+// Its solvers are SolveBatch's drivers run on a batch of one.
 type Analyzer struct {
-	np       *ir.NProgram
-	cfg      cache.Config
-	opt      Options
-	vecs     map[*ir.NRef][]*reuse.Vector
-	dyn      map[*ir.NRef][]*reuse.DynamicPair
-	spaces   map[*ir.NStmt]*poly.Space
-	warmOnce sync.Once
+	p   *Prepared
+	np  *ir.NProgram
+	cfg cache.Config
+	opt Options
+	ls  *lineShared // reuse vectors, memo table and symbolic info of cfg.LineBytes
 
-	// Memoization support, precomputed once in New: per-vector invariant
-	// masks plus the cache geometry the memo keys capture.
-	memoInfo  map[*reuse.Vector]memoInfo
-	symOf     map[*ir.NRef]*refSym // built in warm()
-	numSets   int64
-	wayBytes  int64
-	setMask   int64 // numSets-1 when numSets is a power of two, else -1
-	lineShift int   // log2(LineBytes) when a power of two, else -1
+	// Set-index strength reduction for the classifier.
+	numSets  int64
+	wayBytes int64
+	setMask  int64 // numSets-1 when numSets is a power of two, else -1
 
 	// defc serves the one-off public Classify API; solver passes build one
 	// classifier per worker instead.
 	clsMu sync.Mutex
-	defc  *classifier
+	defc  *fusedClassifier
 }
 
 // New prepares an analyzer: it generates reuse vectors for every reference
-// and builds the RIS of every statement. Arrays must be laid out
-// (internal/layout) before analysis.
+// (or adopts Options.Vectors) and builds the RIS of every statement.
+// Arrays must be laid out (internal/layout) before analysis.
 func New(np *ir.NProgram, cfg cache.Config, opt Options) (*Analyzer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	for _, arr := range np.Arrays {
-		if arr.Base < 0 {
-			return nil, fmt.Errorf("cme: array %s has no base address; run layout first", arr.Name)
-		}
+	p, err := Prepare(np, opt)
+	if err != nil {
+		return nil, err
 	}
-	vecs := opt.Vectors
-	if vecs == nil {
-		vecs = reuse.Generate(np, cfg, opt.Reuse)
+	if opt.Vectors != nil {
+		p.byLine[cfg.LineBytes] = p.newLineShared(cfg.LineBytes, opt.Vectors)
 	}
-	a := &Analyzer{np: np, cfg: cfg, opt: opt,
-		vecs:   vecs,
-		spaces: map[*ir.NStmt]*poly.Space{},
-	}
-	if opt.Reuse.NonUniform {
-		a.dyn = reuse.GenerateDynamic(np)
-	}
-	for _, s := range np.Stmts {
-		a.spaces[s] = poly.FromStmt(s)
-	}
-	a.memoPrecompute()
-	return a, nil
+	return p.Analyzer(cfg)
 }
 
 // Vectors exposes the reuse vectors of a reference (for reporting).
-func (a *Analyzer) Vectors(r *ir.NRef) []*reuse.Vector { return a.vecs[r] }
+func (a *Analyzer) Vectors(r *ir.NRef) []*reuse.Vector { return a.ls.vecs[r] }
 
 // Space exposes the RIS of a statement.
-func (a *Analyzer) Space(s *ir.NStmt) *poly.Space { return a.spaces[s] }
+func (a *Analyzer) Space(s *ir.NStmt) *poly.Space { return a.p.spaces[s] }
 
-// Classify decides the outcome of reference r's access at iteration idx by
-// solving the cold and replacement equations along r's reuse vectors.
-func (a *Analyzer) Classify(r *ir.NRef, idx []int64) Outcome {
-	o, _ := a.classifyN(r, idx)
-	return o
+// newClassifier returns a one-candidate classifier for the analyzer,
+// walking intervals with w.
+func (a *Analyzer) newClassifier(w *trace.Walker) *fusedClassifier {
+	g := &fuseGroup{lineBytes: a.cfg.LineBytes, ls: a.ls, cands: []*batchCand{{a: a}}}
+	return newFusedClassifier(g, w, a.p)
 }
 
-// classifyN is Classify plus accounting: it reports the number of accesses
-// visited while scanning interference intervals, the unit of the budget's
-// MaxScan dimension. It serves the one-off public API through a shared
-// (mutex-guarded) classifier; the solver passes give each worker its own
-// classifier and skip the lock.
-func (a *Analyzer) classifyN(r *ir.NRef, idx []int64) (Outcome, int64) {
+// Classify decides the outcome of reference r's access at iteration idx by
+// solving the cold and replacement equations along r's reuse vectors. It
+// serves one-off queries through a shared, mutex-guarded classifier.
+func (a *Analyzer) Classify(r *ir.NRef, idx []int64) Outcome {
 	a.clsMu.Lock()
 	defer a.clsMu.Unlock()
 	if a.defc == nil {
-		a.warm()
-		a.defc = a.newClassifier()
+		a.defc = a.newClassifier(trace.NewWalker(a.np))
 	}
-	return a.defc.classify(r, idx)
+	o, _ := a.defc.classify(r, idx)
+	return o
 }
 
 // ClassifyDetail is Classify plus attribution: for a replacement miss it
 // reports the references whose accesses supplied the k distinct contending
 // lines (the paper's follow-up work [10] uses exactly this information for
 // CME-driven diagnosis); for a hit it reports the producer whose line was
-// reused.
+// reused. Its walk follows Options.PaperLRU exactly as Classify's does:
+// exact LRU scans backwards and stops at the line's most recent fetch,
+// while the paper's equations scan the whole interval forwards.
 func (a *Analyzer) ClassifyDetail(r *ir.NRef, idx []int64) (Outcome, []*ir.NRef) {
 	line := a.cfg.MemLine(r.AddressAt(idx))
 	set := a.cfg.SetOfLine(line)
 	k := a.cfg.Assoc
 	consumer := trace.Time{Label: r.Stmt.Label, Idx: idx, Seq: r.Seq}
+	visit := trace.VisitBetweenReverse
+	if a.opt.PaperLRU {
+		visit = trace.VisitBetween
+	}
 
 	var distinct []int64
 	var culprits []*ir.NRef
-	for _, v := range a.vecs[r] {
+	for _, v := range a.ls.vecs[r] {
 		plabel, pidx := v.ProducerPoint(idx)
-		if !a.spaces[v.Producer.Stmt].Contains(pidx) {
+		if !a.p.spaces[v.Producer.Stmt].Contains(pidx) {
 			continue
 		}
 		if a.cfg.MemLine(v.Producer.AddressAt(pidx)) != line {
@@ -261,10 +244,10 @@ func (a *Analyzer) ClassifyDetail(r *ir.NRef, idx []int64) (Outcome, []*ir.NRef)
 		producer := trace.Time{Label: plabel, Idx: pidx, Seq: v.Producer.Seq}
 		distinct, culprits = distinct[:0], culprits[:0]
 		evicted := false
-		trace.VisitBetweenReverse(a.np, producer, consumer, func(ri *ir.NRef, j []int64) bool {
+		visit(a.np, producer, consumer, func(ri *ir.NRef, j []int64) bool {
 			al := a.cfg.MemLine(ri.AddressAt(j))
 			if al == line {
-				return false
+				return a.opt.PaperLRU // only exact LRU stops at the reuse
 			}
 			if a.cfg.SetOfLine(al) != set {
 				return true
@@ -448,8 +431,10 @@ func (rep *Report) CompleteRefs() int {
 	return n
 }
 
-// finalize stamps aggregate provenance once the per-ref reports settled.
-func (rep *Report) finalize(m *budget.Meter, start time.Time) {
+// settle stamps aggregate provenance once the per-ref reports settled:
+// the weakest tier, whether any reference was sampled, and the budget
+// spent.
+func (rep *Report) settle(m *budget.Meter) {
 	rep.Tier = TierExact
 	for _, r := range rep.Refs {
 		if r.Tier > rep.Tier {
@@ -460,7 +445,6 @@ func (rep *Report) finalize(m *budget.Meter, start time.Time) {
 		}
 	}
 	rep.BudgetSpent = m.Spent()
-	rep.Elapsed = time.Since(start)
 }
 
 // FindMisses analyses every iteration point of every reference (the exact
@@ -484,35 +468,37 @@ func (a *Analyzer) FindMissesCtx(ctx context.Context, b budget.Budget) (*Report,
 	col := obs.FromContext(ctx)
 	ctx, span := obs.StartSpan(ctx, "solve.exact")
 	defer span.End()
-	m := budget.NewMeter(ctx, b)
-	rep := &Report{Config: a.cfg}
-	workers := a.opt.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := a.workers()
 	span.SetAttr("workers", workers)
 	span.SetAttr("refs", len(a.np.Refs))
-	if workers > 1 && len(a.np.Refs) > 0 {
-		rep.Refs, _ = a.findTiled(m, workers, col)
-	} else {
-		var totVol int64
-		if col != nil {
-			a.warm()
-			for _, r := range a.np.Refs {
-				totVol += a.spaces[r.Stmt].Volume()
-			}
-		}
-		rep.Refs, _ = a.perRefBudget(m, func(c *classifier, r *ir.NRef, rr *RefReport, p *budget.Probe) error {
-			rr.Tier = TierExact
-			perr := a.runTile(c, r, poly.FullTile(), rr, p)
-			if perr == nil {
-				rr.Complete = true
-			}
-			col.AddProgress("solve.exact", rr.Analyzed, totVol, r.ID)
-			return perr
-		})
+	m := budget.NewMeter(ctx, b)
+	cs := a.solo(false)
+	serr := a.p.solveExactFused(ctx, m, col, "solve.exact", []*batchCand{cs}, workers)
+	return a.finish(ctx, m, cs, sampling.DefaultFallback, serr, start)
+}
+
+// solo opens the analyzer as the single candidate of a batch solve.
+func (a *Analyzer) solo(sampled bool) *batchCand { return newBatchCand(a, 0, "", sampled) }
+
+// finish walks a solo solve's degradation ladder — SolveBatch's, on a
+// batch of one — and stamps the report's wall time. fallbackPlan is the
+// sampling plan of the TierSampled rung.
+func (a *Analyzer) finish(ctx context.Context, m *budget.Meter, cs *batchCand, fallbackPlan sampling.Plan, serr error, start time.Time) (*Report, error) {
+	err := a.p.degradeBatch(ctx, m, []*batchCand{cs}, fallbackPlan)
+	if err == nil {
+		// Cancellation observed by the solver pool on an unlimited meter.
+		err = serr
 	}
-	return a.degrade(ctx, m, rep, start, sampling.DefaultFallback)
+	cs.rep.Elapsed = time.Since(start)
+	return cs.rep, err
+}
+
+// workers resolves Options.Workers to a pool size.
+func (a *Analyzer) workers() int {
+	if a.opt.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(a.opt.Workers, 1)
 }
 
 // guardWorker is deferred at the top of every solver pool goroutine: it
@@ -534,170 +520,12 @@ func guardWorker(m *budget.Meter) {
 // per-tile scheduling overhead stays negligible.
 const tileFactor = 4
 
-// runTile classifies every iteration point of r inside tile t, summing the
-// outcomes into rr. The full tile covers the whole RIS (the sequential
-// exact pass is runTile over the full tile).
-func (a *Analyzer) runTile(c *classifier, r *ir.NRef, t poly.Tile, rr *RefReport, p *budget.Probe) error {
-	if !a.opt.NoSymbolic {
-		if sym := a.symOf[r]; sym.usable() {
-			return a.runTileSym(c, r, sym, t, rr, p)
-		}
-	}
-	var perr error
-	before := rr.Analyzed
-	a.spaces[r.Stmt].EnumerateTile(t, func(idx []int64) bool {
-		out, scanned := c.classify(r, idx)
-		rr.Analyzed++
-		switch out {
-		case Hit:
-			rr.Hits++
-		case ColdMiss:
-			rr.Cold++
-		case ReplacementMiss:
-			rr.Repl++
-		}
-		if p != nil {
-			if perr = p.Check(1, scanned); perr != nil {
-				return false
-			}
-		}
-		return true
-	})
-	mTilesSolved.Inc()
-	mPointsClassed.Add(rr.Analyzed - before)
-	mPointsEnumerated.Add(rr.Analyzed - before)
-	return perr
-}
-
-// runTileLabeled is runTile behind an optional pprof label pair
-// ("ref", "tile"), controlled by Options.ProfileLabels, so CPU profiles
-// attribute samples to individual work items.
-func (a *Analyzer) runTileLabeled(c *classifier, ref int, t poly.Tile, rr *RefReport, p *budget.Probe) error {
-	r := a.np.Refs[ref]
-	if !a.opt.ProfileLabels {
-		return a.runTile(c, r, t, rr, p)
-	}
-	var err error
-	pprof.Do(context.Background(), pprof.Labels("ref", r.ID, "tile", tileLabel(t)), func(context.Context) {
-		err = a.runTile(c, r, t, rr, p)
-	})
-	return err
-}
-
 // tileLabel renders a tile as a short profile label value.
 func tileLabel(t poly.Tile) string {
 	if t.Full() {
 		return "full"
 	}
 	return "d" + strconv.Itoa(t.Dim) + ":" + strconv.FormatInt(t.Lo, 10) + "-" + strconv.FormatInt(t.Hi, 10)
-}
-
-// findTiled is the tile-parallel exact solver: every reference's RIS is
-// split into tiles in proportion to its share of the program's points, the
-// (reference, tile) items feed a worker pool, and the per-tile partial
-// counts are summed into per-reference reports. Because the tiles of one
-// reference partition its RIS and every aggregate is a sum, the merged
-// report is bit-identical to the sequential solver's regardless of worker
-// count or scheduling order. A reference is Complete only if all its tiles
-// ran to completion. Budget checkpoints keep iteration-point granularity
-// via per-worker probes, exactly as in the per-reference fan-out.
-func (a *Analyzer) findTiled(m *budget.Meter, workers int, col *obs.Collector) ([]*RefReport, error) {
-	a.warm()
-	out := make([]*RefReport, len(a.np.Refs))
-	var totVol int64
-	for i, r := range a.np.Refs {
-		out[i] = &RefReport{Ref: r, Volume: a.spaces[r.Stmt].Volume(), Tier: TierExact}
-		totVol += out[i].Volume
-	}
-	type tileItem struct {
-		ref  int
-		tile poly.Tile
-		part RefReport // per-tile partial counts, merged after the pool drains
-		done bool
-	}
-	target := int64(tileFactor * workers)
-	var items []*tileItem
-	for i, r := range a.np.Refs {
-		n := 1
-		if totVol > 0 {
-			n = int((out[i].Volume*target + totVol - 1) / totVol) // ceil of the proportional share
-			if n < 1 {
-				n = 1
-			}
-		}
-		// Keep the reference's best replication dimension contiguous so
-		// tiling does not truncate symbolic runs. The avoidance choice is
-		// independent of Options.NoSymbolic so both modes tile identically.
-		avoid := -1
-		if sym := a.symOf[r]; sym != nil {
-			avoid = sym.avoid
-		}
-		for _, t := range a.spaces[r.Stmt].TilesAvoiding(n, avoid) {
-			items = append(items, &tileItem{ref: i, tile: t})
-		}
-	}
-	limited := !m.Unlimited()
-	queue := make(chan *tileItem, len(items))
-	for _, it := range items {
-		queue <- it
-	}
-	close(queue)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer guardWorker(m)
-			c := a.newClassifier()
-			defer c.release()
-			var p *budget.Probe
-			if limited {
-				p = m.Probe()
-			}
-			for it := range queue {
-				if m.Err() != nil {
-					break // another worker tripped the meter
-				}
-				if err := a.runTileLabeled(c, it.ref, it.tile, &it.part, p); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					break
-				}
-				it.done = true
-				col.AddProgress("solve.exact", it.part.Analyzed, totVol, a.np.Refs[it.ref].ID)
-			}
-			if p != nil {
-				p.Drain()
-			}
-		}()
-	}
-	wg.Wait()
-	// Deterministic merge: per-reference sums over its tiles, in item order.
-	complete := make([]bool, len(out))
-	for i := range complete {
-		complete[i] = true
-	}
-	for _, it := range items {
-		rr := out[it.ref]
-		rr.Analyzed += it.part.Analyzed
-		rr.Hits += it.part.Hits
-		rr.Cold += it.part.Cold
-		rr.Repl += it.part.Repl
-		if !it.done {
-			complete[it.ref] = false
-		}
-	}
-	for i := range out {
-		out[i].Complete = complete[i]
-	}
-	return out, firstErr
 }
 
 // EstimateMisses analyses a statistically chosen sample of each reference's
@@ -721,34 +549,14 @@ func (a *Analyzer) EstimateMissesCtx(ctx context.Context, b budget.Budget, plan 
 	col := obs.FromContext(ctx)
 	ctx, span := obs.StartSpan(ctx, "solve.sampled")
 	defer span.End()
-	m := budget.NewMeter(ctx, b)
-	rep := &Report{Config: a.cfg, Sampled: true}
-	work := a.sampleWorker(plan)
-	var planned int64
-	if col != nil {
-		planned = a.plannedSample(plan)
-	}
 	span.SetAttr("refs", len(a.np.Refs))
-	rep.Refs, _ = a.perRefBudget(m, func(c *classifier, r *ir.NRef, rr *RefReport, p *budget.Probe) error {
-		err := work(c, r, rr, p)
-		col.AddProgress("solve.sampled", rr.Analyzed, planned, r.ID)
-		return err
-	})
-	// The exact rung is already behind us: degrade straight to the
-	// probabilistic tier for whatever the sampling pass did not finish.
-	return a.degrade(ctx, m, rep, start, plan)
-}
-
-// plannedSample returns the a-priori total of points the sampling pass
-// will classify across all references under plan (the denominator of the
-// progress stream; the adaptive sampler may stop short of it).
-func (a *Analyzer) plannedSample(plan sampling.Plan) int64 {
-	a.warm()
-	var tot int64
-	for _, r := range a.np.Refs {
-		tot += plannedFor(plan, a.spaces[r.Stmt].Volume())
-	}
-	return tot
+	m := budget.NewMeter(ctx, b)
+	cs := a.solo(true)
+	serr := a.p.solveSampled(ctx, m, col, "solve.sampled", []*batchCand{cs}, plan, a.workers())
+	// The exact rung is already behind us: only census-sized references
+	// (analysed exhaustively) resample; the rest drop to the
+	// probabilistic tier.
+	return a.finish(ctx, m, cs, plan, serr, start)
 }
 
 // plannedFor returns how many points the sampling pass will classify for
@@ -765,17 +573,17 @@ func plannedFor(plan sampling.Plan, vol int64) int64 {
 	}
 }
 
-// sampleWorker returns the per-reference sampling pass of Fig. 6 (right)
-// as a perRefBudget work function.
-func (a *Analyzer) sampleWorker(plan sampling.Plan) func(*classifier, *ir.NRef, *RefReport, *budget.Probe) error {
+// sampleWorker returns the per-reference sampling pass of Fig. 6 (right),
+// classifying with a one-candidate classifier of the analyzer.
+func (a *Analyzer) sampleWorker(plan sampling.Plan) func(*fusedClassifier, *ir.NRef, *RefReport, *budget.Probe) error {
 	seed := a.opt.Seed
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF
 	}
-	return func(c *classifier, r *ir.NRef, rr *RefReport, p *budget.Probe) error {
+	return func(fc *fusedClassifier, r *ir.NRef, rr *RefReport, p *budget.Probe) error {
 		// Per-reference RNG: deterministic regardless of worker count.
 		rng := rand.New(rand.NewSource(seed ^ int64(r.Seq)*0x9E3779B9))
-		sp := a.spaces[r.Stmt]
+		sp := a.p.spaces[r.Stmt]
 		vol := rr.Volume
 		rr.Tier = TierSampled
 		splan := plan
@@ -794,7 +602,7 @@ func (a *Analyzer) sampleWorker(plan sampling.Plan) func(*classifier, *ir.NRef, 
 		}
 		var perr error
 		classify := func(idx []int64) bool {
-			out, scanned := c.classify(r, idx)
+			out, scanned := fc.classify(r, idx)
 			rr.Analyzed++
 			switch out {
 			case Hit:
@@ -878,60 +686,13 @@ func sampleAdaptive(sp *poly.Space, rng *rand.Rand, plan sampling.Plan, vol int6
 	}
 }
 
-// degrade inspects the outcome of a solver pass and walks the remaining
-// rungs of the ladder for every incomplete reference. fallbackPlan is the
-// sampling plan the TierSampled rung uses (the paper's widened fallback
-// interval when coming from FindMisses).
-func (a *Analyzer) degrade(ctx context.Context, m *budget.Meter, rep *Report, start time.Time, fallbackPlan sampling.Plan) (*Report, error) {
-	err := m.Err()
-	if err == nil {
-		// Completed within budget; nothing to degrade. (Individual refs
-		// are all complete here by construction.)
-		rep.finalize(m, start)
-		return rep, nil
-	}
-	// Cancellation means stop, not degrade; a panic or injected transient
-	// fault means the counts carry no guarantee — degrading would launder a
-	// crash into a plausible-looking number. All three surface typed.
-	if errors.Is(err, cerr.ErrCanceled) || errors.Is(err, cerr.ErrPanic) ||
-		errors.Is(err, cerr.ErrTransient) || m.NoFallback() {
-		rep.finalize(m, start)
-		return rep, err
-	}
-	_, dspan := obs.StartSpan(ctx, "degrade")
-	defer dspan.End()
-	// TierSampled rung, for references the exact pass left unfinished.
-	// Skip it if this pass already was the sampling pass.
-	firstIncompleteTier := TierProbabilistic
-	for _, rr := range rep.Refs {
-		if !rr.Complete && rr.Tier < firstIncompleteTier {
-			firstIncompleteTier = rr.Tier
-		}
-	}
-	if firstIncompleteTier == TierExact {
-		m.Grace()
-		serr := a.resampleIncomplete(m, rep, fallbackPlan)
-		rep.Degraded = true
-		if serr != nil && errors.Is(serr, cerr.ErrCanceled) {
-			rep.finalize(m, start)
-			return rep, serr
-		}
-	}
-	// Probabilistic rung: closed-form, no iteration walks, cannot exhaust.
-	a.probIncomplete(rep)
-	rep.Degraded = true
-	rep.finalize(m, start)
-	dspan.SetAttr("tier", rep.Tier.String())
-	return rep, nil
-}
-
 // resampleIncomplete re-analyses every incomplete reference with the
 // sampling solver under the (typically widened) plan, discarding the
 // biased partial counts of the interrupted exact prefix.
 func (a *Analyzer) resampleIncomplete(m *budget.Meter, rep *Report, plan sampling.Plan) error {
 	work := a.sampleWorker(plan)
-	c := a.newClassifier()
-	defer c.release()
+	fc := a.newClassifier(trace.NewWalker(a.np))
+	defer fc.release()
 	p := m.Probe()
 	defer p.Drain()
 	for _, rr := range rep.Refs {
@@ -940,7 +701,7 @@ func (a *Analyzer) resampleIncomplete(m *budget.Meter, rep *Report, plan samplin
 		}
 		rr.Analyzed, rr.Hits, rr.Cold, rr.Repl = 0, 0, 0, 0
 		rr.Sampled = false
-		if err := work(c, rr.Ref, rr, p); err != nil {
+		if err := work(fc, rr.Ref, rr, p); err != nil {
 			// Leave this and the remaining refs incomplete; the caller
 			// drops them to the probabilistic rung.
 			rr.Analyzed, rr.Hits, rr.Cold, rr.Repl = 0, 0, 0, 0
@@ -968,7 +729,7 @@ func (a *Analyzer) probIncomplete(rep *Report) {
 	}
 	est := prob.NewEstimator(a.np, a.cfg, prob.Options{
 		Reuse:   a.opt.Reuse,
-		Vectors: a.vecs,
+		Vectors: a.ls.vecs,
 		Seed:    a.opt.Seed,
 	})
 	for _, rr := range rep.Refs {
@@ -981,112 +742,4 @@ func (a *Analyzer) probIncomplete(rep *Report) {
 		rr.Sampled = false
 		rr.Complete = true
 	}
-}
-
-// perRefBudget runs work over every reference, possibly in parallel, under
-// the meter. Each worker goroutine owns a budget probe (nil when the meter
-// is unlimited, so the no-budget path costs one nil check per point) and
-// its own classifier, so workers share only the analyzer's immutable state.
-// When one worker trips the meter, the others stop at their next checkpoint
-// and unprocessed references are left incomplete. All lazily built shared
-// state (space volumes, linearised addresses) is warmed sequentially first
-// so the workers only read.
-func (a *Analyzer) perRefBudget(m *budget.Meter, work func(c *classifier, r *ir.NRef, rr *RefReport, p *budget.Probe) error) ([]*RefReport, error) {
-	a.warm()
-	out := make([]*RefReport, len(a.np.Refs))
-	for i, r := range a.np.Refs {
-		out[i] = &RefReport{Ref: r, Volume: a.spaces[r.Stmt].Volume()}
-	}
-	limited := !m.Unlimited()
-	workers := a.opt.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(a.np.Refs) < 2 {
-		c := a.newClassifier()
-		defer c.release()
-		var firstErr error
-		for i, r := range a.np.Refs {
-			var p *budget.Probe
-			if limited {
-				p = m.Probe()
-			}
-			err := work(c, r, out[i], p)
-			if p != nil {
-				p.Drain()
-			}
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-		return out, firstErr
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int, len(a.np.Refs))
-	for i := range a.np.Refs {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer guardWorker(m)
-			c := a.newClassifier()
-			defer c.release()
-			var p *budget.Probe
-			if limited {
-				p = m.Probe()
-			}
-			for i := range next {
-				if m.Err() != nil {
-					return // another worker tripped the meter
-				}
-				if err := work(c, a.np.Refs[i], out[i], p); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					if p != nil {
-						p.Drain()
-					}
-					return
-				}
-			}
-			if p != nil {
-				p.Drain()
-			}
-		}()
-	}
-	wg.Wait()
-	return out, firstErr
-}
-
-// warm materialises every lazy cache the workers would otherwise race on:
-// space volumes, bounding boxes and linearised reference addresses.
-func (a *Analyzer) warm() {
-	a.warmOnce.Do(func() {
-		idx := make([]int64, a.np.Depth)
-		for _, sp := range a.spaces {
-			sp.Volume()
-			sp.BoundingBox()
-		}
-		for _, r := range a.np.Refs {
-			r.AddressAt(idx)
-		}
-		// Symbolic-region eligibility is computed even under NoSymbolic:
-		// the tiler consults it (TilesAvoiding) either way, so budgeted
-		// symbolic and non-symbolic runs see identical tile sequences and
-		// hence identical checkpoint order. A Prepared-built analyzer
-		// arrives with the shared per-line table already stamped.
-		if a.symOf == nil {
-			a.symOf = buildSymInfo(a.np, a.spaces, a.vecs, a.memoInfo, a.dyn, a.cfg.LineBytes)
-		}
-	})
 }

@@ -431,3 +431,35 @@ func TestNonUniformStillConservative(t *testing.T) {
 		t.Errorf("non-uniform analysis undercounts: %d < %d", rep.ExactMisses(), sim.Misses)
 	}
 }
+
+// TestOptionsVectorsHonoured: reuse vectors handed to New through
+// Options.Vectors replace the ones New would generate. Vectors generated
+// without spatial reuse must reproduce an analysis configured with
+// Reuse.NoSpatial, and differ from the default analysis on a kernel whose
+// misses depend on spatial reuse.
+func TestOptionsVectorsHonoured(t *testing.T) {
+	cfg := cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1}
+	np, plain := prep(t, stencil1D(64), cfg, Options{})
+	want := plain.FindMisses()
+	noSpatial, err := New(np, cfg, Options{Reuse: reuse.Options{NoSpatial: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNS := noSpatial.FindMisses()
+	vecs := reuse.Generate(np, cfg, reuse.Options{NoSpatial: true})
+	seeded, err := New(np, cfg, Options{Vectors: vecs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := seeded.FindMisses()
+	for i, rr := range got.Refs {
+		if w := wantNS.Refs[i]; rr.Hits != w.Hits || rr.Cold != w.Cold || rr.Repl != w.Repl {
+			t.Errorf("%s: seeded vectors %d/%d/%d, NoSpatial analysis %d/%d/%d",
+				rr.Ref.ID, rr.Hits, rr.Cold, rr.Repl, w.Hits, w.Cold, w.Repl)
+		}
+	}
+	if got.ExactMisses() == want.ExactMisses() {
+		t.Errorf("seeded NoSpatial vectors give the default analysis's %d misses; Options.Vectors was ignored",
+			want.ExactMisses())
+	}
+}

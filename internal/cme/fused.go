@@ -12,22 +12,26 @@ import (
 	"cachemodel/internal/trace"
 )
 
-// fusedClassifier classifies one access for every candidate of a fuse
-// group in a single pass. Soundness of the fusion rests on two facts that
-// hold within a group (same program, same layout, same line size):
+// fusedClassifier is the one per-point classifier of the package: it
+// classifies one access for every candidate of a fuse group in a single
+// pass. A solo solve (FindMisses, EstimateMisses, Classify) is a group of
+// one. Soundness of the fusion rests on two facts that hold within a
+// group (same program, same layout, same line size):
 //
 //  1. The memory line of every access, and therefore every cold equation
 //     — "the producer exists and touches the same line" — is identical
-//     across candidates. Since classify resolves an access by its FIRST
-//     reuse vector with a satisfied cold equation (the replacement walk
-//     then decides hit vs miss, never falls through), all candidates are
-//     decided by the same vector at every point.
+//     across candidates. Since classification resolves an access by its
+//     FIRST reuse vector with a satisfied cold equation (the replacement
+//     walk then decides hit vs miss, never falls through), all candidates
+//     are decided by the same vector at every point. Non-uniform reuse,
+//     consulted only after every vector fell through, names the same
+//     producer element for every candidate too.
 //  2. The interval walked by that vector's replacement equation visits
 //     the same access sequence for every candidate; only the per-access
 //     filter (set membership, line % NumSets_c) and the eviction
 //     threshold (Assoc_c) differ. One traversal can therefore maintain a
 //     distinct-line scratch per candidate and record, per candidate, the
-//     position at which its solo walk would have stopped — reproducing
+//     position at which its own walk would have stopped — reproducing
 //     verdict AND logical scan count bit-identically.
 //
 // Each worker owns one fusedClassifier per fuse group (no locking).
@@ -47,11 +51,6 @@ type fusedClassifier struct {
 	// (ubiquitous) power-of-two line sizes; -1 keeps the division.
 	lineShift int
 
-	// plain handles dynamic (non-uniform) reuse, which classifyFused does
-	// not model; such groups are singletons and delegate to the full
-	// per-candidate classifier.
-	plain *classifier
-
 	// Local metric accumulators (flushed at release, never per point).
 	hCands    *obs.LocalHistogram // candidates per fused traversal
 	nWalks    int64
@@ -69,9 +68,8 @@ type fcState struct {
 	wayBytes int64
 	assoc    int
 	scratch  *walkScratch
-	// memo carries each vector's arena plus its hit-rate-gate state,
-	// exactly as in the sequential classifier (see vecMemo and
-	// memoDisableAfter).
+	// memo carries each vector's arena plus its hit-rate-gate state (see
+	// vecMemo and memoDisableAfter); nil under Options.NoMemo.
 	memo map[*reuse.Vector]*vecMemo
 
 	set      int64
@@ -101,12 +99,6 @@ func newFusedClassifier(g *fuseGroup, w *trace.Walker, p *Prepared) *fusedClassi
 	if g.lineBytes&(g.lineBytes-1) == 0 {
 		fc.lineShift = bits.TrailingZeros64(uint64(g.lineBytes))
 	}
-	if p.dyn != nil {
-		// Dynamic reuse: the group is a singleton (see solveExactFused) and
-		// the full classifier runs instead of the fused walk.
-		fc.plain = g.cands[0].a.newClassifierW(w)
-		return fc
-	}
 	for i, cs := range g.cands {
 		a := cs.a
 		st := &fcState{numSets: a.numSets, setMask: a.setMask, wayBytes: a.wayBytes,
@@ -122,12 +114,8 @@ func newFusedClassifier(g *fuseGroup, w *trace.Walker, p *Prepared) *fusedClassi
 // release recycles the per-candidate scratches and flushes the locally
 // accumulated metrics.
 func (fc *fusedClassifier) release() {
-	if fc.plain != nil {
-		fc.plain.release()
-		fc.plain = nil
-	}
 	for _, s := range fc.states {
-		if s != nil && s.scratch != nil {
+		if s.scratch != nil {
 			s.scratch.release()
 			s.scratch = nil
 		}
@@ -140,53 +128,41 @@ func (fc *fusedClassifier) release() {
 	fc.nWalks, fc.nMemoHits, fc.nSteps, fc.nMemoOff = 0, 0, 0, 0
 }
 
+// classify decides one access of a one-candidate classifier (the sampled
+// solver and Analyzer.Classify) and reports the logical scan work of the
+// deciding walk.
+func (fc *fusedClassifier) classify(r *ir.NRef, idx []int64) (Outcome, int64) {
+	fc.act = append(fc.act[:0], fc.states[0])
+	var part [1]RefReport
+	scanned := fc.classifyFused(r, idx, part[:])
+	switch {
+	case part[0].Cold != 0:
+		return ColdMiss, scanned
+	case part[0].Repl != 0:
+		return ReplacementMiss, scanned
+	}
+	return Hit, scanned
+}
+
 // runTile classifies every point of reference ri inside the tile for the
 // candidates listed in active (positions into g.cands), accumulating each
 // candidate's counts into the parallel parts slice. ctx is polled every
 // 4096 points; an aborted tile leaves partial parts and is not marked
 // done by the caller. A non-nil probe is consulted per point with the
 // fused totals — len(active) classified points and the summed logical
-// scan work — so a single-candidate batch spends the budget exactly as
-// the solo exact solver does (Check(1, scanned) per point, cold = 0).
+// scan work — so a one-candidate solve checkpoints Check(1, scanned) per
+// point (cold = 0).
 func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, active []int, parts []RefReport, p *budget.Probe) error {
 	r := fc.p.np.Refs[ri]
-	var perr error
-	if fc.plain != nil {
-		n := 0
-		before := parts[0].Analyzed
-		fc.p.spaces[r.Stmt].EnumerateTile(t, func(idx []int64) bool {
-			out, scanned := fc.plain.classify(r, idx)
-			parts[0].Analyzed++
-			switch out {
-			case Hit:
-				parts[0].Hits++
-			case ColdMiss:
-				parts[0].Cold++
-			case ReplacementMiss:
-				parts[0].Repl++
-			}
-			if p != nil {
-				if perr = p.Check(1, scanned); perr != nil {
-					return false
-				}
-			}
-			n++
-			return n&4095 != 0 || ctx.Err() == nil
-		})
-		mTilesSolved.Inc()
-		mPointsClassed.Add(parts[0].Analyzed - before)
-		mPointsEnumerated.Add(parts[0].Analyzed - before)
-		return perr
-	}
 	fc.act = fc.act[:0]
 	for _, pos := range active {
 		fc.act = append(fc.act, fc.states[pos])
 	}
-	// Symbolic fast path: unbudgeted solves only — budgeted batch runs
-	// enumerate, which is trivially bit-identical (and rare: budgets bind
-	// per point, where replay would cost as much as classification).
+	// Symbolic fast path: solves without a probe only. Budgeted or
+	// cancellable solves enumerate, so every checkpoint lands on the point
+	// enumeration defines and parity holds by construction.
 	if p == nil && !fc.p.opt.NoSymbolic {
-		if sym := fc.g.sym[r]; sym.usable() {
+		if sym := fc.g.ls.sym[r]; sym.usable() {
 			fc.runTileSym(ctx, r, sym, t, parts)
 			return nil
 		}
@@ -195,6 +171,7 @@ func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, act
 	for k := range parts {
 		before += parts[k].Analyzed
 	}
+	var perr error
 	n := 0
 	fc.p.spaces[r.Stmt].EnumerateTile(t, func(idx []int64) bool {
 		scanned := fc.classifyFused(r, idx, parts)
@@ -216,9 +193,21 @@ func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, act
 	return perr
 }
 
-// classifyFused is classify for all active candidates at once. It returns
-// the summed logical scan work of the point across the active candidates
-// (memo replays included; cold misses scan nothing).
+// arm resets a state's per-point walk fields for the access's line.
+func (s *fcState) arm(line int64) {
+	s.walkDone, s.evicted, s.scanned, s.key, s.vm = false, false, 0, "", nil
+	if s.setMask >= 0 {
+		s.set = line & s.setMask
+	} else {
+		s.set = line % s.numSets
+	}
+}
+
+// classifyFused classifies one access for all active candidates at once
+// (§4.2): the cold equation, then the replacement equation, along the
+// reference's reuse vectors in order, then any non-uniform reuse. It
+// returns the summed logical scan work of the point across the active
+// candidates (memo replays included; cold misses scan nothing).
 func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefReport) int64 {
 	g := fc.g
 	addr := r.AddressAt(idx)
@@ -230,7 +219,7 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 	}
 	consumer := trace.Time{Label: r.Stmt.Label, Idx: idx, Seq: r.Seq}
 
-	for _, v := range g.vecs[r] {
+	for _, v := range g.ls.vecs[r] {
 		plabel, pidx := v.ProducerPointBuf(idx, &fc.lbuf, &fc.pbuf)
 		// Cold equation — shared across the group: the producer access
 		// must exist and touch the same memory line.
@@ -247,15 +236,10 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 			continue
 		}
 		producer := trace.Time{Label: plabel, Idx: pidx, Seq: v.Producer.Seq}
-		info := g.memo[v]
+		info := g.ls.memo[v]
 		fc.pend = fc.pend[:0]
 		for _, s := range fc.act {
-			s.walkDone, s.evicted, s.scanned, s.key, s.vm = false, false, 0, "", nil
-			if s.setMask >= 0 {
-				s.set = line & s.setMask
-			} else {
-				s.set = line % s.numSets
-			}
+			s.arm(line)
 			if s.memo != nil && info.invMask != 0 {
 				vm := s.memo[v]
 				if vm == nil {
@@ -280,15 +264,15 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 		}
 		if len(fc.pend) > 0 {
 			fc.hCands.Observe(int64(len(fc.pend)))
-			fc.fusedWalk(producer, consumer, line)
+			fc.fusedWalk(producer, consumer, line, fc.paperLRU)
 			fc.nWalks += int64(len(fc.pend))
 			for _, s := range fc.pend {
 				fc.nSteps += s.scanned
 				if s.key != "" {
 					s.vm.entries[s.key] = memoEntry{scanned: s.scanned, evicted: s.evicted}
 					if s.vm.miss++; s.vm.miss >= memoDisableAfter {
-						// Hit-rate gate, as in classifier.classify: free the
-						// vector's arena and stop probing it.
+						// Hit-rate gate: free the vector's arena and stop
+						// probing it.
 						s.vm.entries = nil
 						s.vm.off = true
 						fc.nMemoOff++
@@ -296,21 +280,22 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 				}
 			}
 		}
-		var scanned int64
-		for k, s := range fc.act {
-			parts[k].Analyzed++
-			scanned += s.scanned
-			if s.evicted {
-				parts[k].Repl++
-			} else {
-				parts[k].Hits++
-			}
-		}
-		return scanned
+		return fc.tally(parts)
 	}
-	// No reuse vector solves the cold equation: a cold miss everywhere.
-	// (Dynamic reuse never reaches here — NonUniform candidates are
-	// solved unfused; see solveExactFused.)
+	// Every static reuse vector fell through: non-uniformly generated
+	// reuse (§8 future work) may still supply the most recent toucher of
+	// the element. Its walk always models exact LRU.
+	if fc.p.dyn != nil {
+		if producer, ok := fc.dynamicProducer(r, idx, consumer); ok {
+			for _, s := range fc.act {
+				s.arm(line)
+			}
+			fc.pend = append(fc.pend[:0], fc.act...)
+			fc.fusedWalk(producer, consumer, line, false)
+			return fc.tally(parts)
+		}
+	}
+	// No reuse solves the cold equation: a cold miss everywhere.
 	for k := range fc.act {
 		parts[k].Analyzed++
 		parts[k].Cold++
@@ -318,17 +303,58 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 	return 0
 }
 
+// tally accounts the decided walk of every active candidate into parts
+// and returns the summed scan work.
+func (fc *fusedClassifier) tally(parts []RefReport) int64 {
+	var scanned int64
+	for k, s := range fc.act {
+		parts[k].Analyzed++
+		scanned += s.scanned
+		if s.evicted {
+			parts[k].Repl++
+		} else {
+			parts[k].Hits++
+		}
+	}
+	return scanned
+}
+
+// dynamicProducer finds the latest access before the consumer that
+// touches the same element through one of the reference's non-uniform
+// reuse pairs. The same element means the same memory line, so the cold
+// equation holds whenever a producer exists.
+func (fc *fusedClassifier) dynamicProducer(r *ir.NRef, idx []int64, consumer trace.Time) (trace.Time, bool) {
+	var best trace.Time
+	found := false
+	for _, d := range fc.p.dyn[r] {
+		q, ok := d.ProducerPoint(idx)
+		if !ok || !fc.p.spaces[d.Producer.Stmt].Contains(q) {
+			continue
+		}
+		pt := trace.Time{Label: d.Producer.Stmt.Label, Idx: q, Seq: d.Producer.Seq}
+		if trace.Compare(pt, consumer) >= 0 {
+			continue
+		}
+		if !found || trace.Compare(pt, best) > 0 {
+			best, found = pt, true
+		}
+	}
+	return best, found
+}
+
 // fusedWalk runs one shared interval traversal deciding the replacement
 // equation for every pending candidate. Each candidate keeps its own
 // distinct-line set, eviction threshold and stopping position; the
 // traversal ends as soon as every candidate is decided (or, under exact
 // LRU, when the reused line itself is touched — which decides everyone at
-// once, exactly as each solo walk would have stopped there).
-func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64) {
+// once, exactly as each candidate's own walk would have stopped there).
+// paperLRU selects the paper's verbatim equations: a forward scan that
+// never stops at the reused line.
+func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, paperLRU bool) {
 	// walk is the compacted undecided set: candidates are swap-removed the
 	// moment they decide, so the per-access inner loop costs Σ_c (own walk
 	// length), not |group| × (longest walk) — a decided small cache stops
-	// charging the walk immediately, exactly as its solo walk would have
+	// charging the walk immediately, exactly as its own walk would have
 	// stopped. Entries are values, not state pointers, so the loop scans a
 	// contiguous array. (fc.pend stays intact for the caller's memo stores.)
 	walk := fc.walk[:0]
@@ -381,10 +407,10 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64) 
 		}
 		return len(walk) > 0
 	}
-	if fc.paperLRU {
+	if paperLRU {
 		// The paper's equations verbatim: k distinct set contentions
 		// anywhere in the interval evict; touches of the reused line are
-		// counted as scanned but never stop a solo walk.
+		// counted as scanned but never stop a walk.
 		fc.w.Between(producer, consumer, func(_ *ir.NRef, addr int64) bool {
 			pos++
 			var al int64
@@ -400,8 +426,8 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64) 
 		})
 	} else {
 		// Exact LRU: scan backwards from the consumer; the first touch of
-		// the line is its most recent fetch and stops every solo walk at
-		// the same position.
+		// the line is its most recent fetch and stops every walk at the
+		// same position.
 		fc.w.BetweenReverse(producer, consumer, func(_ *ir.NRef, addr int64) bool {
 			pos++
 			var al int64
@@ -420,8 +446,8 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64) 
 			return scan(al)
 		})
 	}
-	// Interval exhausted with candidates still undecided: their solo
-	// walks scanned the whole interval and found no eviction.
+	// Interval exhausted with candidates still undecided: their walks
+	// scanned the whole interval and found no eviction.
 	for _, w := range walk {
 		w.st.scanned, w.st.walkDone = pos, true
 	}

@@ -379,7 +379,7 @@ func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Col
 		// Fall-through: the refused (member, ref) pairs run the ordinary
 		// fused enumerating solver — need masks now select exactly them.
 		sort.Slice(resolve, func(i, j int) bool { return resolve[i].ci < resolve[j].ci })
-		return p.solveExactFused(ctx, m, col, resolve, workers)
+		return p.solveExactFused(ctx, m, col, "solve.batch", resolve, workers)
 	}
 	return nil
 }

@@ -79,8 +79,8 @@ func Prepare(np *ir.NProgram, opt Options) (*Prepared, error) {
 	return p, nil
 }
 
-// lineState returns (building on first use) the reuse vectors and memo
-// table for one line size.
+// lineState returns (building on first use) the reuse vectors, memo table
+// and symbolic-region eligibility for one line size.
 func (p *Prepared) lineState(lineBytes int64) *lineShared {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -89,15 +89,20 @@ func (p *Prepared) lineState(lineBytes int64) *lineShared {
 	}
 	// Any valid configuration with this line size yields the same vectors;
 	// reuse.Generate reads it only through LineElems. (Options.Vectors is
-	// deliberately ignored here: caller-supplied vectors describe a single
-	// unknown line size, while this table is keyed by line size.)
+	// not consulted here: caller-supplied vectors describe one line size,
+	// and only New, which knows it, seeds the table with them.)
 	cfg := cache.Config{SizeBytes: lineBytes, LineBytes: lineBytes, Assoc: 1}
-	vecs := reuse.Generate(p.np, cfg, p.opt.Reuse)
-	ls := &lineShared{vecs: vecs, memo: memoTable(p.np, vecs)}
-	// Symbolic-region eligibility reads the same inputs as the memo table
-	// plus the line size, so it shares the per-line cache.
-	ls.sym = buildSymInfo(p.np, p.spaces, vecs, ls.memo, p.dyn, lineBytes)
+	ls := p.newLineShared(lineBytes, reuse.Generate(p.np, cfg, p.opt.Reuse))
 	p.byLine[lineBytes] = ls
+	return ls
+}
+
+// newLineShared derives the memo table and the symbolic-region
+// eligibility of one line size's reuse vectors; both read the same
+// geometry-invariant inputs, so they share the per-line cache.
+func (p *Prepared) newLineShared(lineBytes int64, vecs map[*ir.NRef][]*reuse.Vector) *lineShared {
+	ls := &lineShared{vecs: vecs, memo: memoTable(p.np, vecs)}
+	ls.sym = buildSymInfo(p.np, p.spaces, vecs, ls.memo, p.dyn, lineBytes)
 	return ls
 }
 
@@ -109,15 +114,18 @@ func (p *Prepared) Analyzer(cfg cache.Config) (*Analyzer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ls := p.lineState(cfg.LineBytes)
-	a := &Analyzer{np: p.np, cfg: cfg, opt: p.opt,
-		vecs:     ls.vecs,
-		dyn:      p.dyn,
-		spaces:   p.spaces,
-		memoInfo: ls.memo,
-		symOf:    ls.sym,
+	a := &Analyzer{p: p, np: p.np, cfg: cfg, opt: p.opt, ls: p.lineState(cfg.LineBytes)}
+	a.numSets = cfg.NumSets()
+	a.wayBytes = cfg.LineBytes * a.numSets
+	// Addresses in the model are non-negative (layout validates bases), so
+	// a power-of-two set count lets the per-access set filter strength-
+	// reduce the modulo to a mask.
+	a.setMask = -1
+	if a.numSets&(a.numSets-1) == 0 {
+		a.setMask = a.numSets - 1
 	}
-	a.memoPrecompute()
+	// Solver workers only read the linearised addresses; build them now.
+	p.warmAddresses()
 	return a, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"cachemodel/internal/budget"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/poly"
 	"cachemodel/internal/reuse"
@@ -44,13 +43,10 @@ import (
 //
 // Within a slab longer than the period P, the solver classifies the first
 // P values (the representatives) and replicates their aggregate outcomes
-// onto the remaining values. Under a budget probe it instead records the
-// per-point (outcome, scanned) stream of each representative subtree and
-// replays it point by point for every replica, issuing the same
-// Check(1, scanned) sequence the enumerator would have issued — budget
-// trip points, degradation decisions and partial counts stay
-// bit-identical even under fault injection (the PR 2 memo's parity
-// discipline, lifted from single walks to whole regions).
+// onto the remaining values. Solves under a budget probe (any limit, hook
+// or cancellable context) never take this path: they enumerate, so budget
+// trip points, degradation decisions and partial counts are those of
+// enumeration by construction.
 
 // refSym is the per-reference symbolic-region precomputation.
 type refSym struct {
@@ -79,19 +75,6 @@ type dimSym struct {
 
 type ivSpec struct {
 	lo, hi ir.Affine
-}
-
-// symPatternCap bounds the recorded verdict stream of one representative
-// subtree in budget mode; larger subtrees fall back to enumeration for
-// their replicas (deterministically, so parity is unaffected).
-const symPatternCap = 1 << 15
-
-// symPattern is a recorded per-point verdict stream of one representative
-// subtree, in enumeration order.
-type symPattern struct {
-	outs    []byte
-	scans   []int64
-	overrun bool
 }
 
 // shiftAffine returns a'(idx) = a(idx − D) + add: the same coefficients
@@ -254,281 +237,12 @@ type symDelta struct {
 	analyzed, hits, cold, repl int64
 }
 
-// symRun executes one (reference, tile) solve with region replication,
-// bit-identical to plain enumeration of the same tile.
-type symRun struct {
-	a    *Analyzer
-	c    *classifier
-	r    *ir.NRef
-	sym  *refSym
-	sp   *poly.Space
-	t    poly.Tile
-	rr   *RefReport
-	p    *budget.Probe
-	perr error
-	idx  []int64
-	nRep int64 // points resolved without classification
-
-	rec    *symPattern  // active budget-mode recording (nil otherwise)
-	cuts   [][]int64    // per-depth slab-boundary scratch
-	deltas [][]symDelta // per-depth aggregate scratch
-}
-
-// runTileSym is the symbolic counterpart of runTile.
-func (a *Analyzer) runTileSym(c *classifier, r *ir.NRef, sym *refSym, t poly.Tile, rr *RefReport, p *budget.Probe) error {
-	sp := a.spaces[r.Stmt]
-	before := rr.Analyzed
-	s := &symRun{a: a, c: c, r: r, sym: sym, sp: sp, t: t, rr: rr, p: p,
-		idx:    make([]int64, sp.Depth),
-		cuts:   make([][]int64, sp.Depth),
-		deltas: make([][]symDelta, sp.Depth),
-	}
-	if sym.allCold {
-		s.runAllCold()
-	} else {
-		s.run(0)
-	}
-	total := rr.Analyzed - before
-	mTilesSolved.Inc()
-	mPointsClassed.Add(total)
-	mPointsSymbolic.Add(s.nRep)
-	mPointsEnumerated.Add(total - s.nRep)
-	return s.perr
-}
-
-// runAllCold resolves an empty-replacement-polytope reference: every point
-// is a cold miss with zero scan work. Without a probe the tile is counted
-// in closed form; with one, the points are replayed individually so the
-// budget checkpoint sequence matches the enumerator's exactly.
-func (s *symRun) runAllCold() {
-	if s.p == nil {
-		cnt := s.sp.CountTile(s.t)
-		s.rr.Analyzed += cnt
-		s.rr.Cold += cnt
-		s.nRep += cnt
-		return
-	}
-	s.sp.EnumerateTile(s.t, func([]int64) bool {
-		s.nRep++
-		return s.emit(ColdMiss, 0)
-	})
-}
-
-// emit accounts one point's outcome, feeding the active recording and the
-// budget probe exactly as the enumerating loop would.
-func (s *symRun) emit(out Outcome, scanned int64) bool {
-	s.rr.Analyzed++
-	switch out {
-	case Hit:
-		s.rr.Hits++
-	case ColdMiss:
-		s.rr.Cold++
-	case ReplacementMiss:
-		s.rr.Repl++
-	}
-	if s.rec != nil {
-		if len(s.rec.outs) >= symPatternCap {
-			s.rec.overrun = true
-		} else {
-			s.rec.outs = append(s.rec.outs, byte(out))
-			s.rec.scans = append(s.rec.scans, scanned)
-		}
-	}
-	if s.p != nil {
-		if s.perr = s.p.Check(1, scanned); s.perr != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// run recurses over the iteration space in lexicographic order, matching
-// EnumerateTile's structure level by level; at an eligible dimension it
-// switches to slab decomposition instead of the plain loop.
-func (s *symRun) run(k int) bool {
-	if k == s.sp.Depth {
-		out, scanned := s.c.classify(s.r, s.idx)
-		return s.emit(out, scanned)
-	}
-	lo, hi, ok := s.sp.RangeAt(k, s.idx)
-	if !ok {
-		return true
-	}
-	if k == s.t.Dim {
-		if s.t.Lo > lo {
-			lo = s.t.Lo
-		}
-		if s.t.Hi < hi {
-			hi = s.t.Hi
-		}
-		if lo > hi {
-			return true
-		}
-	}
-	var d *dimSym
-	if s.rec == nil { // replication is disabled inside a recording
-		d = s.sym.dims[k]
-	}
-	if d == nil || hi-lo+1 <= d.period {
-		for v := lo; v <= hi; v++ {
-			s.idx[k] = v
-			if !s.run(k + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	return s.runSlabs(k, d, lo, hi)
-}
-
-// slabCuts computes the ascending slab boundaries of [lo, hi] at depth k:
-// the values where some vector's producer-existence interval opens or
-// closes. Within a slab every vector's existence status is constant along
-// the dimension, so verdicts repeat with the dimension's period.
-func (s *symRun) slabCuts(k int, d *dimSym, lo, hi int64) []int64 {
-	cuts := s.cuts[k][:0]
-	for _, iv := range d.ivs {
-		a := iv.lo.Eval(s.idx)
-		b := iv.hi.Eval(s.idx) + 1
-		if a > lo && a <= hi {
-			cuts = append(cuts, a)
-		}
-		if b > lo && b <= hi {
-			cuts = append(cuts, b)
-		}
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	w := 0
-	for i, c := range cuts {
-		if i == 0 || c != cuts[w-1] {
-			cuts[w] = c
-			w++
-		}
-	}
-	cuts = cuts[:w]
-	s.cuts[k] = cuts
-	return cuts
-}
-
-func (s *symRun) runSlabs(k int, d *dimSym, lo, hi int64) bool {
-	cuts := s.slabCuts(k, d, lo, hi)
-	start := lo
-	for ci := 0; ci <= len(cuts); ci++ {
-		end := hi
-		if ci < len(cuts) {
-			end = cuts[ci] - 1
-		}
-		if !s.runSlab(k, d, start, end) {
-			return false
-		}
-		start = end + 1
-		// Re-read the cut list: deeper recursion shares the per-depth
-		// scratch only below k, so the slice is intact, but it may have
-		// been moved by append in a sibling call.
-		cuts = s.cuts[k]
-	}
-	return true
-}
-
-// runSlab solves one slab [lo, hi] of depth k: when the slab holds more
-// than one period P, the first P values are classified and the remaining
-// values inherit their verdicts by translation.
-func (s *symRun) runSlab(k int, d *dimSym, lo, hi int64) bool {
-	if lo > hi {
-		return true
-	}
-	n := hi - lo + 1
-	P := d.period
-	if n <= P {
-		for v := lo; v <= hi; v++ {
-			s.idx[k] = v
-			if !s.run(k + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	if s.p == nil {
-		// Aggregate replication: classify the representatives, then copy
-		// their aggregate outcomes onto every further translate.
-		dl := s.deltas[k]
-		if int64(cap(dl)) < P {
-			dl = make([]symDelta, P)
-		} else {
-			dl = dl[:P]
-		}
-		s.deltas[k] = dl
-		for j := int64(0); j < P; j++ {
-			before := symDelta{s.rr.Analyzed, s.rr.Hits, s.rr.Cold, s.rr.Repl}
-			s.idx[k] = lo + j
-			if !s.run(k + 1) {
-				return false
-			}
-			dl[j] = symDelta{
-				analyzed: s.rr.Analyzed - before.analyzed,
-				hits:     s.rr.Hits - before.hits,
-				cold:     s.rr.Cold - before.cold,
-				repl:     s.rr.Repl - before.repl,
-			}
-		}
-		dl = s.deltas[k] // recursion below k never touches level k's scratch
-		for j := int64(0); j < P; j++ {
-			extra := (n - 1 - j) / P // translates beyond the representative
-			if extra == 0 {
-				continue
-			}
-			s.rr.Analyzed += extra * dl[j].analyzed
-			s.rr.Hits += extra * dl[j].hits
-			s.rr.Cold += extra * dl[j].cold
-			s.rr.Repl += extra * dl[j].repl
-			s.nRep += extra * dl[j].analyzed
-		}
-		return true
-	}
-	// Budget mode: record each representative's per-point verdict stream
-	// and replay it for the translates in enumeration order, so the probe
-	// sees the identical Check(1, scanned) sequence (and trips at the
-	// identical point) as under plain enumeration.
-	pats := make([]*symPattern, P)
-	for j := int64(0); j < P; j++ {
-		pat := &symPattern{}
-		s.rec = pat
-		s.idx[k] = lo + j
-		ok := s.run(k + 1)
-		s.rec = nil
-		if !ok {
-			return false
-		}
-		pats[j] = pat
-	}
-	for v := lo + P; v <= hi; v++ {
-		pat := pats[(v-lo)%P]
-		if pat.overrun {
-			// Subtree too large to record: classify this translate anew
-			// (deeper replication may still engage).
-			s.idx[k] = v
-			if !s.run(k + 1) {
-				return false
-			}
-			continue
-		}
-		for i, o := range pat.outs {
-			s.nRep++
-			if !s.emit(Outcome(o), pat.scans[i]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ---- fused batch variant ----
-
-// symRunFused replays the same region logic for a fused candidate group:
-// the line size (and hence every period and every slab) is shared across
-// the group, so one slab decomposition replicates every candidate's
-// aggregates at once. It runs only on unbudgeted solves; budgeted batch
-// runs enumerate, which is trivially bit-identical.
+// symRunFused executes one (reference, tile) solve with region
+// replication for a fuse group, bit-identical to plain enumeration of the
+// same tile. The line size (and hence every period and every slab) is
+// shared across the group, so one slab decomposition replicates every
+// candidate's aggregates at once; a solo solve is a group of one. It runs
+// only on solves without a budget probe.
 type symRunFused struct {
 	fc    *fusedClassifier
 	r     *ir.NRef
@@ -545,7 +259,8 @@ type symRunFused struct {
 	deltas [][]symDelta // per depth: P * len(parts) deltas, row-major
 }
 
-// runTileSym mirrors fusedClassifier.runTile for an eligible reference.
+// runTileSym is fusedClassifier.runTile for a reference with a usable
+// symbolic precomputation.
 func (fc *fusedClassifier) runTileSym(ctx context.Context, r *ir.NRef, sym *refSym, t poly.Tile, parts []RefReport) {
 	sp := fc.p.spaces[r.Stmt]
 	var before int64
@@ -608,7 +323,10 @@ func (s *symRunFused) run(k int) bool {
 		}
 		return true
 	}
-	// Slab decomposition (same derivation as symRun.runSlabs).
+	// Slab decomposition: cut [lo, hi] where some vector's
+	// producer-existence interval opens or closes. Within a slab every
+	// vector's existence status is constant along the dimension, so
+	// verdicts repeat with the dimension's period.
 	cuts := s.cuts[k][:0]
 	for _, iv := range d.ivs {
 		a := iv.lo.Eval(s.idx)

@@ -35,41 +35,82 @@ func prepAligned(t *testing.T, p *ir.Program, lineBytes int64) *ir.NProgram {
 }
 
 // TestSuiteValidation runs every built-in kernel through FindMisses and
-// the simulator on two cache shapes: uniformly generated kernels must
-// match exactly; the rest must never undercount.
+// the simulator, the independent oracle, on power-of-two and
+// non-power-of-two set counts at one and two workers: uniformly generated
+// kernels must match the simulator reference by reference; the rest must
+// never undercount in total.
 func TestSuiteValidation(t *testing.T) {
 	cfgs := []cache.Config{
 		{SizeBytes: 1024, LineBytes: 32, Assoc: 1},
 		{SizeBytes: 2048, LineBytes: 64, Assoc: 2},
+		{SizeBytes: 1536, LineBytes: 32, Assoc: 2}, // 24 sets
+		{SizeBytes: 1920, LineBytes: 64, Assoc: 1}, // 30 sets
 	}
 	for _, spec := range Suite() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			n := int64(16)
-			p := spec.Build(n)
 			for _, cfg := range cfgs {
-				np := prepAligned(t, spec.Build(n), cfg.LineBytes)
-				_ = p
-				a, err := cme.New(np, cfg, cme.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep := a.FindMisses()
+				np := prepAligned(t, spec.Build(16), cfg.LineBytes)
 				sim := trace.Simulate(np, cfg)
-				if rep.TotalAccesses() != sim.Accesses {
-					t.Fatalf("[%v] accesses %d vs %d", cfg, rep.TotalAccesses(), sim.Accesses)
-				}
-				if spec.Uniform {
-					if rep.ExactMisses() != sim.Misses {
-						t.Errorf("[%v] FindMisses %d != simulator %d (uniform kernel must be exact)",
-							cfg, rep.ExactMisses(), sim.Misses)
+				for _, workers := range []int{1, 2} {
+					a, err := cme.New(np, cfg, cme.Options{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
 					}
-				} else if rep.ExactMisses() < sim.Misses {
-					t.Errorf("[%v] FindMisses %d < simulator %d (must be conservative)",
-						cfg, rep.ExactMisses(), sim.Misses)
+					rep := a.FindMisses()
+					if rep.TotalAccesses() != sim.Accesses {
+						t.Fatalf("[%v] w=%d: accesses %d vs %d", cfg, workers, rep.TotalAccesses(), sim.Accesses)
+					}
+					if !spec.Uniform {
+						if rep.ExactMisses() < sim.Misses {
+							t.Errorf("[%v] w=%d: FindMisses %d < simulator %d (must be conservative)",
+								cfg, workers, rep.ExactMisses(), sim.Misses)
+						}
+						continue
+					}
+					for _, rr := range rep.Refs {
+						var simAcc, simMiss int64
+						if st := sim.PerRef[rr.Ref]; st != nil {
+							simAcc, simMiss = st.Accesses, st.Misses
+						}
+						if rr.Volume != simAcc || rr.Misses() != simMiss {
+							t.Errorf("[%v] w=%d: %s: %d accesses, %d misses; simulator %d, %d (uniform kernel must be exact)",
+								cfg, workers, rr.Ref.ID, rr.Volume, rr.Misses(), simAcc, simMiss)
+						}
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestClassifyDetailMatchesClassify: the attributing classifier must reach
+// Classify's outcome at every point of every suite kernel, under exact
+// LRU and under the paper's verbatim replacement equations.
+func TestClassifyDetailMatchesClassify(t *testing.T) {
+	cfg := cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 2}
+	for _, spec := range Suite() {
+		np := prepAligned(t, spec.Build(12), cfg.LineBytes)
+		for _, paper := range []bool{false, true} {
+			a, err := cme.New(np, cfg, cme.Options{PaperLRU: paper})
+			if err != nil {
+				t.Fatal(err)
+			}
+			differ, points := 0, 0
+			for _, r := range np.Refs {
+				a.Space(r.Stmt).Enumerate(func(idx []int64) bool {
+					points++
+					if got, _ := a.ClassifyDetail(r, idx); got != a.Classify(r, idx) {
+						differ++
+					}
+					return true
+				})
+			}
+			if differ != 0 {
+				t.Errorf("%s PaperLRU=%v: ClassifyDetail differs from Classify on %d of %d points",
+					spec.Name, paper, differ, points)
+			}
+		}
 	}
 }
 
