@@ -139,8 +139,20 @@ func cmdBench(args []string) error {
 		if dst == "BENCH_solvers.json" {
 			dst = "BENCH_scaling.json"
 		}
-		return benchScaling(context.Background(), *name, *file, *consts, *sizeConst,
-			*iters, cfg, *workers, ns, dst, *check)
+		or, err := oflags.start("bench")
+		if err != nil {
+			return err
+		}
+		ctx := or.Context(context.Background())
+		if err := benchScaling(ctx, *name, *file, *consts, *sizeConst,
+			*iters, cfg, *workers, ns, dst, *check); err != nil {
+			return err
+		}
+		program := *name
+		if *file != "" {
+			program = *file
+		}
+		return or.finish(ctx, program, nil, nil)
 	}
 
 	if *distMode {

@@ -194,21 +194,70 @@ func TestCLIScalingClosedForm(t *testing.T) {
 	}
 }
 
+// TestCLIScalingLadderCap: a size ladder is sized before it is built, so
+// a huge or wrapping range and sizes below 1 fail promptly with a non-zero
+// exit instead of looping or allocating.
+func TestCLIScalingLadderCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns CLI processes")
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"scaling", "-from", "1", "-to", "9223372036854775807", "-step", "1"}, "(max 65536)"},
+		{[]string{"bench", "-scaling", "-from", "1", "-to", "100000000", "-step", "1"}, "(max 65536)"},
+		{[]string{"scaling", "-from", "0", "-to", "64", "-step", "8"}, "bad ladder"},
+		{[]string{"scaling", "-ns", "64,0"}, "sizes must be >= 1"},
+	} {
+		cmd := cliCommand(t, tc.args...)
+		start := time.Now()
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("%v: exit 0, want a ladder error\n%s", tc.args, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("%v: took %v to reject the ladder", tc.args, d)
+		}
+	}
+}
+
 // TestCLIBenchScalingCheck runs `bench -scaling -check`: the match check
 // inside the process gates on bit-identity between the closed form and
 // the enumerating solver, so a clean exit plus a sane JSON is the test.
+// The run report from -obs-out must pass obscheck and show the size
+// tier's counters.
 func TestCLIBenchScalingCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a CLI process")
 	}
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "BENCH_scaling.json")
+	obsPath := filepath.Join(dir, "scaling-run.json")
 	out, err := cliCommand(t, "bench", "-scaling", "-program", "hydro",
 		"-cache", "256", "-line", "32", "-assoc", "1",
 		"-from", "128", "-to", "224", "-step", "32",
-		"-check", "-out", outPath).CombinedOutput()
+		"-check", "-out", outPath, "-obs-out", obsPath).CombinedOutput()
 	if err != nil {
 		t.Fatalf("bench -scaling: %v\n%s", err, out)
+	}
+	if out, err := cliCommand(t, "obscheck", obsPath).CombinedOutput(); err != nil {
+		t.Fatalf("obscheck rejected the bench -scaling run report: %v\n%s", err, out)
+	}
+	var run struct {
+		Metrics struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"metrics"`
+	}
+	if blob, err := os.ReadFile(obsPath); err != nil || json.Unmarshal(blob, &run) != nil {
+		t.Fatalf("run report unreadable: %v", err)
+	}
+	if c := run.Metrics.Counters; c["cme_scaling_closed_evals_total"] != 4 || c["cme_scaling_residue_fits_total"] == 0 {
+		t.Fatalf("run report size-tier counters: %v", c)
 	}
 	blob, err := os.ReadFile(outPath)
 	if err != nil {

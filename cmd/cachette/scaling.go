@@ -19,6 +19,11 @@ import (
 	"cachemodel/internal/ir"
 )
 
+// maxLadder caps a size ladder (here and in sweep -sizes-from): ladders
+// are sized arithmetically before they are materialised, so a huge range
+// is an argument error rather than an allocation.
+const maxLadder = 65536
+
 // ladderFlags registers the size-ladder flags shared by `scaling` and
 // `bench -scaling` and returns a closure producing the ladder.
 func ladderFlags(fs *flag.FlagSet) func() ([]int64, error) {
@@ -34,16 +39,26 @@ func ladderFlags(fs *flag.FlagSet) func() ([]int64, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bad -ns entry %q: %v", s, err)
 				}
+				if v < 1 {
+					return nil, fmt.Errorf("bad -ns entry %d: sizes must be >= 1", v)
+				}
 				out = append(out, v)
+			}
+			if len(out) > maxLadder {
+				return nil, fmt.Errorf("size ladder has %d entries (max %d)", len(out), maxLadder)
 			}
 			return out, nil
 		}
-		if *step <= 0 || *to < *from {
-			return nil, fmt.Errorf("bad ladder: from %d to %d step %d", *from, *to, *step)
+		if *from < 1 || *step <= 0 || *to < *from {
+			return nil, fmt.Errorf("bad ladder: from %d to %d step %d (want 1 <= from <= to, step > 0)", *from, *to, *step)
 		}
-		var out []int64
-		for n := *from; n <= *to; n += *step {
-			out = append(out, n)
+		count := (*to-*from)/(*step) + 1
+		if count > maxLadder {
+			return nil, fmt.Errorf("size ladder has %d entries (max %d)", count, maxLadder)
+		}
+		out := make([]int64, count)
+		for i := range out {
+			out[i] = *from + int64(i)*(*step)
 		}
 		return out, nil
 	}
@@ -158,8 +173,8 @@ func cmdScaling(args []string) error {
 			continue
 		}
 		tier := "exact (fall-through)"
-		if rep.Scaling != nil && rep.Scaling.ClosedForm {
-			tier = fmt.Sprintf("closed form (%d/%d refs)", rep.Scaling.ClosedFormRefs, rep.Scaling.TotalRefs)
+		if rep.Scaling.Closed() {
+			tier = fmt.Sprintf("closed form (%d/%d refs)", rep.Scaling.ClosedRefs, rep.Scaling.TotalRefs)
 		}
 		bar := ""
 		if *plot && maxRatio > 0 {
@@ -314,7 +329,7 @@ func benchScaling(ctx context.Context, name, file, consts, sizeConst string, ite
 			row.ClosedForm = true
 			row.Match = sameReportByID(exact[i], closed[i]) == nil
 			if info := closed[i].Scaling; info != nil {
-				rep.ClosedRefs, rep.TotalRefs = info.ClosedFormRefs, info.TotalRefs
+				rep.ClosedRefs, rep.TotalRefs = info.ClosedRefs, info.TotalRefs
 			}
 		}
 		allMatch = allMatch && (!row.ClosedForm || row.Match)

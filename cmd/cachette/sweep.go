@@ -98,7 +98,6 @@ func cmdSweep(args []string) error {
 	width := fs.Float64("w", 0.05, "confidence interval half-width for the sampled tier")
 	adaptive := fs.Bool("adaptive", false, "sampled tier: variance-driven early stopping (Wilson interval)")
 	noSymbolic := fs.Bool("nosymbolic", false, "disable the symbolic region fast path (classify every point)")
-	noGeom := fs.Bool("nogeom", false, "disable the geometry-parametric closed-form tier (solve every candidate by the fused batch path)")
 	workers := fs.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
 	check := fs.Bool("check", false, "re-solve every candidate independently, verify bit-identical reports, and gate on the speedup")
 	geomBench := fs.Bool("geom-bench", false, "re-solve the exact grid with the geometry-parametric tier off, verify bit-identity, and record the geom_closed_form speedup row")
@@ -135,14 +134,12 @@ func cmdSweep(args []string) error {
 		return err
 	}
 	if *sizesFrom > 0 {
-		// The ladder is sized arithmetically before materialisation, so a
-		// huge range is an argument error rather than an allocation.
 		if *sizesStep <= 0 || *sizesTo < *sizesFrom {
 			return fmt.Errorf("sweep: -sizes-from needs -sizes-to >= it and -sizes-step > 0")
 		}
 		n := (*sizesTo-*sizesFrom)/(*sizesStep) + 1
-		if n > 65536 {
-			return fmt.Errorf("sweep: size ladder has %d entries (max 65536)", n)
+		if n > maxLadder {
+			return fmt.Errorf("sweep: size ladder has %d entries (max %d)", n, maxLadder)
 		}
 		css = css[:0]
 		for i := int64(0); i < n; i++ {
@@ -222,7 +219,7 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	reps, err := prepd.SolveBatch(ctx, cands, cme.BatchOptions{Plan: plan, Cache: rc, Workers: *workers, NoGeom: *noGeom})
+	reps, err := prepd.SolveBatch(ctx, cands, cme.BatchOptions{Plan: plan, Cache: rc, Workers: *workers})
 	batchNs := time.Since(t0).Nanoseconds()
 	if perr := pstop(); perr != nil {
 		return perr
@@ -254,9 +251,6 @@ func cmdSweep(args []string) error {
 	if *geomBench {
 		if !*exact {
 			return fmt.Errorf("sweep: -geom-bench requires -exact (the tier only runs for exact batches)")
-		}
-		if *noGeom {
-			return fmt.Errorf("sweep: -geom-bench contradicts -nogeom")
 		}
 		tg := time.Now()
 		greps, gerr := prepd.SolveBatch(ctx, cands, cme.BatchOptions{Workers: *workers})

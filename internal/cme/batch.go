@@ -79,12 +79,11 @@ type BatchOptions struct {
 	Budget budget.Budget
 	// NoGeom disables the geometry-parametric closed-form tier (see
 	// geom.go), forcing every exact candidate through the fused
-	// enumerating solver — the reference baseline for benchmarks and
-	// equivalence tests. The tier is also off automatically for sampled
-	// plans, fault-hooked budgets, NoSymbolic analyses and dynamic reuse.
+	// enumerating solver — the ablation baseline for benchmarks and
+	// equivalence tests. Users opt out with Options.NoSymbolic; the tier
+	// is also off automatically for sampled plans, fault-hooked budgets
+	// and dynamic reuse.
 	NoGeom bool
-	// Geom tunes the geometry-parametric tier; nil uses the defaults.
-	Geom *GeomOptions
 }
 
 // SolveBatch evaluates every candidate against the Prepared program and
@@ -338,13 +337,9 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 		// closed-form fill costs the meter nothing), but injected faults
 		// must see the enumerating solver to keep fault-parity tests
 		// meaningful.
-		var gp *geomPlan
+		var gp []*geomColumn
 		if !opt.NoGeom && opt.Budget.Hook == nil && !p.opt.NoSymbolic && p.dyn == nil {
-			gopt := GeomOptions{}
-			if opt.Geom != nil {
-				gopt = *opt.Geom
-			}
-			gp = p.planGeom(states, gopt)
+			gp = p.planGeom(states)
 		}
 		serr = p.solveExactFused(ctx, m, col, "solve.batch", states, workers)
 		if gp != nil {

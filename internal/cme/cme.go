@@ -126,11 +126,13 @@ type Options struct {
 	// benchmarking the memo and for equivalence tests.
 	NoMemo bool
 	// NoSymbolic disables the symbolic region fast path, forcing the exact
-	// solvers to classify every iteration point individually. Reports are
-	// bit-identical either way — the fast path replicates (or counts)
-	// exactly the verdicts enumeration would have produced, and budgeted
-	// or cancellable solves always enumerate — so this knob exists for
-	// benchmarking the fast path and for equivalence tests.
+	// solvers to classify every iteration point individually, and the
+	// closed-form tiers (closed.go): SolveBatch skips the set-count tier
+	// and a ScalingSolver answers every size by fall-through. Reports are
+	// bit-identical either way — the fast paths reproduce exactly the
+	// verdicts enumeration would have produced, and budgeted or
+	// cancellable solves always enumerate — so this one opt-out exists
+	// for benchmarking the fast paths and for equivalence tests.
 	NoSymbolic bool
 	// Adaptive switches EstimateMisses to sequential sampling: points are
 	// drawn in chunks from the same per-reference RNG stream and a
@@ -296,8 +298,8 @@ type RefReport struct {
 	// evaluation rather than from enumerating (or sampling) this
 	// reference's iteration space: either the scaling tier's
 	// quasi-polynomials in the problem size, or the geometry-parametric
-	// tier's per-residue fit in the number of sets (Report.Scaling and
-	// Report.Geom say which).
+	// tier's fit in the number of sets (Report.Scaling and Report.Geom
+	// say which).
 	ClosedForm bool
 }
 
@@ -341,13 +343,13 @@ type Report struct {
 	Degraded bool
 	// BudgetSpent records the resources consumed by the run.
 	BudgetSpent budget.Spent
-	// Scaling carries the closed-form scaling tier's provenance when the
-	// report came from a ScalingSolver (nil otherwise).
-	Scaling *ScalingInfo
-	// Geom carries the geometry-parametric tier's provenance when
+	// Scaling carries the problem-size closed-form provenance (AxisSize)
+	// when the report came from a ScalingSolver (nil otherwise).
+	Scaling *ClosedInfo
+	// Geom carries the set-count closed-form provenance (AxisSets) when
 	// SolveBatch planned this candidate into a geometry column (nil when
 	// the tier never considered it).
-	Geom *GeomInfo
+	Geom *ClosedInfo
 }
 
 // TotalAccesses returns Σ_R |RIS_R|, the program's total access count.

@@ -7,13 +7,11 @@ import (
 
 	"cachemodel/internal/budget"
 	"cachemodel/internal/ir"
-	"cachemodel/internal/linalg"
 	"cachemodel/internal/obs"
-	"cachemodel/internal/qpoly"
 )
 
 // Geometry-parametric sweeps: closed-form miss counts in the number of
-// sets.
+// sets (the AxisSets side of the closed-form engine in closed.go).
 //
 // The replacement equations see the cache geometry through exactly two
 // quantities: the line size (which shapes reuse vectors and cold
@@ -38,109 +36,44 @@ import (
 //     fit below runs only inside this certified region, so its claims are
 //     sound rather than merely spot-checked.
 //
-//   - Per-residue fit rung: within the stable region the anchor counts of
-//     each residue class S mod Period are fitted to a degree-Degree
-//     polynomial (qpoly.FitPoly over exact rationals), the remaining
-//     anchors are held out and must reproduce exactly, and every
-//     evaluation must pass the count identities (integral, non-negative,
-//     hits+cold+repl == volume). Any failure refuses the (member, ref)
-//     pair, which falls through to the fused enumerating solver — a
-//     refusal costs extra work, never a wrong count.
+//   - Fit rung: within the stable region the geomAnchors cheapest stable
+//     members anchor one degree-0 fit per reference (fitCounts: one fit
+//     anchor plus closedHoldouts holdouts that must reproduce exactly),
+//     and every evaluation must pass the count identities. Any failure
+//     refuses the (member, ref) pair, which falls through to the fused
+//     enumerating solver — a refusal costs extra work, never a wrong
+//     count.
 //
 // Members at or below the span (where counts genuinely vary with S in a
 // way no low-degree polynomial captures) are never claimed: they solve
 // through the ordinary fused path, with provenance saying why. The tier
 // runs only for exact batches. Plain deadline/point/scan budgets keep it
-// eligible — an anchor the budget cuts short fails the fit's census
-// check, so its column falls through per reference to the ordinary
-// degradation ladder, and closed-form fills cost the meter nothing —
-// but fault-hooked budgets and NoSymbolic disable it (both force
-// enumeration for fault-parity and equivalence testing).
+// eligible — an anchor the budget cuts short fails the census check, so
+// its column falls through per reference to the ordinary degradation
+// ladder, and closed-form fills cost the meter nothing — but fault-hooked
+// budgets and NoSymbolic disable it (both force enumeration for
+// fault-parity and equivalence testing).
 
-// GeomOptions tunes the geometry-parametric tier of SolveBatch. The zero
-// value picks everything automatically.
-type GeomOptions struct {
-	// Period is the residue period in NumSets (default 1: inside the
-	// stable region counts are constant, so one class suffices).
-	Period int64
-	// Degree is the fitted polynomial degree per residue class (default 0).
-	Degree int
-	// Verify is the number of holdout anchor solves per residue class that
-	// the fit must reproduce exactly (default 2).
-	Verify int
-	// MinColumn is the smallest column (same line size and associativity,
-	// distinct set counts) worth planning (default DefaultGeomMinColumn:
-	// below that the anchors cover everything and closed-form evaluation
-	// gains nothing).
-	MinColumn int
-}
-
-// DefaultGeomMinColumn is the default GeomOptions.MinColumn: the smallest
-// sweep column the geometry-parametric tier will claim. Work partitioners
-// (internal/dist) use it to decide when keeping a column together in one
-// solve is worth the coarser stealing granularity.
+// DefaultGeomMinColumn is the smallest sweep column (same line size and
+// associativity, distinct set counts) the geometry-parametric tier will
+// claim: below it the anchors cover everything and closed-form evaluation
+// gains nothing. Work partitioners (internal/dist) use it to decide when
+// keeping a column together in one solve is worth the coarser stealing
+// granularity.
 const DefaultGeomMinColumn = 4
 
-func (o GeomOptions) withDefaults() GeomOptions {
-	if o.Period <= 0 {
-		o.Period = 1
-	}
-	if o.Degree < 0 {
-		o.Degree = 0
-	}
-	if o.Verify <= 0 {
-		o.Verify = 2
-	}
-	if o.MinColumn <= 0 {
-		o.MinColumn = DefaultGeomMinColumn
-	}
-	return o
-}
-
-// anchorsPerClass is how many stable members of one residue class the
-// fused path must solve before the rest of the class can be claimed.
-func (o GeomOptions) anchorsPerClass() int { return o.Degree + 1 + o.Verify }
-
-// GeomInfo is the geometry-parametric tier's provenance for one sweep
-// candidate, mirroring ScalingInfo for the problem-size axis.
-type GeomInfo struct {
-	// NumSets is this candidate's set count, the tier's free parameter.
-	NumSets int64 `json:"num_sets"`
-	// SpanLines is the program footprint span bound in lines under the
-	// candidate's layout and line size (-1: no finite bound); Stable
-	// reports NumSets > SpanLines, the no-interference certificate.
-	SpanLines int64 `json:"span_lines"`
-	Stable    bool  `json:"stable"`
-	// Anchor marks a member the fused solver solved to feed the fits.
-	Anchor bool `json:"anchor,omitempty"`
-	// ClosedRefs counts references answered by O(1) evaluation (including
-	// PureColdRefs, the rung that needs no anchors at all);
-	// FallthroughRefs counts references the tier claimed but refused, so
-	// they re-solved through the fused enumerating path.
-	ClosedRefs      int `json:"closed_refs"`
-	PureColdRefs    int `json:"pure_cold_refs,omitempty"`
-	FallthroughRefs int `json:"fallthrough_refs,omitempty"`
-	TotalRefs       int `json:"total_refs"`
-	// Period and Degree describe the fitted shape.
-	Period int64 `json:"period"`
-	Degree int   `json:"degree"`
-	// Why says why the fit rung did not cover this member (anchors and
-	// unstable members; empty for members answered in closed form).
-	Why string `json:"why,omitempty"`
-}
-
-// Closed reports that every reference of the candidate came from the
-// closed form.
-func (g *GeomInfo) Closed() bool {
-	return g != nil && !g.Anchor && g.TotalRefs > 0 && g.ClosedRefs == g.TotalRefs
-}
+// geomDegree is the fitted degree in NumSets: inside the certified stable
+// region every counter is constant, so one degree-0 fit per reference
+// (residue period 1) suffices, and a column needs geomAnchors anchors.
+const (
+	geomDegree  = 0
+	geomAnchors = geomDegree + 1 + closedHoldouts
+)
 
 // geomColumn is one planned column: the candidates of a layout group that
 // share line size and associativity, ordered by ascending set count.
 type geomColumn struct {
-	lineBytes int64
-	assoc     int
-	span      int64 // footprint span bound in lines (-1: none computable)
+	span int64 // footprint span bound in lines (-1: none computable)
 
 	anchors  []*batchCand // stable members the fused pass solves
 	deferred []*batchCand // stable members answered in closed form
@@ -152,16 +85,8 @@ type geomColumn struct {
 	cleared map[*batchCand][]bool
 
 	// pureCold[ri] marks references the pure-cold rung answers for every
-	// member; fit[ri] marks references the fit rung must answer for the
-	// deferred members.
+	// member; the fit rung answers the others for the deferred members.
 	pureCold []bool
-	fit      []bool
-}
-
-// geomPlan is the per-layout-group plan of the geometry-parametric tier.
-type geomPlan struct {
-	opt     GeomOptions
-	columns []*geomColumn
 }
 
 // numSetsOf is the candidate's cache.Config.NumSets.
@@ -175,8 +100,7 @@ func numSetsOf(cs *batchCand) int64 {
 // form, and which references each rung covers. It clears the deferred
 // (member, ref) pairs from the need masks so the fused pass skips them.
 // nil means the tier has nothing to contribute to this group.
-func (p *Prepared) planGeom(states []*batchCand, gopt GeomOptions) *geomPlan {
-	gopt = gopt.withDefaults()
+func (p *Prepared) planGeom(states []*batchCand) []*geomColumn {
 	type colKey struct {
 		lineBytes int64
 		assoc     int
@@ -190,33 +114,29 @@ func (p *Prepared) planGeom(states []*batchCand, gopt GeomOptions) *geomPlan {
 		}
 		cols[k] = append(cols[k], cs)
 	}
-	plan := &geomPlan{opt: gopt}
+	var plan []*geomColumn
 	for _, k := range order {
 		members := cols[k]
-		if len(members) < gopt.MinColumn {
+		if len(members) < DefaultGeomMinColumn {
 			continue
 		}
 		sorted := append([]*batchCand(nil), members...)
 		sort.Slice(sorted, func(i, j int) bool { return numSetsOf(sorted[i]) < numSetsOf(sorted[j]) })
-		if col := p.planColumn(k.lineBytes, k.assoc, sorted, gopt); col != nil {
-			plan.columns = append(plan.columns, col)
+		if col := p.planColumn(k.lineBytes, sorted); col != nil {
+			plan = append(plan, col)
 		}
-	}
-	if len(plan.columns) == 0 {
-		return nil
 	}
 	return plan
 }
 
 // planColumn builds one column's plan (nil when nothing can be claimed).
 // members arrive sorted by ascending set count, so anchors are the
-// cheapest stable solves of each residue class.
-func (p *Prepared) planColumn(lineBytes int64, assoc int, members []*batchCand, gopt GeomOptions) *geomColumn {
-	col := &geomColumn{lineBytes: lineBytes, assoc: assoc,
+// cheapest stable solves.
+func (p *Prepared) planColumn(lineBytes int64, members []*batchCand) *geomColumn {
+	col := &geomColumn{
 		span:     p.footprintSpanLines(lineBytes),
 		cleared:  map[*batchCand][]bool{},
 		pureCold: make([]bool, len(p.np.Refs)),
-		fit:      make([]bool, len(p.np.Refs)),
 	}
 	sym := p.lineState(lineBytes).sym
 	anyPureCold := false
@@ -227,17 +147,13 @@ func (p *Prepared) planColumn(lineBytes int64, assoc int, members []*batchCand, 
 		}
 	}
 
-	// Partition members: per residue class, the first anchorsPerClass
-	// stable members anchor and the rest defer to closed form.
-	need := gopt.anchorsPerClass()
-	classCount := map[int64]int{}
+	// Partition members: the first geomAnchors stable members anchor and
+	// the rest defer to closed form.
 	for _, cs := range members {
-		s := numSetsOf(cs)
-		switch {
+		switch s := numSetsOf(cs); {
 		case col.span < 0 || s <= col.span:
 			col.other = append(col.other, cs)
-		case classCount[mod64(s, gopt.Period)] < need:
-			classCount[mod64(s, gopt.Period)]++
+		case len(col.anchors) < geomAnchors:
 			col.anchors = append(col.anchors, cs)
 		default:
 			col.deferred = append(col.deferred, cs)
@@ -263,14 +179,11 @@ func (p *Prepared) planColumn(lineBytes int64, assoc int, members []*batchCand, 
 		cl[ri] = true
 	}
 	for ri := range p.np.Refs {
+		targets := col.deferred
 		if col.pureCold[ri] {
-			for _, cs := range members {
-				clear(cs, ri)
-			}
-			continue
+			targets = members
 		}
-		for _, cs := range col.deferred {
-			col.fit[ri] = true
+		for _, cs := range targets {
 			clear(cs, ri)
 		}
 	}
@@ -337,12 +250,6 @@ func affineRange(aff ir.Affine, lo, hi []int64) (int64, int64) {
 	return a, b
 }
 
-// geomSample is one reference's anchor counts at one set count.
-type geomSample struct {
-	s                int64
-	hits, cold, repl int64
-}
-
 // finishGeom completes the tier after the fused pass: it fills the
 // pure-cold and fitted rungs' reports, restores and re-solves every
 // refusal through the ordinary fused path, and stamps per-candidate
@@ -351,17 +258,16 @@ type geomSample struct {
 // (coherent partial results), exactly like an interrupted enumeration.
 // Budget exhaustion (m.Err with a clean pool) still fills: closed-form
 // evaluation costs the meter nothing, and an anchor the budget cut
-// short fails the fit's census check, so its column's deferred refs
-// fall through per reference and rejoin the ordinary degradation
-// ladder.
-func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Collector, workers int, gp *geomPlan, serr error) error {
+// short fails the census check, so its column's deferred refs fall
+// through per reference and rejoin the ordinary degradation ladder.
+func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Collector, workers int, plan []*geomColumn, serr error) error {
 	if serr != nil {
 		return serr
 	}
 	var resolve []*batchCand
 	resolveSeen := map[*batchCand]bool{}
-	for _, gc := range gp.columns {
-		refused := p.fillColumn(gc, gp.opt)
+	for _, gc := range plan {
+		refused := p.fillColumn(gc)
 		for cs, refs := range refused {
 			for ri, bad := range refs {
 				if !bad {
@@ -386,16 +292,13 @@ func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Col
 
 // fillColumn evaluates one column's rungs and returns the refused
 // (member → per-ref) masks (empty when everything claimed held).
-func (p *Prepared) fillColumn(col *geomColumn, gopt GeomOptions) map[*batchCand][]bool {
-	stats := map[*batchCand]*GeomInfo{}
-	info := func(cs *batchCand) *GeomInfo {
+func (p *Prepared) fillColumn(col *geomColumn) map[*batchCand][]bool {
+	stats := map[*batchCand]*ClosedInfo{}
+	info := func(cs *batchCand) *ClosedInfo {
 		gi := stats[cs]
 		if gi == nil {
-			s := numSetsOf(cs)
-			gi = &GeomInfo{NumSets: s, SpanLines: col.span,
-				Stable: col.span >= 0 && s > col.span,
-				Period: gopt.Period, Degree: gopt.Degree,
-				TotalRefs: len(p.np.Refs)}
+			gi = &ClosedInfo{Axis: AxisSets, Param: numSetsOf(cs),
+				Period: 1, Degree: geomDegree, TotalRefs: len(p.np.Refs)}
 			stats[cs] = gi
 			cs.rep.Geom = gi
 		}
@@ -403,10 +306,6 @@ func (p *Prepared) fillColumn(col *geomColumn, gopt GeomOptions) map[*batchCand]
 	}
 	refused := map[*batchCand][]bool{}
 	refuse := func(cs *batchCand, ri int) {
-		cl := col.cleared[cs]
-		if cl == nil || !cl[ri] {
-			return
-		}
 		m := refused[cs]
 		if m == nil {
 			m = make([]bool, len(p.np.Refs))
@@ -431,172 +330,76 @@ func (p *Prepared) fillColumn(col *geomColumn, gopt GeomOptions) map[*batchCand]
 	// Pure-cold rung: all cold at every set count, no anchors consumed.
 	// Members are visited in plan order so provenance builds
 	// deterministically (the fills themselves are independent).
-	fillPureCold := func(cs *batchCand) {
-		cl := col.cleared[cs]
-		if cl == nil {
-			return
+	for _, group := range [][]*batchCand{col.anchors, col.deferred, col.other} {
+		for _, cs := range group {
+			cl := col.cleared[cs]
+			if cl == nil {
+				continue
+			}
+			for ri := range p.np.Refs {
+				if !col.pureCold[ri] || !cl[ri] {
+					continue
+				}
+				rr := cs.rep.Refs[ri]
+				fillClosed(rr, pureColdCounts(rr.Volume))
+				gi := info(cs)
+				gi.ClosedRefs++
+				gi.PureColdRefs++
+				mGeomEvals.Inc()
+				mGeomPureCold.Inc()
+			}
 		}
-		for ri := range p.np.Refs {
-			if !col.pureCold[ri] || !cl[ri] {
+	}
+
+	// Fit rung, one fit per reference over the anchors, built on first use.
+	for ri := range p.np.Refs {
+		if col.pureCold[ri] {
+			continue
+		}
+		var fit *countFit
+		fitted := false
+		for _, cs := range col.deferred {
+			if cl := col.cleared[cs]; cl == nil || !cl[ri] {
+				continue
+			}
+			if !fitted {
+				fitted = true
+				if fit = anchorFit(col.anchors, ri); fit != nil {
+					mGeomFits.Inc()
+				}
+			}
+			if fit == nil {
+				refuse(cs, ri)
 				continue
 			}
 			rr := cs.rep.Refs[ri]
-			rr.Analyzed = rr.Volume
-			rr.Hits, rr.Repl = 0, 0
-			rr.Cold = rr.Volume
-			rr.Tier = TierExact
-			rr.Complete = true
-			rr.ClosedForm = true
-			gi := info(cs)
-			gi.ClosedRefs++
-			gi.PureColdRefs++
+			c, ok := fit.at(numSetsOf(cs), rr.Volume)
+			if !ok {
+				refuse(cs, ri)
+				continue
+			}
+			fillClosed(rr, c)
+			info(cs).ClosedRefs++
 			mGeomEvals.Inc()
-			mGeomPureCold.Inc()
-		}
-	}
-	for _, cs := range col.anchors {
-		fillPureCold(cs)
-	}
-	for _, cs := range col.deferred {
-		fillPureCold(cs)
-	}
-	for _, cs := range col.other {
-		fillPureCold(cs)
-	}
-
-	// Fit rung, per reference over the anchor samples of each class.
-	for ri := range p.np.Refs {
-		if col.fit[ri] {
-			p.fitAndFill(col, gopt, ri, refuse, info)
 		}
 	}
 	return refused
 }
 
-// fitAndFill runs the fit rung for one reference: per residue class of
-// the deferred set counts, fit the anchors, hold out the rest, and
-// evaluate. Refusals route through refuse (fall-through, never a wrong
-// count).
-func (p *Prepared) fitAndFill(col *geomColumn, gopt GeomOptions, ri int, refuse func(*batchCand, int), info func(*batchCand) *GeomInfo) {
-	// Collect anchor samples per residue class. An anchor whose report is
-	// not an exact complete census cannot feed a fit.
-	classes := map[int64][]geomSample{}
-	bad := map[int64]bool{}
-	for _, cs := range col.anchors {
+// anchorFit fits reference ri over the anchors' censuses (nil when an
+// anchor's census is not exact or the fit fails its holdouts).
+func anchorFit(anchors []*batchCand, ri int) *countFit {
+	samples := make([]countSample, 0, len(anchors))
+	for _, cs := range anchors {
 		rr := cs.rep.Refs[ri]
-		r := mod64(numSetsOf(cs), gopt.Period)
-		if !rr.Complete || rr.Tier != TierExact || rr.Sampled || rr.Analyzed != rr.Volume {
-			bad[r] = true
-			continue
+		if !exactCensus(rr) {
+			return nil
 		}
-		classes[r] = append(classes[r], geomSample{s: numSetsOf(cs),
-			hits: rr.Hits, cold: rr.Cold, repl: rr.Repl})
+		samples = append(samples, countSample{x: numSetsOf(cs), c: countsOf(rr)})
 	}
-	fits := map[int64]*geomRefFit{}
-	for _, cs := range col.deferred {
-		cl := col.cleared[cs]
-		if cl == nil || !cl[ri] {
-			continue
-		}
-		r := mod64(numSetsOf(cs), gopt.Period)
-		fit, ok := fits[r]
-		if !ok {
-			if bad[r] {
-				fit = &geomRefFit{}
-			} else {
-				fit = fitClass(gopt, classes[r])
-			}
-			fits[r] = fit
-			if fit.ok {
-				mGeomFits.Inc()
-			}
-		}
-		if !fit.ok {
-			refuse(cs, ri)
-			continue
-		}
-		rr := cs.rep.Refs[ri]
-		hits, cold, repl, ok := fit.eval(numSetsOf(cs), rr.Volume)
-		if !ok {
-			refuse(cs, ri)
-			continue
-		}
-		rr.Analyzed = rr.Volume
-		rr.Hits, rr.Cold, rr.Repl = hits, cold, repl
-		rr.Tier = TierExact
-		rr.Complete = true
-		rr.ClosedForm = true
-		info(cs).ClosedRefs++
-		mGeomEvals.Inc()
+	fit, err := fitCounts(geomDegree, samples)
+	if err != nil {
+		return nil
 	}
-}
-
-// geomRefFit is one (column, reference, residue class) fitted counter set.
-type geomRefFit struct {
-	ok               bool
-	hits, cold, repl []linalg.Rat // power-basis coefficients
-}
-
-// fitClass fits one residue class's anchor samples and verifies the
-// holdouts. Inside the certified stable region the counts are constant,
-// so the default degree-0 fit always holds; the holdout verification is
-// defense in depth for non-default shapes.
-func fitClass(gopt GeomOptions, samples []geomSample) *geomRefFit {
-	needFit := gopt.Degree + 1
-	if len(samples) < needFit+gopt.Verify {
-		return &geomRefFit{}
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].s < samples[j].s })
-	fitOn, holdout := samples[:needFit], samples[needFit:]
-	mk := func(sel func(geomSample) int64) ([]linalg.Rat, bool) {
-		in := make([]qpoly.Sample, len(fitOn))
-		for i, s := range fitOn {
-			in[i] = qpoly.Sample{N: s.s, V: linalg.RatInt(sel(s))}
-		}
-		coef, err := qpoly.FitPoly(gopt.Degree, in)
-		if err != nil {
-			return nil, false
-		}
-		for _, s := range holdout {
-			v, ok := evalPolyAt(coef, s.s)
-			if !ok || v != sel(s) {
-				return nil, false
-			}
-		}
-		return coef, true
-	}
-	f := &geomRefFit{}
-	var ok1, ok2, ok3 bool
-	f.hits, ok1 = mk(func(s geomSample) int64 { return s.hits })
-	f.cold, ok2 = mk(func(s geomSample) int64 { return s.cold })
-	f.repl, ok3 = mk(func(s geomSample) int64 { return s.repl })
-	if !ok1 || !ok2 || !ok3 {
-		return &geomRefFit{}
-	}
-	f.ok = true
-	return f
-}
-
-// eval evaluates the fitted counters at one set count and checks the
-// count identities: integral, non-negative, summing to the volume.
-func (f *geomRefFit) eval(s, volume int64) (hits, cold, repl int64, ok bool) {
-	var k1, k2, k3 bool
-	hits, k1 = evalPolyAt(f.hits, s)
-	cold, k2 = evalPolyAt(f.cold, s)
-	repl, k3 = evalPolyAt(f.repl, s)
-	if !k1 || !k2 || !k3 || hits < 0 || cold < 0 || repl < 0 || hits+cold+repl != volume {
-		return 0, 0, 0, false
-	}
-	return hits, cold, repl, true
-}
-
-// evalPolyAt evaluates power-basis rational coefficients at n, requiring
-// an integral result.
-func evalPolyAt(coef []linalg.Rat, n int64) (int64, bool) {
-	acc := linalg.RatInt(0)
-	x := linalg.RatInt(n)
-	for i := len(coef) - 1; i >= 0; i-- {
-		acc = acc.Mul(x).Add(coef[i])
-	}
-	return acc.Int()
+	return fit
 }

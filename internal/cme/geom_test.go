@@ -3,6 +3,7 @@ package cme
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cachemodel/internal/budget"
@@ -58,8 +59,11 @@ func TestGeomStableColumnClosedForm(t *testing.T) {
 		if g == nil {
 			t.Fatalf("candidate %s: no geom provenance", cands[i].Label)
 		}
-		if !g.Stable {
-			t.Errorf("candidate %s: not certified stable (span %d)", cands[i].Label, g.SpanLines)
+		if g.Axis != AxisSets || g.Param != cands[i].Config.NumSets() {
+			t.Errorf("candidate %s: provenance on axis %q at %d", cands[i].Label, g.Axis, g.Param)
+		}
+		if strings.HasPrefix(g.Why, "unstable") {
+			t.Errorf("candidate %s: not certified stable (%s)", cands[i].Label, g.Why)
 		}
 		if g.Anchor {
 			anchors++
@@ -70,7 +74,7 @@ func TestGeomStableColumnClosedForm(t *testing.T) {
 			t.Errorf("candidate %s: %d fall-throughs inside the stable region", cands[i].Label, g.FallthroughRefs)
 		}
 	}
-	// Default options: degree 0 + 1 fit + 2 verify = 3 anchors, one class.
+	// Degree 0: 1 fit anchor + 2 holdouts = 3 anchors.
 	if anchors != 3 {
 		t.Errorf("anchors = %d, want 3", anchors)
 	}
@@ -94,11 +98,8 @@ func TestGeomMixedColumn(t *testing.T) {
 		if g == nil {
 			continue
 		}
-		if !g.Stable {
+		if strings.HasPrefix(g.Why, "unstable") {
 			unstable++
-			if g.Why == "" {
-				t.Error("unstable member carries no Why")
-			}
 		}
 		if g.Closed() {
 			closed++

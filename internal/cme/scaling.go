@@ -46,74 +46,38 @@ import (
 //     (g = gcd of the element sizes): within a class n ≡ r (mod P) each
 //     counter is eventually a plain polynomial of degree ≤ the number of
 //     n-dependent loop dimensions. The solver runs the exact enumerating
-//     tier at deg+1 SMALL sample sizes of the class (past the chamber
-//     breakpoints where working sets outgrow the cache), interpolates
-//     exactly over linalg.Rat, and verifies the polynomial reproduces
-//     further holdout solves bit-for-bit before trusting it. Residue
-//     classes are fitted lazily — a ladder stepping by P pays for one.
+//     tier at deg+1+closedHoldouts SMALL sample sizes of the class (past
+//     the chamber breakpoints where working sets outgrow the cache) and
+//     hands their censuses to the closed-form engine (closed.go), which
+//     fits, verifies the holdouts and checks the count identities at
+//     every evaluation. Residue classes are fitted lazily — a ladder
+//     stepping by P pays for one.
 //
-// Anything that fails a rung falls through: ineligible families or
-// unfitted sizes are answered by the ordinary per-size solver, and the
-// Report's Scaling provenance says which path produced the numbers.
+// Anything that fails a rung falls through: ineligible families (and every
+// family under Options.NoSymbolic) or unfitted sizes are answered by the
+// ordinary per-size solver, and the Report's Scaling provenance (a
+// ClosedInfo on AxisSize) says which path produced the numbers.
 
 // BuildFunc instantiates the program family at one problem size: a fully
 // normalised and laid-out program (the same front half the per-size
 // solvers consume).
 type BuildFunc func(n int64) (*ir.NProgram, error)
 
-// ScalingOptions tunes the scaling solver. The zero value picks
-// everything automatically.
+// ScalingOptions configures the scaling solver.
 type ScalingOptions struct {
-	// MinN is the smallest size the solver must answer (default 4).
-	// Sizes below it are rejected.
-	MinN int64
-	// ProbeN is the base of the three structural probe sizes
-	// ProbeN, ProbeN+1, ProbeN+2 (default 8).
-	ProbeN int64
-	// Period overrides the residue period (default: the set-wrap period
-	// numSets·lineBytes / gcd(element sizes)).
-	Period int64
-	// Degree overrides the fitted polynomial degree (default: the maximum
-	// number of n-dependent dimensions of any statement).
-	Degree int
-	// Verify is the number of holdout solves per residue class that the
-	// fit must reproduce exactly (default 2).
-	Verify int
-	// FitN is the smallest sample size used for fitting solves (default:
-	// past the capacity chamber, see autoFitN). A failed verification
-	// escalates it before giving up on the residue class.
-	FitN int64
 	// Budget meters the internal exact solves (fit samples and
 	// fall-through sizes). Zero = unlimited.
 	Budget budget.Budget
 }
 
-// ScalingInfo is the Report provenance of the scaling tier.
-type ScalingInfo struct {
-	// N is the problem size this report answers.
-	N int64
-	// ClosedForm reports that every reference was evaluated in O(1) from
-	// its quasi-polynomial; false means the size fell through to the
-	// per-size solver.
-	ClosedForm bool
-	// ClosedFormRefs / TotalRefs is the per-reference closed-form
-	// coverage of this report.
-	ClosedFormRefs int
-	TotalRefs      int
-	// PureColdRefs counts references resolved by parametric counting
-	// alone (rung 2), a subset of ClosedFormRefs.
-	PureColdRefs int
-	// Period and Degree describe the quasi-polynomial shape; Residue is
-	// n mod Period.
-	Period  int64
-	Degree  int
-	Residue int64
-	// FitSolves is the cumulative number of exact sample solves the
-	// solver has spent on fits so far.
-	FitSolves int64
-	// Why says why the size fell through (empty when ClosedForm).
-	Why string
-}
+const (
+	// scalingMinN is the smallest size the closed form answers; smaller
+	// sizes fall through to the per-size solver.
+	scalingMinN = 4
+	// scalingProbeN is the base of the three structural probe sizes
+	// scalingProbeN, scalingProbeN+1, scalingProbeN+2.
+	scalingProbeN = 8
+)
 
 // ScalingStats snapshots a solver's work counters.
 type ScalingStats struct {
@@ -131,18 +95,12 @@ type refScale struct {
 	pureCold bool
 }
 
-// refFit is one reference's fitted counters within one residue class, as
-// power-basis polynomials of n (period-1 quasi-polynomials).
-type refFit struct {
-	analyzed, hits, cold, repl qpoly.QPoly
-}
-
 // residueFit is the closed form of one residue class n ≡ r (mod period).
 type residueFit struct {
 	ok   bool
 	why  string
 	base int64 // smallest n the fit is valid for
-	refs map[string]*refFit
+	refs map[string]*countFit
 }
 
 // ScalingSolver is the closed-form scaling tier for one program family ×
@@ -166,32 +124,23 @@ type ScalingSolver struct {
 	stats ScalingStats
 }
 
-func (o ScalingOptions) withDefaults() ScalingOptions {
-	if o.MinN == 0 {
-		o.MinN = 4
-	}
-	if o.ProbeN == 0 {
-		o.ProbeN = 8
-	}
-	if o.Verify == 0 {
-		o.Verify = 2
-	}
-	return o
-}
-
 // PrepareScaling probes the program family and builds the scaling solver.
 // An error means the probes themselves failed (bad build function or
 // invalid configuration); a structurally ineligible family is NOT an
 // error — the solver is returned with ClosedFormEligible() == false and
-// answers every size by fall-through.
+// answers every size by fall-through. Options.NoSymbolic makes every
+// family ineligible without probing it.
 func PrepareScaling(build BuildFunc, cfg cache.Config, opt Options, sopt ScalingOptions) (*ScalingSolver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sopt = sopt.withDefaults()
 	s := &ScalingSolver{build: build, cfg: cfg, opt: opt, sopt: sopt,
 		fits: map[int64]*residueFit{},
 		byID: map[string]*refScale{},
+	}
+	if opt.NoSymbolic {
+		s.ineligible("closed form disabled by NoSymbolic")
+		return s, nil
 	}
 	if err := s.probe(); err != nil {
 		return nil, err
@@ -227,7 +176,7 @@ func (s *ScalingSolver) ineligible(format string, args ...any) {
 // probe instantiates the family at three consecutive sizes and lifts the
 // structure to parameter space (rungs 1 and 2 of the eligibility ladder).
 func (s *ScalingSolver) probe() error {
-	n0 := s.sopt.ProbeN
+	n0 := int64(scalingProbeN)
 	var nps [3]*ir.NProgram
 	var preps [3]*Prepared
 	for i := range nps {
@@ -246,18 +195,15 @@ func (s *ScalingSolver) probe() error {
 	// Residue period: the set-wrap period of the cache geometry over the
 	// finest element granularity. Every affine address term a·n^k + ...
 	// repeats mod numSets·lineBytes when n advances by it.
-	s.period = s.sopt.Period
-	if s.period == 0 {
-		setspan := s.cfg.NumSets() * s.cfg.LineBytes
-		g := setspan
-		for _, arr := range s.tmpl.Arrays {
-			g = linalg.GCD(g, arr.ElemSize)
-		}
-		if g == 0 {
-			g = 1
-		}
-		s.period = setspan / g
+	setspan := s.cfg.NumSets() * s.cfg.LineBytes
+	g := setspan
+	for _, arr := range s.tmpl.Arrays {
+		g = linalg.GCD(g, arr.ElemSize)
 	}
+	if g == 0 {
+		g = 1
+	}
+	s.period = setspan / g
 	if s.period < 1 {
 		s.period = 1
 	}
@@ -288,10 +234,7 @@ func (s *ScalingSolver) probe() error {
 			maxNDims = nd
 		}
 	}
-	s.degree = s.sopt.Degree
-	if s.degree == 0 {
-		s.degree = maxNDims
-	}
+	s.degree = maxNDims
 	if s.degree == 0 {
 		s.degree = 1 // constant-size family: still fit a sanity slope
 	}
@@ -302,7 +245,7 @@ func (s *ScalingSolver) probe() error {
 	for i, p := range preps {
 		sym[i] = p.lineState(s.cfg.LineBytes).sym
 	}
-	fitOpt := poly.FitOptions{MinN: s.sopt.MinN}
+	fitOpt := poly.FitOptions{MinN: scalingMinN}
 	for i, r := range nps[0].Refs {
 		r1, r2 := nps[1].Refs[i], nps[2].Refs[i]
 		if r.ID != r1.ID || r.ID != r2.ID {
@@ -417,7 +360,7 @@ func (s *ScalingSolver) liftPureCold(ps *poly.ParamSpace, fitOpt poly.FitOptions
 			if c0.IsEq != c1.IsEq || c0.IsEq != c2.IsEq {
 				return false
 			}
-			e, ok := liftAffine(c0.Expr, c1.Expr, c2.Expr, s.sopt.ProbeN)
+			e, ok := liftAffine(c0.Expr, c1.Expr, c2.Expr, scalingProbeN)
 			if !ok {
 				return false
 			}
@@ -436,15 +379,12 @@ func (s *ScalingSolver) liftPureCold(ps *poly.ParamSpace, fitOpt poly.FitOptions
 // capacity-transition chambers are behind us. One period of slack keeps
 // the first sample clear of the seam.
 func (s *ScalingSolver) autoFitN() int64 {
-	if s.sopt.FitN != 0 {
-		return s.sopt.FitN
-	}
 	fitN := s.period
 	if lines := s.cfg.SizeBytes / s.cfg.LineBytes; lines > fitN {
 		fitN = lines
 	}
-	if fitN < 2*s.sopt.MinN {
-		fitN = 2 * s.sopt.MinN
+	if fitN < 2*scalingMinN {
+		fitN = 2 * scalingMinN
 	}
 	return fitN
 }
@@ -455,7 +395,7 @@ func (s *ScalingSolver) autoFitN() int64 {
 // nothing). Callers with a known size range can use it to skip the
 // closed tier up front.
 func (s *ScalingSolver) MinClosedN() int64 {
-	n := s.sopt.MinN
+	n := int64(scalingMinN)
 	if s.needsFit() {
 		if f := s.autoFitN(); f > n {
 			n = f
@@ -517,7 +457,7 @@ func (s *ScalingSolver) needsFit() bool {
 
 func (s *ScalingSolver) fitResidueUncached(ctx context.Context, r int64) (*residueFit, int64, error) {
 	if !s.needsFit() {
-		return &residueFit{ok: true, base: s.sopt.MinN, refs: map[string]*refFit{}}, 0, nil
+		return &residueFit{ok: true, base: scalingMinN, refs: map[string]*countFit{}}, 0, nil
 	}
 	fitN := s.autoFitN()
 	var solves int64
@@ -537,12 +477,12 @@ func (s *ScalingSolver) fitResidueUncached(ctx context.Context, r int64) (*resid
 	return &residueFit{ok: false, why: lastErr.Error()}, solves, nil
 }
 
-// tryFit samples degree+1+verify sizes of the class at and beyond fitN,
-// interpolates each non-cold reference's counters exactly and verifies
-// the holdout solves reproduce bit-for-bit. Pure-cold references are
-// cross-checked against their counting closed form instead.
+// tryFit solves degree+1+closedHoldouts sizes of the class at and beyond
+// fitN and fits each non-cold reference's counters through the closed-form
+// engine. Pure-cold references are cross-checked against their counting
+// closed form instead.
 func (s *ScalingSolver) tryFit(ctx context.Context, r, fitN int64) (*residueFit, int64, error) {
-	nSamples := s.degree + 1 + s.sopt.Verify
+	nSamples := s.degree + 1 + closedHoldouts
 	base := fitN + mod64(r-fitN, s.period)
 	type sampleRep struct {
 		n   int64
@@ -560,60 +500,34 @@ func (s *ScalingSolver) tryFit(ctx context.Context, r, fitN int64) (*residueFit,
 		samples = append(samples, sampleRep{n: n, rep: rep})
 	}
 
-	f := &residueFit{ok: true, base: base, refs: make(map[string]*refFit, len(s.refs))}
+	f := &residueFit{ok: true, base: base, refs: make(map[string]*countFit, len(s.refs))}
 	for _, rs := range s.refs {
 		id := rs.ref.ID
-		var an, hi, co, re []qpoly.Sample
+		var cs []countSample
 		for _, sm := range samples {
 			rr := findRef(sm.rep, id)
-			if rr == nil || !rr.Complete || rr.Tier != TierExact {
+			if rr == nil || !exactCensus(rr) {
 				return nil, solves, fmt.Errorf("sample solve at n=%d did not complete exactly for %s", sm.n, id)
 			}
 			if vol, ok := rs.volume.EvalInt(sm.n); !ok || vol != rr.Volume {
 				return nil, solves, fmt.Errorf("volume polynomial of %s diverges at n=%d: poly %d, exact %d",
 					id, sm.n, vol, rr.Volume)
 			}
-			if rs.pureCold {
-				if rr.Hits != 0 || rr.Repl != 0 || rr.Cold != rr.Volume {
-					return nil, solves, fmt.Errorf("pure-cold closed form of %s diverges at n=%d", id, sm.n)
-				}
-				continue
+			if rs.pureCold && countsOf(rr) != pureColdCounts(rr.Volume) {
+				return nil, solves, fmt.Errorf("pure-cold closed form of %s diverges at n=%d", id, sm.n)
 			}
-			an = append(an, qpoly.Sample{N: sm.n, V: linalg.RatInt(rr.Analyzed)})
-			hi = append(hi, qpoly.Sample{N: sm.n, V: linalg.RatInt(rr.Hits)})
-			co = append(co, qpoly.Sample{N: sm.n, V: linalg.RatInt(rr.Cold)})
-			re = append(re, qpoly.Sample{N: sm.n, V: linalg.RatInt(rr.Repl)})
+			cs = append(cs, countSample{x: sm.n, c: countsOf(rr)})
 		}
 		if rs.pureCold {
 			continue
 		}
-		rf := &refFit{}
-		var err error
-		if rf.analyzed, err = fitCounter(s.degree, an); err != nil {
-			return nil, solves, fmt.Errorf("ref %s analyzed: %w", id, err)
-		}
-		if rf.hits, err = fitCounter(s.degree, hi); err != nil {
-			return nil, solves, fmt.Errorf("ref %s hits: %w", id, err)
-		}
-		if rf.cold, err = fitCounter(s.degree, co); err != nil {
-			return nil, solves, fmt.Errorf("ref %s cold: %w", id, err)
-		}
-		if rf.repl, err = fitCounter(s.degree, re); err != nil {
-			return nil, solves, fmt.Errorf("ref %s repl: %w", id, err)
+		rf, err := fitCounts(s.degree, cs)
+		if err != nil {
+			return nil, solves, fmt.Errorf("ref %s: %w", id, err)
 		}
 		f.refs[id] = rf
 	}
 	return f, solves, nil
-}
-
-// fitCounter interpolates one counter as a plain polynomial (the residue
-// class is fixed, so the quasi-period is quotiented out).
-func fitCounter(deg int, samples []qpoly.Sample) (qpoly.QPoly, error) {
-	coef, err := qpoly.FitPoly(deg, samples)
-	if err != nil {
-		return qpoly.QPoly{}, err
-	}
-	return qpoly.New([][]linalg.Rat{coef}), nil
 }
 
 func findRef(rep *Report, id string) *RefReport {
@@ -639,7 +553,7 @@ func mod64(n, m int64) int64 {
 // reports whether the closed form covers n; (nil, false, nil) means the
 // caller should fall through.
 func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bool, error) {
-	if !s.eligible || n < s.sopt.MinN {
+	if !s.eligible || n < scalingMinN {
 		return nil, false, nil
 	}
 	// Residue-class fits are anchored at or beyond the fit window
@@ -658,35 +572,30 @@ func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bo
 	if !fit.ok || n < fit.base {
 		return nil, false, nil
 	}
-	rep := &Report{Config: s.cfg, Tier: TierExact,
-		Scaling: s.info(n, true, "")}
+	info := &ClosedInfo{Axis: AxisSize, Param: n, ClosedRefs: len(s.refs),
+		TotalRefs: len(s.refs), Period: s.period, Degree: s.degree}
+	rep := &Report{Config: s.cfg, Tier: TierExact, Scaling: info}
 	for _, rs := range s.refs {
 		vol, ok := rs.volume.EvalInt(n)
 		if !ok {
 			return nil, false, nil
 		}
-		rr := &RefReport{Ref: rs.ref, Volume: vol, Tier: TierExact,
-			Complete: true, ClosedForm: true}
+		c := pureColdCounts(vol)
 		if rs.pureCold {
-			rr.Analyzed, rr.Cold = vol, vol
+			info.PureColdRefs++
 		} else {
 			rf := fit.refs[rs.ref.ID]
 			if rf == nil {
 				return nil, false, nil
 			}
-			var okA, okH, okC, okR bool
-			rr.Analyzed, okA = rf.analyzed.EvalInt(n)
-			rr.Hits, okH = rf.hits.EvalInt(n)
-			rr.Cold, okC = rf.cold.EvalInt(n)
-			rr.Repl, okR = rf.repl.EvalInt(n)
-			// A non-integer value or a broken count identity means the
-			// polynomial left its chamber: refuse rather than mispredict.
-			if !okA || !okH || !okC || !okR ||
-				rr.Analyzed != vol || rr.Hits+rr.Cold+rr.Repl != rr.Analyzed ||
-				rr.Hits < 0 || rr.Cold < 0 || rr.Repl < 0 {
+			// A refused evaluation means the polynomial left its chamber:
+			// refuse rather than mispredict.
+			if c, ok = rf.at(n, vol); !ok {
 				return nil, false, nil
 			}
 		}
+		rr := &RefReport{Ref: rs.ref, Volume: vol}
+		fillClosed(rr, c)
 		rep.Refs = append(rep.Refs, rr)
 	}
 	rep.Elapsed = time.Since(start)
@@ -695,36 +604,6 @@ func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bo
 	s.mu.Unlock()
 	mScalingEvals.Inc()
 	return rep, true, nil
-}
-
-// info assembles the provenance block (called with s.mu not held).
-func (s *ScalingSolver) info(n int64, closed bool, why string) *ScalingInfo {
-	cold := 0
-	for _, rs := range s.refs {
-		if rs.pureCold {
-			cold++
-		}
-	}
-	total := len(s.refs)
-	if total == 0 && s.tmpl != nil {
-		total = len(s.tmpl.Refs)
-	}
-	closedRefs := 0
-	if closed {
-		closedRefs = total
-	}
-	st := s.Stats()
-	return &ScalingInfo{N: n, ClosedForm: closed,
-		ClosedFormRefs: closedRefs, TotalRefs: total, PureColdRefs: cold,
-		Period: s.period, Degree: s.degree, Residue: mod64(n, max64(s.period, 1)),
-		FitSolves: st.FitSolves, Why: why}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // EvalCtx answers one size: closed form when the ladder allows it,
@@ -744,7 +623,9 @@ func (s *ScalingSolver) EvalCtx(ctx context.Context, n int64) (*Report, error) {
 	}
 	rep, err = s.solveExactAt(ctx, n)
 	if rep != nil {
-		rep.Scaling = s.info(n, false, why)
+		rep.Scaling = &ClosedInfo{Axis: AxisSize, Param: n,
+			FallthroughRefs: len(rep.Refs), TotalRefs: len(rep.Refs),
+			Period: s.period, Degree: s.degree, Why: why}
 	}
 	s.mu.Lock()
 	s.stats.Fallbacks++
@@ -754,8 +635,8 @@ func (s *ScalingSolver) EvalCtx(ctx context.Context, n int64) (*Report, error) {
 }
 
 func (s *ScalingSolver) fallbackWhy(n int64) string {
-	if n < s.sopt.MinN {
-		return fmt.Sprintf("n=%d below MinN=%d", n, s.sopt.MinN)
+	if n < scalingMinN {
+		return fmt.Sprintf("n=%d below the closed-form minimum %d", n, scalingMinN)
 	}
 	s.mu.Lock()
 	f := s.fits[mod64(n, s.period)]

@@ -84,11 +84,10 @@ func TestScalingBitIdentityStencil(t *testing.T) {
 		if rep.Scaling == nil {
 			t.Fatalf("n=%d: no scaling provenance", n)
 		}
-		if rep.Scaling.ClosedForm {
+		if rep.Scaling.Closed() {
 			closed++
-			if rep.Scaling.ClosedFormRefs != rep.Scaling.TotalRefs {
-				t.Fatalf("n=%d: closed-form report covers %d/%d refs",
-					n, rep.Scaling.ClosedFormRefs, rep.Scaling.TotalRefs)
+			if rep.Scaling.Axis != AxisSize || rep.Scaling.Param != n {
+				t.Fatalf("n=%d: provenance on axis %q at %d", n, rep.Scaling.Axis, rep.Scaling.Param)
 			}
 			for _, rr := range rep.Refs {
 				if !rr.ClosedForm || !rr.Complete || rr.Tier != TierExact {
@@ -170,7 +169,7 @@ func TestScalingPureCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EvalCtx(%d): %v", n, err)
 		}
-		if !rep.Scaling.ClosedForm {
+		if !rep.Scaling.Closed() {
 			t.Fatalf("n=%d fell through: %s", n, rep.Scaling.Why)
 		}
 		if rep.Scaling.PureColdRefs != 2 {
@@ -208,7 +207,8 @@ func TestScalingIneligibleFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Scaling == nil || rep.Scaling.ClosedForm || rep.Scaling.Why == "" {
+	if rep.Scaling == nil || rep.Scaling.Closed() || rep.Scaling.Why == "" ||
+		rep.Scaling.FallthroughRefs != rep.Scaling.TotalRefs {
 		t.Fatalf("fall-through provenance missing: %+v", rep.Scaling)
 	}
 	checkScalingIdentity(t, build, cfg, 7, rep)
@@ -288,7 +288,7 @@ func TestScalingLadderSharesFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rep := range reps {
-		if rep == nil || !rep.Scaling.ClosedForm {
+		if rep == nil || !rep.Scaling.Closed() {
 			t.Fatalf("ladder size %d fell through", ns[i])
 		}
 	}

@@ -282,6 +282,14 @@ func ValidateRunReport(blob []byte) (*RunReport, error) {
 	if geomPureCold > geomEval {
 		return nil, fmt.Errorf("run report: cme_geom_purecold_total %d exceeds cme_geom_eval_total %d", geomPureCold, geomEval)
 	}
+	// Problem-size tier counters: every closed-form evaluation and every
+	// fit sample solve belongs to a residue-class fit.
+	scalingFits := r.Metrics.Counters["cme_scaling_residue_fits_total"]
+	for _, name := range []string{"cme_scaling_closed_evals_total", "cme_scaling_fit_solves_total"} {
+		if n := r.Metrics.Counters[name]; n > 0 && scalingFits == 0 {
+			return nil, fmt.Errorf("run report: %d %s with no cme_scaling_residue_fits_total", n, name)
+		}
+	}
 	// A one-shot analysis must expose solver metrics; a server run (Jobs
 	// present) may instead have shed everything before any solver ran, and
 	// a coordinator run (Dist present) solves on its workers, not locally —

@@ -119,6 +119,50 @@ func TestValidateGeomCounters(t *testing.T) {
 	}
 }
 
+// TestValidateScalingCounters covers the problem-size tier's counter
+// consistency rules: closed-form evaluations and fit sample solves both
+// need a residue-class fit.
+func TestValidateScalingCounters(t *testing.T) {
+	make := func(evals, solves, fits, fallbacks int64) []byte {
+		rep := testReport(t)
+		cp := *rep
+		cp.Metrics.Counters = map[string]int64{
+			"cme_tiles_solved_total":         3,
+			"cme_scaling_closed_evals_total": evals,
+			"cme_scaling_fit_solves_total":   solves,
+			"cme_scaling_residue_fits_total": fits,
+			"cme_scaling_fallbacks_total":    fallbacks,
+		}
+		blob, err := json.Marshal(&cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	for name, blob := range map[string][]byte{
+		"fitted ladder":        make(16, 4, 1, 0),
+		"pure cold only":       make(6, 0, 1, 0),
+		"failed fit fell back": make(0, 12, 1, 16),
+		"tier never ran":       make(0, 0, 0, 0),
+		"ineligible family":    make(0, 0, 0, 5),
+	} {
+		if _, err := ValidateRunReport(blob); err != nil {
+			t.Errorf("%s: unexpected rejection: %v", name, err)
+		}
+	}
+	for name, tc := range map[string]struct {
+		blob   []byte
+		substr string
+	}{
+		"evals without fit":  {make(16, 0, 0, 0), "cme_scaling_closed_evals_total with no"},
+		"solves without fit": {make(0, 4, 0, 2), "cme_scaling_fit_solves_total with no"},
+	} {
+		if _, err := ValidateRunReport(tc.blob); err == nil || !strings.Contains(err.Error(), tc.substr) {
+			t.Errorf("%s: want error containing %q, got %v", name, tc.substr, err)
+		}
+	}
+}
+
 // TestValidateJobOutcomes covers the server-run shape of the report:
 // job-level outcomes validate, serve_* metrics stand in for cme_* when
 // Jobs is present, and impossible counts are rejected.

@@ -113,19 +113,15 @@ type CandidateResult struct {
 	Coverage        float64     `json:"coverage"`
 	Refs            []RefResult `json:"refs,omitempty"`
 	Error           string      `json:"error,omitempty"`
-	// Closed-form provenance: whether this candidate was answered in
-	// closed form, and how many of the references were covered. Set by
-	// the scaling tier (parameter-axis jobs) or the geometry-parametric
-	// tier (exact sweep columns over NumSets); ScalingWhy / GeomWhy say
-	// which, and why a candidate fell back when it did.
+	// Closed-form provenance (cme.ClosedInfo), set by the problem-size
+	// tier (parameter-axis jobs) or the set-count tier (exact sweep
+	// columns): whether this candidate was answered in closed form, how
+	// many references were covered, whether it was solved exactly to
+	// anchor a fit, and why it was not answered in closed form.
 	ClosedForm     bool   `json:"closed_form,omitempty"`
 	ClosedFormRefs int    `json:"closed_form_refs,omitempty"`
-	ScalingWhy     string `json:"scaling_why,omitempty"`
-	// GeomAnchor marks a candidate the geometry tier solved exactly to
-	// anchor a column fit; GeomWhy carries the refusal reason when the
-	// tier fell through to the enumerating solver.
-	GeomAnchor bool   `json:"geom_anchor,omitempty"`
-	GeomWhy    string `json:"geom_why,omitempty"`
+	ClosedAnchor   bool   `json:"closed_anchor,omitempty"`
+	ClosedWhy      string `json:"closed_why,omitempty"`
 }
 
 // Result is a terminal job's outcome: candidate rows with provenance for
@@ -335,16 +331,15 @@ func resultFrom(key string, shared bool, spec *jobSpec, out *solveOutcome) *Resu
 		if rep.Degraded {
 			res.Degraded = true
 		}
-		if sc := rep.Scaling; sc != nil {
-			row.ClosedForm = sc.ClosedForm
-			row.ClosedFormRefs = sc.ClosedFormRefs
-			row.ScalingWhy = sc.Why
+		ci := rep.Scaling
+		if ci == nil {
+			ci = rep.Geom
 		}
-		if g := rep.Geom; g != nil {
-			row.ClosedForm = g.Closed()
-			row.ClosedFormRefs = g.ClosedRefs
-			row.GeomAnchor = g.Anchor
-			row.GeomWhy = g.Why
+		if ci != nil {
+			row.ClosedForm = ci.Closed()
+			row.ClosedFormRefs = ci.ClosedRefs
+			row.ClosedAnchor = ci.Anchor
+			row.ClosedWhy = ci.Why
 		}
 		for _, rr := range rep.Refs {
 			row.Refs = append(row.Refs, RefResult{ID: rr.Ref.ID, Volume: rr.Volume,

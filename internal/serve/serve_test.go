@@ -226,8 +226,8 @@ func TestServeScalingEndToEnd(t *testing.T) {
 		if c.Error != "" || c.Accesses <= 0 {
 			t.Fatalf("bad ladder row: %+v", c)
 		}
-		if !c.ClosedForm || c.ScalingWhy != "" {
-			t.Fatalf("row %s not closed form (%q)", c.Label, c.ScalingWhy)
+		if !c.ClosedForm || c.ClosedWhy != "" {
+			t.Fatalf("row %s not closed form (%q)", c.Label, c.ClosedWhy)
 		}
 		if c.ClosedFormRefs != len(c.Refs) {
 			t.Fatalf("row %s covers %d/%d refs", c.Label, c.ClosedFormRefs, len(c.Refs))
@@ -265,7 +265,7 @@ func TestServeScalingEndToEnd(t *testing.T) {
 
 // TestServeSweepGeomClosedForm posts an exact cache-size column to
 // /v1/sweep and checks the geometry-parametric tier on the wire: the
-// column splits into anchor rows (GeomAnchor) and closed-form rows
+// column splits into anchor rows (ClosedAnchor) and closed-form rows
 // (ClosedForm with full ref coverage), and a closed-form row's counts
 // are bit-identical to an exact /v1/analyze of the same geometry.
 func TestServeSweepGeomClosedForm(t *testing.T) {
@@ -287,7 +287,7 @@ func TestServeSweepGeomClosedForm(t *testing.T) {
 			t.Fatalf("bad column row: %+v", c)
 		}
 		switch {
-		case c.GeomAnchor:
+		case c.ClosedAnchor:
 			anchors++
 		case c.ClosedForm:
 			closed++
@@ -300,7 +300,7 @@ func TestServeSweepGeomClosedForm(t *testing.T) {
 				}
 			}
 		default:
-			t.Fatalf("row %s neither anchor nor closed form (why %q)", c.Label, c.GeomWhy)
+			t.Fatalf("row %s neither anchor nor closed form (why %q)", c.Label, c.ClosedWhy)
 		}
 	}
 	if anchors != 3 || closed != 5 {
