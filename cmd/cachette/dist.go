@@ -283,7 +283,7 @@ func cmdDistWork(args []string) error {
 	solveWorkers := fs.Int("solve-workers", 1, "per-unit solver pool size (the dist layer owns the fan-out)")
 	rcFile := fs.String("resultcache", "", "persist the content-addressed result cache here after every unit (the checkpoint) and warm from it on startup")
 	warm := fs.String("warm", "", "additional result-cache stores to warm from, comma separated")
-	poll := fs.Duration("poll", 500*time.Millisecond, "idle re-lease interval")
+	poll := fs.Duration("poll", 500*time.Millisecond, "back-off after a failed lease round, or a wait answer with no retry hint (an idle worker's lease is held by the coordinator, not polled)")
 	cacheCap := fs.Int("cache-cap", 0, "in-memory result cache entries (0 = default 65536)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics (Prometheus) on this address (:0 = any port) — solve/lease latency histograms live here")
 	logFmt := fs.String("log", "", "structured logs on stderr: json or text (default: plain lines)")

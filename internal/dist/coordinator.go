@@ -58,8 +58,9 @@ type Options struct {
 	// Logf receives coordinator lifecycle lines (nil = silent).
 	Logf func(format string, args ...any)
 
-	// now is the test clock seam.
-	now func() time.Time
+	// now and after are the test clock seams; after times a lease hold.
+	now   func() time.Time
+	after func(time.Duration) <-chan time.Time
 }
 
 func (o Options) withDefaults() Options {
@@ -86,6 +87,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.now == nil {
 		o.now = time.Now
+	}
+	if o.after == nil {
+		o.after = time.After // an unstopped timer outlives its hold by at most one hold
 	}
 	return o
 }
@@ -260,10 +264,12 @@ type workerStat struct {
 // journalling and the deterministic merge. All methods are safe for
 // concurrent use; the coordinator is passive (no background goroutines) —
 // expiry reaping happens on every request, which keeps it trivially
-// testable under a fake clock.
+// testable under a fake clock, and a held lease (LeaseWait) waits on its
+// caller's goroutine.
 type Coordinator struct {
 	opt      Options
 	pruneSem chan struct{} // bounds concurrent prune passes
+	preps    *prepMemo     // prepared programs, for deriving unit keys
 
 	mu      sync.Mutex
 	sweeps  map[string]*sweepState
@@ -273,6 +279,10 @@ type Coordinator struct {
 	byKey   map[string]*unit
 	workers map[string]*workerStat
 	journal *journal
+	// wake is closed and replaced whenever a held lease may find a new
+	// answer: a unit queued, a sweep closed. Close closes it for good and
+	// leaves it nil.
+	wake chan struct{}
 
 	sweepsTotal, unitsTotal, prunedTotal         int64
 	leasedT, stolen, deduped, retried, completed int64
@@ -291,10 +301,12 @@ func New(opt Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opt:      opt,
 		pruneSem: make(chan struct{}, opt.PruneConcurrency),
+		preps:    newPrepMemo(),
 		sweeps:   map[string]*sweepState{},
 		leased:   map[string]*unit{},
 		byKey:    map[string]*unit{},
 		workers:  map[string]*workerStat{},
+		wake:     make(chan struct{}),
 	}
 	if opt.JournalPath == "" {
 		return c, nil
@@ -332,11 +344,15 @@ func New(opt Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close releases the journal file handle (the coordinator itself has no
-// other resources).
+// Close releases the journal file handle and returns every held lease
+// (the coordinator itself has no other resources).
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
 	if c.journal != nil {
 		return c.journal.close()
 	}
@@ -365,11 +381,10 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 	if len(wcs) > c.opt.MaxCandidates {
 		return nil, fmt.Errorf("candidate grid of %d exceeds the coordinator limit %d", len(wcs), c.opt.MaxCandidates)
 	}
-	np, err := spec.ProgramSpec.build(c.opt.MaxProblemSize)
-	if err != nil {
+	if err := spec.ProgramSpec.checkSize(c.opt.MaxProblemSize); err != nil {
 		return nil, err
 	}
-	prep, err := cme.Prepare(np, spec.options())
+	prep, err := c.preps.get(&spec.ProgramSpec, spec.SolveSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +438,7 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 	ss := &sweepState{
 		id:         id,
 		spec:       spec,
-		program:    np.Name,
+		program:    prep.Program().Name,
 		wcs:        wcs,
 		traceID:    traceID,
 		parentSpan: parentSpan,
@@ -585,6 +600,7 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 	}
 	c.checkDoneLocked(ss)
 	c.evictLocked()
+	c.wakeLocked()
 	return c.sweepStatusLocked(ss), nil
 }
 
@@ -635,17 +651,65 @@ func (c *Coordinator) evictLocked() {
 	}
 }
 
+// leaseHold bounds how long LeaseWait holds an idle worker's request, and
+// is the retry hint of Lease's non-blocking "wait": a quarter of the
+// lease TTL, at most 500ms. Holding no longer than that keeps expiry
+// reaping prompt — the hold ends in a lease, which reaps.
+func (c *Coordinator) leaseHold() time.Duration {
+	return min(c.opt.LeaseTTL/4, 500*time.Millisecond)
+}
+
 // Lease hands the next pending unit to worker, first reclaiming any
 // expired leases (work stealing). When nothing is pending it answers
 // "wait" (units are still in flight, or no sweep has been submitted yet)
 // or — with ShutdownWhenDone, once every sweep is finished — "shutdown".
 // The pending queue makes this O(1) amortised in the coordinator's
 // lifetime unit count: neither leasing nor reaping ever scans units that
-// are already resolved.
+// are already resolved. Lease never blocks; LeaseWait is the held form
+// the HTTP handler serves.
 func (c *Coordinator) Lease(worker string) *LeaseResponse {
+	lr, _ := c.lease(worker)
+	return lr
+}
+
+// LeaseWait is Lease held open: when the answer would be "wait", it waits
+// until a unit is queued, a sweep closes, ctx ends, Close is called or
+// the hold (leaseHold) expires, and leases again. At expiry it leases
+// once more — that reaps expired leases, so a dead worker's unit still
+// reaches a held caller within LeaseTTL plus one hold — and only then
+// answers "wait", with a 1ms hint: the caller has already been held, so
+// it should ask again at once. The wait runs on the caller's goroutine.
+func (c *Coordinator) LeaseWait(ctx context.Context, worker string) *LeaseResponse {
+	expired := c.opt.after(c.leaseHold())
+	for {
+		lr, wake := c.lease(worker)
+		if lr.Status != LeaseWait || wake == nil {
+			return lr
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return lr
+		case <-expired:
+			if lr, _ = c.lease(worker); lr.Status == LeaseWait {
+				lr.RetryAfterMs = 1
+			}
+			return lr
+		}
+	}
+}
+
+// lease is Lease plus the wake channel current when it answered (nil once
+// the coordinator is closed), taken under the same lock so a held caller
+// cannot miss a wake-up that lands between the answer and its wait.
+func (c *Coordinator) lease(worker string) (*LeaseResponse, <-chan struct{}) {
 	now := c.opt.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.leaseLocked(worker, now), c.wake
+}
+
+func (c *Coordinator) leaseLocked(worker string, now time.Time) *LeaseResponse {
 	c.touchWorkerLocked(worker, now)
 	c.reapLocked(now)
 	for len(c.pending) > 0 {
@@ -710,11 +774,7 @@ func (c *Coordinator) Lease(worker string) *LeaseResponse {
 		}
 		return &LeaseResponse{Status: LeaseShutdown}
 	}
-	wait := c.opt.LeaseTTL / 4
-	if wait > 500*time.Millisecond {
-		wait = 500 * time.Millisecond
-	}
-	return &LeaseResponse{Status: LeaseWait, RetryAfterMs: wait.Milliseconds()}
+	return &LeaseResponse{Status: LeaseWait, RetryAfterMs: c.leaseHold().Milliseconds()}
 }
 
 // Heartbeat extends worker's lease on a unit. false means the lease is
@@ -791,6 +851,7 @@ func (c *Coordinator) Complete(worker, sweep, unitKey string, rows []Row, errMsg
 		}
 		c.eventLocked(u, now, TimelineRetried, worker, errMsg)
 		c.eventLocked(u, now, TimelineQueued, "", "")
+		c.wakeLocked()
 		c.opt.Logf("dist: unit %.12s failed on %s (attempt %d/%d): %s",
 			unitKey, worker, u.fails, c.opt.UnitRetries, errMsg)
 		return nil
@@ -848,6 +909,7 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		}
 		c.eventLocked(u, now, TimelineStolen, robbed, "lease expired")
 		c.eventLocked(u, now, TimelineQueued, "", "")
+		c.wakeLocked()
 	}
 }
 
@@ -883,6 +945,7 @@ func (c *Coordinator) failLocked(u *unit, msg string) {
 		ss.failed = fmt.Sprintf("unit %.12s failed after %d attempts: %s", u.key, u.fails, msg)
 		ss.closed = true
 		close(ss.done)
+		c.wakeLocked()
 		c.opt.Logf("dist: sweep %.12s failed: %s", ss.id, ss.failed)
 	}
 }
@@ -893,7 +956,17 @@ func (c *Coordinator) checkDoneLocked(ss *sweepState) {
 	}
 	ss.closed = true
 	close(ss.done)
+	c.wakeLocked()
 	c.opt.Logf("dist: sweep %.12s complete (%d candidates)", ss.id, len(ss.wcs))
+}
+
+// wakeLocked releases every held lease to lease again. Waking on events
+// that turn out not to help a caller is harmless: it re-holds.
+func (c *Coordinator) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = make(chan struct{})
+	}
 }
 
 func (c *Coordinator) allDoneLocked() bool {

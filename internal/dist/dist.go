@@ -56,10 +56,10 @@ type ProgramSpec struct {
 }
 
 // build instantiates and prepares the program (inline, normalise, assign
-// the baseline layout). maxSize <= 0 means no size bound (workers trust
-// the coordinator's admission).
-func (s *ProgramSpec) build(maxSize int64) (*ir.NProgram, error) {
-	p, err := s.program(maxSize)
+// the baseline layout). It applies no size bound: the coordinator admits
+// a spec with checkSize first, and workers trust that admission.
+func (s *ProgramSpec) build() (*ir.NProgram, error) {
+	p, err := s.program()
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +78,9 @@ func (s *ProgramSpec) build(maxSize int64) (*ir.NProgram, error) {
 	return np, nil
 }
 
-// program instantiates the raw IR program from the spec.
-func (s *ProgramSpec) program(maxSize int64) (*ir.Program, error) {
-	size, iters := s.Size, s.Iters
+// dims is the spec's problem size and iteration count, defaults applied.
+func (s *ProgramSpec) dims() (size, iters int64, err error) {
+	size, iters = s.Size, s.Iters
 	if size == 0 {
 		size = 32
 	}
@@ -88,10 +88,28 @@ func (s *ProgramSpec) program(maxSize int64) (*ir.Program, error) {
 		iters = 2
 	}
 	if size < 1 || iters < 1 {
-		return nil, fmt.Errorf("size and iters must be positive (got %d, %d)", size, iters)
+		return 0, 0, fmt.Errorf("size and iters must be positive (got %d, %d)", size, iters)
 	}
-	if maxSize > 0 && size > maxSize {
-		return nil, fmt.Errorf("size %d exceeds the coordinator limit %d", size, maxSize)
+	return size, iters, nil
+}
+
+// checkSize is the coordinator's admission bound on the problem size.
+func (s *ProgramSpec) checkSize(maxSize int64) error {
+	size, _, err := s.dims()
+	if err != nil {
+		return err
+	}
+	if size > maxSize {
+		return fmt.Errorf("size %d exceeds the coordinator limit %d", size, maxSize)
+	}
+	return nil
+}
+
+// program instantiates the raw IR program from the spec.
+func (s *ProgramSpec) program() (*ir.Program, error) {
+	size, iters, err := s.dims()
+	if err != nil {
+		return nil, err
 	}
 	if s.Source != "" {
 		if s.Program != "" {
@@ -351,7 +369,7 @@ func (s *SweepSpec) SolveLocal(ctx context.Context, workers int) ([]Row, error) 
 	if err != nil {
 		return nil, err
 	}
-	np, err := s.ProgramSpec.build(0)
+	np, err := s.ProgramSpec.build()
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func baselineRows(t *testing.T, spec *SweepSpec) []Row {
 	if err != nil {
 		t.Fatalf("grid: %v", err)
 	}
-	np, err := spec.ProgramSpec.build(0)
+	np, err := spec.ProgramSpec.build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -392,7 +392,7 @@ func TestJournalResume(t *testing.T) {
 		t.Fatalf("lease status %q", lr.Status)
 	}
 	// Solve the leased unit out of band, exactly as a worker would.
-	np, err := spec.ProgramSpec.build(0)
+	np, err := spec.ProgramSpec.build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

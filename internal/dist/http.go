@@ -16,7 +16,7 @@ import (
 // Lease response statuses.
 const (
 	LeaseUnit     = "unit"     // a unit is attached: solve it
-	LeaseWait     = "wait"     // nothing pending: poll again after RetryAfterMs
+	LeaseWait     = "wait"     // nothing pending: ask again after RetryAfterMs
 	LeaseShutdown = "shutdown" // every sweep is done: exit
 )
 
@@ -110,7 +110,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, errors.New("missing worker id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, c.Lease(req.Worker))
+	// Held: an idle worker's request stays open until there is work or
+	// the hold expires, so a queued unit starts within one round trip.
+	writeJSON(w, http.StatusOK, c.LeaseWait(r.Context(), req.Worker))
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -352,32 +354,4 @@ func (cl *Client) Report(ctx context.Context, id string) (*MergedReport, error) 
 		return nil, err
 	}
 	return &rep, nil
-}
-
-// WaitDone polls until the sweep finishes (nil), fails (error), or ctx
-// ends.
-func (cl *Client) WaitDone(ctx context.Context, id string, poll time.Duration) error {
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		st, err := cl.SweepStatus(ctx, id)
-		if err == nil {
-			if st.Failed != "" {
-				return fmt.Errorf("sweep %.12s: %s", id, st.Failed)
-			}
-			if st.Done {
-				return nil
-			}
-		} else if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
 }

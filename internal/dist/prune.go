@@ -23,7 +23,7 @@ var prunePlan = sampling.Plan{C: 0.9, W: 0.1}
 // incomplete coverage) are kept for the real solve rather than guessed
 // at.
 func pruneGrid(ctx context.Context, spec *SweepSpec, wcs []WireCandidate) (map[int]Row, error) {
-	p, err := spec.ProgramSpec.program(0)
+	p, err := spec.ProgramSpec.program()
 	if err != nil {
 		return nil, err
 	}

@@ -42,8 +42,11 @@ type WorkerOptions struct {
 	WarmPaths []string
 	// CacheCap bounds the in-memory result cache (default 1<<16 entries).
 	CacheCap int
-	// Poll is the idle re-lease interval when the coordinator says wait
-	// and gives no hint (default 500ms).
+	// Poll is the back-off before the next lease after a failed lease
+	// round, or after a wait answer that carries no retry hint (default
+	// 500ms). It is not the idle latency: a coordinator holds an idle
+	// worker's lease request until a unit is queued, and answers an
+	// expired hold with a hint to ask again at once.
 	Poll time.Duration
 	// MaxLeaseFailures bounds consecutive failed lease rounds (each round
 	// is already a full HTTPPolicy retry schedule) before the worker gives
@@ -114,13 +117,7 @@ type Worker struct {
 	opt   WorkerOptions
 	cl    *Client
 	rc    *cme.ResultCache
-	preps map[string]*prepared // program spec JSON → prepared program
-}
-
-// prepared caches the per-sweep prepare work across this worker's units.
-type prepared struct {
-	prep *cme.Prepared
-	err  error
+	preps *prepMemo // the prepare work shared across this worker's units
 }
 
 // NewWorker builds a worker and warms its result cache from CachePath
@@ -135,7 +132,7 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 		opt:   opt,
 		cl:    &Client{Base: opt.Coordinator, Worker: opt.ID},
 		rc:    cme.NewResultCache(opt.CacheCap),
-		preps: map[string]*prepared{},
+		preps: newPrepMemo(),
 	}
 	warm := opt.WarmPaths
 	if opt.CachePath != "" {
@@ -211,7 +208,7 @@ func (w *Worker) process(ctx context.Context, lr *LeaseResponse) error {
 		w.opt.Logf("dist worker %s: unit %.12s (%d candidates, seq %d)", w.opt.ID, u.Key, len(u.Candidates), u.Seq)
 	}
 
-	prep, err := w.prepare(u)
+	prep, err := w.preps.get(&u.Program, u.Solve)
 	if err != nil {
 		// The coordinator admitted this spec, so a build failure here is a
 		// unit failure worth reporting, not a reason to die.
@@ -338,23 +335,6 @@ func (w *Worker) complete(ctx context.Context, lr *LeaseResponse, rows []Row, er
 		w.opt.Logf("dist worker %s: complete unit %.12s: %v", w.opt.ID, lr.Unit.Key, err)
 	}
 	return ctx.Err()
-}
-
-// prepare memoises the program build per (program, solve) spec.
-func (w *Worker) prepare(u *UnitSpec) (*cme.Prepared, error) {
-	key := fmt.Sprintf("%+v|%+v", u.Program, u.Solve)
-	if p, ok := w.preps[key]; ok {
-		return p.prep, p.err
-	}
-	p := &prepared{}
-	np, err := u.Program.build(0)
-	if err == nil {
-		p.prep, p.err = cme.Prepare(np, u.Solve.options())
-	} else {
-		p.err = err
-	}
-	w.preps[key] = p
-	return p.prep, p.err
 }
 
 // killed reports whether the chaos sentinel fired, including when it is
