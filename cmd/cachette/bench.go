@@ -14,6 +14,7 @@ import (
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
 	"cachemodel/internal/obs"
+	"cachemodel/internal/spec"
 	"cachemodel/internal/trace"
 )
 
@@ -101,11 +102,7 @@ type benchReport struct {
 // sequential baseline and fails otherwise.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	name := fs.String("program", "tomcatv", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to benchmark instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 1, "outer iterations (whole programs)")
+	pf := addProgramFlags(fs, "tomcatv", 32, 1)
 	cs, ls, assoc := cacheFlags(fs)
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel worker count for the parallel variants")
 	repeat := fs.Int("repeat", 1, "timing repetitions (the fastest is reported)")
@@ -144,15 +141,14 @@ func cmdBench(args []string) error {
 			return err
 		}
 		ctx := or.Context(context.Background())
-		if err := benchScaling(ctx, *name, *file, *consts, *sizeConst,
-			*iters, cfg, *workers, ns, dst, *check); err != nil {
+		fam, err := pf.family(*sizeConst)
+		if err != nil {
 			return err
 		}
-		program := *name
-		if *file != "" {
-			program = *file
+		if err := benchScaling(ctx, pf.label(), fam, cfg, *workers, ns, dst, *check); err != nil {
+			return err
 		}
-		return or.finish(ctx, program, nil, nil)
+		return or.finish(ctx, pf.label(), nil, nil)
 	}
 
 	if *distMode {
@@ -164,7 +160,7 @@ func cmdBench(args []string) error {
 		if dst == "BENCH_solvers.json" {
 			dst = "BENCH_dist.json"
 		}
-		return benchDist(*name, *file, *consts, *size, *iters, wcounts, dst, *check)
+		return benchDist(pf, wcounts, dst, *check)
 	}
 
 	if *sweepMode {
@@ -177,15 +173,15 @@ func cmdBench(args []string) error {
 			dst = "BENCH_sweep.json"
 		}
 		sargs := []string{
-			"-program", *name, "-size", fmt.Sprint(*size), "-iters", fmt.Sprint(*iters),
+			"-program", *pf.name, "-size", fmt.Sprint(*pf.size), "-iters", fmt.Sprint(*pf.iters),
 			"-sizes-from", fmt.Sprint(*sweepFrom), "-sizes-to", fmt.Sprint(*sweepTo),
 			"-sizes-step", fmt.Sprint(*sweepStep),
 			"-lines", fmt.Sprint(*ls), "-assocs", fmt.Sprint(*assoc),
 			"-workers", fmt.Sprint(*workers),
 			"-exact", "-geom-bench", "-out", dst,
 		}
-		if *file != "" {
-			sargs = append(sargs, "-file", *file, "-const", *consts)
+		if *pf.file != "" {
+			sargs = append(sargs, "-file", *pf.file, "-const", *pf.consts)
 		}
 		if *check {
 			sargs = append(sargs, "-geom-gate", "3")
@@ -202,11 +198,11 @@ func cmdBench(args []string) error {
 	}
 	ctx := or.Context(context.Background())
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
+	p, err := pf.load()
 	if err != nil {
 		return err
 	}
-	np, _, err := prepare(p)
+	np, _, err := spec.FrontEnd{}.Run(p)
 	if err != nil {
 		return err
 	}
@@ -257,7 +253,7 @@ func cmdBench(args []string) error {
 		return 100 * float64(s) / float64(s+e)
 	}
 
-	rep := benchReport{Program: p.Name, Size: *size, Iters: *iters, Cache: cfg.String(),
+	rep := benchReport{Program: p.Name, Size: *pf.size, Iters: *pf.iters, Cache: cfg.String(),
 		GoMaxProcs: runtime.GOMAXPROCS(0), Workers: *workers, Repeat: *repeat}
 
 	solve := func(a *cme.Analyzer) *cme.Report {
@@ -346,13 +342,13 @@ func cmdBench(args []string) error {
 	}
 
 	if *check {
-		if err := sameReport(seqRep, memoRep, "findmisses_memo"); err != nil {
+		if err := sameCounts("bench -check: findmisses_memo", seqRep, memoRep); err != nil {
 			return err
 		}
-		if err := sameReport(seqRep, symRep, "findmisses_symbolic"); err != nil {
+		if err := sameCounts("bench -check: findmisses_symbolic", seqRep, symRep); err != nil {
 			return err
 		}
-		if err := sameReport(seqRep, parRep, "findmisses_parallel"); err != nil {
+		if err := sameCounts("bench -check: findmisses_parallel", seqRep, parRep); err != nil {
 			return err
 		}
 		if simSeq != nil && simShard != nil {
@@ -402,21 +398,4 @@ func cmdBench(args []string) error {
 	}
 	os.Stdout.Write(blob)
 	return or.finish(ctx, p.Name, seqRep, nil)
-}
-
-// sameReport verifies two exact reports carry identical per-reference
-// counts (the bit-identity contract of the parallel and memoized solvers).
-func sameReport(want, got *cme.Report, name string) error {
-	if len(want.Refs) != len(got.Refs) {
-		return fmt.Errorf("bench -check: %s: %d refs vs %d", name, len(got.Refs), len(want.Refs))
-	}
-	for i, w := range want.Refs {
-		g := got.Refs[i]
-		if w.Ref != g.Ref || w.Volume != g.Volume || w.Analyzed != g.Analyzed ||
-			w.Hits != g.Hits || w.Cold != g.Cold || w.Repl != g.Repl {
-			return fmt.Errorf("bench -check: %s: ref %s diverged: got {analyzed %d hits %d cold %d repl %d} want {analyzed %d hits %d cold %d repl %d}",
-				name, w.Ref.ID, g.Analyzed, g.Hits, g.Cold, g.Repl, w.Analyzed, w.Hits, w.Cold, w.Repl)
-		}
-	}
-	return nil
 }

@@ -196,7 +196,8 @@ func TestCLIScalingClosedForm(t *testing.T) {
 
 // TestCLIScalingLadderCap: a size ladder is sized before it is built, so
 // a huge or wrapping range and sizes below 1 fail promptly with a non-zero
-// exit instead of looping or allocating.
+// exit instead of looping or allocating. An empty sweep axis fails the
+// same way rather than running the default grid.
 func TestCLIScalingLadderCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns CLI processes")
@@ -209,19 +210,21 @@ func TestCLIScalingLadderCap(t *testing.T) {
 		{[]string{"bench", "-scaling", "-from", "1", "-to", "100000000", "-step", "1"}, "(max 65536)"},
 		{[]string{"scaling", "-from", "0", "-to", "64", "-step", "8"}, "bad ladder"},
 		{[]string{"scaling", "-ns", "64,0"}, "sizes must be >= 1"},
+		{[]string{"sweep", "-size", "8", "-sizes", ","}, "empty candidate grid"},
+		{[]string{"sweep", "-size", "8", "-assocs", ""}, "empty candidate grid"},
 	} {
 		cmd := cliCommand(t, tc.args...)
 		start := time.Now()
 		out, err := cmd.CombinedOutput()
 		if err == nil {
-			t.Errorf("%v: exit 0, want a ladder error\n%s", tc.args, out)
+			t.Errorf("%v: exit 0, want an argument error\n%s", tc.args, out)
 			continue
 		}
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("%v: output lacks %q:\n%s", tc.args, tc.want, out)
 		}
 		if d := time.Since(start); d > 10*time.Second {
-			t.Errorf("%v: took %v to reject the ladder", tc.args, d)
+			t.Errorf("%v: took %v to reject the arguments", tc.args, d)
 		}
 	}
 }

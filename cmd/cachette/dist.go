@@ -13,6 +13,7 @@ import (
 
 	"cachemodel/internal/dist"
 	"cachemodel/internal/obs"
+	"cachemodel/internal/spec"
 )
 
 // distLogf builds the Logf seam for a dist process: the default plain
@@ -71,19 +72,11 @@ func cmdDistCoordinate(args []string) error {
 	traceOut := fs.String("trace-out", "", "write the sweep's Chrome trace-event JSON here (load at ui.perfetto.dev); forces tracing on")
 	logFmt := fs.String("log", "", "structured logs on stderr: json or text (default: plain lines)")
 
-	name := fs.String("program", "", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to sweep instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file (NAME=value, comma separated)")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
-	sizes := fs.String("sizes", "4096,8192,16384,32768,65536", "cache sizes in bytes, comma separated")
-	lines := fs.String("lines", "32", "line sizes in bytes, comma separated")
-	assocs := fs.String("assocs", "1,2,4", "associativities, comma separated")
-	padArray := fs.String("pad-array", "", "array to pad: crosses the geometry grid with one layout candidate per -pads entry")
-	pads := fs.String("pads", "", "paddings in elements for -pad-array, comma separated")
+	pf := addProgramFlags(fs, "", 32, 2)
+	gf := addGridFlags(fs)
 	exact := fs.Bool("exact", false, "solve every candidate exactly instead of sampling")
-	conf := fs.Float64("c", 0.95, "confidence level for the sampled tier")
-	width := fs.Float64("w", 0.05, "confidence interval half-width for the sampled tier")
+	conf := fs.Float64("c", spec.DefaultConfidence, "confidence level for the sampled tier")
+	width := fs.Float64("w", spec.DefaultWidth, "confidence interval half-width for the sampled tier")
 	adaptive := fs.Bool("adaptive", false, "sampled tier: variance-driven early stopping")
 	unitSize := fs.Int("unit-size", 1, "consecutive candidates per work unit (1 = maximal stealing granularity)")
 	noColumnUnits := fs.Bool("no-column-units", false, "keep per-candidate units even when an exact same-line-size cache-size column could ship as one geometry-parametric unit")
@@ -101,15 +94,20 @@ func cmdDistCoordinate(args []string) error {
 	defer stop()
 	ctx = or.Context(ctx)
 
-	spec, err := distSpec(*name, *file, *consts, *size, *iters, *sizes, *lines, *assocs,
-		*padArray, *pads, *exact, *conf, *width, *adaptive, *unitSize, *prune, *pruneKeep, *pruneMargin)
+	grid, err := gf.grid()
 	if err != nil {
 		return err
 	}
-	if spec != nil {
-		spec.NoColumnUnits = *noColumnUnits
+	sw, err := distSpec(pf, grid, dist.SolveSpec{Exact: *exact, Confidence: *conf, Width: *width,
+		Adaptive: *adaptive})
+	if err != nil {
+		return err
 	}
-	if *check && spec != nil && spec.Prune {
+	if sw != nil {
+		sw.UnitSize, sw.NoColumnUnits = *unitSize, *noColumnUnits
+		sw.Prune, sw.PruneKeep, sw.PruneMargin = *prune, *pruneKeep, *pruneMargin
+	}
+	if *check && sw != nil && sw.Prune {
 		return fmt.Errorf("dist coordinate: -check is incompatible with -prune (pruned rows are advisor estimates, not solves)")
 	}
 
@@ -143,8 +141,8 @@ func cmdDistCoordinate(args []string) error {
 	defer hs.Close()
 
 	var id string
-	if spec != nil {
-		st, err := c.AddSweep(ctx, spec)
+	if sw != nil {
+		st, err := c.AddSweep(ctx, sw)
 		if err != nil {
 			return err
 		}
@@ -156,7 +154,7 @@ func cmdDistCoordinate(args []string) error {
 	}
 
 	finishObs := func() error {
-		return or.finishReport(ctx, programLabel(spec), func(rr *obs.RunReport) {
+		return or.finishReport(ctx, programLabel(sw), func(rr *obs.RunReport) {
 			rr.Dist = c.Outcomes()
 		})
 	}
@@ -191,7 +189,7 @@ func cmdDistCoordinate(args []string) error {
 	}
 
 	if *check {
-		want, err := spec.SolveLocal(ctx, 0)
+		want, err := sw.SolveLocal(ctx, 0)
 		if err != nil {
 			return fmt.Errorf("dist coordinate -check: baseline: %v", err)
 		}
@@ -338,67 +336,20 @@ func cmdDistWork(args []string) error {
 
 // distSpec assembles a SweepSpec from the coordinate flags; nil when no
 // program was named (pure server mode).
-func distSpec(name, file, consts string, size, iters int64, sizes, lines, assocs,
-	padArray, pads string, exact bool, conf, width float64, adaptive bool,
-	unitSize int, prune bool, pruneKeep int, pruneMargin float64) (*dist.SweepSpec, error) {
-	if name == "" && file == "" {
+func distSpec(pf *programFlags, grid spec.Grid, solve dist.SolveSpec) (*dist.SweepSpec, error) {
+	if *pf.name == "" && *pf.file == "" {
 		return nil, nil
 	}
-	spec := &dist.SweepSpec{
-		ProgramSpec: dist.ProgramSpec{Program: name, Size: size, Iters: iters},
-		SolveSpec: dist.SolveSpec{Exact: exact, Confidence: conf, Width: width,
-			Adaptive: adaptive},
-		PadArray:    padArray,
-		UnitSize:    unitSize,
-		Prune:       prune,
-		PruneKeep:   pruneKeep,
-		PruneMargin: pruneMargin,
+	if *pf.name != "" && *pf.file != "" {
+		return nil, fmt.Errorf("dist coordinate: set -program or -file, not both")
 	}
-	if file != "" {
-		if name != "" {
-			return nil, fmt.Errorf("dist coordinate: set -program or -file, not both")
-		}
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		spec.Source = string(src)
-		spec.Program = ""
-		if consts != "" {
-			spec.Consts = map[string]int64{}
-			for _, kv := range strings.Split(consts, ",") {
-				parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
-				if len(parts) != 2 {
-					return nil, fmt.Errorf("bad -const entry %q (want NAME=value)", kv)
-				}
-				var v int64
-				if _, err := fmt.Sscanf(parts[1], "%d", &v); err != nil {
-					return nil, fmt.Errorf("bad -const value in %q: %v", kv, err)
-				}
-				spec.Consts[strings.ToUpper(parts[0])] = v
-			}
-		}
-	}
-	var err error
-	if spec.CacheSizes, err = parseInt64List(sizes); err != nil {
-		return nil, err
-	}
-	if spec.LineSizes, err = parseInt64List(lines); err != nil {
-		return nil, err
-	}
-	ks, err := parseInt64List(assocs)
+	prog, err := pf.request()
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range ks {
-		spec.Assocs = append(spec.Assocs, int(k))
-	}
-	if padArray != "" {
-		if spec.Pads, err = parseInt64List(pads); err != nil {
-			return nil, err
-		}
-	}
-	return spec, nil
+	return &dist.SweepSpec{ProgramSpec: prog, SolveSpec: solve,
+		CacheSizes: grid.CacheSizes, LineSizes: grid.LineSizes, Assocs: grid.Assocs,
+		PadArray: grid.PadArray, Pads: grid.Pads}, nil
 }
 
 // programLabel names the run for the report.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cachemodel/internal/dist"
+	"cachemodel/internal/spec"
 )
 
 // distBenchRow is one worker-count measurement of BENCH_dist.json.
@@ -53,22 +54,24 @@ type distBenchReport struct {
 // are byte-compared against a single-process SolveBatch baseline. With
 // check, any bit-identity violation fails, and on a machine with real
 // parallelism (>= 4 CPUs) so does a 4-worker speedup under 1.5x.
-func benchDist(name, file, consts string, size, iters int64, wcounts []int64, out string, check bool) error {
+func benchDist(pf *programFlags, wcounts []int64, out string, check bool) error {
 	// A fixed 48-geometry exact grid: big enough that work stealing and
 	// the lease protocol are exercised, small enough for a CI smoke run.
-	spec, err := distSpec(name, file, consts, size, iters,
-		"1024,2048,4096,8192,16384,32768,65536,131072", "16,32,64", "1,2",
-		"", "", true, 0, 0, false, 0, false, 0, 0)
+	sw, err := distSpec(pf, spec.Grid{
+		CacheSizes: []int64{1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072},
+		LineSizes:  []int64{16, 32, 64},
+		Assocs:     []int{1, 2},
+	}, dist.SolveSpec{Exact: true})
 	if err != nil {
 		return err
 	}
-	if spec == nil {
+	if sw == nil {
 		return fmt.Errorf("bench -dist: no program (set -program or -file)")
 	}
 
 	ctx := context.Background()
 	t0 := time.Now()
-	baseline, err := spec.SolveLocal(ctx, 1)
+	baseline, err := sw.SolveLocal(ctx, 1)
 	if err != nil {
 		return fmt.Errorf("bench -dist: baseline: %v", err)
 	}
@@ -83,7 +86,7 @@ func benchDist(name, file, consts string, size, iters int64, wcounts []int64, ou
 		}
 	}
 
-	rep := distBenchReport{Program: name, Size: size, Iters: iters, Exact: true,
+	rep := distBenchReport{Program: *pf.name, Size: *pf.size, Iters: *pf.iters, Exact: true,
 		Candidates: len(baseline), GoMaxProcs: runtime.GOMAXPROCS(0), LocalNs: localNs}
 	var w1Ns int64
 	for _, wc := range wcounts {
@@ -91,7 +94,7 @@ func benchDist(name, file, consts string, size, iters int64, wcounts []int64, ou
 		if n < 1 {
 			return fmt.Errorf("bench -dist: worker count %d", n)
 		}
-		row, units, err := benchDistOnce(ctx, spec, n, want)
+		row, units, err := benchDistOnce(ctx, sw, n, want)
 		if err != nil {
 			return err
 		}

@@ -20,8 +20,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -30,15 +28,12 @@ import (
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
 	"cachemodel/internal/experiments"
-	"cachemodel/internal/fparse"
-	"cachemodel/internal/inline"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/kernels"
-	"cachemodel/internal/layout"
-	"cachemodel/internal/normalize"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/reuse"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 	"cachemodel/internal/trace"
 )
 
@@ -108,59 +103,18 @@ subcommands:
   top          live fleet view of a dist coordinator: sweeps, queue depth, workers, stragglers
   list         list the built-in programs
 
+requests (the same words as the JSON of serve and dist; README "Requests"):
+  -program NAME | -file prog.f [-const N=100,M=50]   a built-in (cachette list), or FORTRAN and its constants
+  -size, -iters                                       problem size, outer iterations
+  -sizes, -lines, -assocs [-pad-array A -pads 0,8]    cache grid: size × line × assoc × pad, in that order
+  -from -to -step | -ns                               size ladder (scaling)
+  -c, -w                                              sampled-tier confidence and width (0.95, 0.05)
+
 observability (analyze, bench, sweep):
   -v             throttled progress lines on stderr
   -metrics-addr  live Prometheus /metrics + /debug/pprof + /debug/vars endpoint
   -obs-out       run-report JSON: per-stage spans, solver counters, provenance
 `)
-}
-
-// loadProgram loads a program: from a FORTRAN source file when file is
-// set (consts like "N=100,M=50" fix the compile-time sizes), otherwise a
-// built-in workload at the requested size.
-func loadProgram(file, consts, name string, size, iters int64) (*ir.Program, error) {
-	if file == "" {
-		return buildProgram(name, size, iters)
-	}
-	src, err := os.ReadFile(file)
-	if err != nil {
-		return nil, err
-	}
-	cm := map[string]int64{}
-	if consts != "" {
-		for _, kv := range strings.Split(consts, ",") {
-			parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("bad -const entry %q (want NAME=value)", kv)
-			}
-			v, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad -const value in %q: %v", kv, err)
-			}
-			cm[strings.ToUpper(parts[0])] = v
-		}
-	}
-	return fparse.Parse(string(src), cm)
-}
-
-// buildProgram instantiates a built-in workload at the requested size.
-func buildProgram(name string, size, iters int64) (*ir.Program, error) {
-	switch strings.ToLower(name) {
-	case "tomcatv":
-		return kernels.Tomcatv(size, iters), nil
-	case "swim":
-		return kernels.Swim(size, iters), nil
-	case "applu":
-		return kernels.Applu(size, iters), nil
-	case "vcycle":
-		return kernels.VCycle(size, iters), nil
-	}
-	for _, spec := range kernels.Suite() {
-		if strings.EqualFold(spec.Name, name) {
-			return spec.Build(size), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown program %q (try: cachette list)", name)
 }
 
 func cmdList() error {
@@ -178,22 +132,6 @@ func cmdList() error {
 		fmt.Printf("  %-10s %s%s\n", spec.Name, spec.Description, exact)
 	}
 	return nil
-}
-
-func prepare(p *ir.Program) (*ir.NProgram, *inline.Stats, error) {
-	flat, st, err := inline.Flatten(p, inline.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	np, err := normalize.Normalize(flat)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := layout.AssignProgram(np, layout.Options{}); err != nil {
-		return nil, nil, err
-	}
-	np.Name = p.Name
-	return np, st, nil
 }
 
 func cacheFlags(fs *flag.FlagSet) (cs, ls *int64, assoc *int) {
@@ -238,15 +176,11 @@ func printProvenance(rep *cme.Report, limited bool) {
 
 func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to analyse instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file, e.g. N=100,M=50")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
+	pf := addProgramFlags(fs, "hydro", 32, 2)
 	cs, ls, assoc := cacheFlags(fs)
 	exact := fs.Bool("exact", false, "run FindMisses (every point) instead of EstimateMisses")
-	conf := fs.Float64("c", 0.95, "confidence level for EstimateMisses")
-	width := fs.Float64("w", 0.05, "confidence interval half-width")
+	conf := fs.Float64("c", spec.DefaultConfidence, "confidence level for EstimateMisses")
+	width := fs.Float64("w", spec.DefaultWidth, "confidence interval half-width")
 	perRef := fs.Bool("refs", false, "print the per-reference breakdown")
 	nonUniform := fs.Bool("nonuniform", false, "resolve non-uniformly generated reuse (§8 future work)")
 	workers := fs.Int("workers", 0, "parallel classification workers (0 = GOMAXPROCS, 1 = sequential)")
@@ -266,13 +200,13 @@ func cmdAnalyze(args []string) error {
 	ctx = or.Context(ctx)
 
 	_, pspan := obs.StartSpan(ctx, "parse")
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
+	p, err := pf.load()
 	pspan.End()
 	if err != nil {
 		return err
 	}
 	_, prspan := obs.StartSpan(ctx, "prepare")
-	np, _, err := prepare(p)
+	np, _, err := spec.FrontEnd{}.Run(p)
 	prspan.End()
 	if err != nil {
 		return err
@@ -339,22 +273,18 @@ func cmdAnalyze(args []string) error {
 
 func cmdSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to simulate instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
+	pf := addProgramFlags(fs, "hydro", 32, 2)
 	cs, ls, assoc := cacheFlags(fs)
 	workers := fs.Int("workers", 1, "set-sharded parallel replay workers (0 = GOMAXPROCS, 1 = sequential)")
 	timeout, maxPoints, maxScan, _ := budgetFlags(fs)
 	pstart, pstop, _ := profileFlags(fs)
 	fs.Parse(args)
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
+	p, err := pf.load()
 	if err != nil {
 		return err
 	}
-	np, _, err := prepare(p)
+	np, _, err := spec.FrontEnd{}.Run(p)
 	if err != nil {
 		return err
 	}
@@ -445,19 +375,15 @@ func cmdExperiments(args []string) error {
 
 func cmdShow(args []string) error {
 	fs := flag.NewFlagSet("show", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to show instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 8, "problem size")
-	iters := fs.Int64("iters", 1, "outer iterations")
+	pf := addProgramFlags(fs, "hydro", 8, 1)
 	vectors := fs.Bool("vectors", false, "print every reuse vector")
 	fs.Parse(args)
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
+	p, err := pf.load()
 	if err != nil {
 		return err
 	}
-	np, st, err := prepare(p)
+	np, st, err := spec.FrontEnd{}.Run(p)
 	if err != nil {
 		return err
 	}
@@ -486,25 +412,21 @@ func cmdShow(args []string) error {
 
 func cmdDiagnose(args []string) error {
 	fs := flag.NewFlagSet("diagnose", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to diagnose instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
+	pf := addProgramFlags(fs, "hydro", 32, 2)
 	cs, ls, assoc := cacheFlags(fs)
 	top := fs.Int("top", 10, "interference pairs to print")
 	fs.Parse(args)
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
+	p, err := pf.load()
 	if err != nil {
 		return err
 	}
-	np, _, err := prepare(p)
+	np, _, err := spec.FrontEnd{}.Run(p)
 	if err != nil {
 		return err
 	}
 	cfg := cache.Config{SizeBytes: *cs, LineBytes: *ls, Assoc: *assoc}
-	d, err := advisor.Diagnose(np, cfg, cme.Options{}, sampling.Plan{C: 0.95, W: 0.05})
+	d, err := advisor.Diagnose(np, cfg, cme.Options{}, sampling.Plan{C: spec.DefaultConfidence, W: spec.DefaultWidth})
 	if err != nil {
 		return err
 	}
@@ -522,20 +444,16 @@ func cmdDiagnose(args []string) error {
 
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to trace instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 16, "problem size")
-	iters := fs.Int64("iters", 1, "outer iterations (whole programs)")
+	pf := addProgramFlags(fs, "hydro", 16, 1)
 	out := fs.String("out", "-", "output path (default stdout)")
 	limit := fs.Int64("limit", 0, "stop after this many accesses (0 = all)")
 	fs.Parse(args)
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
+	p, err := pf.load()
 	if err != nil {
 		return err
 	}
-	np, _, err := prepare(p)
+	np, _, err := spec.FrontEnd{}.Run(p)
 	if err != nil {
 		return err
 	}

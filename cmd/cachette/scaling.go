@@ -8,103 +8,14 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/fparse"
-	"cachemodel/internal/ir"
+	"cachemodel/internal/spec"
 )
-
-// maxLadder caps a size ladder (here and in sweep -sizes-from): ladders
-// are sized arithmetically before they are materialised, so a huge range
-// is an argument error rather than an allocation.
-const maxLadder = 65536
-
-// ladderFlags registers the size-ladder flags shared by `scaling` and
-// `bench -scaling` and returns a closure producing the ladder.
-func ladderFlags(fs *flag.FlagSet) func() ([]int64, error) {
-	from := fs.Int64("from", 512, "smallest problem size of the ladder")
-	to := fs.Int64("to", 1472, "largest problem size of the ladder")
-	step := fs.Int64("step", 64, "ladder stride")
-	ns := fs.String("ns", "", "explicit comma-separated size list (overrides -from/-to/-step)")
-	return func() ([]int64, error) {
-		if *ns != "" {
-			var out []int64
-			for _, s := range strings.Split(*ns, ",") {
-				v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad -ns entry %q: %v", s, err)
-				}
-				if v < 1 {
-					return nil, fmt.Errorf("bad -ns entry %d: sizes must be >= 1", v)
-				}
-				out = append(out, v)
-			}
-			if len(out) > maxLadder {
-				return nil, fmt.Errorf("size ladder has %d entries (max %d)", len(out), maxLadder)
-			}
-			return out, nil
-		}
-		if *from < 1 || *step <= 0 || *to < *from {
-			return nil, fmt.Errorf("bad ladder: from %d to %d step %d (want 1 <= from <= to, step > 0)", *from, *to, *step)
-		}
-		count := (*to-*from)/(*step) + 1
-		if count > maxLadder {
-			return nil, fmt.Errorf("size ladder has %d entries (max %d)", count, maxLadder)
-		}
-		out := make([]int64, count)
-		for i := range out {
-			out[i] = *from + int64(i)*(*step)
-		}
-		return out, nil
-	}
-}
-
-// scalingBuild returns the scaling tier's program family: a built-in
-// workload parameterised by size, or a FORTRAN source whose size constant
-// is rebound per instantiation.
-func scalingBuild(file, consts, sizeConst, name string, iters int64) (cme.BuildFunc, error) {
-	if file == "" {
-		return func(n int64) (*ir.NProgram, error) {
-			p, err := buildProgram(name, n, iters)
-			if err != nil {
-				return nil, err
-			}
-			np, _, err := prepare(p)
-			return np, err
-		}, nil
-	}
-	src, err := os.ReadFile(file)
-	if err != nil {
-		return nil, err
-	}
-	return func(n int64) (*ir.NProgram, error) {
-		cm := map[string]int64{strings.ToUpper(sizeConst): n}
-		if consts != "" {
-			for _, kv := range strings.Split(consts, ",") {
-				parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
-				if len(parts) != 2 {
-					return nil, fmt.Errorf("bad -const entry %q (want NAME=value)", kv)
-				}
-				v, err := strconv.ParseInt(parts[1], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad -const value in %q: %v", kv, err)
-				}
-				cm[strings.ToUpper(parts[0])] = v
-			}
-		}
-		p, err := fparse.Parse(string(src), cm)
-		if err != nil {
-			return nil, err
-		}
-		np, _, err := prepare(p)
-		return np, err
-	}, nil
-}
 
 // cmdScaling answers "how does the miss ratio scale with the problem
 // size?" from one symbolic solve: the program family is lifted to
@@ -113,11 +24,8 @@ func scalingBuild(file, consts, sizeConst, name string, iters int64) (cme.BuildF
 // cover.
 func cmdScaling(args []string) error {
 	fs := flag.NewFlagSet("scaling", flag.ExitOnError)
-	name := fs.String("program", "tomcatv", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to analyse instead of a built-in")
-	consts := fs.String("const", "", "fixed compile-time constants for -file, e.g. M=50")
+	pf := addProgramFlags(fs, "tomcatv", 0, 1)
 	sizeConst := fs.String("size-const", "N", "the -file constant that carries the problem size")
-	iters := fs.Int64("iters", 1, "outer iterations (whole programs)")
 	cs, ls, assoc := cacheFlags(fs)
 	ladder := ladderFlags(fs)
 	workers := fs.Int("workers", 0, "parallel workers for the internal fit solves (0 = GOMAXPROCS)")
@@ -129,7 +37,7 @@ func cmdScaling(args []string) error {
 	if err != nil {
 		return err
 	}
-	build, err := scalingBuild(*file, *consts, *sizeConst, *name, *iters)
+	fam, err := pf.family(*sizeConst)
 	if err != nil {
 		return err
 	}
@@ -138,7 +46,7 @@ func cmdScaling(args []string) error {
 	defer stop()
 
 	start := time.Now()
-	s, err := cme.PrepareScaling(build, cfg, cme.Options{Workers: *workers}, cme.ScalingOptions{})
+	s, err := cme.PrepareScaling(fam.Build, cfg, cme.Options{Workers: *workers}, cme.ScalingOptions{})
 	if err != nil {
 		return err
 	}
@@ -148,11 +56,7 @@ func cmdScaling(args []string) error {
 	}
 	elapsed := time.Since(start)
 
-	label := *name
-	if *file != "" {
-		label = *file
-	}
-	fmt.Printf("%s  scaling  cache %s\n", label, cfg)
+	fmt.Printf("%s  scaling  cache %s\n", pf.label(), cfg)
 	if !s.ClosedFormEligible() {
 		fmt.Printf("  family not liftable (%s): every size solved by fall-through\n", s.Why())
 	} else {
@@ -250,13 +154,9 @@ type scalingBenchReport struct {
 // benchScaling is `cachette bench -scaling`: one symbolic solve plus O(1)
 // evaluations against per-size re-enumeration over the same ladder, with
 // a bit-identity match check at every size.
-func benchScaling(ctx context.Context, name, file, consts, sizeConst string, iters int64,
+func benchScaling(ctx context.Context, program string, fam *spec.Family,
 	cfg cache.Config, workers int, ns []int64, out string, check bool) error {
 
-	build, err := scalingBuild(file, consts, sizeConst, name, iters)
-	if err != nil {
-		return err
-	}
 	opt := cme.Options{Workers: workers}
 
 	// Symbolic lap: prepare (3 probes + volume lift), lazy fits, then one
@@ -264,7 +164,7 @@ func benchScaling(ctx context.Context, name, file, consts, sizeConst string, ite
 	// ladder size — a size the closed form cannot cover stays unanswered
 	// here and is flagged below rather than silently re-solved.
 	t0 := time.Now()
-	s, err := cme.PrepareScaling(build, cfg, opt, cme.ScalingOptions{})
+	s, err := cme.PrepareScaling(fam.Build, cfg, opt, cme.ScalingOptions{})
 	if err != nil {
 		return err
 	}
@@ -290,7 +190,7 @@ func benchScaling(ctx context.Context, name, file, consts, sizeConst string, ite
 	x0 := time.Now()
 	for i, n := range ns {
 		e0 := time.Now()
-		np, err := build(n)
+		np, err := fam.Build(n)
 		if err != nil {
 			return err
 		}
@@ -308,13 +208,10 @@ func benchScaling(ctx context.Context, name, file, consts, sizeConst string, ite
 
 	st := s.Stats()
 	rep := scalingBenchReport{
-		Program: name, Cache: cfg.String(), Iters: iters,
+		Program: program, Cache: cfg.String(), Iters: fam.Iters,
 		GoMaxProcs: runtime.GOMAXPROCS(0), Workers: workers,
 		Ladder: ns, Period: s.Period(), FitSolves: st.FitSolves,
 		PrepNs: prepNs, ClosedNs: symTotal, ExactNs: exactTotal,
-	}
-	if file != "" {
-		rep.Program = file
 	}
 	if symTotal > 0 {
 		rep.Speedup = float64(exactTotal) / float64(symTotal)
@@ -327,7 +224,7 @@ func benchScaling(ctx context.Context, name, file, consts, sizeConst string, ite
 		row.MissRatio = exact[i].MissRatio()
 		if closed[i] != nil {
 			row.ClosedForm = true
-			row.Match = sameReportByID(exact[i], closed[i]) == nil
+			row.Match = sameCounts("", exact[i], closed[i]) == nil
 			if info := closed[i].Scaling; info != nil {
 				rep.ClosedRefs, rep.TotalRefs = info.ClosedRefs, info.TotalRefs
 			}
@@ -344,7 +241,7 @@ func benchScaling(ctx context.Context, name, file, consts, sizeConst string, ite
 		if !allMatch {
 			for i, r := range rep.Rows {
 				if !r.Match {
-					return sameReportByID(exact[i], closed[i])
+					return sameCounts(fmt.Sprintf("bench -scaling: N=%d", r.N), exact[i], closed[i])
 				}
 			}
 		}
@@ -364,31 +261,5 @@ func benchScaling(ctx context.Context, name, file, consts, sizeConst string, ite
 		fmt.Fprintf(os.Stderr, "cachette bench: wrote %s\n", out)
 	}
 	os.Stdout.Write(blob)
-	return nil
-}
-
-// sameReportByID checks two exact reports for identical per-reference
-// counts, matching references by ID (the scaling report's refs belong to
-// the template instantiation, not the per-size program).
-func sameReportByID(want, got *cme.Report) error {
-	if len(want.Refs) != len(got.Refs) {
-		return fmt.Errorf("bench -scaling: %d refs vs %d", len(got.Refs), len(want.Refs))
-	}
-	byID := map[string]*cme.RefReport{}
-	for _, rr := range want.Refs {
-		byID[rr.Ref.ID] = rr
-	}
-	for _, g := range got.Refs {
-		w := byID[g.Ref.ID]
-		if w == nil {
-			return fmt.Errorf("bench -scaling: ref %s missing from the exact report", g.Ref.ID)
-		}
-		if w.Volume != g.Volume || w.Analyzed != g.Analyzed ||
-			w.Hits != g.Hits || w.Cold != g.Cold || w.Repl != g.Repl {
-			return fmt.Errorf("bench -scaling: ref %s diverged: closed {vol %d analyzed %d hits %d cold %d repl %d} exact {vol %d analyzed %d hits %d cold %d repl %d}",
-				g.Ref.ID, g.Volume, g.Analyzed, g.Hits, g.Cold, g.Repl,
-				w.Volume, w.Analyzed, w.Hits, w.Cold, w.Repl)
-		}
-	}
 	return nil
 }

@@ -7,15 +7,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
-	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/layout"
+	"cachemodel/internal/ir"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 	"cachemodel/internal/trace"
 )
 
@@ -80,22 +78,14 @@ type sweepReport struct {
 // is recorded; the command fails if the batch is slower.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to sweep instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
-	sizes := fs.String("sizes", "4096,8192,16384,32768,65536", "cache sizes in bytes, comma separated")
+	pf := addProgramFlags(fs, "hydro", 32, 2)
+	gf := addGridFlags(fs)
 	sizesFrom := fs.Int64("sizes-from", 0, "generate a cache-size ladder from this many bytes (with -sizes-to/-sizes-step; replaces -sizes)")
 	sizesTo := fs.Int64("sizes-to", 0, "ladder upper bound in bytes, inclusive")
 	sizesStep := fs.Int64("sizes-step", 0, "ladder step in bytes")
-	lines := fs.String("lines", "32", "line sizes in bytes, comma separated")
-	assocs := fs.String("assocs", "1,2,4", "associativities, comma separated")
-	padArray := fs.String("pad-array", "", "array to pad: crosses the geometry grid with one layout candidate per -pads entry")
-	pads := fs.String("pads", "", "paddings in elements for -pad-array, comma separated (0 = the baseline layout)")
 	exact := fs.Bool("exact", false, "solve every candidate exactly (FindMisses tier) instead of sampling")
-	conf := fs.Float64("c", 0.95, "confidence level for the sampled tier")
-	width := fs.Float64("w", 0.05, "confidence interval half-width for the sampled tier")
+	conf := fs.Float64("c", spec.DefaultConfidence, "confidence level for the sampled tier")
+	width := fs.Float64("w", spec.DefaultWidth, "confidence interval half-width for the sampled tier")
 	adaptive := fs.Bool("adaptive", false, "sampled tier: variance-driven early stopping (Wilson interval)")
 	noSymbolic := fs.Bool("nosymbolic", false, "disable the symbolic region fast path (classify every point)")
 	workers := fs.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
@@ -118,85 +108,43 @@ func cmdSweep(args []string) error {
 	ctx = or.Context(ctx)
 
 	_, pspan := obs.StartSpan(ctx, "parse")
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
+	p, err := pf.load()
 	pspan.End()
 	if err != nil {
 		return err
 	}
 	_, prspan := obs.StartSpan(ctx, "prepare")
-	np, _, err := prepare(p)
+	np, _, err := spec.FrontEnd{}.Run(p)
 	prspan.End()
 	if err != nil {
 		return err
 	}
-	css, err := parseInt64List(*sizes)
+	grid, err := gf.grid()
 	if err != nil {
 		return err
 	}
 	if *sizesFrom > 0 {
-		if *sizesStep <= 0 || *sizesTo < *sizesFrom {
-			return fmt.Errorf("sweep: -sizes-from needs -sizes-to >= it and -sizes-step > 0")
-		}
-		n := (*sizesTo-*sizesFrom)/(*sizesStep) + 1
-		if n > maxLadder {
-			return fmt.Errorf("sweep: size ladder has %d entries (max %d)", n, maxLadder)
-		}
-		css = css[:0]
-		for i := int64(0); i < n; i++ {
-			css = append(css, *sizesFrom+i*(*sizesStep))
+		l := spec.Ladder{From: *sizesFrom, To: *sizesTo, Step: *sizesStep}
+		if grid.CacheSizes, err = l.Sizes(cliLadder); err != nil {
+			return fmt.Errorf("sweep: -sizes-from: %v", err)
 		}
 	}
-	lss, err := parseInt64List(*lines)
-	if err != nil {
-		return err
+	if len(grid.CacheSizes) == 0 || len(grid.LineSizes) == 0 || len(grid.Assocs) == 0 {
+		return fmt.Errorf("sweep: empty candidate grid")
 	}
-	kss, err := parseInt64List(*assocs)
-	if err != nil {
-		return err
-	}
-	var padList []int64
-	if *padArray != "" {
-		if padList, err = parseInt64List(*pads); err != nil {
-			return err
-		}
-	}
-	if len(padList) == 0 {
-		padList = []int64{0}
-	}
-
-	// The candidate grid. Pad 0 means the baseline layout (nil Layout).
 	// Invalid geometries stay in the grid: SolveBatch records them as
 	// per-candidate errors, so the JSON report carries the whole grid
 	// instead of silently dropping rows.
-	var cands []cme.Candidate
-	var padOf []int64 // parallel to cands, for reporting and -check
-	for _, cs := range css {
-		for _, ls := range lss {
-			for _, k := range kss {
-				cfg := cache.Config{SizeBytes: cs, LineBytes: ls, Assoc: int(k)}
-				for _, pad := range padList {
-					c := cme.Candidate{Label: cfg.String(), Config: cfg}
-					if pad > 0 {
-						c.Label = fmt.Sprintf("%s+pad%d", cfg.String(), pad)
-						c.Layout = &layout.Options{PadOf: map[string]int64{*padArray: pad}}
-					}
-					cands = append(cands, c)
-					padOf = append(padOf, pad)
-				}
-			}
-		}
+	wcs, err := grid.Candidates(spec.Limits{Who: "cachette"})
+	if err != nil {
+		return err
 	}
-	if len(cands) == 0 {
-		return fmt.Errorf("sweep: empty candidate grid")
-	}
+	cands := spec.Solvers(wcs)
 
 	opt := cme.Options{Adaptive: *adaptive, NoSymbolic: *noSymbolic, ProfileLabels: prof()}
-	var plan *sampling.Plan
-	if !*exact {
-		plan = &sampling.Plan{C: *conf, W: *width}
-		if err := plan.Validate(); err != nil {
-			return err
-		}
+	plan, err := spec.Plan(*exact, *conf, *width)
+	if err != nil {
+		return err
 	}
 	var rc *cme.ResultCache
 	if *rcFile != "" {
@@ -229,7 +177,7 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	rep := sweepReport{Program: p.Name, Size: *size, Iters: *iters, Exact: *exact,
+	rep := sweepReport{Program: p.Name, Size: *pf.size, Iters: *pf.iters, Exact: *exact,
 		Candidates: len(cands), GoMaxProcs: runtime.GOMAXPROCS(0), Workers: *workers,
 		BatchNs: batchNs}
 	if plan != nil {
@@ -270,7 +218,7 @@ func cmdSweep(args []string) error {
 			row.Speedup = float64(fusedNs) / float64(geomNs)
 		}
 		for i := range cands {
-			if err := sweepSameReport(freps[i], greps[i], cands[i].Label); err != nil {
+			if err := sameCounts("sweep -geom-bench: "+cands[i].Label, freps[i], greps[i]); err != nil {
 				return fmt.Errorf("geom tier diverged from the fused baseline: %w", err)
 			}
 			if g := greps[i].Geom; g != nil {
@@ -302,11 +250,11 @@ func cmdSweep(args []string) error {
 			if reps[i] == nil {
 				continue // failed candidate; its error is recorded on the row
 			}
-			want, err := soloSolve(*file, *consts, *name, *size, *iters, c, opt, plan)
+			want, err := soloSolve(pf, c, opt, plan)
 			if err != nil {
 				return fmt.Errorf("sweep -check: %s: %v", c.Label, err)
 			}
-			if err := sweepSameReport(want, reps[i], c.Label); err != nil {
+			if err := sameCounts("sweep -check: "+c.Label, want, reps[i]); err != nil {
 				return err
 			}
 			checked++
@@ -329,7 +277,7 @@ func cmdSweep(args []string) error {
 	var cprov []obs.CandidateProvenance
 	for i, c := range cands {
 		row := sweepResult{Label: c.Label, CacheSize: c.Config.SizeBytes, LineSize: c.Config.LineBytes,
-			Assoc: c.Config.Assoc, Pad: padOf[i]}
+			Assoc: c.Config.Assoc, Pad: wcs[i].Pad}
 		cp := obs.CandidateProvenance{Label: c.Label}
 		r := reps[i]
 		if r == nil {
@@ -340,7 +288,7 @@ func cmdSweep(args []string) error {
 			rep.Results = append(rep.Results, row)
 			cprov = append(cprov, cp)
 			fmt.Printf("%10d %6d %6d %8d %29s\n",
-				c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, padOf[i], "error: "+row.Error)
+				c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, wcs[i].Pad, "error: "+row.Error)
 			continue
 		}
 		row.MissRatio = r.MissRatio()
@@ -351,7 +299,7 @@ func cmdSweep(args []string) error {
 		cp.MissRatioPct = row.MissRatio
 		simCol := "-"
 		if *sim {
-			sr, err := simulateUnder(*file, *consts, *name, *size, *iters, c)
+			sr, err := simulateUnder(pf, c)
 			if err != nil {
 				return err
 			}
@@ -361,7 +309,7 @@ func cmdSweep(args []string) error {
 		rep.Results = append(rep.Results, row)
 		cprov = append(cprov, cp)
 		fmt.Printf("%10d %6d %6d %8d %10.2f %6s %10s\n",
-			c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, padOf[i], row.MissRatio, row.Tier, simCol)
+			c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, wcs[i].Pad, row.MissRatio, row.Tier, simCol)
 	}
 
 	blob, err := json.MarshalIndent(&rep, "", "  ")
@@ -386,39 +334,13 @@ func cmdSweep(args []string) error {
 	return nil
 }
 
-// parseInt64List parses a comma-separated integer list.
-func parseInt64List(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseInt(part, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // soloSolve runs the classic per-candidate pipeline from scratch — load,
-// inline, normalise, lay out (with the candidate's padding), analyse — the
-// baseline the batch solver is measured and verified against.
-func soloSolve(file, consts, name string, size, iters int64, c cme.Candidate, opt cme.Options, plan *sampling.Plan) (*cme.Report, error) {
-	p, err := loadProgram(file, consts, name, size, iters)
+// front end with the candidate's padding, analyse — the baseline the
+// batch solver is measured and verified against.
+func soloSolve(pf *programFlags, c cme.Candidate, opt cme.Options, plan *sampling.Plan) (*cme.Report, error) {
+	np, err := loadUnder(pf, c)
 	if err != nil {
 		return nil, err
-	}
-	np, _, err := prepare(p)
-	if err != nil {
-		return nil, err
-	}
-	if c.Layout != nil {
-		if err := layout.AssignProgram(np, *c.Layout); err != nil {
-			return nil, err
-		}
 	}
 	a, err := cme.New(np, c.Config, opt)
 	if err != nil {
@@ -430,43 +352,27 @@ func soloSolve(file, consts, name string, size, iters int64, c cme.Candidate, op
 	return a.EstimateMisses(*plan)
 }
 
-// sweepSameReport verifies bit-identity between a batch report and its
-// independent twin. Reference identity is by position and ID (the programs
-// are separate builds of the same source, so pointers differ).
-func sweepSameReport(want, got *cme.Report, label string) error {
-	if got == nil {
-		return fmt.Errorf("sweep -check: %s: missing batch report", label)
-	}
-	if len(want.Refs) != len(got.Refs) {
-		return fmt.Errorf("sweep -check: %s: %d refs vs %d", label, len(got.Refs), len(want.Refs))
-	}
-	for i, w := range want.Refs {
-		g := got.Refs[i]
-		if w.Ref.ID != g.Ref.ID || w.Volume != g.Volume || w.Analyzed != g.Analyzed ||
-			w.Hits != g.Hits || w.Cold != g.Cold || w.Repl != g.Repl {
-			return fmt.Errorf("sweep -check: %s: ref %s diverged: got {analyzed %d hits %d cold %d repl %d} want {analyzed %d hits %d cold %d repl %d}",
-				label, w.Ref.ID, g.Analyzed, g.Hits, g.Cold, g.Repl, w.Analyzed, w.Hits, w.Cold, w.Repl)
-		}
-	}
-	return nil
-}
-
 // simulateUnder replays the exact simulator for one candidate on a fresh
 // build of the program (simulation is display-only and documented slow, so
 // a rebuild per candidate keeps the layout handling trivially correct).
-func simulateUnder(file, consts, name string, size, iters int64, c cme.Candidate) (float64, error) {
-	p, err := loadProgram(file, consts, name, size, iters)
+func simulateUnder(pf *programFlags, c cme.Candidate) (float64, error) {
+	np, err := loadUnder(pf, c)
 	if err != nil {
 		return 0, err
-	}
-	np, _, err := prepare(p)
-	if err != nil {
-		return 0, err
-	}
-	if c.Layout != nil {
-		if err := layout.AssignProgram(np, *c.Layout); err != nil {
-			return 0, err
-		}
 	}
 	return trace.Simulate(np, c.Config).MissRatio(), nil
+}
+
+// loadUnder builds the program afresh under the candidate's layout.
+func loadUnder(pf *programFlags, c cme.Candidate) (*ir.NProgram, error) {
+	p, err := pf.load()
+	if err != nil {
+		return nil, err
+	}
+	fe := spec.FrontEnd{}
+	if c.Layout != nil {
+		fe.Layout = *c.Layout
+	}
+	np, _, err := fe.Run(p)
+	return np, err
 }

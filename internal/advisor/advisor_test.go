@@ -10,8 +10,8 @@ import (
 	"cachemodel/internal/cme"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/kernels"
-	"cachemodel/internal/layout"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 )
 
 func plan() sampling.Plan { return sampling.Plan{C: 0.95, W: 0.05} }
@@ -34,7 +34,7 @@ func conflictProgram(n int64) *ir.Program {
 // TestDiagnoseCrossInterference: the diagnosis must name B as the top
 // interferer evicting A's lines (and vice versa) in the conflict program.
 func TestDiagnoseCrossInterference(t *testing.T) {
-	np, err := prepare(conflictProgram(4096), layoutOptions())
+	np, _, err := spec.FrontEnd{}.Run(conflictProgram(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDiagnoseSelfInterference(t *testing.T) {
 		End().End()
 	p := ir.NewProgram("SELF")
 	p.Add(b.Build())
-	np, err := prepare(p, layoutOptions())
+	np, _, err := spec.FrontEnd{}.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSearchParameterClosedFormPrunes(t *testing.T) {
 		if builtAt[v] != 0 {
 			t.Errorf("dominated candidate %d was instantiated %d times", v, builtAt[v])
 		}
-		np, err := prepare(conflictProgram(v), layoutOptions())
+		np, _, err := spec.FrontEnd{}.Run(conflictProgram(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,8 +193,6 @@ func TestSearchParameterTileFamilyUnchanged(t *testing.T) {
 		}
 	}
 }
-
-func layoutOptions() layout.Options { return layout.Options{} }
 
 // TestFrontier pins the pruning contract the dist coordinator builds on:
 // the best max(1, keep) choices always survive, plus anything within

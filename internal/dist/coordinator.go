@@ -13,6 +13,7 @@ import (
 
 	"cachemodel/internal/cme"
 	"cachemodel/internal/obs"
+	"cachemodel/internal/spec"
 )
 
 // Options configures a Coordinator. The zero value is usable.
@@ -359,6 +360,11 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
+// limits are the coordinator's admission bounds in the spec vocabulary.
+func (c *Coordinator) limits() spec.Limits {
+	return spec.Limits{Who: "coordinator", MaxSize: c.opt.MaxProblemSize, MaxCandidates: c.opt.MaxCandidates}
+}
+
 // AddSweep validates and decomposes a sweep, returning its status. The
 // sweep id covers the full candidate grid plus every row-affecting spec
 // field (solve mode, prune knobs, budget), so resubmitting an identical
@@ -373,27 +379,25 @@ func (c *Coordinator) AddSweep(ctx context.Context, spec *SweepSpec) (*SweepStat
 // replay of a prune sweep, is the prune pass's journalled outcome: replay
 // re-applies it instead of re-running the solve pass (which would make
 // startup arbitrarily slow for a journal full of prune sweeps).
-func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledPrune *map[int]Row, replay bool) (*SweepStatus, error) {
-	wcs, err := spec.grid()
+func (c *Coordinator) addSweep(ctx context.Context, sw *SweepSpec, journalledPrune *map[int]Row, replay bool) (*SweepStatus, error) {
+	lim := c.limits()
+	wcs, err := sw.grid(lim)
 	if err != nil {
 		return nil, err
 	}
-	if len(wcs) > c.opt.MaxCandidates {
-		return nil, fmt.Errorf("candidate grid of %d exceeds the coordinator limit %d", len(wcs), c.opt.MaxCandidates)
-	}
-	if err := spec.ProgramSpec.checkSize(c.opt.MaxProblemSize); err != nil {
+	if err := sw.ProgramSpec.Check(lim); err != nil {
 		return nil, err
 	}
-	prep, err := c.preps.get(&spec.ProgramSpec, spec.SolveSpec)
+	prep, err := c.preps.get(&sw.ProgramSpec, sw.SolveSpec)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := spec.plan()
+	plan, err := sw.plan()
 	if err != nil {
 		return nil, err
 	}
-	cands := candidates(wcs)
-	id := sweepID(prep.SolveKey(cands, plan), spec)
+	cands := spec.Solvers(wcs)
+	id := sweepID(prep.SolveKey(cands, plan), sw)
 
 	// Trace context: an obs collector in ctx wins (in-process submitter),
 	// then a remote traceparent (HTTP header / journal replay), then a
@@ -421,8 +425,8 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 	// The prune pass solves (cheap tier), so it runs outside the lock,
 	// bounded by the prune semaphore.
 	prunedRows := map[int]Row{}
-	if spec.Prune {
-		if spec.PadArray != "" {
+	if sw.Prune {
+		if sw.PadArray != "" {
 			return nil, fmt.Errorf("prune is not supported with a pad axis (the advisor ranks geometries, not layouts)")
 		}
 		if journalledPrune != nil {
@@ -430,14 +434,14 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 			if prunedRows == nil {
 				prunedRows = map[int]Row{}
 			}
-		} else if prunedRows, err = c.runPrune(ctx, spec, wcs); err != nil {
+		} else if prunedRows, err = c.runPrune(ctx, sw, wcs); err != nil {
 			return nil, err
 		}
 	}
 
 	ss := &sweepState{
 		id:         id,
-		spec:       spec,
+		spec:       sw,
 		program:    prep.Program().Name,
 		wcs:        wcs,
 		traceID:    traceID,
@@ -458,7 +462,7 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 	ss.remaining = len(wcs) - len(prunedRows)
 	mPruned.Add(int64(ss.pruned))
 
-	unitSize := spec.UnitSize
+	unitSize := sw.UnitSize
 	if unitSize < 1 {
 		unitSize = 1
 	}
@@ -531,8 +535,8 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 	// stretches), and columns below the tier's minimum gain nothing and
 	// stay on the consecutive-run path.
 	var columned []bool
-	if spec.Exact && unitSize <= 1 && !spec.NoColumnUnits &&
-		spec.MaxPoints == 0 && spec.TimeoutMs == 0 {
+	if sw.Exact && unitSize <= 1 && !sw.NoColumnUnits &&
+		sw.MaxPoints == 0 && sw.TimeoutMs == 0 {
 		type colKey struct {
 			lineBytes int64
 			assoc     int
@@ -564,7 +568,7 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 				colWcs[j] = wcs[gi]
 				columned[gi] = true
 			}
-			key := unitKey(prep.SolveKey(colCands, plan), spec.SolveSpec)
+			key := unitKey(prep.SolveKey(colCands, plan), sw.SolveSpec)
 			addUnit(key, unitRef{sweep: ss, start: idxs[0], cands: colWcs, idxs: idxs})
 		}
 	}
@@ -578,13 +582,13 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 		for j < len(wcs) && j-i < unitSize && !ss.filled[j] && (columned == nil || !columned[j]) {
 			j++
 		}
-		key := unitKey(prep.SolveKey(cands[i:j], plan), spec.SolveSpec)
+		key := unitKey(prep.SolveKey(cands[i:j], plan), sw.SolveSpec)
 		addUnit(key, unitRef{sweep: ss, start: i, cands: wcs[i:j]})
 		i = j
 	}
 	if !replay {
-		rec := journalRec{T: recSweep, Sweep: id, Spec: spec, Trace: ss.traceID}
-		if spec.Prune {
+		rec := journalRec{T: recSweep, Sweep: id, Spec: sw, Trace: ss.traceID}
+		if sw.Prune {
 			// Journal the prune outcome with the submission so replay
 			// re-applies it instead of re-solving the cheap pass.
 			rec.Pruned = &prunedRows

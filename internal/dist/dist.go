@@ -28,118 +28,19 @@ package dist
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"time"
 
 	"cachemodel/internal/budget"
-	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/fparse"
-	"cachemodel/internal/inline"
-	"cachemodel/internal/ir"
-	"cachemodel/internal/kernels"
-	"cachemodel/internal/layout"
-	"cachemodel/internal/normalize"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 )
 
 // ProgramSpec names the program a sweep analyses: a built-in workload
 // (Program) or inline FORTRAN source (Source, with compile-time Consts).
-// It mirrors the serve layer's wire form so clients can reuse payloads.
-type ProgramSpec struct {
-	Program string           `json:"program,omitempty"`
-	Source  string           `json:"source,omitempty"`
-	Consts  map[string]int64 `json:"consts,omitempty"`
-	Size    int64            `json:"size,omitempty"`  // default 32
-	Iters   int64            `json:"iters,omitempty"` // default 2
-}
-
-// build instantiates and prepares the program (inline, normalise, assign
-// the baseline layout). It applies no size bound: the coordinator admits
-// a spec with checkSize first, and workers trust that admission.
-func (s *ProgramSpec) build() (*ir.NProgram, error) {
-	p, err := s.program()
-	if err != nil {
-		return nil, err
-	}
-	flat, _, err := inline.Flatten(p, inline.Options{})
-	if err != nil {
-		return nil, err
-	}
-	np, err := normalize.Normalize(flat)
-	if err != nil {
-		return nil, err
-	}
-	if err := layout.AssignProgram(np, layout.Options{}); err != nil {
-		return nil, err
-	}
-	np.Name = p.Name
-	return np, nil
-}
-
-// dims is the spec's problem size and iteration count, defaults applied.
-func (s *ProgramSpec) dims() (size, iters int64, err error) {
-	size, iters = s.Size, s.Iters
-	if size == 0 {
-		size = 32
-	}
-	if iters == 0 {
-		iters = 2
-	}
-	if size < 1 || iters < 1 {
-		return 0, 0, fmt.Errorf("size and iters must be positive (got %d, %d)", size, iters)
-	}
-	return size, iters, nil
-}
-
-// checkSize is the coordinator's admission bound on the problem size.
-func (s *ProgramSpec) checkSize(maxSize int64) error {
-	size, _, err := s.dims()
-	if err != nil {
-		return err
-	}
-	if size > maxSize {
-		return fmt.Errorf("size %d exceeds the coordinator limit %d", size, maxSize)
-	}
-	return nil
-}
-
-// program instantiates the raw IR program from the spec.
-func (s *ProgramSpec) program() (*ir.Program, error) {
-	size, iters, err := s.dims()
-	if err != nil {
-		return nil, err
-	}
-	if s.Source != "" {
-		if s.Program != "" {
-			return nil, fmt.Errorf("set program or source, not both")
-		}
-		cm := map[string]int64{}
-		for k, v := range s.Consts {
-			cm[strings.ToUpper(k)] = v
-		}
-		return fparse.Parse(s.Source, cm)
-	}
-	switch strings.ToLower(s.Program) {
-	case "":
-		return nil, fmt.Errorf("missing program (or inline source)")
-	case "tomcatv":
-		return kernels.Tomcatv(size, iters), nil
-	case "swim":
-		return kernels.Swim(size, iters), nil
-	case "applu":
-		return kernels.Applu(size, iters), nil
-	case "vcycle":
-		return kernels.VCycle(size, iters), nil
-	}
-	for _, ks := range kernels.Suite() {
-		if strings.EqualFold(ks.Name, s.Program) {
-			return ks.Build(size), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown program %q", s.Program)
-}
+// It is the serve layer's wire form, so clients can reuse payloads.
+// Workers build it unbounded (spec.Limits{}): the coordinator admitted it.
+type ProgramSpec = spec.Program
 
 // SolveSpec is the result-affecting solve mode shared by a sweep and its
 // units: it must travel with every unit so a worker reproduces exactly
@@ -158,21 +59,7 @@ type SolveSpec struct {
 
 // plan validates the sampled-tier parameters (nil when exact).
 func (s SolveSpec) plan() (*sampling.Plan, error) {
-	if s.Exact {
-		return nil, nil
-	}
-	conf, width := s.Confidence, s.Width
-	if conf == 0 {
-		conf = 0.95
-	}
-	if width == 0 {
-		width = 0.05
-	}
-	plan := &sampling.Plan{C: conf, W: width}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return spec.Plan(s.Exact, s.Confidence, s.Width)
 }
 
 // options maps the spec to solver options.
@@ -244,79 +131,19 @@ func (s *SweepSpec) pruneMargin() float64 {
 }
 
 // grid materialises the candidate grid in deterministic order — the order
-// is part of the sweep's content address and of the merged report.
-// Invalid geometries stay in the grid and fail per candidate, exactly as
-// in `cachette sweep`.
-func (s *SweepSpec) grid() ([]WireCandidate, error) {
-	css := s.CacheSizes
-	if len(css) == 0 {
-		css = []int64{4096, 8192, 16384, 32768, 65536}
-	}
-	lss := s.LineSizes
-	if len(lss) == 0 {
-		lss = []int64{32}
-	}
-	kss := s.Assocs
-	if len(kss) == 0 {
-		kss = []int{1, 2, 4}
-	}
-	padList := s.Pads
-	if s.PadArray == "" && len(padList) > 0 {
-		return nil, fmt.Errorf("pads given without pad_array")
-	}
-	if len(padList) == 0 {
-		padList = []int64{0}
-	}
-	var wcs []WireCandidate
-	for _, cs := range css {
-		for _, ls := range lss {
-			for _, k := range kss {
-				cfg := cache.Config{SizeBytes: cs, LineBytes: ls, Assoc: k}
-				for _, pad := range padList {
-					wc := WireCandidate{Label: cfg.String(),
-						CacheBytes: cs, LineBytes: ls, Assoc: k}
-					if pad > 0 {
-						wc.Label = fmt.Sprintf("%s+pad%d", cfg.String(), pad)
-						wc.PadArray, wc.Pad = s.PadArray, pad
-					}
-					wcs = append(wcs, wc)
-				}
-			}
-		}
-	}
-	return wcs, nil
+// is part of the sweep's content address and of the merged report —
+// refusing a grid over lim before allocating it. Invalid geometries stay
+// in the grid and fail per candidate, exactly as in `cachette sweep`.
+func (s *SweepSpec) grid(lim spec.Limits) ([]WireCandidate, error) {
+	g := spec.Grid{CacheSizes: s.CacheSizes, LineSizes: s.LineSizes, Assocs: s.Assocs,
+		PadArray: s.PadArray, Pads: s.Pads}
+	return g.Candidates(lim)
 }
 
 // WireCandidate is the explicit wire form of one cme.Candidate: geometry
 // plus optional padding layout, self-contained so a worker reconstructs
 // the exact candidate without sharing memory with the coordinator.
-type WireCandidate struct {
-	Label      string `json:"label"`
-	CacheBytes int64  `json:"cache_bytes"`
-	LineBytes  int64  `json:"line_bytes"`
-	Assoc      int    `json:"assoc"`
-	PadArray   string `json:"pad_array,omitempty"`
-	Pad        int64  `json:"pad,omitempty"`
-}
-
-// candidate reconstructs the solver candidate.
-func (wc WireCandidate) candidate() cme.Candidate {
-	c := cme.Candidate{Label: wc.Label,
-		Config: cache.Config{SizeBytes: wc.CacheBytes, LineBytes: wc.LineBytes, Assoc: wc.Assoc}}
-	if wc.Pad > 0 && wc.PadArray != "" {
-		c.Layout = &layout.Options{PadOf: map[string]int64{wc.PadArray: wc.Pad}}
-	}
-	return c
-}
-
-// candidates converts a wire slice for the solver.
-func candidates(wcs []WireCandidate) []cme.Candidate {
-	out := make([]cme.Candidate, len(wcs))
-	for i, wc := range wcs {
-		out[i] = wc.candidate()
-	}
-	return out
-}
+type WireCandidate = spec.Candidate
 
 // RefRow is the per-reference row of a candidate result: the raw counts,
 // so bit-identity between a distributed and a single-process run is
@@ -365,11 +192,11 @@ func (s *SweepSpec) SolveLocal(ctx context.Context, workers int) ([]Row, error) 
 	if s.Prune {
 		return nil, errors.New("dist: SolveLocal is incompatible with prune")
 	}
-	wcs, err := s.grid()
+	wcs, err := s.grid(spec.Limits{})
 	if err != nil {
 		return nil, err
 	}
-	np, err := s.ProgramSpec.build()
+	np, err := s.ProgramSpec.Prepare(spec.Limits{})
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +208,7 @@ func (s *SweepSpec) SolveLocal(ctx context.Context, workers int) ([]Row, error) 
 	if err != nil {
 		return nil, err
 	}
-	reps, err := prep.SolveBatch(ctx, candidates(wcs), cme.BatchOptions{
+	reps, err := prep.SolveBatch(ctx, spec.Solvers(wcs), cme.BatchOptions{
 		Plan: plan, Workers: workers, Budget: s.SolveSpec.budget(),
 	})
 	var be *cme.BatchError

@@ -14,6 +14,7 @@ import (
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cerr"
 	"cachemodel/internal/cme"
+	"cachemodel/internal/spec"
 )
 
 // testSpec is the shared small workload: fast enough for exact solves,
@@ -31,25 +32,25 @@ func testSpec() *SweepSpec {
 
 // baselineRows renders the single-process SolveBatch answer for a spec —
 // the byte-level ground truth every distributed schedule must reproduce.
-func baselineRows(t *testing.T, spec *SweepSpec) []Row {
+func baselineRows(t *testing.T, sw *SweepSpec) []Row {
 	t.Helper()
-	wcs, err := spec.grid()
+	wcs, err := sw.grid(spec.Limits{})
 	if err != nil {
 		t.Fatalf("grid: %v", err)
 	}
-	np, err := spec.ProgramSpec.build()
+	np, err := sw.ProgramSpec.Prepare(spec.Limits{})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	prep, err := cme.Prepare(np, spec.options())
+	prep, err := cme.Prepare(np, sw.options())
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	plan, err := spec.plan()
+	plan, err := sw.plan()
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	reps, err := prep.SolveBatch(context.Background(), candidates(wcs), cme.BatchOptions{Plan: plan})
+	reps, err := prep.SolveBatch(context.Background(), spec.Solvers(wcs), cme.BatchOptions{Plan: plan})
 	return RenderRows(wcs, reps, err)
 }
 
@@ -392,15 +393,7 @@ func TestJournalResume(t *testing.T) {
 		t.Fatalf("lease status %q", lr.Status)
 	}
 	// Solve the leased unit out of band, exactly as a worker would.
-	np, err := spec.ProgramSpec.build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	prep, err := cme.Prepare(np, spec.options())
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	reps, serr := prep.SolveBatch(context.Background(), candidates(lr.Unit.Candidates), cme.BatchOptions{})
+	reps, serr := rawSolveBatch(t, lr.Unit)
 	if err := a.Complete("pre", lr.Sweep, lr.Unit.Key, RenderRows(lr.Unit.Candidates, reps, serr), "", nil); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"cachemodel/internal/cme"
 	"cachemodel/internal/obs"
+	"cachemodel/internal/spec"
 )
 
 // heldLease runs LeaseWait for worker on its own goroutine and returns
@@ -240,7 +241,14 @@ func TestRawLeaseLoopHonouringHint(t *testing.T) {
 // rawSolve solves one unit the way any client could: from the spec alone.
 func rawSolve(t *testing.T, u *UnitSpec) []Row {
 	t.Helper()
-	np, err := u.Program.build()
+	reps, err := rawSolveBatch(t, u)
+	return RenderRows(u.Candidates, reps, err)
+}
+
+// rawSolveBatch is rawSolve's solve, before rendering.
+func rawSolveBatch(t *testing.T, u *UnitSpec) ([]*cme.Report, error) {
+	t.Helper()
+	np, err := u.Program.Prepare(spec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +260,7 @@ func rawSolve(t *testing.T, u *UnitSpec) []Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps, err := prep.SolveBatch(context.Background(), candidates(u.Candidates), cme.BatchOptions{Plan: plan})
-	return RenderRows(u.Candidates, reps, err)
+	return prep.SolveBatch(context.Background(), spec.Solvers(u.Candidates), cme.BatchOptions{Plan: plan})
 }
 
 // len is the number of memoised programs.

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"cachemodel/internal/cme"
+	"cachemodel/internal/spec"
 )
 
 // prepMemoCap bounds how many prepared programs one memo keeps. A worker
@@ -55,7 +56,7 @@ func prepKey(ps *ProgramSpec, ss SolveSpec) string {
 // get returns the prepared program for (ps, ss), building and inserting
 // it on a miss and evicting the least recently used entry beyond
 // prepMemoCap. Build errors are memoised like results. The caller applies
-// any admission bound (checkSize) before calling: get builds unbounded.
+// any admission bound (Program.Check) before calling: get builds unbounded.
 func (m *prepMemo) get(ps *ProgramSpec, ss SolveSpec) (*cme.Prepared, error) {
 	key := prepKey(ps, ss)
 	m.mu.Lock()
@@ -75,7 +76,7 @@ func (m *prepMemo) get(ps *ProgramSpec, ss SolveSpec) (*cme.Prepared, error) {
 	m.mu.Unlock()
 
 	defer close(e.ready)
-	np, err := ps.build()
+	np, err := ps.Prepare(spec.Limits{})
 	if err != nil {
 		e.err = err
 		return nil, err

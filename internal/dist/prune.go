@@ -8,6 +8,7 @@ import (
 	"cachemodel/internal/cache"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 )
 
 // prunePlan is the cheap sampled tier the advisor pass ranks geometries
@@ -22,21 +23,21 @@ var prunePlan = sampling.Plan{C: 0.9, W: 0.1}
 // Candidates the cheap pass could not rank (per-candidate errors,
 // incomplete coverage) are kept for the real solve rather than guessed
 // at.
-func pruneGrid(ctx context.Context, spec *SweepSpec, wcs []WireCandidate) (map[int]Row, error) {
-	p, err := spec.ProgramSpec.program()
+func pruneGrid(ctx context.Context, sw *SweepSpec, wcs []WireCandidate) (map[int]Row, error) {
+	p, err := sw.ProgramSpec.Build(spec.Limits{})
 	if err != nil {
 		return nil, err
 	}
 	cfgs := make([]cache.Config, len(wcs))
 	for i, wc := range wcs {
-		cfgs[i] = wc.candidate().Config
+		cfgs[i] = wc.Solver().Config
 	}
-	choices, err := advisor.SearchConfigs(ctx, func() *ir.Program { return p }, cfgs, spec.options(), &prunePlan)
+	choices, err := advisor.SearchConfigs(ctx, func() *ir.Program { return p }, cfgs, sw.options(), &prunePlan)
 	if err != nil && len(choices) == 0 {
 		return nil, fmt.Errorf("prune pass: %w", err)
 	}
 	surviving := map[string]bool{}
-	for _, ch := range advisor.Frontier(choices, spec.pruneKeep(), spec.pruneMargin()) {
+	for _, ch := range advisor.Frontier(choices, sw.pruneKeep(), sw.pruneMargin()) {
 		surviving[ch.Label] = true
 	}
 	ranked := map[string]float64{}

@@ -13,6 +13,7 @@ import (
 	"cachemodel/internal/cme"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/retry"
+	"cachemodel/internal/spec"
 )
 
 // ErrKilled is the chaos-test sentinel: a budget hook returning it makes
@@ -276,7 +277,7 @@ func (w *Worker) process(ctx context.Context, lr *LeaseResponse) error {
 	if err != nil {
 		solveErr = err
 	} else {
-		reps, solveErr = prep.SolveBatch(solveCtx, candidates(u.Candidates), cme.BatchOptions{
+		reps, solveErr = prep.SolveBatch(solveCtx, spec.Solvers(u.Candidates), cme.BatchOptions{
 			Plan:    plan,
 			Cache:   w.rc,
 			Workers: w.opt.SolveWorkers,

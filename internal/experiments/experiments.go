@@ -15,14 +15,12 @@ import (
 
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/inline"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/kernels"
-	"cachemodel/internal/layout"
-	"cachemodel/internal/normalize"
 	"cachemodel/internal/prob"
 	"cachemodel/internal/reuse"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 	"cachemodel/internal/trace"
 )
 
@@ -91,23 +89,6 @@ var Paper = Scale{
 // Scales maps names to the predefined scales.
 var Scales = map[string]Scale{"quick": Quick, "medium": Medium, "paper": Paper}
 
-// prepare inlines, normalises and lays out a program.
-func prepare(p *ir.Program) (*ir.NProgram, error) {
-	flat, _, err := inline.Flatten(p, inline.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("%s: inline: %w", p.Name, err)
-	}
-	np, err := normalize.Normalize(flat)
-	if err != nil {
-		return nil, fmt.Errorf("%s: normalize: %w", p.Name, err)
-	}
-	if err := layout.AssignProgram(np, layout.Options{}); err != nil {
-		return nil, fmt.Errorf("%s: layout: %w", p.Name, err)
-	}
-	np.Name = p.Name
-	return np, nil
-}
-
 func assocName(k int) string {
 	if k == 1 {
 		return "direct"
@@ -143,9 +124,9 @@ func kernelPrograms(sc Scale) []*ir.Program {
 func RunTable3(sc Scale) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, p := range kernelPrograms(sc) {
-		np, err := prepare(p)
+		np, _, err := spec.FrontEnd{}.Run(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		vecs := reuse.Generate(np, sc.Cache(1), reuse.Options{})
 		for _, assoc := range []int{1, 2, 4} {
@@ -204,9 +185,9 @@ type Table4Row struct {
 func RunTable4(sc Scale) ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, p := range kernelPrograms(sc) {
-		np, err := prepare(p)
+		np, _, err := spec.FrontEnd{}.Run(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		vecs := reuse.Generate(np, sc.Cache(1), reuse.Options{})
 		for _, assoc := range []int{1, 2, 4} {
@@ -266,9 +247,9 @@ func RunTable5(sc Scale) ([]Table5Row, error) {
 	var rows []Table5Row
 	for _, p := range progs {
 		st := p.CollectStats()
-		np, err := prepare(p)
+		np, _, err := spec.FrontEnd{}.Run(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		rows = append(rows, Table5Row{
 			Program:     p.Name,
@@ -313,9 +294,9 @@ func RunTable6(sc Scale) ([]Table6Row, error) {
 	}
 	var rows []Table6Row
 	for _, p := range progs {
-		np, err := prepare(p)
+		np, _, err := spec.FrontEnd{}.Run(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		vecs := reuse.Generate(np, sc.Cache(1), reuse.Options{})
 		for _, assoc := range []int{1, 2, 4} {
@@ -423,7 +404,7 @@ func RunTable7(shrink int64, configs []Table7Config) ([]Table7Row, error) {
 			cfg.SizeBytes += cfg.LineBytes*int64(cfg.Assoc) - cfg.SizeBytes%(cfg.LineBytes*int64(cfg.Assoc))
 		}
 		ran := Table7Config{N: n, BJ: bj, BK: bk, CsKB: cfg.SizeBytes / 1024, LsElems: tc.LsElems, Assoc: tc.Assoc}
-		np, err := prepare(kernels.MMT(n, bj, bk))
+		np, _, err := spec.FrontEnd{}.Run(kernels.MMT(n, bj, bk))
 		if err != nil {
 			return nil, err
 		}
