@@ -124,7 +124,11 @@ func cmdBench(args []string) error {
 	fs.Parse(args)
 
 	if *scaling {
-		ns, err := ladder()
+		l, err := ladder()
+		if err != nil {
+			return err
+		}
+		ns, err := l.Sizes(cliLimits)
 		if err != nil {
 			return err
 		}

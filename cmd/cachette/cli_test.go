@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -173,17 +174,20 @@ func TestCLIListRuns(t *testing.T) {
 	}
 }
 
-// TestCLIScalingClosedForm runs the scaling subcommand end to end on a
-// small ladder and checks it reports full closed-form coverage.
+// TestCLIScalingClosedForm runs `sweep` with a size ladder end to end on
+// one geometry and checks it reports full closed-form coverage, one
+// labelled row per ladder size in the JSON report. The removed `scaling`
+// subcommand is unknown.
 func TestCLIScalingClosedForm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a CLI process")
 	}
-	out, err := cliCommand(t, "scaling", "-program", "hydro",
-		"-cache", "256", "-line", "32", "-assoc", "1",
-		"-from", "128", "-to", "224", "-step", "32").CombinedOutput()
+	outPath := filepath.Join(t.TempDir(), "ladder.json")
+	out, err := cliCommand(t, "sweep", "-exact", "-program", "hydro",
+		"-sizes", "256", "-lines", "32", "-assocs", "1",
+		"-from", "128", "-to", "224", "-step", "32", "-refs", "-out", outPath).CombinedOutput()
 	if err != nil {
-		t.Fatalf("scaling: %v\n%s", err, out)
+		t.Fatalf("sweep ladder: %v\n%s", err, out)
 	}
 	s := string(out)
 	if !strings.Contains(s, "closed form: period") {
@@ -192,24 +196,57 @@ func TestCLIScalingClosedForm(t *testing.T) {
 	if !strings.Contains(s, "0 fall-through(s)") {
 		t.Fatalf("expected the whole ladder in closed form:\n%s", s)
 	}
+	if !strings.Contains(s, "per-reference closed forms") {
+		t.Fatalf("-refs printed no closed forms:\n%s", s)
+	}
+	var rep struct {
+		Results []struct {
+			Label      string `json:"label"`
+			N          int64  `json:"n"`
+			ClosedForm bool   `json:"closed_form"`
+		} `json:"results"`
+	}
+	if blob, err := os.ReadFile(outPath); err != nil || json.Unmarshal(blob, &rep) != nil {
+		t.Fatalf("report unreadable: %v", err)
+	}
+	if len(rep.Results) != 4 {
+		t.Fatalf("%d rows, want 4: %+v", len(rep.Results), rep.Results)
+	}
+	for i, r := range rep.Results {
+		n := int64(128 + 32*i)
+		if r.Label != fmt.Sprintf("256B/32B/direct N=%d", n) || r.N != n || !r.ClosedForm {
+			t.Fatalf("row %d: %+v", i, r)
+		}
+	}
+	if out, err := cliCommand(t, "scaling", "-program", "hydro").CombinedOutput(); err == nil {
+		t.Fatalf("scaling subcommand still runs:\n%s", out)
+	}
 }
 
 // TestCLIScalingLadderCap: a size ladder is sized before it is built, so
 // a huge or wrapping range and sizes below 1 fail promptly with a non-zero
 // exit instead of looping or allocating. An empty sweep axis fails the
-// same way rather than running the default grid.
+// same way rather than running the default grid, and so does a flag that
+// means nothing with (or without) a ladder.
 func TestCLIScalingLadderCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns CLI processes")
 	}
+	ladder := []string{"sweep", "-exact", "-sizes", "256", "-lines", "32", "-assocs", "1"}
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"scaling", "-from", "1", "-to", "9223372036854775807", "-step", "1"}, "(max 65536)"},
+		{append(ladder, "-from", "1", "-to", "9223372036854775807", "-step", "1"), "(max 65536)"},
 		{[]string{"bench", "-scaling", "-from", "1", "-to", "100000000", "-step", "1"}, "(max 65536)"},
-		{[]string{"scaling", "-from", "0", "-to", "64", "-step", "8"}, "bad ladder"},
-		{[]string{"scaling", "-ns", "64,0"}, "sizes must be >= 1"},
+		{append(ladder, "-from", "0", "-to", "64", "-step", "8"), "bad ladder"},
+		{append(ladder, "-ns", "64,0"), "sizes must be >= 1"},
+		{[]string{"sweep", "-exact", "-sizes", "4096,8192", "-lines", "32,64", "-from", "1", "-to", "65536", "-step", "1"}, "(max 65536)"},
+		{[]string{"sweep", "-ns", "64"}, "needs -exact"},
+		{append(ladder, "-ns", "64", "-check", "-sim"), "-check, -sim mean nothing"},
+		{append(ladder, "-ns", "64", "-pad-array", "ZA"), "-pad-array mean nothing"},
+		{append(ladder, "-ns", "64", "-geom-bench"), "-geom-bench mean nothing"},
+		{[]string{"sweep", "-size", "8", "-refs"}, "-refs need a problem-size ladder"},
 		{[]string{"sweep", "-size", "8", "-sizes", ","}, "empty candidate grid"},
 		{[]string{"sweep", "-size", "8", "-assocs", ""}, "empty candidate grid"},
 	} {

@@ -78,8 +78,6 @@ func cmdDistCoordinate(args []string) error {
 	conf := fs.Float64("c", spec.DefaultConfidence, "confidence level for the sampled tier")
 	width := fs.Float64("w", spec.DefaultWidth, "confidence interval half-width for the sampled tier")
 	adaptive := fs.Bool("adaptive", false, "sampled tier: variance-driven early stopping")
-	unitSize := fs.Int("unit-size", 1, "consecutive candidates per work unit (1 = maximal stealing granularity)")
-	noColumnUnits := fs.Bool("no-column-units", false, "keep per-candidate units even when an exact same-line-size cache-size column could ship as one geometry-parametric unit")
 	prune := fs.Bool("prune", false, "search mode: rank the grid under a cheap sampled pass and shard exact solves only for the advisor frontier")
 	pruneKeep := fs.Int("prune-keep", 0, "prune: frontier floor — this many best candidates always survive (0 = default 4)")
 	pruneMargin := fs.Float64("prune-margin", 0, "prune: survive within this percent of the best candidate (0 = default 10)")
@@ -104,7 +102,6 @@ func cmdDistCoordinate(args []string) error {
 		return err
 	}
 	if sw != nil {
-		sw.UnitSize, sw.NoColumnUnits = *unitSize, *noColumnUnits
 		sw.Prune, sw.PruneKeep, sw.PruneMargin = *prune, *pruneKeep, *pruneMargin
 	}
 	if *check && sw != nil && sw.Prune {

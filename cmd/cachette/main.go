@@ -56,8 +56,6 @@ func main() {
 		err = cmdDiagnose(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
-	case "scaling":
-		err = cmdScaling(os.Args[2:])
 	case "trace":
 		err = cmdTrace(os.Args[2:])
 	case "bench":
@@ -93,8 +91,8 @@ subcommands:
   experiments  regenerate the paper's tables (2-7)
   show         print the normalised form and reuse-vector summary
   diagnose     attribute predicted misses to interfering arrays
-  sweep        sweep cache size/line/assoc, analytical vs simulated
-  scaling      miss ratio as a function of problem size N from one symbolic solve (O(1) per size)
+  sweep        sweep cache size/line/assoc, analytical vs simulated; with a size ladder,
+               misses as a function of problem size N from one symbolic solve (O(1) per size)
   trace        emit the program's memory reference trace (R/W address lines)
   bench        time the solver variants (sequential / memoized / parallel) and emit BENCH_solvers.json
   obscheck     validate a run-report JSON written by -obs-out (or, with -trace, a trace-event JSON)
@@ -107,7 +105,7 @@ requests (the same words as the JSON of serve and dist; README "Requests"):
   -program NAME | -file prog.f [-const N=100,M=50]   a built-in (cachette list), or FORTRAN and its constants
   -size, -iters                                       problem size, outer iterations
   -sizes, -lines, -assocs [-pad-array A -pads 0,8]    cache grid: size × line × assoc × pad, in that order
-  -from -to -step | -ns                               size ladder (scaling)
+  -from -to -step | -ns [-size-const N]               size ladder (sweep -exact: every geometry × every N)
   -c, -w                                              sampled-tier confidence and width (0.95, 0.05)
 
 observability (analyze, bench, sweep):

@@ -18,14 +18,11 @@ import (
 // ladders the server and the dist coordinator accept as JSON. `cachette
 // -h` describes them once.
 
-// maxLadder caps a size ladder (here and in sweep -sizes-from): ladders
-// are sized arithmetically before they are materialised, so a huge range
-// is an argument error rather than an allocation.
-const maxLadder = 65536
-
-// cliLadder admits command-line ladders; grids are bounded only by
-// overflow.
-var cliLadder = spec.Limits{Who: "cachette", MaxCandidates: maxLadder}
+// cliLimits admits command-line sweeps and ladders: at most 65536
+// answers (grid × problem-size ladder) or ladder entries, sized
+// arithmetically before anything is materialised, so a huge range is an
+// argument error rather than an allocation.
+var cliLimits = spec.Limits{Who: "cachette", MaxCandidates: 65536}
 
 // programFlags are the -program/-file/-const/-size/-iters flags.
 type programFlags struct {
@@ -93,7 +90,7 @@ func (pf *programFlags) load() (*ir.Program, error) {
 	return prog, err
 }
 
-// family is the problem-size family the flags name (scaling).
+// family is the problem-size family the flags name (ladders).
 func (pf *programFlags) family(sizeConst string) (*spec.Family, error) {
 	p, err := pf.local()
 	if err != nil {
@@ -148,22 +145,20 @@ func (gf *gridFlags) grid() (spec.Grid, error) {
 	return g, err
 }
 
-// ladderFlags registers the size-ladder flags shared by `scaling` and
-// `bench -scaling` and returns a closure producing the ladder.
-func ladderFlags(fs *flag.FlagSet) func() ([]int64, error) {
+// ladderFlags registers the problem-size ladder flags shared by `sweep`
+// and `bench -scaling` and returns a closure producing the ladder.
+func ladderFlags(fs *flag.FlagSet) func() (spec.Ladder, error) {
 	from := fs.Int64("from", 512, "smallest problem size of the ladder")
 	to := fs.Int64("to", 1472, "largest problem size of the ladder")
 	step := fs.Int64("step", 64, "ladder stride")
 	ns := fs.String("ns", "", "explicit comma-separated size list (overrides -from/-to/-step)")
-	return func() ([]int64, error) {
+	return func() (spec.Ladder, error) {
 		l := spec.Ladder{From: *from, To: *to, Step: *step}
-		if *ns != "" {
-			var err error
-			if l.Ns, err = parseInt64List(*ns); err != nil {
-				return nil, fmt.Errorf("bad -ns list: %v", err)
-			}
+		var err error
+		if l.Ns, err = parseInt64List(*ns); err != nil {
+			return l, fmt.Errorf("bad -ns list: %v", err)
 		}
-		return l.Sizes(cliLadder)
+		return l, nil
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -14,49 +13,54 @@ import (
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
+	"cachemodel/internal/obs"
 	"cachemodel/internal/spec"
 )
 
-// cmdScaling answers "how does the miss ratio scale with the problem
-// size?" from one symbolic solve: the program family is lifted to
-// piecewise quasi-polynomials in N and the ladder is answered by O(1)
-// evaluation, with per-size fall-through for sizes the closed form cannot
-// cover.
-func cmdScaling(args []string) error {
-	fs := flag.NewFlagSet("scaling", flag.ExitOnError)
-	pf := addProgramFlags(fs, "tomcatv", 0, 1)
-	sizeConst := fs.String("size-const", "N", "the -file constant that carries the problem size")
-	cs, ls, assoc := cacheFlags(fs)
-	ladder := ladderFlags(fs)
-	workers := fs.Int("workers", 0, "parallel workers for the internal fit solves (0 = GOMAXPROCS)")
-	perRef := fs.Bool("refs", false, "print the per-reference closed forms")
-	plot := fs.Bool("plot", true, "print the miss-ratio-vs-N bar plot")
-	fs.Parse(args)
+// sweepLadder is `sweep` with a problem-size ladder: "how does the miss
+// ratio scale with the problem size?" for every geometry of the grid. Each
+// geometry lifts the program family to piecewise quasi-polynomials in N
+// once and answers the ladder by O(1) evaluation, with per-size
+// fall-through for sizes the closed form cannot cover. Rows come in grid
+// order, then ladder order.
+func sweepLadder(ctx context.Context, label string, fam *spec.Family, wcs []spec.Candidate, ns []int64,
+	opt cme.Options, perRef bool) (*sweepReport, []obs.CandidateProvenance, error) {
 
-	ns, err := ladder()
-	if err != nil {
-		return err
-	}
-	fam, err := pf.family(*sizeConst)
-	if err != nil {
-		return err
-	}
-	cfg := cache.Config{SizeBytes: *cs, LineBytes: *ls, Assoc: *assoc}
-	ctx, stop := signalContext()
-	defer stop()
-
+	rep := &sweepReport{Program: label, Iters: fam.Iters, Exact: true,
+		Candidates: len(wcs) * len(ns), GoMaxProcs: runtime.GOMAXPROCS(0), Workers: opt.Workers}
+	var cprov []obs.CandidateProvenance
 	start := time.Now()
-	s, err := cme.PrepareScaling(fam.Build, cfg, cme.Options{Workers: *workers}, cme.ScalingOptions{})
-	if err != nil {
-		return err
+	for _, g := range spec.Solvers(wcs) {
+		s, err := cme.PrepareScaling(fam.Build, g.Config, opt, cme.ScalingOptions{})
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", g.Label, err)
+		}
+		reps, err := s.SolveLadder(ctx, ns)
+		if err != nil {
+			return nil, nil, err
+		}
+		printLadder(label, g.Config, s, ns, reps)
+		if perRef {
+			printMissPolys(s)
+		}
+		for i, r := range reps {
+			row := sweepResult{Label: spec.LadderLabel(g.Label, ns[i]), N: ns[i], CacheSize: g.Config.SizeBytes,
+				LineSize: g.Config.LineBytes, Assoc: g.Config.Assoc,
+				MissRatio: r.MissRatio(), Tier: r.Tier.String(), ClosedForm: r.Scaling.Closed()}
+			rep.Results = append(rep.Results, row)
+			cprov = append(cprov, obs.CandidateProvenance{Label: row.Label, Tier: row.Tier,
+				Degraded: r.Degraded, MissRatioPct: row.MissRatio})
+		}
 	}
-	reps, err := s.SolveLadder(ctx, ns)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
+	rep.BatchNs = time.Since(start).Nanoseconds()
+	fmt.Printf("  total time: %.3fs\n", time.Duration(rep.BatchNs).Seconds())
+	return rep, cprov, nil
+}
 
-	fmt.Printf("%s  scaling  cache %s\n", pf.label(), cfg)
+// printLadder prints one geometry's ladder: the closed-form summary, then
+// per size the counts, the tier that produced them and a miss-ratio bar.
+func printLadder(label string, cfg cache.Config, s *cme.ScalingSolver, ns []int64, reps []*cme.Report) {
+	fmt.Printf("%s  ladder  cache %s\n", label, cfg)
 	if !s.ClosedFormEligible() {
 		fmt.Printf("  family not liftable (%s): every size solved by fall-through\n", s.Why())
 	} else {
@@ -67,31 +71,20 @@ func cmdScaling(args []string) error {
 	fmt.Printf("  %8s %14s %14s %8s  %s\n", "N", "accesses", "misses", "%miss", "tier")
 	var maxRatio float64
 	for _, rep := range reps {
-		if rep != nil && rep.MissRatio() > maxRatio {
-			maxRatio = rep.MissRatio()
-		}
+		maxRatio = max(maxRatio, rep.MissRatio())
 	}
 	for i, rep := range reps {
-		if rep == nil {
-			fmt.Printf("  %8d %14s %14s %8s  unsolved\n", ns[i], "-", "-", "-")
-			continue
-		}
 		tier := "exact (fall-through)"
 		if rep.Scaling.Closed() {
 			tier = fmt.Sprintf("closed form (%d/%d refs)", rep.Scaling.ClosedRefs, rep.Scaling.TotalRefs)
 		}
 		bar := ""
-		if *plot && maxRatio > 0 {
+		if maxRatio > 0 {
 			bar = "  " + strings.Repeat("#", int(rep.MissRatio()/maxRatio*40+0.5))
 		}
 		fmt.Printf("  %8d %14d %14d %8.2f  %-24s%s\n",
 			ns[i], rep.TotalAccesses(), rep.ExactMisses(), rep.MissRatio(), tier, bar)
 	}
-	fmt.Printf("  total time: %.3fs\n", elapsed.Seconds())
-	if *perRef {
-		printMissPolys(s)
-	}
-	return nil
 }
 
 // printMissPolys dumps the accumulated per-reference closed forms.

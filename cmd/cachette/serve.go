@@ -30,7 +30,7 @@ func cmdServe(args []string) error {
 	defPoints := fs.Int64("default-max-points", 0, "point budget imposed on requests that declare none (0 = 1<<22)")
 	maxDeadline := fs.Duration("max-deadline", 60*time.Second, "upper bound on any job's wall-clock budget")
 	maxSize := fs.Int64("max-size", 1024, "largest accepted problem size")
-	maxCands := fs.Int("max-candidates", 256, "largest accepted sweep grid")
+	maxCands := fs.Int("max-candidates", 256, "largest accepted sweep: grid size times size-ladder length")
 	rcFile := fs.String("resultcache", "", "load the content-addressed result cache from this path at startup and flush it on drain")
 	retain := fs.Int("retain", 1024, "how many finished jobs stay queryable")
 	obsOut := fs.String("obs-out", "", "write the server's run-report JSON (job outcomes, spans, metrics) here on exit")

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"cachemodel/internal/cme"
@@ -24,6 +26,7 @@ type sweepResult struct {
 	LineSize  int64   `json:"line_bytes"`
 	Assoc     int     `json:"assoc"`
 	Pad       int64   `json:"pad_elems,omitempty"`
+	N         int64   `json:"n,omitempty"` // ladder sweeps: the problem size
 	MissRatio float64 `json:"miss_ratio_pct"`
 	Tier      string  `json:"tier,omitempty"`
 	// ClosedForm marks a candidate answered entirely by the
@@ -75,7 +78,9 @@ type sweepReport struct {
 // emits BENCH_sweep.json. With -check every candidate is also solved by an
 // independent classic pipeline run (fresh normalise + New + solve), the
 // reports are verified bit-identical, and the batch-vs-independent speedup
-// is recorded; the command fails if the batch is slower.
+// is recorded; the command fails if the batch is slower. With a
+// problem-size ladder (-from/-to/-step or -ns) every geometry is answered
+// at every ladder size by the closed-form problem-size tier instead.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	pf := addProgramFlags(fs, "hydro", 32, 2)
@@ -83,7 +88,10 @@ func cmdSweep(args []string) error {
 	sizesFrom := fs.Int64("sizes-from", 0, "generate a cache-size ladder from this many bytes (with -sizes-to/-sizes-step; replaces -sizes)")
 	sizesTo := fs.Int64("sizes-to", 0, "ladder upper bound in bytes, inclusive")
 	sizesStep := fs.Int64("sizes-step", 0, "ladder step in bytes")
-	exact := fs.Bool("exact", false, "solve every candidate exactly (FindMisses tier) instead of sampling")
+	ladder := ladderFlags(fs)
+	sizeConst := fs.String("size-const", "N", "with a ladder and -file: the constant that carries the problem size")
+	perRef := fs.Bool("refs", false, "with a ladder: print the per-reference closed forms")
+	exact := fs.Bool("exact", false, "solve every candidate exactly (FindMisses tier) instead of sampling; a ladder needs it")
 	conf := fs.Float64("c", spec.DefaultConfidence, "confidence level for the sampled tier")
 	width := fs.Float64("w", spec.DefaultWidth, "confidence interval half-width for the sampled tier")
 	adaptive := fs.Bool("adaptive", false, "sampled tier: variance-driven early stopping (Wilson interval)")
@@ -99,6 +107,55 @@ func cmdSweep(args []string) error {
 	oflags := obsFlags(fs)
 	fs.Parse(args)
 
+	grid, err := gf.grid()
+	if err != nil {
+		return err
+	}
+	if *sizesFrom > 0 {
+		l := spec.Ladder{From: *sizesFrom, To: *sizesTo, Step: *sizesStep}
+		if grid.CacheSizes, err = l.Sizes(cliLimits); err != nil {
+			return fmt.Errorf("sweep: -sizes-from: %v", err)
+		}
+	}
+	if len(grid.CacheSizes) == 0 || len(grid.LineSizes) == 0 || len(grid.Assocs) == 0 {
+		return fmt.Errorf("sweep: empty candidate grid")
+	}
+	lad, err := ladder()
+	if err != nil {
+		return err
+	}
+	// A flag the chosen mode ignores is an error, not a silent no-op.
+	var hasLadder bool
+	var gridOnly, ladderOnly []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "from", "to", "step", "ns":
+			hasLadder = true
+		case "size", "pad-array", "pads", "geom-bench", "geom-gate", "sim", "check", "resultcache":
+			gridOnly = append(gridOnly, "-"+f.Name)
+		case "size-const", "refs":
+			ladderOnly = append(ladderOnly, "-"+f.Name)
+		}
+	})
+	var sizes *spec.Ladder
+	switch {
+	case hasLadder && len(gridOnly) > 0:
+		return fmt.Errorf("sweep: %s mean nothing with a problem-size ladder", strings.Join(gridOnly, ", "))
+	case hasLadder && !*exact:
+		return fmt.Errorf("sweep: a problem-size ladder needs -exact (the closed form is exact)")
+	case hasLadder:
+		sizes = &lad
+	case len(ladderOnly) > 0:
+		return fmt.Errorf("sweep: %s need a problem-size ladder (-from/-to/-step or -ns)", strings.Join(ladderOnly, ", "))
+	}
+	// Invalid geometries stay in the grid: SolveBatch records them as
+	// per-candidate errors, so the JSON report carries the whole grid
+	// instead of silently dropping rows.
+	wcs, ns, err := grid.Expand(sizes, cliLimits)
+	if err != nil {
+		return err
+	}
+
 	or, err := oflags.start("sweep")
 	if err != nil {
 		return err
@@ -106,6 +163,25 @@ func cmdSweep(args []string) error {
 	ctx, stop := signalContext()
 	defer stop()
 	ctx = or.Context(ctx)
+
+	if ns != nil {
+		fam, err := pf.family(*sizeConst)
+		if err != nil {
+			return err
+		}
+		opt := cme.Options{NoSymbolic: *noSymbolic, Workers: *workers, ProfileLabels: prof()}
+		if err := pstart(); err != nil {
+			return err
+		}
+		rep, cprov, err := sweepLadder(ctx, pf.label(), fam, wcs, ns, opt, *perRef)
+		if perr := pstop(); err == nil {
+			err = perr
+		}
+		if err != nil {
+			return err
+		}
+		return writeSweep(ctx, or, rep, *out, cprov)
+	}
 
 	_, pspan := obs.StartSpan(ctx, "parse")
 	p, err := pf.load()
@@ -116,26 +192,6 @@ func cmdSweep(args []string) error {
 	_, prspan := obs.StartSpan(ctx, "prepare")
 	np, _, err := spec.FrontEnd{}.Run(p)
 	prspan.End()
-	if err != nil {
-		return err
-	}
-	grid, err := gf.grid()
-	if err != nil {
-		return err
-	}
-	if *sizesFrom > 0 {
-		l := spec.Ladder{From: *sizesFrom, To: *sizesTo, Step: *sizesStep}
-		if grid.CacheSizes, err = l.Sizes(cliLadder); err != nil {
-			return fmt.Errorf("sweep: -sizes-from: %v", err)
-		}
-	}
-	if len(grid.CacheSizes) == 0 || len(grid.LineSizes) == 0 || len(grid.Assocs) == 0 {
-		return fmt.Errorf("sweep: empty candidate grid")
-	}
-	// Invalid geometries stay in the grid: SolveBatch records them as
-	// per-candidate errors, so the JSON report carries the whole grid
-	// instead of silently dropping rows.
-	wcs, err := grid.Candidates(spec.Limits{Who: "cachette"})
 	if err != nil {
 		return err
 	}
@@ -312,18 +368,7 @@ func cmdSweep(args []string) error {
 			c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, wcs[i].Pad, row.MissRatio, row.Tier, simCol)
 	}
 
-	blob, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if *out != "-" {
-		if err := os.WriteFile(*out, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "cachette sweep: wrote %s\n", *out)
-	}
-	if err := or.finish(ctx, p.Name, nil, cprov); err != nil {
+	if err := writeSweep(ctx, or, &rep, *out, cprov); err != nil {
 		return err
 	}
 	// Per-candidate failures surface after the report is on disk: scripts
@@ -332,6 +377,23 @@ func cmdSweep(args []string) error {
 		return berr
 	}
 	return nil
+}
+
+// writeSweep writes the JSON report to out ("-" writes no file) and
+// finishes the run report.
+func writeSweep(ctx context.Context, or *obsRun, rep *sweepReport, out string, cprov []obs.CandidateProvenance) error {
+	blob, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	blob = append(blob, '\n')
+	if out != "-" {
+		if err := os.WriteFile(out, blob, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "cachette sweep: wrote %s\n", out)
+	}
+	return or.finish(ctx, rep.Program, nil, cprov)
 }
 
 // soloSolve runs the classic per-candidate pipeline from scratch — load,

@@ -52,12 +52,19 @@ func (c Config) LineElems(elemSize int64) int64 {
 	return n
 }
 
+// String labels the configuration, e.g. 32KB/32B/2-way. A capacity that
+// is not a whole number of KB is printed in bytes (1536B/32B/direct), so
+// distinct configurations never share a label.
 func (c Config) String() string {
 	way := "direct"
 	if c.Assoc > 1 {
 		way = fmt.Sprintf("%d-way", c.Assoc)
 	}
-	return fmt.Sprintf("%dKB/%dB/%s", c.SizeBytes/1024, c.LineBytes, way)
+	size := fmt.Sprintf("%dKB", c.SizeBytes/1024)
+	if c.SizeBytes%1024 != 0 {
+		size = fmt.Sprintf("%dB", c.SizeBytes)
+	}
+	return fmt.Sprintf("%s/%dB/%s", size, c.LineBytes, way)
 }
 
 // WritePolicy selects how the simulator treats writes. The paper (and the

@@ -28,6 +28,26 @@ func TestConfigDerived(t *testing.T) {
 	}
 }
 
+// TestConfigString: whole-KB capacities keep their KB labels; any other
+// capacity prints its exact byte count, so 1536 B and 1792 B differ.
+func TestConfigString(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{SizeBytes: 32 * 1024, LineBytes: 32, Assoc: 2}, "32KB/32B/2-way"},
+		{Config{SizeBytes: 1024, LineBytes: 64, Assoc: 1}, "1KB/64B/direct"},
+		{Config{SizeBytes: 1536, LineBytes: 32, Assoc: 1}, "1536B/32B/direct"},
+		{Config{SizeBytes: 1792, LineBytes: 32, Assoc: 1}, "1792B/32B/direct"},
+		{Config{SizeBytes: 128, LineBytes: 64, Assoc: 1}, "128B/64B/direct"},
+		{Config{SizeBytes: 40960, LineBytes: 32, Assoc: 4}, "40KB/32B/4-way"},
+	} {
+		if got := tc.cfg.String(); got != tc.want {
+			t.Errorf("%+v: %q, want %q", tc.cfg, got, tc.want)
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{SizeBytes: 0, LineBytes: 32, Assoc: 1},

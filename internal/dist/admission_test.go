@@ -2,6 +2,8 @@ package dist
 
 import (
 	"context"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,5 +37,23 @@ func TestAddSweepRefusesHostileGrid(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("refusal took %v", d)
+	}
+}
+
+// TestSweepRefusesRemovedPartitionKnobs: the partition is one rule, so
+// the strict decoder answers 400 to the retired unit_size and
+// no_column_units fields instead of ignoring them.
+func TestSweepRefusesRemovedPartitionKnobs(t *testing.T) {
+	_, srv := newTestCoordinator(t, Options{})
+	for _, field := range []string{`"unit_size":2`, `"no_column_units":true`} {
+		body := `{"program":"hydro","size":12,"exact":true,` + field + `}`
+		resp, err := http.Post(srv.URL+"/v1/dist/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", field, resp.StatusCode)
+		}
 	}
 }

@@ -105,33 +105,22 @@ const (
 	unitFailed
 )
 
-// unitRef ties a unit to one run of one sweep's candidate grid. The first
+// unitRef ties a unit to its candidates in one sweep's grid. The first
 // ref is the canonical owner; later refs are dedup followers — identical
-// (program, geometry, mode, budget) runs whose rows are copied from the
+// (program, geometry, mode, budget) units whose rows are copied from the
 // canonical result with only the labels patched (the key construction
 // guarantees everything else is identical).
 type unitRef struct {
 	sweep *sweepState
-	start int // index of the first candidate in the sweep grid
 	cands []WireCandidate
-	// idxs, when non-nil, maps each unit candidate to its sweep grid
-	// index — geometry-column units carry strided candidates (the grid
-	// iterates cache sizes outermost, so a fixed-(line, assoc, pad)
-	// column is not consecutive). nil means the consecutive run
-	// start..start+len(cands).
+	// idxs maps each unit candidate to its sweep grid index. A geometry
+	// column carries strided candidates: the grid iterates cache sizes
+	// outermost, so a fixed-(line, assoc, pad) column is not consecutive.
 	idxs []int
 }
 
-// gridIndex is the sweep grid index of the unit's i-th candidate.
-func (r unitRef) gridIndex(i int) int {
-	if r.idxs != nil {
-		return r.idxs[i]
-	}
-	return r.start + i
-}
-
-// unit is one content-addressed work unit: a consecutive run of
-// candidates keyed by Prepared.SolveKey over exactly those candidates
+// unit is one content-addressed work unit: a candidate or a geometry
+// column, keyed by Prepared.SolveKey over exactly those candidates
 // (salted with the per-unit budget when one is set — see unitKey).
 type unit struct {
 	key     string
@@ -462,11 +451,6 @@ func (c *Coordinator) addSweep(ctx context.Context, sw *SweepSpec, journalledPru
 	ss.remaining = len(wcs) - len(prunedRows)
 	mPruned.Add(int64(ss.pruned))
 
-	unitSize := sw.UnitSize
-	if unitSize < 1 {
-		unitSize = 1
-	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if existing, ok := c.sweeps[id]; ok { // raced with an identical submit
@@ -523,68 +507,52 @@ func (c *Coordinator) addSweep(ctx context.Context, sw *SweepSpec, journalledPru
 		}
 	}
 
-	// Geometry-column units: an exact, unbudgeted sweep at the default
-	// unit size shards by geometry column — all cache sizes sharing
-	// (line size, associativity, pad) ride one unit, in grid order — so
-	// the solving worker's SolveBatch sees the whole size ladder and the
-	// geometry-parametric tier (cme geom.go) answers most of it from a
-	// few anchor solves instead of enumerating every member. Rows are
-	// bit-identical either way, so the merged report does not change;
-	// only the work partition does. Budgeted sweeps keep per-candidate
-	// units (the budget is per unit — regrouping would change how far it
-	// stretches), and columns below the tier's minimum gain nothing and
-	// stay on the consecutive-run path.
-	var columned []bool
-	if sw.Exact && unitSize <= 1 && !sw.NoColumnUnits &&
-		sw.MaxPoints == 0 && sw.TimeoutMs == 0 {
-		type colKey struct {
-			lineBytes int64
-			assoc     int
-			padArray  string
-			pad       int64
+	// The partition: an exact, unbudgeted sweep shards by geometry column
+	// — all cache sizes sharing (line size, associativity, pad) ride one
+	// unit, in grid order — so the solving worker's SolveBatch sees the
+	// whole size ladder and the geometry-parametric tier (cme geom.go)
+	// answers most of it from a few anchor solves instead of enumerating
+	// every member. Every other candidate is a unit of its own, the finest
+	// stealing granularity: those of budgeted sweeps (the budget is per
+	// unit, so regrouping would change how far it stretches), of sampled
+	// ones, and of columns below the tier's minimum, which gain nothing.
+	// Rows are bit-identical under any partition, so the merged report
+	// never depends on it.
+	addUnitOf := func(idxs []int) {
+		ucs := make([]cme.Candidate, len(idxs))
+		uwcs := make([]WireCandidate, len(idxs))
+		for j, gi := range idxs {
+			ucs[j], uwcs[j] = cands[gi], wcs[gi]
 		}
-		groups := map[colKey][]int{}
-		var order []colKey
+		addUnit(unitKey(prep.SolveKey(ucs, plan), sw.SolveSpec), unitRef{sweep: ss, cands: uwcs, idxs: idxs})
+	}
+	columned := make([]bool, len(wcs))
+	if sw.Exact && sw.MaxPoints == 0 && sw.TimeoutMs == 0 {
+		groups := map[WireCandidate][]int{} // keyed by the candidate less its size and label
+		var order []WireCandidate
 		for i, wc := range wcs {
 			if ss.filled[i] {
 				continue
 			}
-			k := colKey{wc.LineBytes, wc.Assoc, wc.PadArray, wc.Pad}
+			k := WireCandidate{LineBytes: wc.LineBytes, Assoc: wc.Assoc, PadArray: wc.PadArray, Pad: wc.Pad}
 			if _, ok := groups[k]; !ok {
 				order = append(order, k)
 			}
 			groups[k] = append(groups[k], i)
 		}
-		columned = make([]bool, len(wcs))
 		for _, k := range order {
-			idxs := groups[k]
-			if len(idxs) < cme.DefaultGeomMinColumn {
-				continue
+			if idxs := groups[k]; len(idxs) >= cme.DefaultGeomMinColumn {
+				addUnitOf(idxs)
+				for _, gi := range idxs {
+					columned[gi] = true
+				}
 			}
-			colCands := make([]cme.Candidate, len(idxs))
-			colWcs := make([]WireCandidate, len(idxs))
-			for j, gi := range idxs {
-				colCands[j] = cands[gi]
-				colWcs[j] = wcs[gi]
-				columned[gi] = true
-			}
-			key := unitKey(prep.SolveKey(colCands, plan), sw.SolveSpec)
-			addUnit(key, unitRef{sweep: ss, start: idxs[0], cands: colWcs, idxs: idxs})
 		}
 	}
-
-	for i := 0; i < len(wcs); {
-		if ss.filled[i] || (columned != nil && columned[i]) {
-			i++
-			continue
+	for i := range wcs {
+		if !ss.filled[i] && !columned[i] {
+			addUnitOf([]int{i})
 		}
-		j := i
-		for j < len(wcs) && j-i < unitSize && !ss.filled[j] && (columned == nil || !columned[j]) {
-			j++
-		}
-		key := unitKey(prep.SolveKey(cands[i:j], plan), sw.SolveSpec)
-		addUnit(key, unitRef{sweep: ss, start: i, cands: wcs[i:j]})
-		i = j
 	}
 	if !replay {
 		rec := journalRec{T: recSweep, Sweep: id, Spec: sw, Trace: ss.traceID}
@@ -765,7 +733,7 @@ func (c *Coordinator) leaseLocked(worker string, now time.Time) *LeaseResponse {
 			Traceparent: obs.FormatTraceparent(ref.sweep.traceID, u.spanID),
 			Unit: &UnitSpec{
 				Key:        u.key,
-				Seq:        ref.start,
+				Seq:        ref.idxs[0],
 				Program:    ref.sweep.spec.ProgramSpec,
 				Solve:      ref.sweep.spec.SolveSpec,
 				Candidates: ref.cands,
@@ -928,7 +896,7 @@ func (c *Coordinator) fillLocked(u *unit, ref unitRef, rows []Row) {
 			break
 		}
 		row.Label = ref.cands[i].Label
-		idx := ref.gridIndex(i)
+		idx := ref.idxs[i]
 		if !ss.filled[idx] {
 			ss.filled[idx] = true
 			ss.remaining--
@@ -1192,7 +1160,7 @@ func (c *Coordinator) Status() *Status {
 			Unit:   u.key,
 			Sweep:  u.refs[0].sweep.id,
 			Worker: u.worker,
-			Seq:    u.refs[0].start,
+			Seq:    u.refs[0].idxs[0],
 			AgeMs:  age.Milliseconds(),
 		})
 	}

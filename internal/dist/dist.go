@@ -4,7 +4,8 @@
 // bit-identity guarantee.
 //
 // The coordinator decomposes a sweep into content-addressed work units —
-// consecutive runs of the candidate grid, keyed by the same SHA-256
+// one candidate each, or one geometry column of an exact sweep, keyed by
+// the same SHA-256
 // `Prepared.SolveKey` scheme the result cache uses — and hands them to
 // workers over HTTP/JSON leases with heartbeats. Expired leases are
 // re-issued (work stealing from dead or slow shards), identical units
@@ -86,20 +87,6 @@ type SweepSpec struct {
 	Assocs     []int   `json:"assocs,omitempty"`      // default {1,2,4}
 	PadArray   string  `json:"pad_array,omitempty"`
 	Pads       []int64 `json:"pads,omitempty"`
-
-	// UnitSize is how many consecutive candidates one work unit carries
-	// (default 1: maximal stealing granularity).
-	UnitSize int `json:"unit_size,omitempty"`
-
-	// NoColumnUnits opts out of geometry-column units. By default an
-	// exact, unbudgeted sweep at the default unit size shards by geometry
-	// column — every cache size sharing (line size, associativity, pad)
-	// rides one unit — so the solving worker sees the whole size ladder
-	// and the geometry-parametric closed-form tier answers most of it
-	// from a few anchor solves. Counts are bit-identical either way (the
-	// merged report never changes); this knob only restores the finer
-	// per-candidate stealing granularity.
-	NoColumnUnits bool `json:"no_column_units,omitempty"`
 
 	// Prune turns on the advisor-driven search mode: a cheap sampled pass
 	// over the geometry grid ranks candidates, advisor.Frontier keeps the

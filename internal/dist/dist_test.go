@@ -136,11 +136,11 @@ func TestBitIdentityAcrossWorkerCounts(t *testing.T) {
 
 // TestBitIdentitySampledTier checks the same guarantee for the sampled
 // solver: the per-reference sampling RNG is geometry- and batch-shape-
-// independent, so unit decomposition must not change a single count.
+// independent, so solving each candidate as its own unit must not change
+// a single count of the whole-grid batch.
 func TestBitIdentitySampledTier(t *testing.T) {
 	spec := testSpec()
 	spec.SolveSpec = SolveSpec{Confidence: 0.95, Width: 0.05}
-	spec.UnitSize = 2
 	want := mustJSON(t, baselineRows(t, spec))
 
 	c, srv := newTestCoordinator(t, Options{})
@@ -148,8 +148,8 @@ func TestBitIdentitySampledTier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddSweep: %v", err)
 	}
-	if st.Stats.Units != 3 {
-		t.Fatalf("units = %d, want 3 (6 candidates at unit size 2)", st.Stats.Units)
+	if st.Stats.Units != 6 {
+		t.Fatalf("units = %d, want 6 per-candidate units", st.Stats.Units)
 	}
 	runWorkers(t, srv.URL, 2, nil)
 	rep, err := c.Report(st.Sweep)
@@ -193,12 +193,11 @@ func TestInvalidCandidatesSurviveDistribution(t *testing.T) {
 	}
 }
 
-// TestGeomColumnUnits: an exact, unbudgeted sweep at the default unit
-// size shards by geometry column — one unit per (line, assoc) ladder —
+// TestGeomColumnUnits: an exact, unbudgeted sweep shards by geometry
+// column — one unit per (line, assoc) ladder —
 // so the worker's SolveBatch sees whole size columns and the
 // geometry-parametric tier can engage, while the merged rows stay
-// byte-identical to the single-process baseline. NoColumnUnits restores
-// per-candidate units.
+// byte-identical to the single-process baseline.
 func TestGeomColumnUnits(t *testing.T) {
 	spec := testSpec()
 	spec.CacheSizes = []int64{2048, 4096, 8192, 16384} // 4 sizes: column-sized
@@ -220,28 +219,6 @@ func TestGeomColumnUnits(t *testing.T) {
 	}
 	if got := mustJSON(t, rep.Rows); got != want {
 		t.Errorf("column-unit rows differ from single-process baseline\n got: %.300s\nwant: %.300s", got, want)
-	}
-
-	// Opting out restores per-candidate stealing granularity, and the
-	// rows still merge to the same bytes.
-	optout := testSpec()
-	optout.CacheSizes = spec.CacheSizes
-	optout.NoColumnUnits = true
-	c2, srv2 := newTestCoordinator(t, Options{})
-	st2, err := c2.AddSweep(context.Background(), optout)
-	if err != nil {
-		t.Fatalf("AddSweep opt-out: %v", err)
-	}
-	if st2.Stats.Units != 8 {
-		t.Fatalf("opt-out units = %d, want 8 per-candidate units", st2.Stats.Units)
-	}
-	runWorkers(t, srv2.URL, 2, nil)
-	rep2, err := c2.Report(st2.Sweep)
-	if err != nil {
-		t.Fatalf("Report opt-out: %v", err)
-	}
-	if got := mustJSON(t, rep2.Rows); got != want {
-		t.Errorf("opt-out rows differ from single-process baseline")
 	}
 }
 

@@ -283,7 +283,7 @@ func (c *Coordinator) Timelines(id string) ([]UnitTimeline, error) {
 		seq := -1
 		for _, ref := range u.refs {
 			if ref.sweep == ss {
-				seq = ref.start
+				seq = ref.idxs[0]
 				break
 			}
 		}

@@ -456,18 +456,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-// relErr returns |est − real| / real in percent (capped when real ~ 0).
-func relErr(est, real float64) float64 {
-	d := abs(est - real)
-	if real < 1e-9 {
-		if d < 1e-9 {
-			return 0
-		}
-		return 100
-	}
-	return 100 * d / real
-}
-
 // Summary renders every table at the given scale to w.
 func Summary(w io.Writer, sc Scale, shrink int64) error {
 	steps := []struct {

@@ -42,15 +42,6 @@ func ParseOptions(src string, opt Options) (prog *ir.Program, err error) {
 	return p.parseProgram()
 }
 
-// MustParse is Parse for tests and examples; it panics on error.
-func MustParse(src string, consts map[string]int64) *ir.Program {
-	p, err := Parse(src, consts)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // maxNest bounds statement nesting and maxExprDepth expression nesting,
 // so that pathological input fails with a positioned error instead of
 // exhausting the stack.

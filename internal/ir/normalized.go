@@ -185,10 +185,6 @@ func toAffine(e Expr, depthOf map[string]int) Affine {
 	return a
 }
 
-// ToAffine lowers a named expression to positional form using depthOf.
-// It panics if the expression mentions a variable not in the map.
-func ToAffine(e Expr, depthOf map[string]int) Affine { return toAffine(e, depthOf) }
-
 // NBound is the pair of inclusive affine loop bounds at one depth.
 // Lo and Hi may reference indices of strictly shallower depths only.
 type NBound struct {

@@ -162,15 +162,6 @@ func IntMat(rows ...[]int64) *Mat {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Mat {
-	m := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, RatInt(1))
-	}
-	return m
-}
-
 // At returns the element at row i, column j.
 func (m *Mat) At(i, j int) Rat { return m.data[i*m.Cols+j] }
 

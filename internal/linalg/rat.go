@@ -100,9 +100,6 @@ func (r Rat) Int() (int64, bool) {
 	return r.num, true
 }
 
-// Float returns the closest float64 to r.
-func (r Rat) Float() float64 { return float64(r.num) / float64(r.Den()) }
-
 // OverflowError is the payload of the panic raised when an exact rational
 // result does not fit int64 even after reduction to canonical form. It is
 // a typed value (not a bare string) so solvers that guard worker panics

@@ -203,8 +203,3 @@ func Rank(a *Mat) int {
 	c := a.Clone()
 	return len(rref(c))
 }
-
-// InKernel reports whether A·v = 0.
-func InKernel(a *Mat, v Vec) bool {
-	return a.MulVec(v).IsZero()
-}

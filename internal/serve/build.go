@@ -1,14 +1,15 @@
 package serve
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"time"
 
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/ir"
-	"cachemodel/internal/sampling"
 	"cachemodel/internal/spec"
 )
 
@@ -46,9 +47,13 @@ type AnalyzeRequest struct {
 }
 
 // SweepRequest is the POST /v1/sweep body: one program against a cache
-// design-space grid, mirroring `cachette sweep`.
+// design-space grid, mirroring `cachette sweep`. With a problem-size
+// ladder (ns, or from/to/step) every geometry is answered at every ladder
+// size by the closed-form problem-size tier; the program is then a family
+// in SizeConst and its size is ignored.
 type SweepRequest struct {
 	ProgramSpec
+	spec.Ladder
 	Budget BudgetSpec `json:"budget"`
 
 	CacheSizes []int64 `json:"cache_sizes,omitempty"` // default {4096..65536}
@@ -56,6 +61,10 @@ type SweepRequest struct {
 	Assocs     []int   `json:"assocs,omitempty"`      // default {1,2,4}
 	PadArray   string  `json:"pad_array,omitempty"`
 	Pads       []int64 `json:"pads,omitempty"`
+
+	// SizeConst names the inline-source constant carrying a ladder's
+	// problem size (default "N"); ignored for built-in programs.
+	SizeConst string `json:"size_const,omitempty"`
 
 	Exact      bool    `json:"exact,omitempty"`
 	Confidence float64 `json:"confidence,omitempty"`
@@ -65,32 +74,24 @@ type SweepRequest struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// jobSpec is a fully validated, ready-to-solve job: the normalised
-// program, the candidate grid, the sampling plan and the armed budget.
-// Everything admission needs (cost) is computed here, before the job
-// touches the queue.
+// jobSpec is a fully validated, ready-to-run job: its priority, the
+// candidate rows it answers and the armed budget, whose point cap is what
+// admission reserves against the server's pool.
 type jobSpec struct {
-	program string
-	np      *ir.NProgram
-	opt     cme.Options
-	cands   []cme.Candidate
-	plan    *sampling.Plan
-	bud     budget.Budget
-	cost    int64 // reserved against the server's point pool
-	// scaling marks a size-ladder job: np is nil, cands carries one entry
-	// per ladder size, and the solve goes through solveScaling instead of
-	// Prepare + SolveBatch.
-	scaling *scalingSpec
+	prio  int
+	cands []cme.Candidate
+	bud   budget.Budget
+	// prepare does an attempt's geometry-invariant work on the worker and
+	// yields its flight. A grid prepares its program and is keyed by
+	// Prepared.SolveKey; a ladder's key is fixed at admission.
+	prepare func(s *Server) (flight, error)
 }
 
-func parsePriority(s string) (int, error) {
-	switch strings.ToLower(s) {
-	case "", "interactive":
-		return prioInteractive, nil
-	case "batch":
-		return prioBatch, nil
-	}
-	return 0, fmt.Errorf("unknown priority %q (want interactive or batch)", s)
+// flight is one attempt's solve as the flight group runs it: the content
+// address that concurrent identical jobs share, and the leader's body.
+type flight struct {
+	key   string
+	solve func(ctx context.Context, bud budget.Budget) ([]*cme.Report, error)
 }
 
 // limits are the server's admission bounds in the spec vocabulary.
@@ -98,60 +99,74 @@ func (o *Options) limits() spec.Limits {
 	return spec.Limits{Who: "server", MaxSize: o.MaxProblemSize, MaxCandidates: o.MaxCandidates}
 }
 
-// buildBudget maps a request budget onto budget.Budget under the server
-// limits. Every job gets a deadline (MaxDeadline when unspecified) and a
-// point cap (DefaultMaxPoints when unspecified): an unmetered job could
-// neither be cancelled at a checkpoint nor admission-controlled, so
-// "unlimited" is not a thing the server hands out.
-func (o *Options) buildBudget(bs BudgetSpec) (budget.Budget, error) {
-	if bs.TimeoutMs < 0 || bs.MaxPoints < 0 || bs.MaxScan < 0 {
-		return budget.Budget{}, fmt.Errorf("budget fields must be non-negative")
+// newSpec admits what every request shares — priority and budget — into
+// a jobSpec answering cands; the caller arms its prepare. Every job gets
+// a deadline (MaxDeadline when unspecified) and a point cap
+// (DefaultMaxPoints when unspecified): an unmetered job could neither be
+// cancelled at a checkpoint nor admission-controlled, so "unlimited" is
+// not a thing the server hands out.
+func (o *Options) newSpec(prio string, bs BudgetSpec, cands []cme.Candidate) (*jobSpec, error) {
+	js := &jobSpec{cands: cands, bud: budget.Budget{Deadline: o.MaxDeadline, MaxPoints: bs.MaxPoints,
+		MaxScan: bs.MaxScan, NoFallback: bs.NoFallback}}
+	switch strings.ToLower(prio) {
+	case "", "interactive":
+		js.prio = prioInteractive
+	case "batch":
+		js.prio = prioBatch
+	default:
+		return nil, fmt.Errorf("unknown priority %q (want interactive or batch)", prio)
 	}
-	b := budget.Budget{
-		Deadline:   o.MaxDeadline,
-		MaxPoints:  bs.MaxPoints,
-		MaxScan:    bs.MaxScan,
-		NoFallback: bs.NoFallback,
+	if bs.TimeoutMs < 0 || bs.MaxPoints < 0 || bs.MaxScan < 0 {
+		return nil, fmt.Errorf("budget fields must be non-negative")
 	}
 	if d := time.Duration(bs.TimeoutMs) * time.Millisecond; d > 0 && d < o.MaxDeadline {
-		b.Deadline = d
+		js.bud.Deadline = d
 	}
-	if b.MaxPoints == 0 || b.MaxPoints > o.DefaultMaxPoints {
-		b.MaxPoints = o.DefaultMaxPoints
+	if js.bud.MaxPoints == 0 || js.bud.MaxPoints > o.DefaultMaxPoints {
+		js.bud.MaxPoints = o.DefaultMaxPoints
 	}
-	return b, nil
+	return js, nil
 }
 
 // specFromAnalyze validates an analyze request into a jobSpec.
 func (o *Options) specFromAnalyze(req *AnalyzeRequest) (*jobSpec, error) {
 	cfg := spec.Cache(req.CacheBytes, req.LineBytes, req.Assoc)
-	cands := []cme.Candidate{{Label: cfg.String(), Config: cfg}}
-	return o.newJobSpec(&req.ProgramSpec, req.Budget, cands, req.Exact, req.Confidence, req.Width, req.Adaptive)
+	return o.gridSpec(req.Priority, req.Budget, []cme.Candidate{{Label: cfg.String(), Config: cfg}},
+		&req.ProgramSpec, req.Exact, req.Confidence, req.Width, req.Adaptive)
 }
 
-// specFromSweep validates a sweep request into a jobSpec with the full
-// candidate grid, mirroring `cachette sweep`: invalid geometries stay in
-// the grid and fail per candidate, and pad 0 means the baseline layout.
+// specFromSweep validates a sweep request into a jobSpec, mirroring
+// `cachette sweep`: a grid keeps invalid geometries and fails them per
+// candidate, pad 0 means the baseline layout, and a ladder is handed to
+// ladderSpec.
 func (o *Options) specFromSweep(req *SweepRequest) (*jobSpec, error) {
 	grid := spec.Grid{CacheSizes: req.CacheSizes, LineSizes: req.LineSizes, Assocs: req.Assocs,
 		PadArray: req.PadArray, Pads: req.Pads}
-	wcs, err := grid.Candidates(o.limits())
+	wcs, ns, err := grid.Expand(req.Ladder.Requested(), o.limits())
 	if err != nil {
 		return nil, err
 	}
-	return o.newJobSpec(&req.ProgramSpec, req.Budget, spec.Solvers(wcs), req.Exact, req.Confidence, req.Width, req.Adaptive)
+	if ns != nil {
+		return o.ladderSpec(req, wcs, ns)
+	}
+	if req.SizeConst != "" {
+		return nil, fmt.Errorf("size_const needs a problem-size ladder (ns, or from/to/step)")
+	}
+	return o.gridSpec(req.Priority, req.Budget, spec.Solvers(wcs),
+		&req.ProgramSpec, req.Exact, req.Confidence, req.Width, req.Adaptive)
 }
 
-// newJobSpec admits the rest of a request — plan, budget, program — and
-// only then runs the front end: every refusal costs no build.
-func (o *Options) newJobSpec(ps *ProgramSpec, bs BudgetSpec, cands []cme.Candidate,
+// gridSpec admits a job that solves cands as one batch over the program
+// ps names. Everything else is admitted before the front end runs, so
+// every refusal costs no build.
+func (o *Options) gridSpec(prio string, bs BudgetSpec, cands []cme.Candidate, ps *ProgramSpec,
 	exact bool, conf, width float64, adaptive bool) (*jobSpec, error) {
 
-	plan, err := spec.Plan(exact, conf, width)
+	js, err := o.newSpec(prio, bs, cands)
 	if err != nil {
 		return nil, err
 	}
-	bud, err := o.buildBudget(bs)
+	plan, err := spec.Plan(exact, conf, width)
 	if err != nil {
 		return nil, err
 	}
@@ -159,13 +174,68 @@ func (o *Options) newJobSpec(ps *ProgramSpec, bs BudgetSpec, cands []cme.Candida
 	if err != nil {
 		return nil, err
 	}
-	return &jobSpec{
-		program: np.Name,
-		np:      np,
-		opt:     cme.Options{Adaptive: adaptive},
-		cands:   cands,
-		plan:    plan,
-		bud:     bud,
-		cost:    bud.MaxPoints,
-	}, nil
+	js.prepare = func(s *Server) (flight, error) {
+		prep, err := cme.Prepare(np, cme.Options{Adaptive: adaptive})
+		if err != nil {
+			return flight{}, err
+		}
+		return flight{key: prep.SolveKey(js.cands, plan),
+			solve: func(ctx context.Context, bud budget.Budget) ([]*cme.Report, error) {
+				return prep.SolveBatch(ctx, js.cands, cme.BatchOptions{
+					Plan: plan, Cache: s.cache, Workers: s.opt.SolveWorkers, Budget: bud})
+			}}, nil
+	}
+	return js, nil
+}
+
+// ladderSpec admits a ladder sweep. The program is a problem-size family,
+// lifted once per geometry by the closed-form problem-size tier, which
+// answers the ladder by O(1) evaluation and solves sizes the closed form
+// cannot cover under the job's budget. Rows come in grid order, then
+// ladder order. A ladder is exact, and every geometry must be valid.
+func (o *Options) ladderSpec(req *SweepRequest, wcs []spec.Candidate, ns []int64) (*jobSpec, error) {
+	if !req.Exact {
+		return nil, fmt.Errorf("a problem-size ladder needs exact: true (the closed form is exact)")
+	}
+	fam, err := req.ProgramSpec.Family(req.SizeConst)
+	if err != nil {
+		return nil, err
+	}
+	geoms := spec.Solvers(wcs)
+	h := sha256.New() // the flight key: family, geometries as integers, ladder in order
+	fmt.Fprintf(h, "ladder|%s|%q|%v|%s|%d|%v", fam.Label, req.Source, req.Consts, fam.SizeConst, fam.Iters, ns)
+	cands := make([]cme.Candidate, 0, len(geoms)*len(ns))
+	for _, g := range geoms {
+		if err := g.Config.Validate(); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(h, "|%d/%d/%d", g.Config.SizeBytes, g.Config.LineBytes, g.Config.Assoc)
+		for _, n := range ns {
+			cands = append(cands, cme.Candidate{Label: spec.LadderLabel(g.Label, n), Config: g.Config})
+		}
+	}
+	js, err := o.newSpec(req.Priority, req.Budget, cands)
+	if err != nil {
+		return nil, err
+	}
+	key := "sc:" + hex.EncodeToString(h.Sum(nil))[:32]
+	js.prepare = func(s *Server) (flight, error) {
+		return flight{key: key, solve: func(ctx context.Context, bud budget.Budget) ([]*cme.Report, error) {
+			reps := make([]*cme.Report, 0, len(cands))
+			for _, g := range geoms {
+				solver, err := cme.PrepareScaling(fam.Build, g.Config,
+					cme.Options{Workers: s.opt.SolveWorkers}, cme.ScalingOptions{Budget: bud})
+				if err != nil {
+					return reps, err
+				}
+				rs, err := solver.SolveLadder(ctx, ns)
+				reps = append(reps, rs...)
+				if err != nil {
+					return reps, err
+				}
+			}
+			return reps, nil
+		}}, nil
+	}
+	return js, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -18,11 +19,21 @@ type solveOutcome struct {
 	err     error
 }
 
+// newOutcome splits a solve's per-candidate failures out of its error.
+func newOutcome(reps []*cme.Report, err error) *solveOutcome {
+	var berr *cme.BatchError
+	if errors.As(err, &berr) {
+		return &solveOutcome{reports: reps, batch: berr}
+	}
+	return &solveOutcome{reports: reps, err: err}
+}
+
 // flightGroup is a minimal singleflight keyed by the content address of a
-// solve (Prepared.SolveKey): concurrent jobs with equal keys collapse onto
-// one SolveBatch call, and bit-identical results come for free because the
-// key covers everything that affects them. Hand-rolled — the module is
-// dependency-free by design, so x/sync/singleflight is not available.
+// solve (a grid's Prepared.SolveKey, a ladder's key from admission):
+// concurrent jobs with equal keys collapse onto one solve, and
+// bit-identical results come for free because the key covers everything
+// that affects them. Hand-rolled — the module is dependency-free by
+// design, so x/sync/singleflight is not available.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall

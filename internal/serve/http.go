@@ -16,7 +16,8 @@ const maxBodyBytes = 1 << 20
 // Handler returns the server's HTTP API:
 //
 //	POST   /v1/analyze        submit one analysis        → 202 {job,status,links}
-//	POST   /v1/sweep          submit a design-space sweep → 202
+//	POST   /v1/sweep          submit a design-space sweep, optionally
+//	                          crossed with a problem-size ladder → 202
 //	GET    /v1/jobs/{id}      job status + terminal result
 //	DELETE /v1/jobs/{id}      cancel a queued or running job
 //	GET    /v1/jobs/{id}/events  SSE progress + terminal event
@@ -29,9 +30,8 @@ const maxBodyBytes = 1 << 20
 // (terminal job result).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/scaling", s.handleScaling)
+	mux.HandleFunc("POST /v1/analyze", admit(s, s.opt.specFromAnalyze))
+	mux.HandleFunc("POST /v1/sweep", admit(s, s.opt.specFromSweep))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
@@ -104,49 +104,26 @@ func jobToBody(j *Job, withLinks bool) jobBody {
 	return b
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req AnalyzeRequest
-	if !decodeBody(w, r, &req) {
-		return
+// admit decodes one request shape and queues the job it specifies. A
+// request the validation refuses answers 400 before any work is done.
+func admit[R any](s *Server, toSpec func(*R) (*jobSpec, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		spec, err := toSpec(&req)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, kindInvalid, err.Error(), 0)
+			return
+		}
+		j, herr := s.submit(spec, r.Header.Get(obs.TraceparentHeader))
+		if herr != nil {
+			s.writeHTTPError(w, herr)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, jobToBody(j, true))
 	}
-	prio, err := parsePriority(req.Priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, kindInvalid, err.Error(), 0)
-		return
-	}
-	spec, err := s.opt.specFromAnalyze(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, kindInvalid, err.Error(), 0)
-		return
-	}
-	s.enqueue(w, r, spec, prio)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	prio, err := parsePriority(req.Priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, kindInvalid, err.Error(), 0)
-		return
-	}
-	spec, err := s.opt.specFromSweep(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, kindInvalid, err.Error(), 0)
-		return
-	}
-	s.enqueue(w, r, spec, prio)
-}
-
-func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, spec *jobSpec, prio int) {
-	j, herr := s.submit(spec, prio, r.Header.Get(obs.TraceparentHeader))
-	if herr != nil {
-		s.writeHTTPError(w, herr)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, jobToBody(j, true))
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {

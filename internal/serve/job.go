@@ -163,13 +163,13 @@ type Job struct {
 	done   chan struct{}
 }
 
-func newJob(id string, prio int, spec *jobSpec, pol retry.Policy, traceparent string) *Job {
+func newJob(id string, spec *jobSpec, pol retry.Policy, traceparent string) *Job {
 	tid, psid, _ := obs.ParseTraceparent(traceparent)
 	if tid == "" {
 		tid = obs.NewTraceID()
 	}
 	return &Job{
-		ID: id, Priority: prio, Created: time.Now(),
+		ID: id, Priority: spec.prio, Created: time.Now(),
 		TraceID: tid, parentSpan: psid,
 		spec:    spec,
 		backoff: retry.NewBackoff(pol),

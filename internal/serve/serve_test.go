@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"cachemodel/internal/budget"
-	"cachemodel/internal/cme"
 	"cachemodel/internal/faultinject"
 	"cachemodel/internal/retry"
 )
@@ -199,27 +198,27 @@ func TestServeSweepEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeScalingEndToEnd posts a size ladder to /v1/scaling and checks
+// TestServeScalingEndToEnd posts a ladder sweep to /v1/sweep and checks
 // the closed-form contract on the wire: every ladder size answered as one
 // candidate row with closed-form provenance, and the counts bit-identical
 // to an exact /v1/analyze of the same size and geometry.
 func TestServeScalingEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
-	id := submitJob(t, ts, "/v1/scaling",
-		`{"program":"hydro","iters":2,"cache_bytes":256,"line_bytes":32,"assoc":1,"from":128,"to":224,"step":32}`)
+	id := submitJob(t, ts, "/v1/sweep",
+		`{"program":"hydro","iters":2,"cache_sizes":[256],"line_sizes":[32],"assocs":[1],"from":128,"to":224,"step":32,"exact":true}`)
 	jb := waitTerminal(t, ts, id)
 	if jb.Status != StatusDone {
-		t.Fatalf("scaling status %s, result %+v", jb.Status, jb.Result)
+		t.Fatalf("ladder status %s, result %+v", jb.Status, jb.Result)
 	}
 	res := jb.Result
 	if len(res.Candidates) != 4 {
 		t.Fatalf("want 4 ladder rows, got %d", len(res.Candidates))
 	}
 	if !strings.HasPrefix(res.Key, "sc:") {
-		t.Fatalf("scaling solve key %q", res.Key)
+		t.Fatalf("ladder solve key %q", res.Key)
 	}
 	for i, c := range res.Candidates {
-		wantLabel := fmt.Sprintf("N=%d", 128+32*i)
+		wantLabel := fmt.Sprintf("256B/32B/direct N=%d", 128+32*i)
 		if c.Label != wantLabel {
 			t.Fatalf("row %d label %q, want %q", i, c.Label, wantLabel)
 		}
@@ -238,10 +237,18 @@ func TestServeScalingEndToEnd(t *testing.T) {
 			}
 		}
 	}
-
 	// Bit-identity against the enumerating path, through the public API.
-	aid := submitJob(t, ts, "/v1/analyze",
-		`{"program":"hydro","size":160,"iters":2,"cache_bytes":256,"line_bytes":32,"assoc":1,"exact":true}`)
+	sameRefsAsAnalyze(t, ts, res.Candidates[1], 160) // N=160
+}
+
+// sameRefsAsAnalyze checks a ladder row's counts against an exact
+// /v1/analyze of the same program (hydro, 2 iterations) and geometry at
+// size n.
+func sameRefsAsAnalyze(t *testing.T, ts *httptest.Server, row CandidateResult, n int64) {
+	t.Helper()
+	aid := submitJob(t, ts, "/v1/analyze", fmt.Sprintf(
+		`{"program":"hydro","size":%d,"iters":2,"cache_bytes":%d,"line_bytes":%d,"assoc":%d,"exact":true}`,
+		n, row.CacheBytes, row.LineBytes, row.Assoc))
 	ab := waitTerminal(t, ts, aid)
 	if ab.Status != StatusDone {
 		t.Fatalf("analyze status %s, result %+v", ab.Status, ab.Result)
@@ -250,7 +257,9 @@ func TestServeScalingEndToEnd(t *testing.T) {
 	for _, r := range ab.Result.Candidates[0].Refs {
 		exact[r.ID] = r
 	}
-	row := res.Candidates[1] // N=160
+	if len(row.Refs) == 0 || len(row.Refs) != len(exact) {
+		t.Fatalf("%s: %d refs, exact analyze has %d", row.Label, len(row.Refs), len(exact))
+	}
 	for _, r := range row.Refs {
 		w, ok := exact[r.ID]
 		if !ok {
@@ -258,7 +267,41 @@ func TestServeScalingEndToEnd(t *testing.T) {
 		}
 		if r.Volume != w.Volume || r.Analyzed != w.Analyzed ||
 			r.Hits != w.Hits || r.Cold != w.Cold || r.Repl != w.Repl {
-			t.Fatalf("ref %s: closed form %+v != exact %+v", r.ID, r, w)
+			t.Fatalf("%s ref %s: ladder %+v != exact %+v", row.Label, r.ID, r, w)
+		}
+	}
+}
+
+// TestServeLadderKeysSeparateCaches: two ladder sweeps that differ only in
+// a cache size whose KB-truncated label is the same (1536 vs 1792 bytes,
+// 128 vs 256 bytes) are different solves. Each gets its own flight key
+// and its own counts, equal to an exact analyze of its own geometry, so a
+// concurrent follower can never be handed the other cache's answer.
+func TestServeLadderKeysSeparateCaches(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	for _, pair := range [][2]int64{{1536, 1792}, {128, 256}} {
+		var keys [2]string
+		var rows [2]CandidateResult
+		var ids [2]string
+		for i, cb := range pair {
+			ids[i] = submitJob(t, ts, "/v1/sweep", fmt.Sprintf(
+				`{"program":"hydro","iters":2,"cache_sizes":[%d],"line_sizes":[32],"assocs":[1],"ns":[96,128],"exact":true}`, cb))
+		}
+		for i, id := range ids {
+			jb := waitTerminal(t, ts, id)
+			if jb.Status != StatusDone || len(jb.Result.Candidates) != 2 {
+				t.Fatalf("%d B ladder: status %s, result %+v", pair[i], jb.Status, jb.Result)
+			}
+			keys[i], rows[i] = jb.Result.Key, jb.Result.Candidates[1]
+			if rows[i].CacheBytes != pair[i] {
+				t.Fatalf("%d B ladder answered for %d B", pair[i], rows[i].CacheBytes)
+			}
+		}
+		if keys[0] == keys[1] {
+			t.Fatalf("%d B and %d B ladders share flight key %s", pair[0], pair[1], keys[0])
+		}
+		for _, row := range rows {
+			sameRefsAsAnalyze(t, ts, row, 128)
 		}
 	}
 }
@@ -335,23 +378,51 @@ func TestServeSweepGeomClosedForm(t *testing.T) {
 	}
 }
 
-// TestServeScalingRejectsBadRequests covers scaling-specific admission.
+// TestServeScalingRejectsBadRequests covers ladder-specific admission on
+// /v1/sweep. Each case overlays an otherwise valid exact one-geometry
+// ladder body and must be refused with a 400 that names its fault.
 func TestServeScalingRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxCandidates: 8})
-	for name, body := range map[string]string{
-		"unknown program": `{"program":"nope"}`,
-		"both sources":    `{"program":"hydro","source":"X"}`,
-		"bad ladder":      `{"program":"hydro","from":512,"to":128,"step":64}`,
-		"oversized size":  `{"program":"hydro","ns":[99999]}`,
-		"too many sizes":  `{"program":"hydro","from":32,"to":4096,"step":32}`,
-		"huge range":      `{"program":"hydro","from":1,"to":9223372036854775807,"step":1}`,
-		"negative from":   `{"program":"hydro","from":-64,"to":512,"step":64}`,
-		"bad priority":    `{"program":"hydro","priority":"urgent"}`,
+	for name, tc := range map[string]struct{ body, want string }{
+		"unknown program":   {`{"program":"nope"}`, "unknown program"},
+		"both sources":      {`{"source":"X"}`, "not both"},
+		"bad ladder":        {`{"ns":[],"from":512,"to":128,"step":64}`, "bad ladder"},
+		"oversized size":    {`{"ns":[99999]}`, "ladder size 99999"},
+		"too many sizes":    {`{"ns":[],"from":32,"to":1024,"step":32}`, "ladder sizes exceeds"},
+		"huge range":        {`{"ns":[],"from":1,"to":9223372036854775807,"step":1}`, "ladder size"},
+		"negative from":     {`{"ns":[],"from":-64,"to":512,"step":64}`, "bad ladder"},
+		"bad priority":      {`{"priority":"urgent"}`, "priority"},
+		"invalid geometry":  {`{"cache_sizes":[1000]}`, "not divisible"},
+		"not exact":         {`{"exact":false}`, "needs exact"},
+		"pad axis":          {`{"pad_array":"ZA","pads":[0,2]}`, "pad axis"},
+		"negative iters":    {`{"iters":-1}`, "iters must be positive"},
+		"size_const, no ns": {`{"ns":[],"size_const":"M"}`, "needs a problem-size ladder"},
 	} {
-		code, m := postJSON(t, ts, "/v1/scaling", body)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d body %v", name, code, m)
+		body := map[string]any{"program": "hydro", "cache_sizes": []int{256}, "line_sizes": []int{32},
+			"assocs": []int{1}, "ns": []int{64}, "exact": true}
+		dec := json.NewDecoder(strings.NewReader(tc.body))
+		dec.UseNumber() // keep 2^63-1 exact
+		var over map[string]any
+		if err := dec.Decode(&over); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		for k, v := range over {
+			body[k] = v
+		}
+		blob, _ := json.Marshal(body)
+		code, m := postJSON(t, ts, "/v1/sweep", string(blob))
+		if msg := fmt.Sprint(m["error"]); code != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: status %d body %v, want 400 naming %q", name, code, m, tc.want)
+		}
+	}
+	// The ladder moved into /v1/sweep; the old endpoint is gone.
+	resp, err := http.Post(ts.URL+"/v1/scaling", "application/json", strings.NewReader(`{"program":"hydro"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/scaling: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -446,11 +517,11 @@ func solveKeyFor(t *testing.T, s *Server, req *AnalyzeRequest) string {
 	if err != nil {
 		t.Fatalf("specFromAnalyze: %v", err)
 	}
-	prep, err := cme.Prepare(spec.np, spec.opt)
+	fl, err := spec.prepare(s)
 	if err != nil {
-		t.Fatalf("Prepare: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
-	return prep.SolveKey(spec.cands, spec.plan)
+	return fl.key
 }
 
 func TestServeSingleflightDedup(t *testing.T) {

@@ -54,7 +54,8 @@ type Options struct {
 	MaxDeadline time.Duration
 	// MaxProblemSize rejects absurd problem sizes at validation (default 1024).
 	MaxProblemSize int64
-	// MaxCandidates bounds a sweep's candidate grid (default 256).
+	// MaxCandidates bounds a sweep's answers: its candidate grid times
+	// its problem-size ladder, if any (default 256).
 	MaxCandidates int
 	// CachePath, when set, loads the content-addressed result cache from
 	// this file at startup (corrupt stores are quarantined, never trusted)
@@ -212,12 +213,12 @@ func (s *Server) shed(status int, kind, msg string, after time.Duration) *httpEr
 // the job, enqueue it. Every failure path is a typed shed, and the
 // reservation is released on any of them. traceparent, optional, joins
 // the job to the submitter's distributed trace.
-func (s *Server) submit(spec *jobSpec, prio int, traceparent string) (*Job, *httpError) {
+func (s *Server) submit(spec *jobSpec, traceparent string) (*Job, *httpError) {
 	if s.draining.Load() {
 		return nil, s.shed(503, kindDraining, "server is draining", 5*time.Second)
 	}
 	if s.pool != nil {
-		if !s.pool.TryAcquire(spec.cost) {
+		if !s.pool.TryAcquire(spec.bud.MaxPoints) {
 			return nil, s.shed(503, kindOverloaded,
 				fmt.Sprintf("point budget pool saturated (%d/%d in use)", s.pool.InUse(), s.pool.Cap()),
 				time.Second)
@@ -227,13 +228,13 @@ func (s *Server) submit(spec *jobSpec, prio int, traceparent string) (*Job, *htt
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("j%06d", s.nextID)
-	j := newJob(id, prio, spec, s.opt.RetryPolicy, traceparent)
+	j := newJob(id, spec, s.opt.RetryPolicy, traceparent)
 	s.jobs[id] = j
 	s.mu.Unlock()
 	s.jobsWG.Add(1)
 
 	if err := s.queue.push(j); err != nil {
-		s.release(spec.cost)
+		s.release(spec.bud.MaxPoints)
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.mu.Unlock()
@@ -352,85 +353,46 @@ func (s *Server) attempt(ctx context.Context, j *Job) (out *solveOutcome, key st
 		bud.Hook = s.opt.JobHook(j.ID)
 	}
 
-	// Scaling jobs have no single program to Prepare: the family is lifted
-	// once inside solveScaling. They share the flight group under a
-	// content-addressed key, with the same follower-retry loop below.
-	if spec.scaling != nil {
-		key = spec.scaling.key
-		for {
-			out, shared = s.flight.do(ctx, key, func() *solveOutcome {
-				return s.solveScaling(ctx, col, spec, bud)
-			})
-			if out == nil {
-				return &solveOutcome{err: fmt.Errorf("%w: while awaiting shared solve", cerr.ErrCanceled)}, key, shared
-			}
-			if shared && out.err != nil && errors.Is(out.err, cerr.ErrCanceled) && ctx.Err() == nil {
-				continue
-			}
-			return out, key, shared
-		}
-	}
-
-	prep, err := s.prepareGuarded(spec)
+	fl, err := guard(func() (flight, error) { return spec.prepare(s) })
 	if err != nil {
 		return &solveOutcome{err: err}, "", false
 	}
-	key = prep.SolveKey(spec.cands, spec.plan)
-
 	// Followers whose leader was cancelled re-issue the flight while their
 	// own context is still live: the key is free again, so one of them
 	// becomes the new leader. Bounded by the context either way.
 	for {
-		out, shared = s.flight.do(ctx, key, func() *solveOutcome {
-			return s.solve(ctx, col, prep, spec, bud)
+		out, shared = s.flight.do(ctx, fl.key, func() *solveOutcome {
+			return newOutcome(guard(func() ([]*cme.Report, error) {
+				return fl.solve(obs.NewContext(ctx, col), bud)
+			}))
 		})
 		if out == nil { // our own ctx ended while following
-			return &solveOutcome{err: fmt.Errorf("%w: while awaiting shared solve", cerr.ErrCanceled)}, key, shared
+			return &solveOutcome{err: fmt.Errorf("%w: while awaiting shared solve", cerr.ErrCanceled)}, fl.key, shared
 		}
 		if shared && out.err != nil && errors.Is(out.err, cerr.ErrCanceled) && ctx.Err() == nil {
 			continue
 		}
-		return out, key, shared
+		return out, fl.key, shared
 	}
 }
 
-// prepareGuarded builds the geometry-invariant solver state, converting a
-// front-half panic into a typed error instead of killing the worker.
-func (s *Server) prepareGuarded(spec *jobSpec) (prep *cme.Prepared, err error) {
+// guard runs one half of an attempt — prepare or solve — converting a
+// panic that escapes the solver's own guards into a typed error instead
+// of a dead worker.
+func guard[T any](fn func() (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			mPanics.Inc()
 			err = cerr.FromPanic(r)
 		}
 	}()
-	return cme.Prepare(spec.np, spec.opt)
-}
-
-// solve is the flight leader's body: one SolveBatch under the job's
-// budget, with panic isolation — a panic that escapes the solver's own
-// guards becomes a typed outcome, never a dead server.
-func (s *Server) solve(ctx context.Context, col *obs.Collector, prep *cme.Prepared, spec *jobSpec, bud budget.Budget) (out *solveOutcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			mPanics.Inc()
-			out = &solveOutcome{err: cerr.FromPanic(r)}
-		}
-	}()
-	ctx = obs.NewContext(ctx, col)
-	reps, err := prep.SolveBatch(ctx, spec.cands, cme.BatchOptions{
-		Plan: spec.plan, Cache: s.cache, Workers: s.opt.SolveWorkers, Budget: bud,
-	})
-	var berr *cme.BatchError
-	if errors.As(err, &berr) {
-		return &solveOutcome{reports: reps, batch: berr}
-	}
-	return &solveOutcome{reports: reps, err: err}
+	return fn()
 }
 
 // finalize releases the job's admission reservation, records its outcome
 // and publishes the terminal state.
 func (s *Server) finalize(j *Job, status JobStatus, res *Result) {
-	s.release(j.spec.cost)
+	s.release(j.spec.bud.MaxPoints)
 	res.Retries = j.attempts
 	if status == StatusDone {
 		s.nCompleted.Add(1)

@@ -59,7 +59,7 @@ var ErrUnknownProgram = errors.New("unknown program")
 // Program names the program a request analyses: a built-in workload
 // (Program) or inline FORTRAN source (Source, with compile-time Consts).
 // Exactly one of the two must be set. It is the wire form shared by
-// POST /v1/analyze, /v1/sweep, /v1/scaling and /v1/dist/sweep.
+// POST /v1/analyze, /v1/sweep and /v1/dist/sweep.
 type Program struct {
 	Program string           `json:"program,omitempty"`
 	Source  string           `json:"source,omitempty"`

@@ -107,6 +107,64 @@ func TestLadder(t *testing.T) {
 	}
 }
 
+// TestGridExpand: a ladder sweep answers every geometry at every ladder
+// size; the product is refused past the limit before anything is built,
+// and a ladder refuses a pad axis by name.
+func TestGridExpand(t *testing.T) {
+	g := Grid{CacheSizes: []int64{1536, 2048}, LineSizes: []int64{32}, Assocs: []int{1}}
+	cs, ns, err := g.Expand(&Ladder{From: 8, To: 24, Step: 8}, serveLimits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs) != 2 || cs[0].Label != "1536B/32B/direct" || !reflect.DeepEqual(ns, []int64{8, 16, 24}) {
+		t.Fatalf("expanded %+v × %v", cs, ns)
+	}
+	if got := LadderLabel(cs[1].Label, ns[2]); got != "2KB/32B/direct N=24" {
+		t.Fatalf("ladder label %q", got)
+	}
+	if _, ns, err := g.Expand(nil, serveLimits); err != nil || ns != nil {
+		t.Fatalf("grid-only sweep: sizes %v, err %v", ns, err)
+	}
+
+	big := make([]int64, 1<<16)
+	for i := range big {
+		big[i] = 64
+	}
+	sixteen, four := big[:16], big[:4]
+	grid256 := Grid{CacheSizes: sixteen, LineSizes: four, Assocs: []int{1, 2, 4, 8}}
+	for _, l := range []*Ladder{{Ns: big}, {Ns: big[:2]}, {From: 1, To: 1 << 62, Step: 1}} {
+		_, _, err := grid256.Expand(l, Limits{Who: "server", MaxCandidates: 256})
+		if err == nil || !strings.Contains(err.Error(), "exceeds the server limit (max 256)") {
+			t.Errorf("256-entry grid × %d-entry ladder: %v", len(l.Ns), err)
+		}
+	}
+	// Without a limit the product is still refused where int cannot count it.
+	_, _, err = Grid{CacheSizes: big, LineSizes: big, Assocs: make([]int, 1<<16)}.Expand(
+		&Ladder{From: 1, To: 1<<62 + 1, Step: 1}, Limits{})
+	if err == nil {
+		t.Fatal("overflowing grid × ladder admitted without a limit")
+	}
+
+	padded := g
+	padded.PadArray, padded.Pads = "ZA", []int64{0, 3}
+	if _, _, err := padded.Expand(&Ladder{Ns: []int64{8}}, serveLimits); err == nil ||
+		!strings.Contains(err.Error(), "pad axis") {
+		t.Fatalf("ladder × pad axis: %v", err)
+	}
+}
+
+func TestLadderRequested(t *testing.T) {
+	if l := (Ladder{}).Requested(); l != nil {
+		t.Fatalf("empty ladder requested: %+v", l)
+	}
+	if l := (Ladder{To: 128}).Requested(); l == nil || !reflect.DeepEqual(*l, Ladder{From: 64, To: 128, Step: 64}) {
+		t.Fatalf("defaults: %+v", l)
+	}
+	if l := (Ladder{From: -64}).Requested(); l == nil || l.From != -64 {
+		t.Fatalf("negative from lost: %+v", l)
+	}
+}
+
 func TestProgramCheck(t *testing.T) {
 	for _, tc := range []struct {
 		p   Program
@@ -174,18 +232,15 @@ func TestParseConstsAndPlan(t *testing.T) {
 	}
 }
 
-// admissionRequest is the union of the sweep and scaling wire fields.
+// admissionRequest is the sweep wire form: a program, a grid and a ladder.
 type admissionRequest struct {
 	Program
+	Ladder
 	CacheSizes []int64 `json:"cache_sizes,omitempty"`
 	LineSizes  []int64 `json:"line_sizes,omitempty"`
 	Assocs     []int   `json:"assocs,omitempty"`
 	PadArray   string  `json:"pad_array,omitempty"`
 	Pads       []int64 `json:"pads,omitempty"`
-	Ns         []int64 `json:"ns,omitempty"`
-	From       int64   `json:"from,omitempty"`
-	To         int64   `json:"to,omitempty"`
-	Step       int64   `json:"step,omitempty"`
 	SizeConst  string  `json:"size_const,omitempty"`
 	Exact      bool    `json:"exact,omitempty"`
 	Confidence float64 `json:"confidence,omitempty"`
@@ -194,8 +249,9 @@ type admissionRequest struct {
 
 // FuzzSweepAdmission feeds arbitrary JSON through decoding and every
 // admission step under the server's default limits: each must refuse
-// with an error or admit at most MaxCandidates candidates (and ladder
-// sizes inside the size bound), and none may panic.
+// with an error or admit at most MaxCandidates answers — grid size times
+// ladder length — with ladder sizes inside the size bound, and none may
+// panic.
 func FuzzSweepAdmission(f *testing.F) {
 	for _, seed := range []string{
 		`{"program":"hydro","size":16,"cache_sizes":[2048,4096],"line_sizes":[32],"assocs":[1,2]}`,
@@ -203,6 +259,7 @@ func FuzzSweepAdmission(f *testing.F) {
 		`{"source":"X","consts":{"n":4},"ns":[64,128],"size_const":"m"}`,
 		`{"program":"hydro","from":1,"to":9223372036854775807,"step":1}`,
 		`{"program":"hydro","cache_sizes":[1,1,1,1],"line_sizes":[1,1,1,1],"assocs":[1,1,1,1],"pad_array":"A","pads":[1,1,1,1,1]}`,
+		`{"program":"hydro","cache_sizes":[1,2,3,4,5,6,7,8],"assocs":[1,2],"from":64,"to":1024,"step":64,"exact":true}`,
 		`{"program":"nope","size":-1,"iters":-1,"confidence":3,"width":-1}`,
 	} {
 		f.Add([]byte(seed))
@@ -222,12 +279,15 @@ func FuzzSweepAdmission(f *testing.F) {
 		if cs, err := g.Candidates(serveLimits); err == nil && len(cs) > serveLimits.MaxCandidates {
 			t.Fatalf("grid of %d candidates admitted", len(cs))
 		}
-		ns, err := Ladder{Ns: req.Ns, From: req.From, To: req.To, Step: req.Step}.Sizes(serveLimits)
+		if ns, err := req.Ladder.Sizes(serveLimits); err == nil && len(ns) > serveLimits.MaxCandidates {
+			t.Fatalf("ladder of %d sizes admitted", len(ns))
+		}
+		cs, ns, err := g.Expand(req.Ladder.Requested(), serveLimits)
 		if err != nil {
 			return
 		}
-		if len(ns) > serveLimits.MaxCandidates {
-			t.Fatalf("ladder of %d sizes admitted", len(ns))
+		if answers := len(cs) * max(len(ns), 1); answers > serveLimits.MaxCandidates {
+			t.Fatalf("grid of %d × ladder of %d sizes admitted", len(cs), len(ns))
 		}
 		for _, n := range ns {
 			if n < 1 || n > serveLimits.MaxSize {

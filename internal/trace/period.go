@@ -2,11 +2,10 @@ package trace
 
 // Address-plan periodicity helpers. A reference whose linearised address
 // advances by a fixed stride c along one loop dimension revisits the same
-// line offset every LineWrapPeriod iterations and the same cache set every
-// SetWrapPeriod iterations: translating the iteration by a multiple of the
-// period shifts every address by a multiple of the line (resp. way) size,
-// which moves whole memory lines without changing any line-relative or
-// set-relative relation. The symbolic solver uses these periods to
+// line offset every LineWrapPeriod iterations: translating the iteration
+// by a multiple of the period shifts every address by a multiple of the
+// line size, which moves whole memory lines without changing any
+// line-relative relation. The symbolic solver uses these periods to
 // classify one period of a dimension and replicate the verdicts across
 // the rest.
 
@@ -31,19 +30,4 @@ func LineWrapPeriod(stride, lineBytes int64) int64 {
 		return 1
 	}
 	return lineBytes / Gcd(stride, lineBytes)
-}
-
-// SetWrapPeriod returns the smallest t > 0 such that stride·t is a
-// multiple of numSets·lineBytes (the way size): translating by t
-// iterations maps every memory line to another line in the same cache
-// set. It is always a multiple of LineWrapPeriod.
-func SetWrapPeriod(stride, lineBytes, numSets int64) int64 {
-	if stride < 0 {
-		stride = -stride
-	}
-	if stride == 0 {
-		return 1
-	}
-	way := lineBytes * numSets
-	return way / Gcd(stride, way)
 }
