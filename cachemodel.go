@@ -383,16 +383,19 @@ type (
 	Choice = advisor.Choice
 )
 
-// Diagnose samples the program and attributes every replacement miss to
-// the arrays that supplied the evicting contentions.
+// Diagnose is EstimateMisses with miss attribution: the same sampled
+// solve, attributing every sampled replacement miss to the arrays that
+// supplied the evicting contentions. Its per-reference counts equal
+// EstimateMisses' under the same options and plan.
 func Diagnose(np *NProgram, cfg Config, opt AnalyzeOptions, plan Plan) (*Diagnosis, error) {
 	return DiagnoseCtx(context.Background(), np, cfg, opt, plan, Budget{})
 }
 
-// DiagnoseCtx is Diagnose under a context and a budget. Diagnosis needs
-// pointwise attribution, so there is no cheaper tier: an interrupted run
-// returns the partial diagnosis together with ErrCanceled or
-// ErrBudgetExceeded.
+// DiagnoseCtx is Diagnose under a context and a budget, with the sampled
+// solver's checkpoints, workers and adaptive sampling. Diagnosis needs
+// pointwise attribution, so there is no cheaper tier: it runs as under
+// Budget.NoFallback, and an interrupted run returns the partial diagnosis
+// together with ErrCanceled or ErrBudgetExceeded.
 func DiagnoseCtx(ctx context.Context, np *NProgram, cfg Config, opt AnalyzeOptions, plan Plan, b Budget) (d *Diagnosis, err error) {
 	defer cerr.RecoverTo(&err)
 	return advisor.DiagnoseCtx(ctx, np, cfg, opt, plan, b)

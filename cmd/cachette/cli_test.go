@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -171,6 +172,29 @@ func TestCLIListRuns(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "hydro") {
 		t.Fatalf("list output missing built-ins:\n%s", out)
+	}
+}
+
+// TestCLIDiagnoseMatchesAnalyze: diagnose is analyze's sampled solve with
+// attribution, so both print the same miss ratio for the same program,
+// cache and plan.
+func TestCLIDiagnoseMatchesAnalyze(t *testing.T) {
+	args := []string{"-program", "hydro", "-size", "32", "-iters", "2", "-cache", "4096", "-line", "32", "-assoc", "1"}
+	ratio := func(cmd string, re *regexp.Regexp) string {
+		out, err := cliCommand(t, append([]string{cmd}, args...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", cmd, err, out)
+		}
+		m := re.FindSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s printed no miss ratio:\n%s", cmd, out)
+		}
+		return string(m[1])
+	}
+	a := ratio("analyze", regexp.MustCompile(`miss ratio: ([0-9.]+)%`))
+	d := ratio("diagnose", regexp.MustCompile(`miss ratio ([0-9.]+)%`))
+	if a != d {
+		t.Errorf("analyze prints %s%%, diagnose %s%%", a, d)
 	}
 }
 

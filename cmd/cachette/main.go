@@ -5,11 +5,10 @@
 //
 // Usage:
 //
-//	cachette analyze  -program hydro -size 64 -cache 32768 -line 32 -assoc 2 [-exact]
-//	cachette simulate -program mmt   -size 48 -cache 32768 -line 32 -assoc 1
-//	cachette experiments [-table N|-all] [-scale quick|medium|paper] [-shrink K]
-//	cachette show     -program swim -size 16   # normalised form, reuse summary
-//	cachette list
+//	cachette <subcommand> [flags]
+//
+// `cachette -h` lists every subcommand; `cachette <subcommand> -h` lists
+// its flags.
 package main
 
 import (
@@ -415,6 +414,8 @@ func cmdDiagnose(args []string) error {
 	top := fs.Int("top", 10, "interference pairs to print")
 	fs.Parse(args)
 
+	ctx, stop := signalContext()
+	defer stop()
 	p, err := pf.load()
 	if err != nil {
 		return err
@@ -424,9 +425,10 @@ func cmdDiagnose(args []string) error {
 		return err
 	}
 	cfg := cache.Config{SizeBytes: *cs, LineBytes: *ls, Assoc: *assoc}
-	d, err := advisor.Diagnose(np, cfg, cme.Options{}, sampling.Plan{C: spec.DefaultConfidence, W: spec.DefaultWidth})
-	if err != nil {
-		return err
+	d, ierr := advisor.DiagnoseCtx(ctx, np, cfg, cme.Options{},
+		sampling.Plan{C: spec.DefaultConfidence, W: spec.DefaultWidth}, budget.Budget{})
+	if d == nil {
+		return ierr
 	}
 	fmt.Printf("%s  diagnosis  cache %s  (%.3fs)\n", p.Name, cfg, d.Elapsed.Seconds())
 	fmt.Printf("  miss ratio %.2f%%  (cold %.0f, replacement %.0f of %.0f accesses)\n",
@@ -437,7 +439,10 @@ func cmdDiagnose(args []string) error {
 		fmt.Printf("    %-10s <- %-10s %12.0f contentions\n",
 			cell.Victim.Name, cell.Interferer.Name, cell.Contentions)
 	}
-	return nil
+	if ierr != nil {
+		fmt.Printf("  diagnosis interrupted: %v (figures above cover the analysed part)\n", ierr)
+	}
+	return ierr
 }
 
 func cmdTrace(args []string) error {

@@ -5,10 +5,11 @@
 //
 // Two facilities are provided:
 //
-//   - Diagnose samples each reference's iteration space and attributes
-//     every replacement miss to the arrays whose lines supplied the
-//     evicting set contentions, yielding an interference matrix a
-//     compiler (or human) can act on;
+//   - Diagnose is EstimateMisses with miss attribution: the solver's own
+//     sampled solve (cme.Analyzer.AttributeMissesCtx) attributes every
+//     sampled replacement miss to the arrays whose lines supplied the
+//     evicting set contentions, so its counts are EstimateMisses' and its
+//     interference matrix is one a compiler (or human) can act on;
 //   - SearchPadding and SearchParameter drive the analytical model over a
 //     transformation space (inter-array pads, tile sizes, ...) and return
 //     the predicted-best choice, without ever simulating.
@@ -17,7 +18,6 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -26,7 +26,6 @@ import (
 	"cachemodel/internal/cme"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/layout"
-	"cachemodel/internal/poly"
 	"cachemodel/internal/sampling"
 	"cachemodel/internal/spec"
 )
@@ -44,7 +43,10 @@ type Interference struct {
 // Diagnosis summarises a sampled diagnostic pass.
 type Diagnosis struct {
 	Config cache.Config
-	// Estimated access-weighted totals.
+	// Refs are the per-reference counts of the sampled solve: those
+	// EstimateMisses reports under the same options and plan.
+	Refs []*cme.RefReport
+	// Estimated access-weighted totals of the references analysed.
 	Accesses float64
 	Hits     float64
 	Cold     float64
@@ -73,84 +75,63 @@ func (d *Diagnosis) Top(n int) []Interference {
 	return d.Matrix[:n]
 }
 
-// Diagnose runs a sampled diagnostic analysis: every reference is sampled
-// per the plan, each sampled access classified with attribution, and the
-// contention evidence aggregated per (victim array, interferer array).
+// Diagnose runs a sampled diagnostic analysis: EstimateMisses' sampled
+// solve with every sampled replacement miss attributed to the arrays that
+// supplied its contending lines, the evidence aggregated per (victim
+// array, interferer array).
 func Diagnose(np *ir.NProgram, cfg cache.Config, opt cme.Options, plan sampling.Plan) (*Diagnosis, error) {
 	return DiagnoseCtx(context.Background(), np, cfg, opt, plan, budget.Budget{})
 }
 
-// DiagnoseCtx is Diagnose under a context and a budget, with a checkpoint
-// per classified sample point. Diagnosis needs pointwise attribution, so
-// there is no cheaper tier to degrade to: an interrupted run returns the
-// partial diagnosis (covering the references sampled so far, scaled to
-// their access counts) together with ErrCanceled or ErrBudgetExceeded.
+// DiagnoseCtx is Diagnose under a context and a budget, with the sampled
+// solver's checkpoints, workers and Adaptive sampling. Diagnosis needs
+// pointwise attribution, so there is no cheaper tier to degrade to: an
+// interrupted run returns the partial diagnosis (covering the points
+// classified so far, scaled to their references' access counts) together
+// with ErrCanceled or ErrBudgetExceeded.
 func DiagnoseCtx(ctx context.Context, np *ir.NProgram, cfg cache.Config, opt cme.Options, plan sampling.Plan, b budget.Budget) (*Diagnosis, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
 	a, err := cme.New(np, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	m := budget.NewMeter(ctx, b)
-	var p *budget.Probe
-	if !m.Unlimited() {
-		p = m.Probe()
-		defer p.Drain()
-	}
-	rng := rand.New(rand.NewSource(20020211)) // the paper's venue date
-	d := &Diagnosis{Config: cfg}
-	cells := map[[2]*ir.Array]float64{}
-	var selfHits float64
-	var ierr error
-
+	// Per victim reference, contention counts per interfering array. A
+	// reference's accesses are attributed by one goroutine, so each inner
+	// map has a single writer.
+	tallies := make(map[*ir.NRef]map[*ir.Array]int64, len(np.Refs))
 	for _, r := range np.Refs {
-		if ierr != nil {
-			break
-		}
-		sp := poly.FromStmt(r.Stmt)
-		vol := sp.Volume()
-		if vol == 0 {
-			continue
-		}
-		n := plan.SizeFor(vol)
-		if !plan.Achievable(vol) {
-			if sampling.DefaultFallback.Achievable(vol) {
-				n = sampling.DefaultFallback.SizeFor(vol)
-			} else {
-				n = int(vol)
+		tallies[r] = map[*ir.Array]int64{}
+	}
+	rep, serr := a.AttributeMissesCtx(ctx, b, plan, func(r *ir.NRef, o cme.Outcome, culprits []*ir.NRef) {
+		if o == cme.ReplacementMiss {
+			t := tallies[r]
+			for _, c := range culprits {
+				t[c.Array]++
 			}
 		}
-		pts := sp.Sample(rng, n)
-		if len(pts) == 0 {
+	})
+	if rep == nil {
+		return nil, serr
+	}
+	// Scale each reference's sample to its population in reference order,
+	// so the sums do not depend on the worker count. Every replacement
+	// miss has exactly Assoc culprits, each carrying 1/Assoc of it.
+	d := &Diagnosis{Config: cfg, Refs: rep.Refs}
+	cells := map[[2]*ir.Array]float64{}
+	var self float64
+	for _, rr := range rep.Refs {
+		if rr.Analyzed == 0 {
 			continue
 		}
-		weight := float64(vol) / float64(len(pts)) // scale sample to population
-		d.Accesses += float64(vol)
-		classified := 0
-		for _, idx := range pts {
-			if p != nil {
-				if ierr = p.Check(1, 0); ierr != nil {
-					break
-				}
-			}
-			classified++
-			outcome, refs := a.ClassifyDetail(r, idx)
-			switch outcome {
-			case cme.Hit:
-				d.Hits += weight
-			case cme.ColdMiss:
-				d.Cold += weight
-			case cme.ReplacementMiss:
-				d.Repl += weight
-				for _, ri := range refs {
-					cells[[2]*ir.Array{r.Array, ri.Array}] += weight / float64(len(refs))
-					if ri.Array == r.Array {
-						selfHits += weight / float64(len(refs))
-					}
-				}
+		scale := float64(rr.Volume) / float64(rr.Analyzed)
+		d.Accesses += float64(rr.Volume)
+		d.Hits += float64(rr.Hits) * scale
+		d.Cold += float64(rr.Cold) * scale
+		d.Repl += float64(rr.Repl) * scale
+		for arr, n := range tallies[rr.Ref] {
+			w := float64(n) * scale / float64(cfg.Assoc)
+			cells[[2]*ir.Array{rr.Ref.Array, arr}] += w
+			if arr == rr.Ref.Array {
+				self += w
 			}
 		}
 	}
@@ -158,16 +139,20 @@ func DiagnoseCtx(ctx context.Context, np *ir.NProgram, cfg cache.Config, opt cme
 		d.Matrix = append(d.Matrix, Interference{Victim: k[0], Interferer: k[1], Contentions: v})
 	}
 	sort.Slice(d.Matrix, func(i, j int) bool {
-		if d.Matrix[i].Contentions != d.Matrix[j].Contentions {
-			return d.Matrix[i].Contentions > d.Matrix[j].Contentions
+		x, y := d.Matrix[i], d.Matrix[j]
+		if x.Contentions != y.Contentions {
+			return x.Contentions > y.Contentions
 		}
-		return d.Matrix[i].Victim.Name < d.Matrix[j].Victim.Name
+		if x.Victim.Name != y.Victim.Name {
+			return x.Victim.Name < y.Victim.Name
+		}
+		return x.Interferer.Name < y.Interferer.Name
 	})
 	if d.Repl > 0 {
-		d.SelfInterference = selfHits / d.Repl
+		d.SelfInterference = self / d.Repl
 	}
-	d.Elapsed = time.Since(start)
-	return d, ierr
+	d.Elapsed = rep.Elapsed
+	return d, serr
 }
 
 // Choice is one evaluated transformation candidate.

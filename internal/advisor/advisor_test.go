@@ -1,15 +1,21 @@
 package advisor
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
 
+	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
+	"cachemodel/internal/cerr"
 	"cachemodel/internal/cme"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/kernels"
+	"cachemodel/internal/reuse"
 	"cachemodel/internal/sampling"
 	"cachemodel/internal/spec"
 )
@@ -84,6 +90,80 @@ func TestDiagnoseSelfInterference(t *testing.T) {
 	}
 	if d.SelfInterference < 0.95 {
 		t.Errorf("self-interference %.2f, want ~1", d.SelfInterference)
+	}
+}
+
+// TestDiagnoseMatchesEstimate: Diagnose is EstimateMisses with
+// attribution, so its per-reference counts equal EstimateMissesCtx's under
+// the same options and plan, at any worker count and with non-uniform
+// reuse resolved; its matrix does not depend on the worker count; and an
+// exhausted budget leaves a partial diagnosis, never a probabilistic one.
+func TestDiagnoseMatchesEstimate(t *testing.T) {
+	cfg := cache.Config{SizeBytes: 4096, LineBytes: 32, Assoc: 2}
+	progs := map[string]*ir.Program{"hydro": kernels.Hydro(32, 32), "mmt": kernels.MMT(24, 12, 12)}
+	for name, p := range progs {
+		np, _, err := spec.FrontEnd{}.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ru := range []reuse.Options{{}, {NonUniform: true}} {
+			var first *Diagnosis
+			for _, workers := range []int{1, 2} {
+				opt := cme.Options{Reuse: ru, Workers: workers}
+				d, err := Diagnose(np, cfg, opt, plan())
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := cme.New(np, cfg, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := a.EstimateMissesCtx(context.Background(), budget.Budget{}, plan())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, want := range rep.Refs {
+					got := d.Refs[i]
+					if got.Analyzed != want.Analyzed || got.Hits != want.Hits ||
+						got.Cold != want.Cold || got.Repl != want.Repl {
+						t.Errorf("%s %+v workers=%d %s: diagnose %d/%d/%d/%d, estimate %d/%d/%d/%d (analyzed/hits/cold/repl)",
+							name, ru, workers, want.Ref.ID, got.Analyzed, got.Hits, got.Cold, got.Repl,
+							want.Analyzed, want.Hits, want.Cold, want.Repl)
+					}
+				}
+				if math.Abs(d.MissRatio()-rep.MissRatio()) > 1e-9 {
+					t.Errorf("%s %+v workers=%d: diagnosed %.9f%%, estimated %.9f%%",
+						name, ru, workers, d.MissRatio(), rep.MissRatio())
+				}
+				if first == nil {
+					first = d
+					continue
+				}
+				if !reflect.DeepEqual(d.Matrix, first.Matrix) || d.SelfInterference != first.SelfInterference {
+					t.Errorf("%s %+v: matrix or self-interference differs at 1 and 2 workers", name, ru)
+				}
+			}
+		}
+		d, err := DiagnoseCtx(context.Background(), np, cfg, cme.Options{Workers: 2}, plan(),
+			budget.Budget{MaxPoints: 100})
+		if !errors.Is(err, cerr.ErrBudgetExceeded) {
+			t.Fatalf("%s: MaxPoints diagnosis returned %v, want ErrBudgetExceeded", name, err)
+		}
+		if d == nil {
+			t.Fatalf("%s: no partial diagnosis", name)
+		}
+		complete := 0
+		for _, rr := range d.Refs {
+			if rr.Complete {
+				complete++
+			}
+			if rr.Tier == cme.TierProbabilistic {
+				t.Errorf("%s: %s degraded to the probabilistic tier", name, rr.Ref.ID)
+			}
+		}
+		if complete == len(d.Refs) {
+			t.Errorf("%s: every reference complete under a 100-point budget", name)
+		}
 	}
 }
 

@@ -325,7 +325,7 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 
 	var serr error
 	if mode.sampled {
-		serr = p.solveSampled(ctx, m, col, "solve.batch", states, *opt.Plan, workers)
+		serr = p.solveSampled(ctx, m, col, "solve.batch", states, *opt.Plan, workers, nil)
 	} else {
 		// Geometry-parametric tier (geom.go): plan columns first — it
 		// clears the need masks of members it will answer in closed form,
@@ -520,8 +520,9 @@ func (p *Prepared) runLabeled(cand, ref, tile string, run func()) {
 // under stage. Each item samples with its own one-candidate classifier;
 // the sampling RNG is seeded per reference, independently of the
 // geometry, so a candidate's report does not depend on the batch around
-// it or on the worker count.
-func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.Collector, stage string, states []*batchCand, plan sampling.Plan, workers int) error {
+// it or on the worker count. A non-nil sink attributes every classified
+// access (AttributeMissesCtx); batches pass nil.
+func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.Collector, stage string, states []*batchCand, plan sampling.Plan, workers int, sink Attribution) error {
 	type item struct {
 		cs *batchCand
 		ri int
@@ -532,7 +533,8 @@ func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.C
 		for ri, r := range p.np.Refs {
 			if cs.need[ri] {
 				items = append(items, item{cs, ri})
-				planned += plannedFor(plan, p.spaces[r.Stmt].Volume())
+				_, n, _ := planFor(plan, p.spaces[r.Stmt].Volume())
+				planned += n
 			}
 		}
 	}
@@ -567,8 +569,8 @@ func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.C
 					return // another worker tripped the meter
 				}
 				a := it.cs.a
-				fc := a.newClassifier(walker)
-				work := a.sampleWorker(plan)
+				fc := a.newClassifier(walker, sink != nil)
+				work := a.sampleWorker(plan, sink)
 				r := p.np.Refs[it.ri]
 				rr := it.cs.rep.Refs[it.ri]
 				p.runLabeled(it.cs.label, r.ID, "full", func() { work(fc, r, rr, pb) })

@@ -245,16 +245,17 @@ func (s *walkScratch) reset() {
 	}
 }
 
-// add inserts a contending line and reports the distinct count.
-func (s *walkScratch) add(line int64) int {
+// add inserts a contending line and reports the distinct count and
+// whether the line is new to the walk.
+func (s *walkScratch) add(line int64) (int, bool) {
 	if s.linear {
 		for _, d := range s.distinct {
 			if d == line {
-				return len(s.distinct)
+				return len(s.distinct), false
 			}
 		}
 		s.distinct = append(s.distinct, line)
-		return len(s.distinct)
+		return len(s.distinct), true
 	}
 	h := int(uint64(line) * 0x9E3779B97F4A7C15 >> 32)
 	for i := h & s.mask; ; i = (i + 1) & s.mask {
@@ -262,10 +263,10 @@ func (s *walkScratch) add(line int64) int {
 			s.stamps[i] = s.epoch
 			s.slots[i] = line
 			s.distinct = append(s.distinct, line) // count only
-			return len(s.distinct)
+			return len(s.distinct), true
 		}
 		if s.slots[i] == line {
-			return len(s.distinct)
+			return len(s.distinct), false
 		}
 	}
 }

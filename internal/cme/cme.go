@@ -167,10 +167,11 @@ type Analyzer struct {
 	wayBytes int64
 	setMask  int64 // numSets-1 when numSets is a power of two, else -1
 
-	// defc serves the one-off public Classify API; solver passes build one
-	// classifier per worker instead.
+	// defc and detc serve the one-off public Classify and ClassifyDetail
+	// APIs; solver passes build one classifier per worker instead.
 	clsMu sync.Mutex
 	defc  *fusedClassifier
+	detc  *fusedClassifier
 }
 
 // New prepares an analyzer: it generates reuse vectors for every reference
@@ -197,10 +198,17 @@ func (a *Analyzer) Vectors(r *ir.NRef) []*reuse.Vector { return a.ls.vecs[r] }
 func (a *Analyzer) Space(s *ir.NStmt) *poly.Space { return a.p.spaces[s] }
 
 // newClassifier returns a one-candidate classifier for the analyzer,
-// walking intervals with w.
-func (a *Analyzer) newClassifier(w *trace.Walker) *fusedClassifier {
+// walking intervals with w. An attributing one records culprits and skips
+// the verdict memo, which replays verdicts but not culprits.
+func (a *Analyzer) newClassifier(w *trace.Walker, attribute bool) *fusedClassifier {
 	g := &fuseGroup{lineBytes: a.cfg.LineBytes, ls: a.ls, cands: []*batchCand{{a: a}}}
-	return newFusedClassifier(g, w, a.p)
+	fc := newFusedClassifier(g, w, a.p)
+	if attribute {
+		st := fc.states[0]
+		st.memo = nil
+		st.culprits = make([]*ir.NRef, 0, a.cfg.Assoc)
+	}
+	return fc
 }
 
 // Classify decides the outcome of reference r's access at iteration idx by
@@ -210,7 +218,7 @@ func (a *Analyzer) Classify(r *ir.NRef, idx []int64) Outcome {
 	a.clsMu.Lock()
 	defer a.clsMu.Unlock()
 	if a.defc == nil {
-		a.defc = a.newClassifier(trace.NewWalker(a.np))
+		a.defc = a.newClassifier(trace.NewWalker(a.np), false)
 	}
 	o, _ := a.defc.classify(r, idx)
 	return o
@@ -218,61 +226,20 @@ func (a *Analyzer) Classify(r *ir.NRef, idx []int64) Outcome {
 
 // ClassifyDetail is Classify plus attribution: for a replacement miss it
 // reports the references whose accesses supplied the k distinct contending
-// lines (the paper's follow-up work [10] uses exactly this information for
-// CME-driven diagnosis); for a hit it reports the producer whose line was
-// reused. Its walk follows Options.PaperLRU exactly as Classify's does:
-// exact LRU scans backwards and stops at the line's most recent fetch,
-// while the paper's equations scan the whole interval forwards.
+// lines, in walk order (the paper's follow-up work [10] uses exactly this
+// information for CME-driven diagnosis); for a hit it reports the producer
+// whose line was reused, non-uniform producers included. Its walk is
+// Classify's: exact LRU scans backwards and stops at the line's most
+// recent fetch, while the paper's equations scan the whole interval
+// forwards.
 func (a *Analyzer) ClassifyDetail(r *ir.NRef, idx []int64) (Outcome, []*ir.NRef) {
-	line := a.cfg.MemLine(r.AddressAt(idx))
-	set := a.cfg.SetOfLine(line)
-	k := a.cfg.Assoc
-	consumer := trace.Time{Label: r.Stmt.Label, Idx: idx, Seq: r.Seq}
-	visit := trace.VisitBetweenReverse
-	if a.opt.PaperLRU {
-		visit = trace.VisitBetween
+	a.clsMu.Lock()
+	defer a.clsMu.Unlock()
+	if a.detc == nil {
+		a.detc = a.newClassifier(trace.NewWalker(a.np), true)
 	}
-
-	var distinct []int64
-	var culprits []*ir.NRef
-	for _, v := range a.ls.vecs[r] {
-		plabel, pidx := v.ProducerPoint(idx)
-		if !a.p.spaces[v.Producer.Stmt].Contains(pidx) {
-			continue
-		}
-		if a.cfg.MemLine(v.Producer.AddressAt(pidx)) != line {
-			continue
-		}
-		producer := trace.Time{Label: plabel, Idx: pidx, Seq: v.Producer.Seq}
-		distinct, culprits = distinct[:0], culprits[:0]
-		evicted := false
-		visit(a.np, producer, consumer, func(ri *ir.NRef, j []int64) bool {
-			al := a.cfg.MemLine(ri.AddressAt(j))
-			if al == line {
-				return a.opt.PaperLRU // only exact LRU stops at the reuse
-			}
-			if a.cfg.SetOfLine(al) != set {
-				return true
-			}
-			for _, d := range distinct {
-				if d == al {
-					return true
-				}
-			}
-			distinct = append(distinct, al)
-			culprits = append(culprits, ri)
-			if len(distinct) >= k {
-				evicted = true
-				return false
-			}
-			return true
-		})
-		if evicted {
-			return ReplacementMiss, append([]*ir.NRef(nil), culprits...)
-		}
-		return Hit, []*ir.NRef{v.Producer}
-	}
-	return ColdMiss, nil
+	o, _ := a.detc.classify(r, idx)
+	return o, append([]*ir.NRef(nil), a.detc.states[0].culprits...)
 }
 
 // RefReport is the per-reference analysis result.
@@ -544,6 +511,28 @@ func (a *Analyzer) EstimateMisses(plan sampling.Plan) (*Report, error) {
 // degrades unfinished references to the probabilistic baseline (or fails
 // with ErrBudgetExceeded under NoFallback).
 func (a *Analyzer) EstimateMissesCtx(ctx context.Context, b budget.Budget, plan sampling.Plan) (*Report, error) {
+	return a.estimate(ctx, b, plan, nil)
+}
+
+// Attribution receives each classified access with its culprits, as
+// ClassifyDetail reports them; culprits is valid only during the call.
+// Calls for one reference come from one goroutine in sample order;
+// different references may be attributed concurrently.
+type Attribution func(r *ir.NRef, o Outcome, culprits []*ir.NRef)
+
+// AttributeMissesCtx is EstimateMissesCtx's sampled solve, passing every
+// classified access to sink, so its report equals EstimateMissesCtx's.
+// Attribution needs pointwise classification, so it never degrades: an
+// interrupted run returns the partial report with ErrCanceled or
+// ErrBudgetExceeded, as under Budget.NoFallback.
+func (a *Analyzer) AttributeMissesCtx(ctx context.Context, b budget.Budget, plan sampling.Plan, sink Attribution) (*Report, error) {
+	b.NoFallback = true
+	return a.estimate(ctx, b, plan, sink)
+}
+
+// estimate is the sampled solve of EstimateMissesCtx, attributed to sink
+// when it is non-nil.
+func (a *Analyzer) estimate(ctx context.Context, b budget.Budget, plan sampling.Plan, sink Attribution) (*Report, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -554,30 +543,31 @@ func (a *Analyzer) EstimateMissesCtx(ctx context.Context, b budget.Budget, plan 
 	span.SetAttr("refs", len(a.np.Refs))
 	m := budget.NewMeter(ctx, b)
 	cs := a.solo(true)
-	serr := a.p.solveSampled(ctx, m, col, "solve.sampled", []*batchCand{cs}, plan, a.workers())
+	serr := a.p.solveSampled(ctx, m, col, "solve.sampled", []*batchCand{cs}, plan, a.workers(), sink)
 	// The exact rung is already behind us: only census-sized references
 	// (analysed exhaustively) resample; the rest drop to the
 	// probabilistic tier.
 	return a.finish(ctx, m, cs, plan, serr, start)
 }
 
-// plannedFor returns how many points the sampling pass will classify for
-// one reference of the given volume under plan (mirroring sampleWorker's
-// plan selection).
-func plannedFor(plan sampling.Plan, vol int64) int64 {
+// planFor selects the sampling plan of one reference of the given volume:
+// the requested plan, else the paper's default fallback, else (sampled
+// false) a full census. n is the number of points the pass classifies at
+// most.
+func planFor(plan sampling.Plan, vol int64) (splan sampling.Plan, n int64, sampled bool) {
 	switch {
 	case plan.Achievable(vol):
-		return int64(plan.SizeFor(vol))
+		return plan, int64(plan.SizeFor(vol)), true
 	case sampling.DefaultFallback.Achievable(vol):
-		return int64(sampling.DefaultFallback.SizeFor(vol))
-	default:
-		return vol
+		return sampling.DefaultFallback, int64(sampling.DefaultFallback.SizeFor(vol)), true
 	}
+	return plan, vol, false
 }
 
 // sampleWorker returns the per-reference sampling pass of Fig. 6 (right),
-// classifying with a one-candidate classifier of the analyzer.
-func (a *Analyzer) sampleWorker(plan sampling.Plan) func(*fusedClassifier, *ir.NRef, *RefReport, *budget.Probe) error {
+// classifying with a one-candidate classifier of the analyzer. A non-nil
+// sink receives every classified access; its classifier must attribute.
+func (a *Analyzer) sampleWorker(plan sampling.Plan, sink Attribution) func(*fusedClassifier, *ir.NRef, *RefReport, *budget.Probe) error {
 	seed := a.opt.Seed
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF
@@ -587,24 +577,21 @@ func (a *Analyzer) sampleWorker(plan sampling.Plan) func(*fusedClassifier, *ir.N
 		rng := rand.New(rand.NewSource(seed ^ int64(r.Seq)*0x9E3779B9))
 		sp := a.p.spaces[r.Stmt]
 		vol := rr.Volume
-		rr.Tier = TierSampled
-		splan := plan
-		capN := 0
+		splan, capN, sampled := planFor(plan, vol)
+		rr.Sampled, rr.Tier = sampled, TierSampled
 		switch {
-		case plan.Achievable(vol):
-			rr.Sampled = true
-			capN = plan.SizeFor(vol)
-		case sampling.DefaultFallback.Achievable(vol):
-			rr.Sampled = true
-			splan, capN = sampling.DefaultFallback, sampling.DefaultFallback.SizeFor(vol)
-			sampling.FallbackPlans.Inc()
-		default:
+		case !sampled:
 			// Analyse all points: a full census of a small RIS.
 			rr.Tier = TierExact
+		case splan != plan:
+			sampling.FallbackPlans.Inc()
 		}
 		var perr error
 		classify := func(idx []int64) bool {
 			out, scanned := fc.classify(r, idx)
+			if sink != nil {
+				sink(r, out, fc.states[0].culprits)
+			}
 			rr.Analyzed++
 			switch out {
 			case Hit:
@@ -623,9 +610,9 @@ func (a *Analyzer) sampleWorker(plan sampling.Plan) func(*fusedClassifier, *ir.N
 		}
 		switch {
 		case rr.Sampled && a.opt.Adaptive:
-			sampleAdaptive(sp, rng, splan, vol, capN, rr, classify)
+			sampleAdaptive(sp, rng, splan, vol, int(capN), rr, classify)
 		case rr.Sampled:
-			for _, pt := range sp.Sample(rng, capN) {
+			for _, pt := range sp.Sample(rng, int(capN)) {
 				if !classify(pt) {
 					break
 				}
@@ -692,8 +679,8 @@ func sampleAdaptive(sp *poly.Space, rng *rand.Rand, plan sampling.Plan, vol int6
 // sampling solver under the (typically widened) plan, discarding the
 // biased partial counts of the interrupted exact prefix.
 func (a *Analyzer) resampleIncomplete(m *budget.Meter, rep *Report, plan sampling.Plan) error {
-	work := a.sampleWorker(plan)
-	fc := a.newClassifier(trace.NewWalker(a.np))
+	work := a.sampleWorker(plan, nil)
+	fc := a.newClassifier(trace.NewWalker(a.np), false)
 	defer fc.release()
 	p := m.Probe()
 	defer p.Drain()

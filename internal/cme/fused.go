@@ -78,6 +78,10 @@ type fcState struct {
 	scanned  int64
 	key      string   // memo key to store after the walk ("" = none)
 	vm       *vecMemo // arena the pending key stores into
+
+	// culprits, non-nil on an attributing classifier, arms attribution:
+	// the walk appends the reference behind each new contending line.
+	culprits []*ir.NRef
 }
 
 // fcWalkEntry is the per-access working set of one undecided candidate,
@@ -128,18 +132,23 @@ func (fc *fusedClassifier) release() {
 	fc.nWalks, fc.nMemoHits, fc.nSteps, fc.nMemoOff = 0, 0, 0, 0
 }
 
-// classify decides one access of a one-candidate classifier (the sampled
-// solver and Analyzer.Classify) and reports the logical scan work of the
-// deciding walk.
+// classify decides one access of a one-candidate classifier and reports
+// the logical scan work of the deciding walk. An attributing classifier
+// leaves its culprits in states[0].culprits (the producer, on a hit).
 func (fc *fusedClassifier) classify(r *ir.NRef, idx []int64) (Outcome, int64) {
-	fc.act = append(fc.act[:0], fc.states[0])
+	st := fc.states[0]
+	fc.act = append(fc.act[:0], st)
+	st.culprits = st.culprits[:0]
 	var part [1]RefReport
-	scanned := fc.classifyFused(r, idx, part[:])
+	scanned, producer := fc.classifyFused(r, idx, part[:])
 	switch {
 	case part[0].Cold != 0:
 		return ColdMiss, scanned
 	case part[0].Repl != 0:
 		return ReplacementMiss, scanned
+	}
+	if st.culprits != nil {
+		st.culprits = append(st.culprits[:0], producer)
 	}
 	return Hit, scanned
 }
@@ -174,7 +183,7 @@ func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, act
 	var perr error
 	n := 0
 	fc.p.spaces[r.Stmt].EnumerateTile(t, func(idx []int64) bool {
-		scanned := fc.classifyFused(r, idx, parts)
+		scanned, _ := fc.classifyFused(r, idx, parts)
 		if p != nil {
 			if perr = p.Check(int64(len(fc.act)), scanned); perr != nil {
 				return false
@@ -207,8 +216,9 @@ func (s *fcState) arm(line int64) {
 // (§4.2): the cold equation, then the replacement equation, along the
 // reference's reuse vectors in order, then any non-uniform reuse. It
 // returns the summed logical scan work of the point across the active
-// candidates (memo replays included; cold misses scan nothing).
-func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefReport) int64 {
+// candidates (memo replays included; cold misses scan nothing) and the
+// producer reference of the deciding reuse (nil for a cold miss).
+func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefReport) (int64, *ir.NRef) {
 	g := fc.g
 	addr := r.AddressAt(idx)
 	var line int64
@@ -280,19 +290,19 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 				}
 			}
 		}
-		return fc.tally(parts)
+		return fc.tally(parts), v.Producer
 	}
 	// Every static reuse vector fell through: non-uniformly generated
 	// reuse (§8 future work) may still supply the most recent toucher of
 	// the element. Its walk always models exact LRU.
 	if fc.p.dyn != nil {
-		if producer, ok := fc.dynamicProducer(r, idx, consumer); ok {
+		if producer, pref := fc.dynamicProducer(r, idx, consumer); pref != nil {
 			for _, s := range fc.act {
 				s.arm(line)
 			}
 			fc.pend = append(fc.pend[:0], fc.act...)
 			fc.fusedWalk(producer, consumer, line, false)
-			return fc.tally(parts)
+			return fc.tally(parts), pref
 		}
 	}
 	// No reuse solves the cold equation: a cold miss everywhere.
@@ -300,7 +310,7 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 		parts[k].Analyzed++
 		parts[k].Cold++
 	}
-	return 0
+	return 0, nil
 }
 
 // tally accounts the decided walk of every active candidate into parts
@@ -321,11 +331,12 @@ func (fc *fusedClassifier) tally(parts []RefReport) int64 {
 
 // dynamicProducer finds the latest access before the consumer that
 // touches the same element through one of the reference's non-uniform
-// reuse pairs. The same element means the same memory line, so the cold
-// equation holds whenever a producer exists.
-func (fc *fusedClassifier) dynamicProducer(r *ir.NRef, idx []int64, consumer trace.Time) (trace.Time, bool) {
+// reuse pairs, and its reference (nil when there is none). The same
+// element means the same memory line, so the cold equation holds whenever
+// a producer exists.
+func (fc *fusedClassifier) dynamicProducer(r *ir.NRef, idx []int64, consumer trace.Time) (trace.Time, *ir.NRef) {
 	var best trace.Time
-	found := false
+	var bref *ir.NRef
 	for _, d := range fc.p.dyn[r] {
 		q, ok := d.ProducerPoint(idx)
 		if !ok || !fc.p.spaces[d.Producer.Stmt].Contains(q) {
@@ -335,11 +346,11 @@ func (fc *fusedClassifier) dynamicProducer(r *ir.NRef, idx []int64, consumer tra
 		if trace.Compare(pt, consumer) >= 0 {
 			continue
 		}
-		if !found || trace.Compare(pt, best) > 0 {
-			best, found = pt, true
+		if bref == nil || trace.Compare(pt, best) > 0 {
+			best, bref = pt, d.Producer
 		}
 	}
-	return best, found
+	return best, bref
 }
 
 // fusedWalk runs one shared interval traversal deciding the replacement
@@ -381,10 +392,33 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, 
 			fastMask = s.setMask
 		}
 	}
-	// scan applies one interval access to every undecided candidate and
-	// reports whether any remain. Set membership strength-reduces the
-	// modulo to a mask for power-of-two set counts.
-	scan := func(al int64) bool {
+	// step applies one interval access of reference r to every undecided
+	// candidate and reports whether any remain. A touch of the reused line
+	// never contends: under exact LRU, which scans backwards from the
+	// consumer, it is the line's most recent fetch and stops every walk at
+	// the same position; the paper's equations verbatim scan forwards and
+	// let k distinct set contentions anywhere in the interval evict. Set
+	// membership strength-reduces the modulo to a mask for power-of-two set
+	// counts. An attributing candidate blames r for each new contending
+	// line.
+	step := func(r *ir.NRef, addr int64) bool {
+		pos++
+		var al int64
+		if lineShift >= 0 {
+			al = addr >> lineShift
+		} else {
+			al = addr / lineBytes
+		}
+		if al == line {
+			if paperLRU {
+				return true
+			}
+			for _, w := range walk {
+				w.st.scanned, w.st.walkDone = pos, true
+			}
+			walk = walk[:0]
+			return false
+		}
 		x := al ^ line
 		if fastMask >= 0 && x&fastMask != 0 {
 			return len(walk) > 0
@@ -397,7 +431,15 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, 
 			} else {
 				in = al%w.numSets == w.set
 			}
-			if in && w.scratch.add(al) >= w.assoc {
+			if !in {
+				i++
+				continue
+			}
+			n, fresh := w.scratch.add(al)
+			if fresh && w.st.culprits != nil {
+				w.st.culprits = append(w.st.culprits, r)
+			}
+			if n >= w.assoc {
 				w.st.evicted, w.st.scanned, w.st.walkDone = true, pos, true
 				walk[i] = walk[len(walk)-1]
 				walk = walk[:len(walk)-1]
@@ -408,43 +450,9 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, 
 		return len(walk) > 0
 	}
 	if paperLRU {
-		// The paper's equations verbatim: k distinct set contentions
-		// anywhere in the interval evict; touches of the reused line are
-		// counted as scanned but never stop a walk.
-		fc.w.Between(producer, consumer, func(_ *ir.NRef, addr int64) bool {
-			pos++
-			var al int64
-			if lineShift >= 0 {
-				al = addr >> lineShift
-			} else {
-				al = addr / lineBytes
-			}
-			if al == line {
-				return true
-			}
-			return scan(al)
-		})
+		fc.w.Between(producer, consumer, step)
 	} else {
-		// Exact LRU: scan backwards from the consumer; the first touch of
-		// the line is its most recent fetch and stops every walk at the
-		// same position.
-		fc.w.BetweenReverse(producer, consumer, func(_ *ir.NRef, addr int64) bool {
-			pos++
-			var al int64
-			if lineShift >= 0 {
-				al = addr >> lineShift
-			} else {
-				al = addr / lineBytes
-			}
-			if al == line {
-				for _, w := range walk {
-					w.st.scanned, w.st.walkDone = pos, true
-				}
-				walk = walk[:0]
-				return false
-			}
-			return scan(al)
-		})
+		fc.w.BetweenReverse(producer, consumer, step)
 	}
 	// Interval exhausted with candidates still undecided: their walks
 	// scanned the whole interval and found no eviction.

@@ -84,15 +84,39 @@ func TestSuiteValidation(t *testing.T) {
 	}
 }
 
+// transposeReread writes B as the transpose of A, then re-reads B in the
+// other order: the re-read's producer is non-uniform but uniquely
+// solvable, so only non-uniform reuse resolution finds it.
+func transposeReread(n int64) *ir.Program {
+	b := ir.NewSub("TRREAD")
+	A := b.Real8("A", n, n)
+	B := b.Real8("B", n, n)
+	i, j := ir.Var("I"), ir.Var("J")
+	b.Do("I", ir.Con(1), ir.Con(n)).
+		Do("J", ir.Con(1), ir.Con(n)).
+		Assign("S1", ir.R(B, j, i), ir.R(A, i, j)).
+		End().End().
+		Do("I", ir.Con(1), ir.Con(n)).
+		Do("J", ir.Con(1), ir.Con(n)).
+		Assign("S2", nil, ir.R(B, i, j)).
+		End().End()
+	p := ir.NewProgram("TRREAD")
+	p.Add(b.Build())
+	return p
+}
+
 // TestClassifyDetailMatchesClassify: the attributing classifier must reach
-// Classify's outcome at every point of every suite kernel, under exact
-// LRU and under the paper's verbatim replacement equations.
+// Classify's outcome at every point of every suite kernel and of a
+// transpose re-read, under exact LRU, under the paper's verbatim
+// replacement equations, and with non-uniform producers resolved.
 func TestClassifyDetailMatchesClassify(t *testing.T) {
 	cfg := cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 2}
-	for _, spec := range Suite() {
+	opts := []cme.Options{{}, {PaperLRU: true}, {Reuse: reuse.Options{NonUniform: true}}}
+	specs := append(Suite(), Spec{Name: "trread", Build: func(int64) *ir.Program { return transposeReread(24) }})
+	for _, spec := range specs {
 		np := prepAligned(t, spec.Build(12), cfg.LineBytes)
-		for _, paper := range []bool{false, true} {
-			a, err := cme.New(np, cfg, cme.Options{PaperLRU: paper})
+		for _, opt := range opts {
+			a, err := cme.New(np, cfg, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,8 +131,8 @@ func TestClassifyDetailMatchesClassify(t *testing.T) {
 				})
 			}
 			if differ != 0 {
-				t.Errorf("%s PaperLRU=%v: ClassifyDetail differs from Classify on %d of %d points",
-					spec.Name, paper, differ, points)
+				t.Errorf("%s PaperLRU=%v NonUniform=%v: ClassifyDetail differs from Classify on %d of %d points",
+					spec.Name, opt.PaperLRU, opt.Reuse.NonUniform, differ, points)
 			}
 		}
 	}
