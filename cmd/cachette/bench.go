@@ -194,8 +194,9 @@ func cmdBench(args []string) error {
 	}
 
 	// The collector rides on a Background context (not the signal context):
-	// a cancellable context makes the budget meter limited, which would put
-	// probe checkpoints inside the timed loops and skew the rows.
+	// a cancellable context puts probe checkpoints inside the simulator's
+	// timed loops and would skew its rows. findmisses_cancelctx runs under
+	// one on purpose: that is the shape of a dist worker's solve.
 	or, err := oflags.start("bench")
 	if err != nil {
 		return err
@@ -295,6 +296,23 @@ func cmdBench(args []string) error {
 	symRow.SymbolicPct = pct
 	rep.Results = append(rep.Results, symRow)
 
+	// findmisses_symbolic under a cancellable, never-cancelled context:
+	// cancellation alone arms no per-point checkpoint, so the row must
+	// match findmisses_symbolic's coverage.
+	var cancelDur time.Duration
+	var cancelRep *cme.Report
+	cancelCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	pct = symPct(func() {
+		cancelDur, cancelRep = timeIt(func() *cme.Report {
+			r, _ := newAnalyzer(1, false, false).FindMissesCtx(cancelCtx, budget.Budget{})
+			return r
+		})
+	})
+	cancelRow := row("findmisses_cancelctx", cancelDur, cancelRep)
+	cancelRow.SymbolicPct = pct
+	rep.Results = append(rep.Results, cancelRow)
+
 	var parDur time.Duration
 	var parRep *cme.Report
 	pct = symPct(func() {
@@ -354,6 +372,12 @@ func cmdBench(args []string) error {
 		}
 		if err := sameCounts("bench -check: findmisses_parallel", seqRep, parRep); err != nil {
 			return err
+		}
+		if err := sameCounts("bench -check: findmisses_cancelctx", seqRep, cancelRep); err != nil {
+			return err
+		}
+		if !*noSym && cancelRow.SymbolicPct == 0 {
+			return fmt.Errorf("bench -check: findmisses_cancelctx resolved no point symbolically")
 		}
 		if simSeq != nil && simShard != nil {
 			if simSeq.Accesses != simShard.Accesses || simSeq.Misses != simShard.Misses {

@@ -416,7 +416,7 @@ func TestDistCLICoordinateAndWork(t *testing.T) {
 
 	coord := cliCommand(t, "dist", "coordinate", "-addr", "127.0.0.1:0",
 		"-program", "hydro", "-size", "12", "-sizes", "1024,2048,4096,8192",
-		"-assocs", "1,2", "-exact", "-check", "-lease-ttl", "1s",
+		"-lines", "32,64", "-assocs", "1,2", "-exact", "-check", "-lease-ttl", "1s",
 		"-linger", "10s", "-out", outPath, "-obs-out", obsPath)
 	stderr, err := coord.StderrPipe()
 	if err != nil {
@@ -501,10 +501,10 @@ func TestDistCLICoordinateAndWork(t *testing.T) {
 	if err := json.Unmarshal(blob, &rep); err != nil {
 		t.Fatalf("merged report malformed: %v", err)
 	}
-	// The exact 4-size × 2-assoc grid packs into 2 geometry-column units
-	// (one cache-size column per associativity; see dist column units).
-	if len(rep.Rows) != 8 || rep.Stats.UnitsDone != 2 {
-		t.Fatalf("report has %d rows, %d units done; want 8 rows / 2 column units\n%s", len(rep.Rows), rep.Stats.UnitsDone, blob)
+	// The exact 4-size × 2-line × 2-assoc grid packs into 2 units, one
+	// per line size (see dist line-size units).
+	if len(rep.Rows) != 16 || rep.Stats.UnitsDone != 2 {
+		t.Fatalf("report has %d rows, %d units done; want 16 rows / 2 line-size units\n%s", len(rep.Rows), rep.Stats.UnitsDone, blob)
 	}
 	rr, err := os.ReadFile(obsPath)
 	if err != nil {

@@ -128,6 +128,14 @@ func (m *Meter) Unlimited() bool {
 		m.budget.Hook == nil && m.ctx.Done() == nil
 }
 
+// Armed reports whether a deadline, point cap, scan cap or hook is armed:
+// whether a solver must take a checkpoint per classified point. A meter
+// that is neither Armed nor Unlimited answers only to its context's
+// cancellation, which solvers poll at their own coarse cadence.
+func (m *Meter) Armed() bool {
+	return m.hasDeadline || m.maxPoints != 0 || m.maxScan != 0 || m.budget.Hook != nil
+}
+
 // NoFallback reports whether degradation is disabled for this run.
 func (m *Meter) NoFallback() bool { return m.budget.NoFallback }
 

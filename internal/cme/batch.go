@@ -310,7 +310,7 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 		}
 		cs := newBatchCand(a, ci, cands[ci].Label, mode.sampled)
 		if opt.Cache != nil {
-			cs.keys = make([]string, len(p.np.Refs))
+			cs.keys = make([]rcKey, len(p.np.Refs))
 			for ri, r := range p.np.Refs {
 				cs.keys[ri] = refKey(p.Digest(), r, p.np, cands[ci].Config, mode)
 				if v, ok := opt.Cache.get(cs.keys[ri]); ok {
@@ -481,7 +481,7 @@ type batchCand struct {
 	label string
 	a     *Analyzer
 	rep   *Report
-	keys  []string
+	keys  []rcKey
 	need  []bool
 }
 
@@ -694,7 +694,10 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 	}
 	close(queue)
 
-	limited := !m.Unlimited()
+	// Only an armed limit or hook needs a per-point probe. A solve whose
+	// only trigger is a cancellable context runs probe-free, so it counts
+	// symbolically; runTile polls ctx itself.
+	limited := m.Armed()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var canceled bool

@@ -301,17 +301,17 @@ func TestSolveBatchCacheRoundTrip(t *testing.T) {
 // evictions.
 func TestResultCacheLRU(t *testing.T) {
 	rc := NewResultCache(2)
-	rc.put("a", cachedRef{Hits: 1})
-	rc.put("b", cachedRef{Hits: 2})
-	rc.put("c", cachedRef{Hits: 3}) // evicts a
-	if _, ok := rc.get("a"); ok {
+	rc.put(tk("a"), cachedRef{Hits: 1})
+	rc.put(tk("b"), cachedRef{Hits: 2})
+	rc.put(tk("c"), cachedRef{Hits: 3}) // evicts a
+	if _, ok := rc.get(tk("a")); ok {
 		t.Error("oldest entry survived past capacity")
 	}
-	if v, ok := rc.get("b"); !ok || v.Hits != 2 {
+	if v, ok := rc.get(tk("b")); !ok || v.Hits != 2 {
 		t.Error("entry b lost")
 	}
-	rc.put("d", cachedRef{Hits: 4}) // evicts c (b was just touched)
-	if _, ok := rc.get("c"); ok {
+	rc.put(tk("d"), cachedRef{Hits: 4}) // evicts c (b was just touched)
+	if _, ok := rc.get(tk("c")); ok {
 		t.Error("LRU order ignores recency of use")
 	}
 	s := rc.Stats()

@@ -3,6 +3,7 @@ package cme
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"cachemodel/internal/kernels"
 	"cachemodel/internal/layout"
 	"cachemodel/internal/normalize"
+	"cachemodel/internal/obs"
 )
 
 // prepKernel inlines, normalises and lays out a whole-program kernel.
@@ -287,4 +289,72 @@ func BenchmarkBudgetOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestCancelOnlyContextCountsSymbolically: a solve whose only trigger is
+// a cancellable context takes no per-point probe, so it counts
+// symbolically exactly as a Background solve does, and its reports are
+// bit-identical to Background's. Cancelled after its first tile, the
+// same solve stops with ErrCanceled and degrades nothing. (Package tests
+// run sequentially, so global counter deltas are safe.)
+func TestCancelOnlyContextCountsSymbolically(t *testing.T) {
+	_, a := prepKernel(t, kernels.Tomcatv(12, 4), cache.Config{SizeBytes: 512, LineBytes: 32, Assoc: 2}, Options{})
+	var cands []Candidate
+	for _, cfg := range []cache.Config{
+		{SizeBytes: 512, LineBytes: 32, Assoc: 2},
+		{SizeBytes: 1024, LineBytes: 32, Assoc: 1},
+		{SizeBytes: 2048, LineBytes: 32, Assoc: 4},
+	} {
+		cands = append(cands, Candidate{Label: cfg.String(), Config: cfg})
+	}
+	want, err := a.p.SolveBatch(context.Background(), cands, BatchOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("Background SolveBatch: %v", err)
+	}
+
+	symC := obs.Default.Counter("cme_points_symbolic_total")
+	s0 := symC.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := a.p.SolveBatch(ctx, cands, BatchOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("cancel-only SolveBatch: %v", err)
+	}
+	if d := symC.Value() - s0; d <= 0 {
+		t.Errorf("cancel-only solve counted %d points symbolically, want > 0", d)
+	}
+	for i := range cands {
+		if w, g := refCounts(want[i]), refCounts(got[i]); fmt.Sprint(w) != fmt.Sprint(g) {
+			t.Errorf("%s: cancel-only counts %v, Background %v", cands[i].Label, g, w)
+		}
+		if got[i].Degraded || got[i].Tier != TierExact || got[i].BudgetSpent.Points != 0 {
+			t.Errorf("%s: degraded=%v tier=%v points=%d, want an exact report with no metered points",
+				cands[i].Label, got[i].Degraded, got[i].Tier, got[i].BudgetSpent.Points)
+		}
+	}
+
+	// Cancelled once the first tile reports progress.
+	col := obs.New("cancel-after-one-tile")
+	ctx, cancel = context.WithCancel(obs.NewContext(context.Background(), col))
+	defer cancel()
+	col.OnProgress(func(obs.Event) { cancel() }, time.Nanosecond)
+	reps, err := a.p.SolveBatch(ctx, cands, BatchOptions{Workers: 1})
+	if !errors.Is(err, cerr.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	incomplete := 0
+	for i, rep := range reps {
+		checkCoherent(t, rep)
+		if rep.Degraded || rep.Tier != TierExact {
+			t.Errorf("%s: cancellation degraded the report (tier %v)", cands[i].Label, rep.Tier)
+		}
+		for _, rr := range rep.Refs {
+			if !rr.Complete {
+				incomplete++
+			}
+		}
+	}
+	if incomplete == 0 {
+		t.Error("cancellation after one tile left every reference complete")
+	}
 }

@@ -50,6 +50,9 @@ type fusedClassifier struct {
 	// lineShift strength-reduces addr/lineBytes to a shift for the
 	// (ubiquitous) power-of-two line sizes; -1 keeps the division.
 	lineShift int
+	// ri is the reference of the last tile run (-1 before the first); the
+	// states' memos hold only its vectors' verdicts.
+	ri int
 
 	// Local metric accumulators (flushed at release, never per point).
 	hCands    *obs.LocalHistogram // candidates per fused traversal
@@ -98,7 +101,7 @@ type fcWalkEntry struct {
 
 func newFusedClassifier(g *fuseGroup, w *trace.Walker, p *Prepared) *fusedClassifier {
 	fc := &fusedClassifier{p: p, g: g, w: w, paperLRU: p.opt.PaperLRU,
-		states: make([]*fcState, len(g.cands)), lineShift: -1,
+		states: make([]*fcState, len(g.cands)), lineShift: -1, ri: -1,
 		hCands: mFusedCandidates.NewLocal()}
 	if g.lineBytes&(g.lineBytes-1) == 0 {
 		fc.lineShift = bits.TrailingZeros64(uint64(g.lineBytes))
@@ -163,13 +166,24 @@ func (fc *fusedClassifier) classify(r *ir.NRef, idx []int64) (Outcome, int64) {
 // point (cold = 0).
 func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, active []int, parts []RefReport, p *budget.Probe) error {
 	r := fc.p.np.Refs[ri]
+	if ri != fc.ri {
+		// Tiles reach a classifier in reference-major order, and memo
+		// arenas are per reuse vector, i.e. per consuming reference: the
+		// previous reference's verdicts can never hit again, so free them
+		// rather than hold every reference's arena to the end of the solve.
+		for _, s := range fc.states {
+			clear(s.memo)
+		}
+		fc.ri = ri
+	}
 	fc.act = fc.act[:0]
 	for _, pos := range active {
 		fc.act = append(fc.act, fc.states[pos])
 	}
-	// Symbolic fast path: solves without a probe only. Budgeted or
-	// cancellable solves enumerate, so every checkpoint lands on the point
-	// enumeration defines and parity holds by construction.
+	// Symbolic fast path: solves without a probe only. Solves under a
+	// limit or hook enumerate, so every checkpoint lands on the point
+	// enumeration defines and parity holds by construction; cancellation
+	// alone is polled at the same cadence either way.
 	if p == nil && !fc.p.opt.NoSymbolic {
 		if sym := fc.g.ls.sym[r]; sym.usable() {
 			fc.runTileSym(ctx, r, sym, t, parts)

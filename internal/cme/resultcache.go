@@ -1,7 +1,6 @@
 package cme
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -65,20 +64,44 @@ func snapRef(rr *RefReport) cachedRef {
 // solve mode (exact / sampled plan + seed + adaptive), so a hit can only
 // ever return the bit-identical result the solver would recompute.
 // Safe for concurrent use.
+//
+// Entries live in a slab of fixed-size chunks, linked by slot index into
+// a recency ring, so a resident entry costs its key, its value and two
+// int32 links, with no per-entry allocation.
 type ResultCache struct {
-	mu      sync.Mutex
-	cap     int
-	lru     *list.List // most recent at front; values are *rcEntry
-	idx     map[string]*list.Element
+	mu  sync.Mutex
+	cap int
+	// idx maps a key's first 8 bytes to its slot. get compares the full
+	// key, so two keys sharing a prefix cost a miss, never a wrong
+	// answer, and put lets the newer key take the slot.
+	idx  map[uint64]int32
+	slab [][]rcSlot // slot i is slab[i/rcChunk][i%rcChunk]; slot 0 is the ring's sentinel
+	used int32      // slots handed out, the sentinel included
+
 	hits    int64
 	misses  int64
 	evicted int64
 }
 
-type rcEntry struct {
-	key string
-	val cachedRef
+// rcKey is a raw SHA-256 content address. Memory holds the 32 bytes; only
+// the on-disk store spells them in hex.
+type rcKey [sha256.Size]byte
+
+// prefix is the key's index into ResultCache.idx.
+func (k *rcKey) prefix() uint64 { return binary.LittleEndian.Uint64(k[:8]) }
+
+// rcSlot is one resident entry. prev and next are slot indices in the
+// recency ring: the sentinel's next is the most recent entry, its prev
+// the least recent.
+type rcSlot struct {
+	key        rcKey
+	val        cachedRef
+	prev, next int32
 }
+
+// rcChunk is the slab's growth step: the slab never copies resident
+// entries and holds at most one chunk of unused slots.
+const rcChunk = 1024
 
 // NewResultCache returns a result cache bounded to capacity entries
 // (capacity <= 0 selects a generous default).
@@ -86,18 +109,45 @@ func NewResultCache(capacity int) *ResultCache {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	return &ResultCache{cap: capacity, lru: list.New(), idx: map[string]*list.Element{}}
+	c := &ResultCache{cap: capacity, idx: map[uint64]int32{}}
+	c.grow()
+	c.used = 1 // the sentinel, linked to itself
+	return c
+}
+
+// grow appends a chunk, shorter than rcChunk only when it is the last
+// one the capacity allows.
+func (c *ResultCache) grow() {
+	c.slab = append(c.slab, make([]rcSlot, min(rcChunk, c.cap+1-len(c.slab)*rcChunk)))
+}
+
+func (c *ResultCache) slot(i int32) *rcSlot { return &c.slab[i/rcChunk][i%rcChunk] }
+
+// unlink takes slot i out of the recency ring.
+func (c *ResultCache) unlink(i int32) {
+	s := c.slot(i)
+	c.slot(s.prev).next, c.slot(s.next).prev = s.next, s.prev
+}
+
+// pushFront links slot i in as the most recent entry.
+func (c *ResultCache) pushFront(i int32) {
+	root := c.slot(0)
+	s := c.slot(i)
+	s.prev, s.next = 0, root.next
+	c.slot(root.next).prev = i
+	root.next = i
 }
 
 // get returns the cached result for key, promoting it to most recent.
-func (c *ResultCache) get(key string) (cachedRef, bool) {
+func (c *ResultCache) get(key rcKey) (cachedRef, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.idx[key]; ok {
-		c.lru.MoveToFront(e)
+	if i, ok := c.idx[key.prefix()]; ok && c.slot(i).key == key {
+		c.unlink(i)
+		c.pushFront(i)
 		c.hits++
 		mCacheHits.Inc()
-		return e.Value.(*rcEntry).val, true
+		return c.slot(i).val, true
 	}
 	c.misses++
 	mCacheMisses.Inc()
@@ -105,32 +155,45 @@ func (c *ResultCache) get(key string) (cachedRef, bool) {
 }
 
 // put stores a result, evicting the least recently used entry at capacity.
-func (c *ResultCache) put(key string, v cachedRef) {
+func (c *ResultCache) put(key rcKey, v cachedRef) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.idx[key]; ok {
-		e.Value.(*rcEntry).val = v
-		c.lru.MoveToFront(e)
-		return
-	}
-	c.idx[key] = c.lru.PushFront(&rcEntry{key: key, val: v})
-	for c.lru.Len() > c.cap {
-		old := c.lru.Back()
-		c.lru.Remove(old)
-		delete(c.idx, old.Value.(*rcEntry).key)
+	p := key.prefix()
+	i, ok := c.idx[p]
+	switch {
+	case ok:
+		c.unlink(i)
+	case len(c.idx) < c.cap:
+		if int(c.used) == len(c.slab)*rcChunk {
+			c.grow()
+		}
+		i = c.used
+		c.used++
+		c.idx[p] = i
+	default:
+		// At capacity: the least recent entry's slot takes the new one.
+		i = c.slot(0).prev
+		c.unlink(i)
+		delete(c.idx, c.slot(i).key.prefix())
+		c.idx[p] = i
 		c.evicted++
 		mCacheEvictions.Inc()
 	}
+	s := c.slot(i)
+	s.key, s.val = key, v
+	c.pushFront(i)
 }
 
 // Stats returns the counters (and current occupancy).
 func (c *ResultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evicted, Entries: c.lru.Len()}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evicted, Entries: len(c.idx)}
 }
 
-// diskEntry is the JSON form of one persisted cache entry.
+// diskEntry is the JSON form of one persisted cache entry; Key is the
+// hex spelling of the raw key, since encoding/json mangles non-UTF-8
+// strings.
 type diskEntry struct {
 	Key string    `json:"key"`
 	Val cachedRef `json:"val"`
@@ -156,10 +219,10 @@ type diskStore struct {
 // store survives intact until the rename commits.
 func (c *ResultCache) Save(path string) error {
 	c.mu.Lock()
-	entries := make([]diskEntry, 0, c.lru.Len())
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		re := e.Value.(*rcEntry)
-		entries = append(entries, diskEntry{Key: re.key, Val: re.val})
+	entries := make([]diskEntry, 0, len(c.idx))
+	for i := c.slot(0).prev; i != 0; i = c.slot(i).prev {
+		s := c.slot(i)
+		entries = append(entries, diskEntry{Key: hex.EncodeToString(s.key[:]), Val: s.val})
 	}
 	c.mu.Unlock()
 	inner, err := json.Marshal(entries)
@@ -183,9 +246,10 @@ func (c *ResultCache) Save(path string) error {
 // "conflict" replaces a value with its bit-identical twin. A missing file
 // is not an error (a cold on-disk store is simply empty), and neither is
 // a corrupt one: a store that fails to decode, fails its checksum, or
-// carries an impossible entry is quarantined — renamed to path+".corrupt"
-// — leaving resident entries untouched, and the load simply contributes
-// nothing, recomputing instead of erroring. A content-addressed cache can
+// carries an impossible entry or a key that is not 64 hex digits is
+// quarantined — renamed to path+".corrupt" — leaving resident entries
+// untouched, and the load simply contributes nothing, recomputing
+// instead of erroring. A content-addressed cache can
 // always be rebuilt; the only unrecoverable sin would be serving a
 // damaged entry as truth.
 func (c *ResultCache) Load(path string) error {
@@ -205,14 +269,15 @@ func (c *ResultCache) Load(path string) error {
 		_ = os.Rename(path, path+".corrupt")
 		return nil
 	}
-	for _, e := range entries {
-		c.put(e.Key, e.Val)
+	for i := range entries {
+		c.put(entries[i].key, entries[i].val)
 	}
 	return nil
 }
 
-// decodeStore decodes and fully validates a persisted store.
-func decodeStore(blob []byte) ([]diskEntry, error) {
+// decodeStore decodes and fully validates a persisted store, returning
+// its entries (unlinked) in file order.
+func decodeStore(blob []byte) ([]rcSlot, error) {
 	var ds diskStore
 	if err := json.Unmarshal(blob, &ds); err != nil {
 		return nil, fmt.Errorf("result cache: %v", err)
@@ -228,15 +293,20 @@ func decodeStore(blob []byte) ([]diskEntry, error) {
 	if err := json.Unmarshal(ds.Entries, &entries); err != nil {
 		return nil, fmt.Errorf("result cache: entries: %v", err)
 	}
+	out := make([]rcSlot, len(entries))
 	for i, e := range entries {
 		if err := e.Val.validate(); err != nil {
 			return nil, fmt.Errorf("result cache: entry %d (%s): %v", i, e.Key, err)
 		}
-		if e.Key == "" {
-			return nil, fmt.Errorf("result cache: entry %d: empty key", i)
+		if len(e.Key) != hex.EncodedLen(sha256.Size) {
+			return nil, fmt.Errorf("result cache: entry %d: key of %d bytes, want %d hex digits", i, len(e.Key), hex.EncodedLen(sha256.Size))
 		}
+		if _, err := hex.Decode(out[i].key[:], []byte(e.Key)); err != nil {
+			return nil, fmt.Errorf("result cache: entry %d: key: %v", i, err)
+		}
+		out[i].val = e.Val
 	}
-	return entries, nil
+	return out, nil
 }
 
 // validate rejects impossible per-reference results — the last line of
@@ -264,7 +334,7 @@ func (v cachedRef) validate() error {
 // see cachedRef), geometry, every array base in program order (alias
 // chains resolve to concrete bases, so the bases pin the layout
 // completely), and the solve mode.
-func refKey(digest []byte, r *ir.NRef, np *ir.NProgram, cfg cache.Config, mode solveMode) string {
+func refKey(digest []byte, r *ir.NRef, np *ir.NProgram, cfg cache.Config, mode solveMode) rcKey {
 	h := sha256.New()
 	h.Write(digest)
 	var buf [8]byte
@@ -293,9 +363,9 @@ func refKey(digest []byte, r *ir.NRef, np *ir.NProgram, cfg cache.Config, mode s
 	} else {
 		wi(0)
 	}
-	// Hex, not raw bytes: keys must survive the JSON round-trip of the
-	// on-disk store, and encoding/json mangles non-UTF-8 strings.
-	return hex.EncodeToString(h.Sum(nil))
+	var k rcKey
+	h.Sum(k[:0])
+	return k
 }
 
 // solveMode captures the result-affecting solve parameters beyond the

@@ -12,6 +12,9 @@ import (
 	"testing"
 )
 
+// tk derives a cache key from a readable name.
+func tk(name string) rcKey { return sha256.Sum256([]byte(name)) }
+
 func rcVal(n int64) cachedRef {
 	return cachedRef{Volume: n, Analyzed: n, Hits: n, Tier: TierExact}
 }
@@ -22,17 +25,17 @@ func rcVal(n int64) cachedRef {
 func TestResultCacheEvictionOrder(t *testing.T) {
 	c := NewResultCache(3)
 	for i := 0; i < 3; i++ {
-		c.put(fmt.Sprintf("k%d", i), rcVal(int64(i)))
+		c.put(tk(fmt.Sprintf("k%d", i)), rcVal(int64(i)))
 	}
-	if _, ok := c.get("k0"); !ok { // k0 promoted; k1 is now LRU
+	if _, ok := c.get(tk("k0")); !ok { // k0 promoted; k1 is now LRU
 		t.Fatal("k0 missing right after insert")
 	}
-	c.put("k3", rcVal(3))
-	if _, ok := c.get("k1"); ok {
+	c.put(tk("k3"), rcVal(3))
+	if _, ok := c.get(tk("k1")); ok {
 		t.Error("k1 survived past capacity; eviction ignored the get-promotion")
 	}
 	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.get(tk(k)); !ok {
 			t.Errorf("%s evicted, want only k1 gone", k)
 		}
 	}
@@ -47,14 +50,14 @@ func TestResultCacheEvictionOrder(t *testing.T) {
 // in place and counts as a touch for eviction order.
 func TestResultCachePutPromotes(t *testing.T) {
 	c := NewResultCache(2)
-	c.put("a", rcVal(1))
-	c.put("b", rcVal(2))
-	c.put("a", rcVal(3)) // update + promote; b becomes LRU
-	c.put("c", rcVal(4)) // evicts b
-	if _, ok := c.get("b"); ok {
+	c.put(tk("a"), rcVal(1))
+	c.put(tk("b"), rcVal(2))
+	c.put(tk("a"), rcVal(3)) // update + promote; b becomes LRU
+	c.put(tk("c"), rcVal(4)) // evicts b
+	if _, ok := c.get(tk("b")); ok {
 		t.Error("b survived; re-put of a did not promote")
 	}
-	if v, ok := c.get("a"); !ok || v.Volume != 3 {
+	if v, ok := c.get(tk("a")); !ok || v.Volume != 3 {
 		t.Errorf("a = %+v ok=%v, want updated value 3", v, ok)
 	}
 }
@@ -77,8 +80,8 @@ func TestResultCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := fmt.Sprintf("k%d", (g*31+i*7)%97)
-				if _, ok := c.get(k); !ok {
-					c.put(k, rcVal(int64(i)))
+				if _, ok := c.get(tk(k)); !ok {
+					c.put(tk(k), rcVal(int64(i)))
 				}
 			}
 		}(g)
@@ -107,9 +110,9 @@ func TestResultCacheConcurrent(t *testing.T) {
 func TestResultCacheSaveLoadRecency(t *testing.T) {
 	c := NewResultCache(0)
 	for i := 0; i < 4; i++ {
-		c.put(fmt.Sprintf("k%d", i), rcVal(int64(i)))
+		c.put(tk(fmt.Sprintf("k%d", i)), rcVal(int64(i)))
 	}
-	if _, ok := c.get("k0"); !ok { // k0 most recent; k1 now oldest
+	if _, ok := c.get(tk("k0")); !ok { // k0 most recent; k1 now oldest
 		t.Fatal("k0 missing")
 	}
 	path := filepath.Join(t.TempDir(), "rc.json")
@@ -120,11 +123,11 @@ func TestResultCacheSaveLoadRecency(t *testing.T) {
 	if err := d.Load(path); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if _, ok := d.get("k1"); ok {
+	if _, ok := d.get(tk("k1")); ok {
 		t.Error("k1 survived the capacity-3 reload; Save lost the recency order")
 	}
 	for _, k := range []string{"k0", "k2", "k3"} {
-		if v, ok := d.get(k); !ok || v.Volume != int64(k[1]-'0') {
+		if v, ok := d.get(tk(k)); !ok || v.Volume != int64(k[1]-'0') {
 			t.Errorf("%s lost or stale after reload (%+v, ok=%v)", k, v, ok)
 		}
 	}
@@ -139,7 +142,7 @@ func TestResultCacheSaveLoadRecency(t *testing.T) {
 func TestResultCacheLoadCorruptFlippedBytes(t *testing.T) {
 	c := NewResultCache(0)
 	for i := 0; i < 4; i++ {
-		c.put(fmt.Sprintf("k%d", i), rcVal(int64(i+1)))
+		c.put(tk(fmt.Sprintf("k%d", i)), rcVal(int64(i+1)))
 	}
 	dir := t.TempDir()
 	clean := filepath.Join(dir, "rc.json")
@@ -190,7 +193,7 @@ func TestResultCacheLoadCorruptFlippedBytes(t *testing.T) {
 // quarantined, not erred on.
 func TestResultCacheLoadTruncated(t *testing.T) {
 	c := NewResultCache(0)
-	c.put("k", rcVal(7))
+	c.put(tk("k"), rcVal(7))
 	dir := t.TempDir()
 	clean := filepath.Join(dir, "rc.json")
 	if err := c.Save(clean); err != nil {
@@ -229,7 +232,8 @@ func TestResultCacheLoadRejectsImpossibleEntry(t *testing.T) {
 		"bad_tier":         {Volume: 4, Analyzed: 4, Tier: Tier(9)},
 		"bad_ratio":        {Volume: 4, Analyzed: 0, Tier: TierProbabilistic, Ratio: 1.5},
 	} {
-		inner, err := json.Marshal([]diskEntry{{Key: "k", Val: val}})
+		k := tk("k")
+		inner, err := json.Marshal([]diskEntry{{Key: hex.EncodeToString(k[:]), Val: val}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,11 +265,11 @@ func TestResultCacheSaveAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rc.json")
 	c := NewResultCache(0)
-	c.put("old", rcVal(1))
+	c.put(tk("old"), rcVal(1))
 	if err := c.Save(path); err != nil {
 		t.Fatalf("first save: %v", err)
 	}
-	c.put("new", rcVal(2))
+	c.put(tk("new"), rcVal(2))
 	if err := c.Save(path); err != nil {
 		t.Fatalf("second save: %v", err)
 	}
@@ -273,7 +277,7 @@ func TestResultCacheSaveAtomic(t *testing.T) {
 	if err := d.Load(path); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if _, ok := d.get("new"); !ok {
+	if _, ok := d.get(tk("new")); !ok {
 		t.Error("second save did not replace the store")
 	}
 	ents, err := os.ReadDir(dir)
@@ -294,26 +298,26 @@ func TestResultCacheSaveAtomic(t *testing.T) {
 // under content addressing, where equal keys carry equal payloads).
 func TestResultCacheLoadMergesIntoWarm(t *testing.T) {
 	saver := NewResultCache(0)
-	saver.put("shared", rcVal(7))
-	saver.put("disk_only", rcVal(8))
+	saver.put(tk("shared"), rcVal(7))
+	saver.put(tk("disk_only"), rcVal(8))
 	path := filepath.Join(t.TempDir(), "rc.json")
 	if err := saver.Save(path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 
 	warm := NewResultCache(0)
-	warm.put("resident", rcVal(1))
-	warm.put("shared", rcVal(99)) // conflicting payload, same key
+	warm.put(tk("resident"), rcVal(1))
+	warm.put(tk("shared"), rcVal(99)) // conflicting payload, same key
 	if err := warm.Load(path); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if v, ok := warm.get("resident"); !ok || v.Volume != 1 {
+	if v, ok := warm.get(tk("resident")); !ok || v.Volume != 1 {
 		t.Errorf("resident entry lost by merge (%+v, ok=%v)", v, ok)
 	}
-	if v, ok := warm.get("disk_only"); !ok || v.Volume != 8 {
+	if v, ok := warm.get(tk("disk_only")); !ok || v.Volume != 8 {
 		t.Errorf("persisted entry not merged in (%+v, ok=%v)", v, ok)
 	}
-	if v, ok := warm.get("shared"); !ok || v.Volume != 7 {
+	if v, ok := warm.get(tk("shared")); !ok || v.Volume != 7 {
 		t.Errorf("conflict kept resident value %+v, want loaded (last write wins)", v)
 	}
 	if s := warm.Stats(); s.Entries != 3 {
@@ -327,15 +331,15 @@ func TestResultCacheLoadMergesIntoWarm(t *testing.T) {
 func TestResultCacheLoadLayersStores(t *testing.T) {
 	dir := t.TempDir()
 	first := NewResultCache(0)
-	first.put("a", rcVal(1))
-	first.put("both", rcVal(2))
+	first.put(tk("a"), rcVal(1))
+	first.put(tk("both"), rcVal(2))
 	p1 := filepath.Join(dir, "one.json")
 	if err := first.Save(p1); err != nil {
 		t.Fatal(err)
 	}
 	second := NewResultCache(0)
-	second.put("b", rcVal(3))
-	second.put("both", rcVal(4))
+	second.put(tk("b"), rcVal(3))
+	second.put(tk("both"), rcVal(4))
 	p2 := filepath.Join(dir, "two.json")
 	if err := second.Save(p2); err != nil {
 		t.Fatal(err)
@@ -349,7 +353,7 @@ func TestResultCacheLoadLayersStores(t *testing.T) {
 	}
 	want := map[string]int64{"a": 1, "b": 3, "both": 4}
 	for k, n := range want {
-		if v, ok := c.get(k); !ok || v.Volume != n {
+		if v, ok := c.get(tk(k)); !ok || v.Volume != n {
 			t.Errorf("%s = %+v ok=%v, want volume %d", k, v, ok, n)
 		}
 	}
@@ -367,11 +371,11 @@ func TestResultCacheLoadCorruptKeepsWarmEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewResultCache(0)
-	c.put("resident", rcVal(5))
+	c.put(tk("resident"), rcVal(5))
 	if err := c.Load(path); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if v, ok := c.get("resident"); !ok || v.Volume != 5 {
+	if v, ok := c.get(tk("resident")); !ok || v.Volume != 5 {
 		t.Errorf("resident entry damaged by corrupt load (%+v, ok=%v)", v, ok)
 	}
 	if s := c.Stats(); s.Entries != 1 {
@@ -379,5 +383,88 @@ func TestResultCacheLoadCorruptKeepsWarmEntries(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Errorf("corrupt store not quarantined: %v", err)
+	}
+}
+
+// TestResultCacheStoreBytesPinned: memory holds raw keys, but the on-disk
+// store spells them in hex, byte for byte as stores written with hex keys
+// in memory did, so stores stay portable across builds.
+func TestResultCacheStoreBytesPinned(t *testing.T) {
+	c := NewResultCache(0)
+	for _, name := range []string{"a", "b"} {
+		c.put(tk(name), cachedRef{Volume: 9, Analyzed: 8, Sampled: true, Hits: 3, Cold: 2, Repl: 1, Tier: TierSampled, Ratio: 0.25})
+	}
+	path := filepath.Join(t.TempDir(), "rc.json")
+	if err := c.Save(path); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"schema":"cachette/resultcache/v1","sum":"78c18a44cdce60dab486e5f11c8379e9a09bcda3921802b26e8c392a2ff507df","entries":[` +
+		`{"key":"ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb","val":{"volume":9,"analyzed":8,"sampled":true,"hits":3,"cold":2,"repl":1,"tier":1,"ratio":0.25}},` +
+		`{"key":"3e23e8160039594a33894f6564e1b1348bbd7a0088d42c4acb73eeaed59c009d","val":{"volume":9,"analyzed":8,"sampled":true,"hits":3,"cold":2,"repl":1,"tier":1,"ratio":0.25}}]}`
+	if string(blob) != want {
+		t.Errorf("store bytes changed\n got: %s\nwant: %s", blob, want)
+	}
+}
+
+// TestResultCacheLoadRejectsBadKey: a checksummed store whose key is not
+// 64 hex digits is quarantined like any other corrupt store.
+func TestResultCacheLoadRejectsBadKey(t *testing.T) {
+	good := tk("k")
+	for name, key := range map[string]string{
+		"short":   "k",
+		"non_hex": strings.Repeat("zz", sha256.Size),
+		"long":    hex.EncodeToString(good[:]) + "00",
+		"empty":   "",
+	} {
+		inner, err := json.Marshal([]diskEntry{{Key: key, Val: rcVal(1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(inner)
+		blob, err := json.Marshal(diskStore{Schema: StoreSchemaV1, Sum: hex.EncodeToString(sum[:]), Entries: inner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "rc.json")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d := NewResultCache(0)
+		if err := d.Load(path); err != nil {
+			t.Fatalf("%s: Load errored: %v", name, err)
+		}
+		if s := d.Stats(); s.Entries != 0 {
+			t.Errorf("%s: entry with a bad key loaded", name)
+		}
+		if _, err := os.Stat(path + ".corrupt"); err != nil {
+			t.Errorf("%s: no quarantine: %v", name, err)
+		}
+	}
+}
+
+// TestResultCachePrefixCollision: the index keys on the first 8 bytes of
+// a key, so two keys sharing them must never answer for each other; the
+// newer one takes the slot.
+func TestResultCachePrefixCollision(t *testing.T) {
+	a, b := tk("a"), tk("a")
+	b[31] ^= 1
+	c := NewResultCache(4)
+	c.put(a, rcVal(1))
+	if _, ok := c.get(b); ok {
+		t.Fatal("a key sharing a prefix answered for another")
+	}
+	c.put(b, rcVal(2))
+	if v, ok := c.get(b); !ok || v.Volume != 2 {
+		t.Errorf("b = %+v ok=%v, want volume 2", v, ok)
+	}
+	if _, ok := c.get(a); ok {
+		t.Error("the displaced key still hits")
+	}
+	if s := c.Stats(); s.Entries != 1 {
+		t.Errorf("%d entries, want 1", s.Entries)
 	}
 }

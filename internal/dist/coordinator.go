@@ -113,14 +113,14 @@ const (
 type unitRef struct {
 	sweep *sweepState
 	cands []WireCandidate
-	// idxs maps each unit candidate to its sweep grid index. A geometry
-	// column carries strided candidates: the grid iterates cache sizes
-	// outermost, so a fixed-(line, assoc, pad) column is not consecutive.
+	// idxs maps each unit candidate to its sweep grid index. A fuse group
+	// carries strided candidates: the grid iterates cache sizes outermost,
+	// so a fixed-(line, pad) group is not consecutive.
 	idxs []int
 }
 
-// unit is one content-addressed work unit: a candidate or a geometry
-// column, keyed by Prepared.SolveKey over exactly those candidates
+// unit is one content-addressed work unit: a candidate or a line-size
+// fuse group, keyed by Prepared.SolveKey over exactly those candidates
 // (salted with the per-unit budget when one is set — see unitKey).
 type unit struct {
 	key     string
@@ -278,7 +278,14 @@ type Coordinator struct {
 	leasedT, stolen, deduped, retried, completed int64
 	timelineEvents                               int64
 	traces                                       []string // trace ids of traced sweeps, submission order
+	// names interns the reference ids and tier names of retained rows
+	// (at most maxInterned entries; see compactRowsLocked).
+	names map[string]string
 }
+
+// maxInterned bounds the coordinator's name table. Past it, new names are
+// kept as decoded: interning only saves memory, it never changes a row.
+const maxInterned = 1 << 12
 
 // New builds a coordinator, replaying the journal at Options.JournalPath
 // when one exists: sweeps are re-decomposed from their journalled specs
@@ -297,6 +304,7 @@ func New(opt Options) (*Coordinator, error) {
 		byKey:    map[string]*unit{},
 		workers:  map[string]*workerStat{},
 		wake:     make(chan struct{}),
+		names:    map[string]string{},
 	}
 	if opt.JournalPath == "" {
 		return c, nil
@@ -507,17 +515,16 @@ func (c *Coordinator) addSweep(ctx context.Context, sw *SweepSpec, journalledPru
 		}
 	}
 
-	// The partition: an exact, unbudgeted sweep shards by geometry column
-	// — all cache sizes sharing (line size, associativity, pad) ride one
-	// unit, in grid order — so the solving worker's SolveBatch sees the
-	// whole size ladder and the geometry-parametric tier (cme geom.go)
-	// answers most of it from a few anchor solves instead of enumerating
-	// every member. Every other candidate is a unit of its own, the finest
-	// stealing granularity: those of budgeted sweeps (the budget is per
-	// unit, so regrouping would change how far it stretches), of sampled
-	// ones, and of columns below the tier's minimum, which gain nothing.
-	// Rows are bit-identical under any partition, so the merged report
-	// never depends on it.
+	// The partition: an exact, unbudgeted sweep shards by fuse group —
+	// every cache size and associativity sharing (line size, pad) rides
+	// one unit, in grid order — so the solving worker's SolveBatch runs
+	// the geometry-parametric tier (cme geom.go) and one fused walk over
+	// the whole group, exactly as an in-process sweep does. Every other
+	// candidate is a unit of its own, the finest stealing granularity:
+	// those of budgeted sweeps (the budget is per unit, so regrouping
+	// would change how far it stretches) and of sampled ones, which do
+	// not fuse. Rows are bit-identical under any partition, so the merged
+	// report never depends on it.
 	addUnitOf := func(idxs []int) {
 		ucs := make([]cme.Candidate, len(idxs))
 		uwcs := make([]WireCandidate, len(idxs))
@@ -526,33 +533,25 @@ func (c *Coordinator) addSweep(ctx context.Context, sw *SweepSpec, journalledPru
 		}
 		addUnit(unitKey(prep.SolveKey(ucs, plan), sw.SolveSpec), unitRef{sweep: ss, cands: uwcs, idxs: idxs})
 	}
-	columned := make([]bool, len(wcs))
-	if sw.Exact && sw.MaxPoints == 0 && sw.TimeoutMs == 0 {
-		groups := map[WireCandidate][]int{} // keyed by the candidate less its size and label
-		var order []WireCandidate
-		for i, wc := range wcs {
-			if ss.filled[i] {
-				continue
-			}
-			k := WireCandidate{LineBytes: wc.LineBytes, Assoc: wc.Assoc, PadArray: wc.PadArray, Pad: wc.Pad}
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], i)
+	fused := sw.Exact && sw.MaxPoints == 0 && sw.TimeoutMs == 0
+	groups := map[WireCandidate][]int{} // keyed by the candidate's line size and pad
+	var order []WireCandidate
+	for i, wc := range wcs {
+		if ss.filled[i] {
+			continue
 		}
-		for _, k := range order {
-			if idxs := groups[k]; len(idxs) >= cme.DefaultGeomMinColumn {
-				addUnitOf(idxs)
-				for _, gi := range idxs {
-					columned[gi] = true
-				}
-			}
-		}
-	}
-	for i := range wcs {
-		if !ss.filled[i] && !columned[i] {
+		if !fused {
 			addUnitOf([]int{i})
+			continue
 		}
+		k := WireCandidate{LineBytes: wc.LineBytes, PadArray: wc.PadArray, Pad: wc.Pad}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], i)
+	}
+	for _, k := range order {
+		addUnitOf(groups[k])
 	}
 	if !replay {
 		rec := journalRec{T: recSweep, Sweep: id, Spec: sw, Trace: ss.traceID}
@@ -829,6 +828,7 @@ func (c *Coordinator) Complete(worker, sweep, unitKey string, rows []Row, errMsg
 		return nil
 	}
 	u.state = unitDone
+	rows = c.compactRowsLocked(rows)
 	u.rows = rows
 	if wasPending {
 		mPending.Add(-1)
@@ -844,6 +844,43 @@ func (c *Coordinator) Complete(worker, sweep, unitKey string, rows []Row, errMsg
 	}
 	c.journalLocked(journalRec{T: recComplete, Sweep: sweep, Unit: unitKey, Worker: worker, Rows: rows}, true)
 	return nil
+}
+
+// compactRowsLocked copies a unit result into exactly sized storage for
+// retention: the rows and each row's Refs lose the slack the JSON
+// decoder's append-doubling leaves, and the per-reference id and tier
+// strings are interned, so the many rows naming one reference share one
+// string. Only capacities and string storage change, so the rows stay
+// bit-identical.
+func (c *Coordinator) compactRowsLocked(rows []Row) []Row {
+	out := make([]Row, len(rows))
+	copy(out, rows)
+	for i := range out {
+		out[i].Tier = c.internLocked(out[i].Tier)
+		if len(out[i].Refs) == 0 {
+			continue
+		}
+		refs := make([]RefRow, len(out[i].Refs))
+		copy(refs, out[i].Refs)
+		for j := range refs {
+			refs[j].ID = c.internLocked(refs[j].ID)
+			refs[j].Tier = c.internLocked(refs[j].Tier)
+		}
+		out[i].Refs = refs
+	}
+	return out
+}
+
+// internLocked returns the table's copy of s, adding s while the table
+// has room.
+func (c *Coordinator) internLocked(s string) string {
+	if v, ok := c.names[s]; ok {
+		return v
+	}
+	if len(c.names) < maxInterned {
+		c.names[s] = s
+	}
+	return s
 }
 
 // reapLocked reclaims expired leases: the stealing half of the fabric.

@@ -4,9 +4,9 @@
 // bit-identity guarantee.
 //
 // The coordinator decomposes a sweep into content-addressed work units —
-// one candidate each, or one geometry column of an exact sweep, keyed by
-// the same SHA-256
-// `Prepared.SolveKey` scheme the result cache uses — and hands them to
+// one candidate each, or one line-size fuse group of an exact sweep,
+// keyed by the same SHA-256 `Prepared.SolveKey` scheme the result cache
+// uses — and hands them to
 // workers over HTTP/JSON leases with heartbeats. Expired leases are
 // re-issued (work stealing from dead or slow shards), identical units
 // within or across sweeps collapse onto one solve (content-addressed

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,6 +29,15 @@ func testSpec() *SweepSpec {
 		LineSizes:   []int64{32},
 		Assocs:      []int{1, 2},
 	}
+}
+
+// lineSpec is testSpec over three line sizes. An exact sweep is one
+// unit per line size, so this is the small exact workload of tests that
+// need several units.
+func lineSpec() *SweepSpec {
+	s := testSpec()
+	s.LineSizes = []int64{16, 32, 64}
+	return s
 }
 
 // baselineRows renders the single-process SolveBatch answer for a spec —
@@ -110,7 +120,7 @@ func newTestCoordinator(t *testing.T, opt Options) (*Coordinator, *httptest.Serv
 // report's rows are byte-identical to a single-process SolveBatch at any
 // worker count.
 func TestBitIdentityAcrossWorkerCounts(t *testing.T) {
-	spec := testSpec()
+	spec := lineSpec()
 	want := mustJSON(t, baselineRows(t, spec))
 	for _, workers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -119,8 +129,8 @@ func TestBitIdentityAcrossWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("AddSweep: %v", err)
 			}
-			if st.Stats.Units != 6 {
-				t.Fatalf("units = %d, want 6", st.Stats.Units)
+			if st.Stats.Units != 3 {
+				t.Fatalf("units = %d, want 3 (one per line size)", st.Stats.Units)
 			}
 			runWorkers(t, srv.URL, workers, nil)
 			rep, err := c.Report(st.Sweep)
@@ -193,14 +203,15 @@ func TestInvalidCandidatesSurviveDistribution(t *testing.T) {
 	}
 }
 
-// TestGeomColumnUnits: an exact, unbudgeted sweep shards by geometry
-// column — one unit per (line, assoc) ladder —
-// so the worker's SolveBatch sees whole size columns and the
-// geometry-parametric tier can engage, while the merged rows stay
-// byte-identical to the single-process baseline.
-func TestGeomColumnUnits(t *testing.T) {
+// TestLineSizeUnits: an exact, unbudgeted sweep shards by fuse group —
+// one unit per line size, carrying every cache size and associativity
+// of it — so the worker's SolveBatch runs the geometry-parametric tier
+// and one fused walk over the group, as an in-process sweep does, while
+// the merged rows stay byte-identical to the single-process baseline.
+func TestLineSizeUnits(t *testing.T) {
 	spec := testSpec()
-	spec.CacheSizes = []int64{2048, 4096, 8192, 16384} // 4 sizes: column-sized
+	spec.CacheSizes = []int64{2048, 4096, 8192, 16384}
+	spec.LineSizes = []int64{32, 64}
 	want := mustJSON(t, baselineRows(t, spec))
 
 	c, srv := newTestCoordinator(t, Options{})
@@ -208,17 +219,30 @@ func TestGeomColumnUnits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddSweep: %v", err)
 	}
-	// 8 candidates = 2 geometry columns (assoc 1 and assoc 2) of 4 sizes.
+	// 16 candidates = 2 line sizes, each with 4 sizes x 2 assocs.
 	if st.Stats.Units != 2 {
-		t.Fatalf("units = %d, want 2 column units", st.Stats.Units)
+		t.Fatalf("units = %d, want 2 line-size units", st.Stats.Units)
 	}
+	c.mu.Lock()
+	for _, u := range c.sweeps[st.Sweep].units {
+		cands := u.refs[0].cands
+		if len(cands) != 8 {
+			t.Errorf("unit %.12s carries %d candidates, want 8", u.key, len(cands))
+		}
+		for _, wc := range cands {
+			if wc.LineBytes != cands[0].LineBytes {
+				t.Errorf("unit %.12s mixes line sizes", u.key)
+			}
+		}
+	}
+	c.mu.Unlock()
 	runWorkers(t, srv.URL, 2, nil)
 	rep, err := c.Report(st.Sweep)
 	if err != nil {
 		t.Fatalf("Report: %v", err)
 	}
 	if got := mustJSON(t, rep.Rows); got != want {
-		t.Errorf("column-unit rows differ from single-process baseline\n got: %.300s\nwant: %.300s", got, want)
+		t.Errorf("line-size unit rows differ from single-process baseline\n got: %.300s\nwant: %.300s", got, want)
 	}
 }
 
@@ -243,8 +267,11 @@ func TestResubmitIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestDedupAcrossSweeps: overlapping grids share units — the overlap is
-// solved once and the second sweep's rows are filled from the store.
+// TestDedupAcrossSweeps: a later sweep holding an identical unit — the
+// same line-size fuse group — shares it: the unit is solved once and the
+// second sweep's rows are filled from the store. A partial overlap is a
+// different fuse group, hence a different unit key: it is solved anew,
+// and its overlapping rows are still byte-equal to the first sweep's.
 func TestDedupAcrossSweeps(t *testing.T) {
 	c, srv := newTestCoordinator(t, Options{})
 	specA := testSpec()
@@ -260,26 +287,55 @@ func TestDedupAcrossSweeps(t *testing.T) {
 		t.Fatalf("Report A: %v", err)
 	}
 
+	// B resubmits A's line-32 group verbatim, next to a line-64 group.
 	specB := testSpec()
-	specB.CacheSizes = []int64{8192, 16384}
-	specB.Assocs = []int{1}
+	specB.CacheSizes = specA.CacheSizes
+	specB.Assocs = specA.Assocs
+	specB.LineSizes = []int64{32, 64}
 	stB, err := c.AddSweep(context.Background(), specB)
 	if err != nil {
 		t.Fatalf("AddSweep B: %v", err)
 	}
-	if stB.Stats.Deduped != 1 {
-		t.Fatalf("deduped = %d, want 1 (8KB unit shared with sweep A)", stB.Stats.Deduped)
+	if stB.Stats.Units != 2 || stB.Stats.Deduped != 1 {
+		t.Fatalf("units/deduped = %d/%d, want 2/1 (line-32 unit shared with sweep A)", stB.Stats.Units, stB.Stats.Deduped)
 	}
 	runWorkers(t, srv.URL, 1, nil)
 	repB, err := c.Report(stB.Sweep)
 	if err != nil {
 		t.Fatalf("Report B: %v", err)
 	}
-	if got, want := mustJSON(t, repB.Rows[0]), mustJSON(t, repA.Rows[1]); got != want {
-		t.Errorf("deduped row differs from its canonical solve\n got: %.200s\nwant: %.200s", got, want)
+	// The grid iterates line sizes inside cache sizes: B's line-32 rows
+	// are 0 and 2.
+	for _, p := range [][2]int{{0, 0}, {2, 1}} {
+		if got, want := mustJSON(t, repB.Rows[p[0]]), mustJSON(t, repA.Rows[p[1]]); got != want {
+			t.Errorf("deduped row %d differs from its canonical solve\n got: %.200s\nwant: %.200s", p[0], got, want)
+		}
 	}
 	if got, want := mustJSON(t, repB.Rows), mustJSON(t, baselineRows(t, specB)); got != want {
 		t.Errorf("sweep B rows differ from baseline")
+	}
+
+	// C overlaps A in the 8KB candidate only: another unit key, no dedup.
+	specC := testSpec()
+	specC.CacheSizes = []int64{8192, 16384}
+	specC.Assocs = specA.Assocs
+	stC, err := c.AddSweep(context.Background(), specC)
+	if err != nil {
+		t.Fatalf("AddSweep C: %v", err)
+	}
+	if stC.Stats.Deduped != 0 {
+		t.Fatalf("deduped = %d, want 0 (a partial overlap is a different fuse group)", stC.Stats.Deduped)
+	}
+	runWorkers(t, srv.URL, 1, nil)
+	repC, err := c.Report(stC.Sweep)
+	if err != nil {
+		t.Fatalf("Report C: %v", err)
+	}
+	if got, want := mustJSON(t, repC.Rows[0]), mustJSON(t, repA.Rows[1]); got != want {
+		t.Errorf("overlapping row differs between sweeps\n got: %.200s\nwant: %.200s", got, want)
+	}
+	if got, want := mustJSON(t, repC.Rows), mustJSON(t, baselineRows(t, specC)); got != want {
+		t.Errorf("sweep C rows differ from baseline")
 	}
 	if st := c.Status(); st.UnitsDeduped != 1 {
 		t.Errorf("coordinator deduped = %d, want 1", st.UnitsDeduped)
@@ -351,7 +407,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 // journal with completed units intact, and the finished report is still
 // byte-identical to the baseline.
 func TestJournalResume(t *testing.T) {
-	spec := testSpec()
+	spec := lineSpec()
 	want := mustJSON(t, baselineRows(t, spec))
 	journal := filepath.Join(t.TempDir(), "coordinator.journal")
 
@@ -396,8 +452,90 @@ func TestJournalResume(t *testing.T) {
 	if got := mustJSON(t, rep.Rows); got != want {
 		t.Errorf("resumed rows differ from baseline")
 	}
-	if got := b.Status().Workers["w0"].UnitsCompleted; got != 5 {
-		t.Errorf("live worker completed %d units, want 5 (1 of 6 replayed)", got)
+	if got := b.Status().Workers["w0"].UnitsCompleted; got != 2 {
+		t.Errorf("live worker completed %d units, want 2 (1 of 3 replayed)", got)
+	}
+}
+
+// TestJournalReplaysOldUnitKeys: a journal written when an exact sweep of
+// short columns was cut into one unit per candidate still replays. The
+// sweep id is unchanged, so the sweep is re-decomposed into fuse-group
+// units; the old completions name keys no unit has any more, so each is
+// logged and skipped, and the re-solved report equals SolveLocal.
+func TestJournalReplaysOldUnitKeys(t *testing.T) {
+	sw := testSpec()
+	want, err := sw.SolveLocal(context.Background(), 1)
+	if err != nil {
+		t.Fatalf("SolveLocal: %v", err)
+	}
+	wcs, err := sw.grid(spec.Limits{})
+	if err != nil {
+		t.Fatalf("grid: %v", err)
+	}
+	np, err := sw.ProgramSpec.Prepare(spec.Limits{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	prep, err := cme.Prepare(np, sw.options())
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	sweep := sweepID(prep.SolveKey(spec.Solvers(wcs), nil), sw)
+
+	path := filepath.Join(t.TempDir(), "coordinator.journal")
+	_, j, err := openJournal(path)
+	if err != nil {
+		t.Fatalf("openJournal: %v", err)
+	}
+	if err := j.append(journalRec{T: recSweep, Sweep: sweep, Spec: sw}, true); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	for i := range wcs {
+		one := spec.Solvers(wcs[i : i+1])
+		old := prep.SolveKey(one, nil)
+		rec := journalRec{T: recComplete, Sweep: sweep, Unit: old, Worker: "old", Rows: want[i : i+1]}
+		if err := j.append(rec, true); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	j.close()
+
+	var mu sync.Mutex
+	var logs []string
+	c, err := New(Options{JournalPath: path, ShutdownWhenDone: true, Logf: func(f string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(f, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer c.Close()
+	st := c.Status()
+	if len(st.Sweeps) != 1 || st.Sweeps[0].Sweep != sweep || st.UnitsDone != 0 || st.Units != 1 {
+		t.Fatalf("after replay: %d sweeps, done=%d units=%d; want sweep %.12s with 0 of 1 units done",
+			len(st.Sweeps), st.UnitsDone, st.Units, sweep)
+	}
+	mu.Lock()
+	skipped := 0
+	for _, l := range logs {
+		if strings.Contains(l, "journal replay: unit") && strings.Contains(l, "unknown unit") {
+			skipped++
+		}
+	}
+	mu.Unlock()
+	if skipped != len(wcs) {
+		t.Errorf("logged %d skipped completions, want %d:\n%s", skipped, len(wcs), strings.Join(logs, "\n"))
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	runWorkers(t, srv.URL, 1, nil)
+	rep, err := c.Report(sweep)
+	if err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	if got := mustJSON(t, rep.Rows); got != mustJSON(t, want) {
+		t.Errorf("re-solved rows differ from SolveLocal")
 	}
 }
 

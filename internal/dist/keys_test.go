@@ -12,8 +12,11 @@ import (
 // sweep id and the ordered unit keys with their candidate labels — so a
 // change to how specs become grids cannot silently orphan journals,
 // result-cache stores or dedup against sweeps submitted by an older
-// build. The expected values were recorded before grids moved into
-// internal/spec and must not change.
+// build. The sweep ids were recorded before grids moved into
+// internal/spec and must not change. The unit keys change only with the
+// partition: grid/exact's unit half was re-pinned when exact sweeps
+// moved from geometry-column units (per candidate for columns this
+// short) to one unit per (line size, pad) fuse group.
 func TestSweepKeysPinned(t *testing.T) {
 	column := func(exact bool) *SweepSpec {
 		return &SweepSpec{
@@ -48,7 +51,7 @@ func TestSweepKeysPinned(t *testing.T) {
 			"2ed409184fffcec74a059db2e9e8b555"},
 		{"grid/exact", grid(true),
 			"74716a35e32cf72deed9aead5686ce54f55e354531cfb9b88402bc5cf9b13c54",
-			"21b1f53095055b23e8e3be2373df3bc5"},
+			"5cb716fdb8d6f1a177d225ec522dc321"},
 		{"grid/sampled", grid(false),
 			"d6575fe2913c5d94adfe9f444bd92d937cbb802811a6749c130d88bf4abc1913",
 			"2bcca2172b2e95f9cd88c54dd6673cd4"},

@@ -73,7 +73,7 @@ func TestLeaseWaitWakesOnAddSweep(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		held = append(held, heldLease(t, c, context.Background(), fmt.Sprintf("w%d", i)))
 	}
-	st, err := c.AddSweep(context.Background(), testSpec())
+	st, err := c.AddSweep(context.Background(), lineSpec()) // 3 units
 	if err != nil {
 		t.Fatalf("AddSweep: %v", err)
 	}

@@ -140,7 +140,7 @@ func TestPruneSweepDoesNotAliasExact(t *testing.T) {
 // discarded next time.
 func TestJournalTornTailSurvivesSecondRestart(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "coordinator.journal")
-	spec := testSpec()
+	spec := lineSpec() // 3 units
 
 	// Run 1: accept the sweep, complete one unit, then "crash" leaving a
 	// torn half-record at the tail.

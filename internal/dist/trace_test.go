@@ -278,7 +278,7 @@ func TestStatusFleetView(t *testing.T) {
 // `cachette top`.
 func TestTopStatusEndpoint(t *testing.T) {
 	c, srv := newTestCoordinator(t, Options{})
-	if _, err := c.AddSweep(context.Background(), testSpec()); err != nil {
+	if _, err := c.AddSweep(context.Background(), lineSpec()); err != nil {
 		t.Fatalf("AddSweep: %v", err)
 	}
 	c.Lease("w0")
