@@ -91,7 +91,7 @@ subcommands:
   show         print the normalised form and reuse-vector summary
   diagnose     attribute predicted misses to interfering arrays
   sweep        sweep cache size/line/assoc, analytical vs simulated; with a size ladder,
-               misses as a function of problem size N from one symbolic solve (O(1) per size)
+               misses as a function of problem size N from a few fitted sample solves
   trace        emit the program's memory reference trace (R/W address lines)
   bench        time the solver variants (sequential / memoized / parallel) and emit BENCH_solvers.json
   obscheck     validate a run-report JSON written by -obs-out (or, with -trace, a trace-event JSON)

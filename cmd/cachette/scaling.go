@@ -19,10 +19,10 @@ import (
 
 // sweepLadder is `sweep` with a problem-size ladder: "how does the miss
 // ratio scale with the problem size?" for every geometry of the grid. Each
-// geometry lifts the program family to piecewise quasi-polynomials in N
-// once and answers the ladder by O(1) evaluation, with per-size
-// fall-through for sizes the closed form cannot cover. Rows come in grid
-// order, then ladder order.
+// geometry fits the program family's per-reference counts as polynomials
+// of N per residue class and answers each ladder size by one |RIS| count
+// per reference plus evaluation, with per-size fall-through for sizes the
+// closed form cannot cover. Rows come in grid order, then ladder order.
 func sweepLadder(ctx context.Context, label string, fam *spec.Family, wcs []spec.Candidate, ns []int64,
 	opt cme.Options, perRef bool) (*sweepReport, []obs.CandidateProvenance, error) {
 
@@ -65,7 +65,7 @@ func printLadder(label string, cfg cache.Config, s *cme.ScalingSolver, ns []int6
 		fmt.Printf("  family not liftable (%s): every size solved by fall-through\n", s.Why())
 	} else {
 		st := s.Stats()
-		fmt.Printf("  closed form: period %d, %d residue class(es) fitted with %d sample solve(s); %d O(1) eval(s), %d fall-through(s)\n",
+		fmt.Printf("  closed form: period %d, %d residue class(es) fitted with %d sample solve(s); %d closed eval(s), %d fall-through(s)\n",
 			s.Period(), st.ResiduesFitted, st.FitSolves, st.ClosedEvals, st.Fallbacks)
 	}
 	fmt.Printf("  %8s %14s %14s %8s  %s\n", "N", "accesses", "misses", "%miss", "tier")
@@ -87,7 +87,8 @@ func printLadder(label string, cfg cache.Config, s *cme.ScalingSolver, ns []int6
 	}
 }
 
-// printMissPolys dumps the accumulated per-reference closed forms.
+// printMissPolys dumps the accumulated per-reference closed forms: per
+// fitted residue class, the reference's |RIS| and its miss counters.
 func printMissPolys(s *cme.ScalingSolver) {
 	polys := s.MissPolys()
 	if len(polys) == 0 {
@@ -95,20 +96,19 @@ func printMissPolys(s *cme.ScalingSolver) {
 	}
 	fmt.Printf("  per-reference closed forms (period %d):\n", s.Period())
 	for _, mp := range polys {
-		fmt.Printf("    %-28s |RIS| = %s\n", mp.RefID, mp.Volume)
-		if mp.PureCold {
-			fmt.Printf("    %-28s   pure cold: misses = |RIS|\n", "")
-			continue
-		}
 		rs := make([]int64, 0, len(mp.Residues))
 		for r := range mp.Residues {
 			rs = append(rs, r)
 		}
 		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-		for _, r := range rs {
+		for i, r := range rs {
+			id := ""
+			if i == 0 {
+				id = mp.RefID
+			}
 			cls := mp.Residues[r]
-			fmt.Printf("    %-28s   n≡%d: cold = %s, repl = %s  (n ≥ %d)\n",
-				"", r, cls.Cold, cls.Repl, cls.Base)
+			fmt.Printf("    %-28s n≡%d: |RIS| = %s, cold = %s, repl = %s  (n ≥ %d)\n",
+				id, r, cls.Analyzed, cls.Cold, cls.Repl, cls.Base)
 		}
 	}
 }
@@ -144,18 +144,18 @@ type scalingBenchReport struct {
 	Rows       []scalingRow `json:"rows"`
 }
 
-// benchScaling is `cachette bench -scaling`: one symbolic solve plus O(1)
-// evaluations against per-size re-enumeration over the same ladder, with
-// a bit-identity match check at every size.
+// benchScaling is `cachette bench -scaling`: one symbolic solve plus one
+// closed-form evaluation per size against per-size re-enumeration over the
+// same ladder, with a bit-identity match check at every size.
 func benchScaling(ctx context.Context, program string, fam *spec.Family,
 	cfg cache.Config, workers int, ns []int64, out string, check bool) error {
 
 	opt := cme.Options{Workers: workers}
 
-	// Symbolic lap: prepare (3 probes + volume lift), lazy fits, then one
-	// O(1) evaluation per ladder size. EvalClosedCtx never enumerates a
-	// ladder size — a size the closed form cannot cover stays unanswered
-	// here and is flagged below rather than silently re-solved.
+	// Symbolic lap: prepare (3 probes + affine lift), lazy fits, then one
+	// closed-form evaluation per ladder size. EvalClosedCtx never
+	// enumerates a ladder size — a size the closed form cannot cover stays
+	// unanswered here and is flagged below rather than silently re-solved.
 	t0 := time.Now()
 	s, err := cme.PrepareScaling(fam.Build, cfg, opt, cme.ScalingOptions{})
 	if err != nil {

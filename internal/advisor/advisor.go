@@ -159,9 +159,9 @@ func DiagnoseCtx(ctx context.Context, np *ir.NProgram, cfg cache.Config, opt cme
 type Choice struct {
 	Label     string
 	MissRatio float64 // predicted, percent
-	// ClosedForm reports that the ratio came from O(1) closed-form
+	// ClosedForm reports that the ratio came from closed-form
 	// evaluation rather than an enumerating solve: the scaling tier's
-	// quasi-polynomials in SearchParameterCtx (the candidate was dominated
+	// fitted polynomials in SearchParameterCtx (the candidate was dominated
 	// under the symbolic estimate, so no per-size solve was spent on it),
 	// or the geometry-parametric tier in SearchConfigs (every reference of
 	// the geometry answered from a column fit).
@@ -287,8 +287,8 @@ func SearchParameter(build func(param int64) *ir.Program, params []int64,
 // point/scan caps, and partial (sorted) results on interruption.
 //
 // Unbudgeted searches try the closed-form scaling tier first: when the
-// family is affine in the parameter, every candidate is priced by O(1)
-// quasi-polynomial evaluation and only the non-dominated (best) candidate
+// family is affine in the parameter, every candidate is priced by
+// closed-form evaluation and only the non-dominated (best) candidate
 // pays for a per-size solve — the ROADMAP's "prune before paying for
 // exact". Families the tier cannot lift (tile sizes inside min() bounds,
 // structure changes) take the per-candidate path unchanged.

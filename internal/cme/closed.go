@@ -37,7 +37,7 @@ const (
 )
 
 // ClosedInfo is the provenance of a closed-form tier for one report: which
-// references were answered by O(1) evaluation of a fitted closed form, and
+// references were answered by evaluation of a fitted closed form, and
 // why the rest were not.
 type ClosedInfo struct {
 	// Axis names the free parameter (AxisSize or AxisSets); Param is its
@@ -46,9 +46,10 @@ type ClosedInfo struct {
 	Param int64  `json:"param"`
 	// Anchor marks a report solved by enumeration to feed the fits.
 	Anchor bool `json:"anchor,omitempty"`
-	// ClosedRefs counts references answered by O(1) evaluation (including
-	// PureColdRefs, answered by counting alone); FallthroughRefs counts
-	// references the tier refused, which were re-solved by enumeration.
+	// ClosedRefs counts references answered by closed-form evaluation
+	// (including PureColdRefs, which the set-count tier answers by
+	// counting alone); FallthroughRefs counts references the tier refused,
+	// which were re-solved by enumeration.
 	ClosedRefs      int `json:"closed_refs"`
 	PureColdRefs    int `json:"pure_cold_refs,omitempty"`
 	FallthroughRefs int `json:"fallthrough_refs,omitempty"`
@@ -90,9 +91,9 @@ type countSample struct {
 }
 
 // countFit is one reference's counters as polynomials of the parameter
-// (period-1 quasi-polynomials: a residue class is fitted on its own).
+// (a residue class of a quasi-polynomial is fitted on its own).
 type countFit struct {
-	analyzed, hits, cold, repl qpoly.QPoly
+	analyzed, hits, cold, repl qpoly.Poly
 }
 
 // fitCounts fits every counter to a polynomial of degree deg through the
@@ -104,15 +105,15 @@ func fitCounts(deg int, samples []countSample) (*countFit, error) {
 			deg, deg+1+closedHoldouts, len(samples))
 	}
 	in := make([]qpoly.Sample, len(samples))
-	fit := func(name string, sel func(counts) int64) (qpoly.QPoly, error) {
+	fit := func(name string, sel func(counts) int64) (qpoly.Poly, error) {
 		for i, s := range samples {
 			in[i] = qpoly.Sample{N: s.x, V: linalg.RatInt(sel(s.c))}
 		}
-		coef, err := qpoly.FitPoly(deg, in)
+		p, err := qpoly.FitPoly(deg, in)
 		if err != nil {
-			return qpoly.QPoly{}, fmt.Errorf("%s: %w", name, err)
+			return qpoly.Poly{}, fmt.Errorf("%s: %w", name, err)
 		}
-		return qpoly.New([][]linalg.Rat{coef}), nil
+		return p, nil
 	}
 	f := &countFit{}
 	var err error

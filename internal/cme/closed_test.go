@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cachemodel/internal/linalg"
 	"cachemodel/internal/qpoly"
 )
 
@@ -67,8 +68,8 @@ func TestClosedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := &countFit{analyzed: qpoly.ConstInt(4), hits: qpoly.ConstInt(1),
-		cold: qpoly.ConstInt(1), repl: qpoly.ConstInt(1)}
+	broken := &countFit{analyzed: constPoly(4), hits: constPoly(1),
+		cold: constPoly(1), repl: constPoly(1)}
 	for name, tc := range map[string]struct {
 		f         *countFit
 		x, volume int64
@@ -80,7 +81,7 @@ func TestClosedEngine(t *testing.T) {
 		"negative counters":   {fit, -2, -2, counts{}, false},
 		"analyzed != volume":  {fit, 4, 5, counts{}, false},
 		"sum != analyzed":     {broken, 7, 4, counts{}, false},
-		"constant fit, valid": {&countFit{analyzed: qpoly.ConstInt(4), hits: qpoly.ConstInt(2), cold: qpoly.ConstInt(2)}, 7, 4, counts{4, 2, 2, 0}, true},
+		"constant fit, valid": {&countFit{analyzed: constPoly(4), hits: constPoly(2), cold: constPoly(2)}, 7, 4, counts{4, 2, 2, 0}, true},
 	} {
 		got, ok := tc.f.at(tc.x, tc.volume)
 		if ok != tc.ok || got != tc.want {
@@ -94,3 +95,6 @@ func TestClosedEngine(t *testing.T) {
 		t.Errorf("fillClosed(pureColdCounts) = %+v", rr)
 	}
 }
+
+// constPoly is the constant polynomial c.
+func constPoly(c int64) qpoly.Poly { return qpoly.New([]linalg.Rat{linalg.RatInt(c)}) }

@@ -261,12 +261,12 @@ type RefReport struct {
 	// Ratio holds the closed-form miss ratio when Tier is
 	// TierProbabilistic (no pointwise counts exist there).
 	Ratio float64
-	// ClosedForm reports that the counts came from O(1) closed-form
+	// ClosedForm reports that the counts came from closed-form
 	// evaluation rather than from enumerating (or sampling) this
-	// reference's iteration space: either the scaling tier's
-	// quasi-polynomials in the problem size, or the geometry-parametric
-	// tier's fit in the number of sets (Report.Scaling and Report.Geom
-	// say which).
+	// reference's iteration space: either the scaling tier's per-residue
+	// polynomials in the problem size, or the geometry-parametric tier's
+	// fit in the number of sets (Report.Scaling and Report.Geom say
+	// which).
 	ClosedForm bool
 }
 

@@ -17,46 +17,39 @@ import (
 
 // This file implements the closed-form scaling tier — the top rung of the
 // solver ladder. Where the exact tier classifies iteration points and the
-// PR-5 region tier replicates verdicts across translates at ONE problem
-// size, this tier keeps the problem size n itself symbolic: per-reference
-// miss counts become piecewise quasi-polynomials of n (Ehrhart), so a
-// whole size sweep costs one symbolic solve plus O(1) polynomial
-// evaluations instead of one re-enumeration per size.
+// region tier replicates verdicts across translates at ONE problem size,
+// this tier keeps the problem size n itself symbolic: per-reference miss
+// counts become polynomials of n per residue class, so a whole size sweep
+// costs a few sample solves plus, per size, one |RIS| count per reference
+// and one polynomial evaluation instead of one re-enumeration per size.
 //
-// The construction has three rungs of its own (the eligibility ladder):
+// Eligibility is fit or fall-through:
 //
 //  1. Structural affinity. The program family build(n) is instantiated at
-//     three consecutive probe sizes; statements, references and reuse
-//     structure must match one-to-one and every loop bound and guard
-//     constant must move affinely with n (coefficients fixed). This lifts
-//     each statement's iteration space to a poly.ParamSpace, whose
-//     parametric CountPoly supplies every reference's |RIS| as a
-//     quasi-polynomial — the Volume column of any size's report is then
-//     O(1).
+//     three consecutive probe sizes; statements and references must match
+//     one-to-one and every loop bound and guard constant must move affinely
+//     with n (coefficients fixed). This lifts each statement's iteration
+//     space to a poly.ParamSpace, whose instantiation at n counts the
+//     reference's |RIS| exactly (ParamSpace.At(n).Volume()).
 //
-//  2. Pure-cold references. A reference whose every reuse vector has an
-//     unsatisfiable producer-existence system is all cold (the PR-5
-//     "empty replacement polytope" case). The probe systems are lifted
-//     parametrically and checked with CountWithPoly: identically zero
-//     for every n means cold = |RIS| in closed form — no solving at any
-//     size, ever.
-//
-//  3. Everything else is fitted per residue class. Counts are
+//  2. Every reference is fitted per residue class. Counts are
 //     quasi-polynomial with the set-wrap period P = numSets·lineBytes/g
 //     (g = gcd of the element sizes): within a class n ≡ r (mod P) each
 //     counter is eventually a plain polynomial of degree ≤ the number of
 //     n-dependent loop dimensions. The solver runs the exact enumerating
-//     tier at deg+1+closedHoldouts SMALL sample sizes of the class (past
-//     the chamber breakpoints where working sets outgrow the cache) and
-//     hands their censuses to the closed-form engine (closed.go), which
-//     fits, verifies the holdouts and checks the count identities at
-//     every evaluation. Residue classes are fitted lazily — a ladder
-//     stepping by P pays for one.
+//     tier at deg+1+closedHoldouts sample sizes of the class, past the
+//     chamber breakpoints where working sets outgrow the cache and where
+//     array offsets stop deciding which reuse exists, and hands their
+//     censuses to the closed-form engine (closed.go), which fits, verifies
+//     the holdouts and checks the count identities — analyzed == the
+//     counted |RIS| among them — at every evaluation. Residue classes are
+//     fitted lazily: a ladder stepping by P pays for one.
 //
-// Anything that fails a rung falls through: ineligible families (and every
-// family under Options.NoSymbolic) or unfitted sizes are answered by the
-// ordinary per-size solver, and the Report's Scaling provenance (a
-// ClosedInfo on AxisSize) says which path produced the numbers.
+// Anything that fails falls through: ineligible families (and every family
+// under Options.NoSymbolic), sizes below the fit window and refused
+// evaluations are answered by the ordinary per-size solver, and the
+// Report's Scaling provenance (a ClosedInfo on AxisSize) says which path
+// produced the numbers.
 
 // BuildFunc instantiates the program family at one problem size: a fully
 // normalised and laid-out program (the same front half the per-size
@@ -71,9 +64,9 @@ type ScalingOptions struct {
 }
 
 const (
-	// scalingMinN is the smallest size the closed form answers; smaller
-	// sizes fall through to the per-size solver.
-	scalingMinN = 4
+	// scalingMinFitN is the least start of the fit window; smaller sizes
+	// always fall through to the per-size solver.
+	scalingMinFitN = 8
 	// scalingProbeN is the base of the three structural probe sizes
 	// scalingProbeN, scalingProbeN+1, scalingProbeN+2.
 	scalingProbeN = 8
@@ -89,10 +82,8 @@ type ScalingStats struct {
 
 // refScale is the per-reference symbolic state.
 type refScale struct {
-	ref      *ir.NRef // the template instantiation's reference (ID donor)
-	space    *poly.ParamSpace
-	volume   qpoly.Piecewise
-	pureCold bool
+	ref   *ir.NRef // the template instantiation's reference (ID donor)
+	space *poly.ParamSpace
 }
 
 // residueFit is the closed form of one residue class n ≡ r (mod period).
@@ -115,9 +106,8 @@ type ScalingSolver struct {
 	why      string // why the family is ineligible (when !eligible)
 	period   int64
 	degree   int
-	tmpl     *ir.NProgram
+	reach    int64       // largest constant a chamber breakpoint can sit behind
 	refs     []*refScale // in template program order
-	byID     map[string]*refScale
 
 	mu    sync.Mutex
 	fits  map[int64]*residueFit
@@ -136,7 +126,6 @@ func PrepareScaling(build BuildFunc, cfg cache.Config, opt Options, sopt Scaling
 	}
 	s := &ScalingSolver{build: build, cfg: cfg, opt: opt, sopt: sopt,
 		fits: map[int64]*residueFit{},
-		byID: map[string]*refScale{},
 	}
 	if opt.NoSymbolic {
 		s.ineligible("closed form disabled by NoSymbolic")
@@ -155,7 +144,8 @@ func (s *ScalingSolver) ClosedFormEligible() bool { return s.eligible }
 // Why returns the ineligibility reason (empty when eligible).
 func (s *ScalingSolver) Why() string { return s.why }
 
-// Period returns the residue period of the fitted quasi-polynomials.
+// Period returns the residue period of the fits: sizes n ≡ r (mod
+// Period) share one class's polynomials.
 func (s *ScalingSolver) Period() int64 { return s.period }
 
 // Stats snapshots the work counters.
@@ -174,30 +164,24 @@ func (s *ScalingSolver) ineligible(format string, args ...any) {
 }
 
 // probe instantiates the family at three consecutive sizes and lifts the
-// structure to parameter space (rungs 1 and 2 of the eligibility ladder).
+// structure to parameter space.
 func (s *ScalingSolver) probe() error {
 	n0 := int64(scalingProbeN)
 	var nps [3]*ir.NProgram
-	var preps [3]*Prepared
 	for i := range nps {
 		np, err := s.build(n0 + int64(i))
 		if err != nil {
 			return fmt.Errorf("cme: scaling probe at n=%d: %w", n0+int64(i), err)
 		}
-		prep, err := Prepare(np, s.opt)
-		if err != nil {
-			return fmt.Errorf("cme: scaling probe at n=%d: %w", n0+int64(i), err)
-		}
-		nps[i], preps[i] = np, prep
+		nps[i] = np
 	}
-	s.tmpl = nps[0]
 
 	// Residue period: the set-wrap period of the cache geometry over the
 	// finest element granularity. Every affine address term a·n^k + ...
 	// repeats mod numSets·lineBytes when n advances by it.
 	setspan := s.cfg.NumSets() * s.cfg.LineBytes
 	g := setspan
-	for _, arr := range s.tmpl.Arrays {
+	for _, arr := range nps[0].Arrays {
 		g = linalg.GCD(g, arr.ElemSize)
 	}
 	if g == 0 {
@@ -208,7 +192,10 @@ func (s *ScalingSolver) probe() error {
 		s.period = 1
 	}
 
-	// Rung 1: structural match + affine lift of every statement space.
+	// Structural match + affine lift of every statement space. Along the
+	// way, reach collects the n-free constants of n-dependent loop bounds,
+	// of guards and of subscripts, which place chamber breakpoints
+	// (MinClosedN).
 	if len(nps[1].Stmts) != len(nps[0].Stmts) || len(nps[2].Stmts) != len(nps[0].Stmts) ||
 		len(nps[1].Refs) != len(nps[0].Refs) || len(nps[2].Refs) != len(nps[0].Refs) {
 		s.ineligible("statement/reference structure varies with n")
@@ -228,7 +215,11 @@ func (s *ScalingSolver) probe() error {
 		for _, b := range ps.Bounds {
 			if b.Lo.IsParam() || b.Hi.IsParam() {
 				nd++
+				s.reach = max(s.reach, abs64(b.Lo.Base.Const), abs64(b.Hi.Base.Const))
 			}
+		}
+		for _, g := range ps.Guards {
+			s.reach = max(s.reach, abs64(g.Expr.Base.Const))
 		}
 		if nd > maxNDims {
 			maxNDims = nd
@@ -239,33 +230,37 @@ func (s *ScalingSolver) probe() error {
 		s.degree = 1 // constant-size family: still fit a sanity slope
 	}
 
-	// Volume polynomials per reference (rung 1 payoff), and the pure-cold
-	// classification (rung 2).
-	sym := make([]map[*ir.NRef]*refSym, 3)
-	for i, p := range preps {
-		sym[i] = p.lineState(s.cfg.LineBytes).sym
-	}
-	fitOpt := poly.FitOptions{MinN: scalingMinN}
 	for i, r := range nps[0].Refs {
 		r1, r2 := nps[1].Refs[i], nps[2].Refs[i]
-		if r.ID != r1.ID || r.ID != r2.ID {
+		if r.ID != r1.ID || r.ID != r2.ID || len(r.Subs) != len(r1.Subs) || len(r.Subs) != len(r2.Subs) {
 			s.ineligible("reference order varies with n")
 			return nil
 		}
 		ps := spaces[r.Stmt]
-		vol, err := ps.CountPoly(poly.FullTile(), fitOpt)
-		if err != nil {
-			s.ineligible("reference %s: volume is not quasi-polynomial: %v", r.ID, err)
-			return nil
+		for d, sub := range r.Subs {
+			// A subscript that does not lift keeps its probe constant.
+			if pa, ok := liftAffine(sub, r1.Subs[d], r2.Subs[d], n0); ok {
+				sub = pa.Base
+			}
+			s.reach = max(s.reach, subscriptReach(sub, ps))
 		}
-		rs := &refScale{ref: r, space: ps, volume: vol}
-		rs.pureCold = s.liftPureCold(ps, fitOpt,
-			[3]*ir.NRef{r, r1, r2}, [3]*ir.NProgram{nps[0], nps[1], nps[2]}, sym, preps)
-		s.refs = append(s.refs, rs)
-		s.byID[r.ID] = rs
+		s.refs = append(s.refs, &refScale{ref: r, space: ps})
 	}
 	s.eligible = true
 	return nil
+}
+
+// subscriptReach is how far a subscript's n-free part shifts it: its
+// constant plus, for every loop whose bounds do not move with n, the
+// largest shift that loop's index contributes.
+func subscriptReach(sub ir.Affine, ps *poly.ParamSpace) int64 {
+	r := abs64(sub.Const)
+	for k, b := range ps.Bounds {
+		if c := sub.At(k + 1); c != 0 && !b.Lo.IsParam() && !b.Hi.IsParam() {
+			r += abs64(c) * max(abs64(b.Lo.Base.Const), abs64(b.Hi.Base.Const))
+		}
+	}
+	return r
 }
 
 // liftSpace lifts one statement's bounds and guards to parameter space by
@@ -320,88 +315,21 @@ func liftAffine(a0, a1, a2 ir.Affine, n0 int64) (poly.ParamAffine, bool) {
 	return poly.ParamAffine{Base: base, N: step}, true
 }
 
-// liftPureCold decides rung 2 for one reference: all three probes must
-// classify it all-cold, and every reuse vector's producer-existence
-// system must lift to parameter space and count zero for every n. A
-// false return is not an error — the reference just takes the fitted
-// path.
-func (s *ScalingSolver) liftPureCold(ps *poly.ParamSpace, fitOpt poly.FitOptions,
-	rs [3]*ir.NRef, nps [3]*ir.NProgram, sym []map[*ir.NRef]*refSym, preps [3]*Prepared) bool {
-
-	for i := range rs {
-		if rsym := sym[i][rs[i]]; rsym == nil || !rsym.allCold {
-			return false
-		}
-	}
-	// allCold already certifies each probe's systems are unsatisfiable at
-	// its own size; the parametric lift extends that to every size.
-	depth := rs[0].Stmt.Depth()
-	var vecs [3][][]ir.NConstraint
-	for i := range rs {
-		ls := preps[i].lineState(s.cfg.LineBytes)
-		for _, v := range ls.vecs[rs[i]] {
-			sys, ok := producerSystem(v, depth)
-			if !ok {
-				return false
-			}
-			vecs[i] = append(vecs[i], sys)
-		}
-	}
-	if len(vecs[0]) != len(vecs[1]) || len(vecs[0]) != len(vecs[2]) {
-		return false
-	}
-	for j := range vecs[0] {
-		if len(vecs[1][j]) != len(vecs[0][j]) || len(vecs[2][j]) != len(vecs[0][j]) {
-			return false
-		}
-		sys := make([]poly.ParamConstraint, len(vecs[0][j]))
-		for c := range vecs[0][j] {
-			c0, c1, c2 := vecs[0][j][c], vecs[1][j][c], vecs[2][j][c]
-			if c0.IsEq != c1.IsEq || c0.IsEq != c2.IsEq {
-				return false
-			}
-			e, ok := liftAffine(c0.Expr, c1.Expr, c2.Expr, scalingProbeN)
-			if !ok {
-				return false
-			}
-			sys[c] = poly.ParamConstraint{Expr: e, IsEq: c0.IsEq}
-		}
-		cnt, err := ps.CountWithPoly(poly.FullTile(), sys, fitOpt)
-		if err != nil || !cnt.IsZero() {
-			return false
-		}
-	}
-	return true
-}
-
-// autoFitN places the fit window past the chamber breakpoints: beyond the
-// size where every array row spans more lines than the cache holds, the
-// capacity-transition chambers are behind us. One period of slack keeps
-// the first sample clear of the seam.
-func (s *ScalingSolver) autoFitN() int64 {
-	fitN := s.period
-	if lines := s.cfg.SizeBytes / s.cfg.LineBytes; lines > fitN {
-		fitN = lines
-	}
-	if fitN < 2*scalingMinN {
-		fitN = 2 * scalingMinN
-	}
-	return fitN
-}
-
-// MinClosedN returns a lower bound on the sizes the closed form can
-// cover: sampled fits are anchored at or beyond the fit window, so
-// EvalClosedCtx below this bound always reports ok=false (and spends
-// nothing). Callers with a known size range can use it to skip the
-// closed tier up front.
+// MinClosedN returns the start of the fit window, a lower bound on the
+// sizes the closed form can cover: fits are anchored at or beyond it, so
+// EvalClosedCtx below it always reports ok=false (and spends nothing).
+// Callers with a known size range can use it to skip the closed tier up
+// front.
+//
+// The window starts past the chamber breakpoints: beyond the size where
+// every array row spans more lines than the cache holds, the
+// capacity-transition chambers are behind us, and one period of slack
+// keeps the first sample clear of the seam. The program's own constants
+// add breakpoints too: two forms a1 + s1·n and a2 + s2·n with s1 ≠ s2 swap
+// order at some |n| ≤ |a1| + |a2| ≤ 2·reach — the size where A(J+20)
+// starts to meet A(I), I ≤ n, is one.
 func (s *ScalingSolver) MinClosedN() int64 {
-	n := int64(scalingMinN)
-	if s.needsFit() {
-		if f := s.autoFitN(); f > n {
-			n = f
-		}
-	}
-	return n
+	return max(s.period, s.cfg.SizeBytes/s.cfg.LineBytes, scalingMinFitN, 2*s.reach+2)
 }
 
 // solveExactAt runs the ordinary exact tier at one size.
@@ -444,22 +372,8 @@ func (s *ScalingSolver) fitResidue(ctx context.Context, r int64) (*residueFit, e
 	return f, nil
 }
 
-// needsFit reports whether any reference actually needs sampled fitting
-// (pure-cold references are answered by counting alone).
-func (s *ScalingSolver) needsFit() bool {
-	for _, rs := range s.refs {
-		if !rs.pureCold {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *ScalingSolver) fitResidueUncached(ctx context.Context, r int64) (*residueFit, int64, error) {
-	if !s.needsFit() {
-		return &residueFit{ok: true, base: scalingMinN, refs: map[string]*countFit{}}, 0, nil
-	}
-	fitN := s.autoFitN()
+	fitN := s.MinClosedN()
 	var solves int64
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -478,9 +392,7 @@ func (s *ScalingSolver) fitResidueUncached(ctx context.Context, r int64) (*resid
 }
 
 // tryFit solves degree+1+closedHoldouts sizes of the class at and beyond
-// fitN and fits each non-cold reference's counters through the closed-form
-// engine. Pure-cold references are cross-checked against their counting
-// closed form instead.
+// fitN and fits every reference's counters through the closed-form engine.
 func (s *ScalingSolver) tryFit(ctx context.Context, r, fitN int64) (*residueFit, int64, error) {
 	nSamples := s.degree + 1 + closedHoldouts
 	base := fitN + mod64(r-fitN, s.period)
@@ -509,17 +421,11 @@ func (s *ScalingSolver) tryFit(ctx context.Context, r, fitN int64) (*residueFit,
 			if rr == nil || !exactCensus(rr) {
 				return nil, solves, fmt.Errorf("sample solve at n=%d did not complete exactly for %s", sm.n, id)
 			}
-			if vol, ok := rs.volume.EvalInt(sm.n); !ok || vol != rr.Volume {
-				return nil, solves, fmt.Errorf("volume polynomial of %s diverges at n=%d: poly %d, exact %d",
+			if vol := rs.space.At(sm.n).Volume(); vol != rr.Volume {
+				return nil, solves, fmt.Errorf("lifted space of %s diverges at n=%d: |RIS| %d, exact %d",
 					id, sm.n, vol, rr.Volume)
 			}
-			if rs.pureCold && countsOf(rr) != pureColdCounts(rr.Volume) {
-				return nil, solves, fmt.Errorf("pure-cold closed form of %s diverges at n=%d", id, sm.n)
-			}
 			cs = append(cs, countSample{x: sm.n, c: countsOf(rr)})
-		}
-		if rs.pureCold {
-			continue
 		}
 		rf, err := fitCounts(s.degree, cs)
 		if err != nil {
@@ -539,6 +445,13 @@ func findRef(rep *Report, id string) *RefReport {
 	return nil
 }
 
+func abs64(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
 func mod64(n, m int64) int64 {
 	v := n % m
 	if v < 0 {
@@ -553,14 +466,10 @@ func mod64(n, m int64) int64 {
 // reports whether the closed form covers n; (nil, false, nil) means the
 // caller should fall through.
 func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bool, error) {
-	if !s.eligible || n < scalingMinN {
-		return nil, false, nil
-	}
 	// Residue-class fits are anchored at or beyond the fit window
-	// (tryFit's base ≥ fitN), so when sampled fitting is needed no fit can
-	// ever cover a smaller n: refuse before spending fit solves that are
-	// guaranteed wasted. Pure-cold-only programs fit for free from MinN.
-	if s.needsFit() && n < s.autoFitN() {
+	// (tryFit's base ≥ fitN), so no fit can ever cover a smaller n: refuse
+	// before spending fit solves that are guaranteed wasted.
+	if !s.eligible || n < s.MinClosedN() {
 		return nil, false, nil
 	}
 	start := time.Now()
@@ -576,23 +485,16 @@ func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bo
 		TotalRefs: len(s.refs), Period: s.period, Degree: s.degree}
 	rep := &Report{Config: s.cfg, Tier: TierExact, Scaling: info}
 	for _, rs := range s.refs {
-		vol, ok := rs.volume.EvalInt(n)
-		if !ok {
+		rf := fit.refs[rs.ref.ID]
+		if rf == nil {
 			return nil, false, nil
 		}
-		c := pureColdCounts(vol)
-		if rs.pureCold {
-			info.PureColdRefs++
-		} else {
-			rf := fit.refs[rs.ref.ID]
-			if rf == nil {
-				return nil, false, nil
-			}
-			// A refused evaluation means the polynomial left its chamber:
-			// refuse rather than mispredict.
-			if c, ok = rf.at(n, vol); !ok {
-				return nil, false, nil
-			}
+		vol := rs.space.At(n).Volume()
+		// A refused evaluation means the polynomial left its chamber:
+		// refuse rather than mispredict.
+		c, ok := rf.at(n, vol)
+		if !ok {
+			return nil, false, nil
 		}
 		rr := &RefReport{Ref: rs.ref, Volume: vol}
 		fillClosed(rr, c)
@@ -635,8 +537,8 @@ func (s *ScalingSolver) EvalCtx(ctx context.Context, n int64) (*Report, error) {
 }
 
 func (s *ScalingSolver) fallbackWhy(n int64) string {
-	if n < scalingMinN {
-		return fmt.Sprintf("n=%d below the closed-form minimum %d", n, scalingMinN)
+	if m := s.MinClosedN(); n < m {
+		return fmt.Sprintf("n=%d below the closed-form minimum %d", n, m)
 	}
 	s.mu.Lock()
 	f := s.fits[mod64(n, s.period)]
@@ -665,34 +567,29 @@ func (s *ScalingSolver) SolveLadder(ctx context.Context, ns []int64) ([]*Report,
 	return out, nil
 }
 
-// MissPoly is the public closed form of one reference: the volume
-// quasi-polynomial plus the per-residue-class counter polynomials fitted
-// so far.
+// MissPoly is the public closed form of one reference: the counter
+// polynomials of every residue class fitted so far.
 type MissPoly struct {
-	RefID    string
-	PureCold bool
-	Volume   qpoly.Piecewise
+	RefID string
 	// Residues maps n mod Period to the class's counter polynomials
-	// (valid for n ≥ Base in the class).
+	// (valid for n ≥ Base in the class); Analyzed is the class's |RIS|.
 	Residues map[int64]MissPolyClass
 }
 
 // MissPolyClass is one residue class's closed form.
 type MissPolyClass struct {
 	Base                       int64
-	Analyzed, Hits, Cold, Repl qpoly.QPoly
+	Analyzed, Hits, Cold, Repl qpoly.Poly
 }
 
 // MissPolys returns the per-reference closed forms accumulated so far,
-// sorted by reference ID. Pure-cold references carry no residue
-// classes — their counters are the volume itself.
+// sorted by reference ID.
 func (s *ScalingSolver) MissPolys() []MissPoly {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]MissPoly, 0, len(s.refs))
 	for _, rs := range s.refs {
-		mp := MissPoly{RefID: rs.ref.ID, PureCold: rs.pureCold,
-			Volume: rs.volume, Residues: map[int64]MissPolyClass{}}
+		mp := MissPoly{RefID: rs.ref.ID, Residues: map[int64]MissPolyClass{}}
 		for r, f := range s.fits {
 			if !f.ok {
 				continue

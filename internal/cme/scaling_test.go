@@ -152,8 +152,8 @@ func singlePass(n int64) *ir.Subroutine {
 }
 
 // TestScalingPureCold: with one element per line a single pass has no
-// reuse at all, so rung 2 resolves every reference by counting — zero
-// fit solves at any size.
+// reuse at all. Like any other family it is fitted: one residue fit makes
+// it closed form from MinClosedN on, with all-cold counts.
 func TestScalingPureCold(t *testing.T) {
 	cfg := cache.Config{SizeBytes: 64, LineBytes: 8, Assoc: 1}
 	build := famOf(singlePass)
@@ -164,16 +164,17 @@ func TestScalingPureCold(t *testing.T) {
 	if !s.ClosedFormEligible() {
 		t.Fatalf("single-pass family should be eligible (why: %s)", s.Why())
 	}
-	for _, n := range []int64{5, 17, 64, 100, 1000, 123457} {
+	lo := s.MinClosedN()
+	if rep, ok, err := s.EvalClosedCtx(context.Background(), lo-1); err != nil || ok || rep != nil {
+		t.Fatalf("EvalClosedCtx(%d) = (%v, %v, %v), want a free refusal below MinClosedN", lo-1, rep, ok, err)
+	}
+	for _, n := range []int64{lo, lo + s.Period(), 100 * s.Period(), 15432 * s.Period()} {
 		rep, err := s.EvalCtx(context.Background(), n)
 		if err != nil {
 			t.Fatalf("EvalCtx(%d): %v", n, err)
 		}
-		if !rep.Scaling.Closed() {
-			t.Fatalf("n=%d fell through: %s", n, rep.Scaling.Why)
-		}
-		if rep.Scaling.PureColdRefs != 2 {
-			t.Fatalf("n=%d: PureColdRefs = %d, want 2", n, rep.Scaling.PureColdRefs)
+		if !rep.Scaling.Closed() || rep.Scaling.PureColdRefs != 0 {
+			t.Fatalf("n=%d: provenance %+v, want closed form by fit alone", n, rep.Scaling)
 		}
 		for _, rr := range rep.Refs {
 			if rr.Volume != n || rr.Cold != n || rr.Hits != 0 || rr.Repl != 0 {
@@ -181,13 +182,77 @@ func TestScalingPureCold(t *testing.T) {
 					n, rr.Ref.ID, rr.Volume, rr.Cold, rr.Hits, rr.Repl)
 			}
 		}
+		if n < 1000 {
+			checkScalingIdentity(t, build, cfg, n, rep)
+		}
 	}
-	if st := s.Stats(); st.FitSolves != 0 {
-		t.Fatalf("pure-cold family spent %d fit solves", st.FitSolves)
+	st := s.Stats()
+	if want := int64(s.degree + 1 + closedHoldouts); st.ResiduesFitted != 1 || st.FitSolves != want {
+		t.Fatalf("fitted %d residue classes with %d solves, want 1 with %d", st.ResiduesFitted, st.FitSolves, want)
 	}
-	// Counting closed forms must still match the enumerating solver.
-	rep, _ := s.EvalCtx(context.Background(), 37)
-	checkScalingIdentity(t, build, cfg, 37, rep)
+}
+
+// shiftCopy is B(I) = A(I) for I = 1..N, then dst(J) = A(J+20) for
+// J = 1..N, over REAL*8 A(N+20), B(N), C(N). Whether S2/A#0 reuses the
+// first nest's A depends on N > 20, so no probe below that size can
+// speak for larger ones.
+func shiftCopy(dst string) func(n int64) *ir.Subroutine {
+	return func(n int64) *ir.Subroutine {
+		b := ir.NewSub("shift")
+		A := b.Real8("A", n+20)
+		B := b.Real8("B", n)
+		C := b.Real8("C", n)
+		to := map[string]*ir.Array{"B": B, "C": C}[dst]
+		b.Do("I", ir.Con(1), ir.Con(n)).
+			Assign("S1", ir.R(B, ir.Var("I")), ir.R(A, ir.Var("I"))).
+			End()
+		b.Do("J", ir.Con(1), ir.Con(n)).
+			Assign("S2", ir.R(to, ir.Var("J")), ir.R(A, ir.Var("J").PlusConst(20))).
+			End()
+		return b.Build()
+	}
+}
+
+// TestScalingMatchesFindMisses: every size the scaling solver answers
+// equals FindMisses per reference, and sizes past the fit window (which
+// tryFit may push out twice, to at most 4·MinClosedN + Period) are
+// closed form. In the shift families S2/A#0 has no reuse at the probe
+// sizes N = 8..10 but does past N = 20, so nothing the probes see about
+// it holds for every N: at 1 KB FindMisses finds 20 hits and 20 cold
+// misses at N = 40, not 40 cold.
+func TestScalingMatchesFindMisses(t *testing.T) {
+	for name, tc := range map[string]struct {
+		family func(n int64) *ir.Subroutine
+		cfg    cache.Config
+		ns     []int64
+	}{
+		"shift into C": {shiftCopy("C"), cache.Config{SizeBytes: 1024, LineBytes: 8, Assoc: 1},
+			[]int64{40, 64, 128, 200, 640, 700, 1001}},
+		"shift into B": {shiftCopy("B"), cache.Config{SizeBytes: 64, LineBytes: 8, Assoc: 1},
+			[]int64{24, 40, 64, 65, 100, 200, 333}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			build := famOf(tc.family)
+			s, err := PrepareScaling(build, tc.cfg, Options{}, ScalingOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.ClosedFormEligible() {
+				t.Fatalf("shift family should be eligible (why: %s)", s.Why())
+			}
+			closedFrom := 4*s.MinClosedN() + s.Period()
+			for _, n := range tc.ns {
+				rep, err := s.EvalCtx(context.Background(), n)
+				if err != nil {
+					t.Fatalf("EvalCtx(%d): %v", n, err)
+				}
+				checkScalingIdentity(t, build, tc.cfg, n, rep)
+				if n >= closedFrom && !rep.Scaling.Closed() {
+					t.Fatalf("n=%d (≥ %d) fell through: %s", n, closedFrom, rep.Scaling.Why)
+				}
+			}
+		})
+	}
 }
 
 // TestScalingIneligibleFallsThrough: a family whose bounds move
@@ -215,7 +280,7 @@ func TestScalingIneligibleFallsThrough(t *testing.T) {
 }
 
 // TestScalingMissPolys: the public closed forms evaluate to the exact
-// per-reference counters.
+// per-reference counters, the fitted analyzed count to |RIS|.
 func TestScalingMissPolys(t *testing.T) {
 	cfg := cache.Config{SizeBytes: 256, LineBytes: 32, Assoc: 1}
 	build := famOf(stencil1D)
@@ -249,15 +314,13 @@ func TestScalingMissPolys(t *testing.T) {
 		if w == nil {
 			t.Fatalf("unknown ref %s", mp.RefID)
 		}
-		if vol, ok := mp.Volume.EvalInt(n); !ok || vol != w.Volume {
-			t.Fatalf("ref %s: volume poly %d (ok=%v), exact %d", mp.RefID, vol, ok, w.Volume)
-		}
-		if mp.PureCold {
-			continue
-		}
 		cls, ok := mp.Residues[r]
 		if !ok {
 			t.Fatalf("ref %s: residue %d not fitted", mp.RefID, r)
+		}
+		if vol, ok := cls.Analyzed.EvalInt(n); !ok || vol != w.Volume || vol != w.Analyzed {
+			t.Fatalf("ref %s: |RIS| poly %d (ok=%v), exact volume %d analyzed %d",
+				mp.RefID, vol, ok, w.Volume, w.Analyzed)
 		}
 		if cold, _ := cls.Cold.EvalInt(n); cold != w.Cold {
 			t.Fatalf("ref %s: cold poly %d, exact %d", mp.RefID, cold, w.Cold)

@@ -1,22 +1,11 @@
 package poly
 
-import (
-	"fmt"
+import "cachemodel/internal/ir"
 
-	"cachemodel/internal/ir"
-	"cachemodel/internal/linalg"
-	"cachemodel/internal/qpoly"
-)
-
-// This file generalises the lattice-point counting engine to bounds and
-// guards that are affine in one symbolic parameter n (the problem size):
-// instead of a number, a count becomes a piecewise quasi-polynomial of n
-// (Ehrhart). The counts are recovered by exact rational interpolation —
-// instantiate the space at enough sample sizes per residue class of the
-// coefficient period, fit with qpoly.FitPoly, and verify the fit against
-// further samples — rather than by a full Barvinok decomposition: the
-// spaces here are tiny (depth ≤ 6), so sampled instantiation is cheap and
-// the verification step keeps the result trustworthy.
+// This file lifts iteration spaces to bounds and guards that are affine in
+// one symbolic parameter n (the problem size). A ParamSpace is counted by
+// instantiating it at a concrete n (At) — the closed-form size tier
+// counts |RIS| exactly at every size it answers.
 
 // ParamAffine is an affine form over the loop indices plus a symbolic
 // parameter: value(idx, n) = Base(idx) + N·n.
@@ -72,212 +61,4 @@ func (ps *ParamSpace) At(n int64) *Space {
 		guards[i] = g.At(n)
 	}
 	return New(bounds, guards)
-}
-
-// FitOptions tunes parametric counting. The zero value asks for automatic
-// choices throughout.
-type FitOptions struct {
-	// Period is the initial coefficient-period guess; 0 derives it from
-	// the index coefficients. A failing verification doubles it.
-	Period int64
-	// Degree bounds the per-residue polynomial degree; 0 uses the space
-	// depth (the Ehrhart maximum).
-	Degree int
-	// MinN is the smallest parameter value the result must cover
-	// (default 1). Sizes in [MinN, fit window) are covered by explicit
-	// per-point chambers.
-	MinN int64
-	// FitN is the start of the polynomial tail chamber; 0 derives it from
-	// the constants (all chamber breakpoints lie below it). A failing
-	// verification doubles it.
-	FitN int64
-	// Verify is the number of extra holdout samples per residue class that
-	// the fitted polynomial must reproduce exactly (default 2).
-	Verify int
-}
-
-// Caps for the escalation loop: beyond these the space is declared
-// non-quasi-polynomial over the sampled range.
-const (
-	maxFitPeriod = 256
-	maxFitBase   = 1 << 13
-	maxSmallN    = 1 << 12 // explicit per-point chambers below the tail
-)
-
-func (o FitOptions) withDefaults(ps *ParamSpace) FitOptions {
-	if o.MinN == 0 {
-		o.MinN = 1
-	}
-	if o.Verify == 0 {
-		o.Verify = 2
-	}
-	if o.Degree == 0 {
-		o.Degree = ps.Depth
-	}
-	if o.Period == 0 {
-		o.Period = ps.autoPeriod()
-	}
-	if o.FitN == 0 {
-		o.FitN = ps.autoFitBase(o)
-	}
-	return o
-}
-
-// autoPeriod guesses the coefficient period: quasi-periodic behaviour
-// enters through floor/ceil divisions by index coefficients, so the lcm
-// of their magnitudes (capped) is the natural first guess.
-func (ps *ParamSpace) autoPeriod() int64 {
-	p := int64(1)
-	acc := func(a ir.Affine) {
-		for d := 1; d <= a.MaxDepthUsed(); d++ {
-			if c := a.At(d); c != 0 {
-				if l := linalg.LCM(p, c); l != 0 && l <= maxFitPeriod {
-					p = l
-				}
-			}
-		}
-	}
-	for _, b := range ps.Bounds {
-		acc(b.Lo.Base)
-		acc(b.Hi.Base)
-	}
-	for _, g := range ps.Guards {
-		acc(g.Expr.Base)
-	}
-	return p
-}
-
-// autoFitBase places the polynomial tail beyond the chamber breakpoints,
-// which are governed by the affine constants: past max|const| (plus a
-// period of slack) the relative order of the bound expressions is fixed.
-func (ps *ParamSpace) autoFitBase(o FitOptions) int64 {
-	var m int64
-	acc := func(pa ParamAffine) {
-		if c := abs(pa.Base.Const); c > m {
-			m = c
-		}
-	}
-	for _, b := range ps.Bounds {
-		acc(b.Lo)
-		acc(b.Hi)
-	}
-	for _, g := range ps.Guards {
-		acc(g.Expr)
-	}
-	base := 2*m + 2*o.Period + int64(ps.Depth) + 2
-	if base < o.MinN {
-		base = o.MinN
-	}
-	return base
-}
-
-func abs(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// CountPoly returns the tile's point count as a piecewise quasi-polynomial
-// of the parameter, valid for every n ≥ opt.MinN.
-func (ps *ParamSpace) CountPoly(t Tile, opt FitOptions) (qpoly.Piecewise, error) {
-	return ps.fit(func(n int64) int64 { return ps.At(n).CountTile(t) }, opt)
-}
-
-// CountWithPoly is the parametric CountWith: the count of tile points
-// additionally satisfying every constraint in extra, as a piecewise
-// quasi-polynomial of the parameter.
-func (ps *ParamSpace) CountWithPoly(t Tile, extra []ParamConstraint, opt FitOptions) (qpoly.Piecewise, error) {
-	return ps.fit(func(n int64) int64 {
-		sys := make([]ir.NConstraint, len(extra))
-		for i, g := range extra {
-			sys[i] = g.At(n)
-		}
-		return ps.At(n).CountWith(t, sys)
-	}, opt)
-}
-
-// CountUnionPoly is the parametric CountUnion: the count of tile points
-// satisfying at least one of the constraint systems.
-func (ps *ParamSpace) CountUnionPoly(t Tile, systems [][]ParamConstraint, opt FitOptions) (qpoly.Piecewise, error) {
-	return ps.fit(func(n int64) int64 {
-		inst := make([][]ir.NConstraint, len(systems))
-		for i, sys := range systems {
-			cs := make([]ir.NConstraint, len(sys))
-			for j, g := range sys {
-				cs[j] = g.At(n)
-			}
-			inst[i] = cs
-		}
-		return ps.At(n).CountUnion(t, inst)
-	}, opt)
-}
-
-// fit recovers eval as a piecewise quasi-polynomial: a polynomial tail
-// chamber fitted per residue class and verified against holdout samples,
-// plus explicit per-point chambers covering the small sizes below the
-// tail. A verification failure escalates — first pushing the tail start
-// outward (the breakpoint guess was too low), then doubling the period —
-// before giving up.
-func (ps *ParamSpace) fit(eval func(n int64) int64, opt FitOptions) (qpoly.Piecewise, error) {
-	opt = opt.withDefaults(ps)
-	period, fitN := opt.Period, opt.FitN
-	var lastErr error
-	for {
-		q, err := fitTail(eval, period, opt.Degree, fitN, opt.Verify)
-		if err == nil {
-			return assemble(eval, q, opt.MinN, fitN)
-		}
-		lastErr = err
-		switch {
-		case fitN < maxFitBase:
-			fitN *= 2
-		case period < maxFitPeriod:
-			period *= 2
-			fitN = opt.FitN
-		default:
-			return qpoly.Piecewise{}, fmt.Errorf("poly: count is not quasi-polynomial up to period %d, base %d: %w",
-				period, fitN, lastErr)
-		}
-	}
-}
-
-// fitTail fits one quasi-polynomial with the given period and degree from
-// samples at the first deg+1+verify sizes ≥ fitN of every residue class.
-func fitTail(eval func(n int64) int64, period int64, deg int, fitN int64, verify int) (qpoly.QPoly, error) {
-	var samples []qpoly.Sample
-	for r := int64(0); r < period; r++ {
-		n := fitN + mod(r-fitN, period)
-		for k := 0; k < deg+1+verify; k++ {
-			samples = append(samples, qpoly.Sample{N: n, V: linalg.RatInt(eval(n))})
-			n += period
-		}
-	}
-	return qpoly.Fit(period, deg, samples)
-}
-
-func mod(n, m int64) int64 {
-	r := n % m
-	if r < 0 {
-		r += m
-	}
-	return r
-}
-
-// assemble glues the verified tail to explicit per-point chambers for the
-// small sizes the fit window does not cover.
-func assemble(eval func(n int64) int64, tail qpoly.QPoly, minN, fitN int64) (qpoly.Piecewise, error) {
-	if fitN-minN > maxSmallN {
-		return qpoly.Piecewise{}, fmt.Errorf("poly: %d explicit small sizes exceed the cap %d",
-			fitN-minN, maxSmallN)
-	}
-	pieces := []qpoly.Piece{{Lo: fitN, Hi: qpoly.Inf, Poly: tail}}
-	for n := minN; n < fitN; n++ {
-		pieces = append(pieces, qpoly.Piece{Lo: n, Hi: n, Poly: qpoly.ConstInt(eval(n))})
-	}
-	pw, err := qpoly.FromPieces(pieces)
-	if err != nil {
-		return qpoly.Piecewise{}, err
-	}
-	return pw.Canon(), nil
 }

@@ -14,25 +14,24 @@ type Sample struct {
 }
 
 // FitPoly recovers the unique polynomial of degree ≤ deg through the
-// first deg+1 samples by Newton's divided differences (exact rational
+// lowest deg+1 samples by Newton's divided differences (exact rational
 // arithmetic), then verifies it reproduces every remaining sample.
-// The returned slice is the coefficient vector in the power basis
-// (index = degree). Samples must have pairwise distinct N; an error means
-// either a duplicate abscissa or a verification mismatch — i.e. the data
-// is not polynomial of the claimed degree over the sampled range.
-func FitPoly(deg int, samples []Sample) ([]linalg.Rat, error) {
+// Samples must have pairwise distinct N; an error means either a
+// duplicate abscissa or a verification mismatch — i.e. the data is not
+// polynomial of the claimed degree over the sampled range.
+func FitPoly(deg int, samples []Sample) (Poly, error) {
 	if deg < 0 {
-		return nil, fmt.Errorf("qpoly: negative degree %d", deg)
+		return Poly{}, fmt.Errorf("qpoly: negative degree %d", deg)
 	}
 	if len(samples) < deg+1 {
-		return nil, fmt.Errorf("qpoly: need %d samples for degree %d, have %d",
+		return Poly{}, fmt.Errorf("qpoly: need %d samples for degree %d, have %d",
 			deg+1, deg, len(samples))
 	}
 	ss := append([]Sample(nil), samples...)
 	sort.Slice(ss, func(i, j int) bool { return ss[i].N < ss[j].N })
 	for i := 1; i < len(ss); i++ {
 		if ss[i].N == ss[i-1].N {
-			return nil, fmt.Errorf("qpoly: duplicate sample abscissa %d", ss[i].N)
+			return Poly{}, fmt.Errorf("qpoly: duplicate sample abscissa %d", ss[i].N)
 		}
 	}
 	fit := ss[:deg+1]
@@ -76,47 +75,12 @@ func FitPoly(deg int, samples []Sample) ([]linalg.Rat, error) {
 
 	// Verification: the holdout samples must lie on the fitted polynomial
 	// exactly, otherwise the data was not polynomial of this degree.
-	evalAt := func(n int64) linalg.Rat {
-		v := linalg.RatInt(0)
-		x := linalg.RatInt(n)
-		for d := len(coef) - 1; d >= 0; d-- {
-			v = v.Mul(x).Add(coef[d])
-		}
-		return v
-	}
+	p := New(coef)
 	for _, s := range ss[deg+1:] {
-		if got := evalAt(s.N); got.Cmp(s.V) != 0 {
-			return nil, fmt.Errorf("qpoly: degree-%d fit fails verification at n=%d: fitted %s, observed %s",
+		if got := p.eval(s.N); got.Cmp(s.V) != 0 {
+			return Poly{}, fmt.Errorf("qpoly: degree-%d fit fails verification at n=%d: fitted %s, observed %s",
 				deg, s.N, got, s.V)
 		}
 	}
-	return coef, nil
-}
-
-// Fit recovers a quasi-polynomial of period mod and per-residue degree
-// ≤ deg from samples: the samples are grouped by N mod mod, each residue
-// class is fitted independently with FitPoly (so each class needs at
-// least deg+1 samples; extras verify), and the rows assemble into one
-// QPoly. Every residue class must be sampled.
-func Fit(period int64, deg int, samples []Sample) (QPoly, error) {
-	if period < 1 {
-		return QPoly{}, fmt.Errorf("qpoly: period must be ≥ 1, got %d", period)
-	}
-	byRes := make(map[int64][]Sample)
-	for _, s := range samples {
-		byRes[mod(s.N, period)] = append(byRes[mod(s.N, period)], s)
-	}
-	rows := make([][]linalg.Rat, period)
-	for r := int64(0); r < period; r++ {
-		ss, ok := byRes[r]
-		if !ok {
-			return QPoly{}, fmt.Errorf("qpoly: no samples for residue %d (mod %d)", r, period)
-		}
-		row, err := FitPoly(deg, ss)
-		if err != nil {
-			return QPoly{}, fmt.Errorf("residue %d (mod %d): %w", r, period, err)
-		}
-		rows[r] = row
-	}
-	return (QPoly{period: period, coef: rows}).Canon(), nil
+	return p, nil
 }

@@ -94,7 +94,7 @@ type RefResult struct {
 	Repl     int64   `json:"repl"`
 	Tier     string  `json:"tier"`
 	Ratio    float64 `json:"ratio,omitempty"`
-	// ClosedForm marks counts evaluated from the lifted quasi-polynomial
+	// ClosedForm marks counts evaluated from the fitted closed form
 	// rather than an enumerating solve at this size.
 	ClosedForm bool `json:"closed_form,omitempty"`
 }
