@@ -175,6 +175,44 @@ func TestCLIListRuns(t *testing.T) {
 	}
 }
 
+// TestCLISimulateNegativeAddresses: a reference below an array's first
+// element touches negative addresses. simulate maps them to floor lines
+// and non-negative sets instead of panicking, sequentially and sharded,
+// and agrees with an exact analyze on the miss count.
+func TestCLISimulateNegativeAddresses(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "negt.f")
+	if err := os.WriteFile(src, []byte(`      SUBROUTINE NEGT
+      REAL*8 A(N), B(N)
+      DO T = 1, 2
+      DO I = 1, N
+        B(I) = A(I-5) + A(I)
+      ENDDO
+      ENDDO
+      END
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-file", src, "-const", "N=64", "-cache", "768", "-line", "32", "-assoc", "1"}
+	misses := func(re *regexp.Regexp, cmd ...string) string {
+		out, err := cliCommand(t, append(cmd, args...)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", cmd, err, out)
+		}
+		m := re.FindSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s printed no miss count:\n%s", cmd, out)
+		}
+		return string(m[1])
+	}
+	sim := regexp.MustCompile(`misses: ([0-9]+)`)
+	want := misses(regexp.MustCompile(`estimated misses: ([0-9]+)`), "analyze", "-exact")
+	for _, cmd := range [][]string{{"simulate"}, {"simulate", "-workers", "2"}} {
+		if got := misses(sim, cmd...); got != want {
+			t.Errorf("%s: %s misses, exact analyze %s", cmd, got, want)
+		}
+	}
+}
+
 // TestCLIDiagnoseMatchesAnalyze: diagnose is analyze's sampled solve with
 // attribution, so both print the same miss ratio for the same program,
 // cache and plan.

@@ -29,8 +29,8 @@ type sweepResult struct {
 	N         int64   `json:"n,omitempty"` // ladder sweeps: the problem size
 	MissRatio float64 `json:"miss_ratio_pct"`
 	Tier      string  `json:"tier,omitempty"`
-	// ClosedForm marks a candidate answered entirely by the
-	// geometry-parametric tier's O(1) evaluation (no enumeration).
+	// ClosedForm marks a candidate answered entirely by the set-count
+	// tier's closed form (no enumeration).
 	ClosedForm bool    `json:"closed_form,omitempty"`
 	SimRatio   float64 `json:"sim_miss_ratio_pct,omitempty"`
 	Error      string  `json:"error,omitempty"`

@@ -163,8 +163,8 @@ type Choice struct {
 	// evaluation rather than an enumerating solve: the scaling tier's
 	// fitted polynomials in SearchParameterCtx (the candidate was dominated
 	// under the symbolic estimate, so no per-size solve was spent on it),
-	// or the geometry-parametric tier in SearchConfigs (every reference of
-	// the geometry answered from a column fit).
+	// or the set-count tier in SearchConfigs (every reference of the
+	// geometry copied from its line size's anchor or pure cold).
 	ClosedForm bool
 }
 
@@ -242,9 +242,9 @@ func SearchPaddingCtx(ctx context.Context, build func() *ir.Program, array strin
 // formulation of the "which cache would this code like" question. The
 // program is prepared once; every geometry is one candidate of a single
 // SolveBatch sweep. A nil plan solves exactly — and exact sweeps engage
-// the geometry-parametric closed-form tier automatically, so a wide
-// cache-size column costs a handful of anchor solves plus O(1) per
-// remaining geometry (Choice.ClosedForm marks those candidates). Results
+// the set-count closed-form tier automatically, so the stable geometries
+// of a line size cost one anchor solve plus a copy per remaining
+// geometry (Choice.ClosedForm marks those candidates). Results
 // come back sorted by predicted miss ratio, best first.
 func SearchConfigs(ctx context.Context, build func() *ir.Program, cfgs []cache.Config,
 	opt cme.Options, plan *sampling.Plan) ([]Choice, error) {

@@ -34,11 +34,31 @@ func (c Config) Validate() error {
 // NumSets returns the number of cache sets.
 func (c Config) NumSets() int64 { return c.SizeBytes / (c.LineBytes * int64(c.Assoc)) }
 
-// MemLine returns the memory line index of a byte address.
-func (c Config) MemLine(addr int64) int64 { return addr / c.LineBytes }
+// LineOf returns the memory line index of a byte address: the floor of
+// addr/lineBytes, so an address below zero lies on a negative line and
+// every line holds exactly lineBytes consecutive addresses. It is the one
+// line index of the simulator and the analytical model.
+func LineOf(addr, lineBytes int64) int64 {
+	q := addr / lineBytes
+	if addr%lineBytes < 0 {
+		q--
+	}
+	return q
+}
 
-// SetOfLine returns the cache set a memory line maps to.
-func (c Config) SetOfLine(line int64) int64 { return line % c.NumSets() }
+// MemLine returns the memory line index of a byte address (LineOf).
+func (c Config) MemLine(addr int64) int64 { return LineOf(addr, c.LineBytes) }
+
+// SetOfLine returns the cache set a memory line maps to: its residue in
+// [0, NumSets), negative lines included.
+func (c Config) SetOfLine(line int64) int64 {
+	n := c.NumSets()
+	s := line % n
+	if s < 0 {
+		s += n
+	}
+	return s
+}
 
 // SetOf returns the cache set of a byte address.
 func (c Config) SetOf(addr int64) int64 { return c.SetOfLine(c.MemLine(addr)) }

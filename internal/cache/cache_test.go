@@ -17,6 +17,17 @@ func TestConfigDerived(t *testing.T) {
 	if cfg.SetOf(0) != 0 || cfg.SetOf(512*32) != 0 || cfg.SetOf(513*32) != 1 {
 		t.Error("SetOf broken")
 	}
+	// Below address 0 lines floor and sets stay in [0, NumSets).
+	if cfg.MemLine(-1) != -1 || cfg.MemLine(-32) != -1 || cfg.MemLine(-33) != -2 {
+		t.Errorf("MemLine(-1, -32, -33) = %d, %d, %d, want -1, -1, -2",
+			cfg.MemLine(-1), cfg.MemLine(-32), cfg.MemLine(-33))
+	}
+	if cfg.SetOf(-8) != 511 || cfg.SetOfLine(-512) != 0 {
+		t.Errorf("SetOf(-8) = %d, SetOfLine(-512) = %d, want 511, 0", cfg.SetOf(-8), cfg.SetOfLine(-512))
+	}
+	if odd := (Config{SizeBytes: 768, LineBytes: 32, Assoc: 1}); odd.SetOfLine(-1) != 23 {
+		t.Errorf("24 sets: SetOfLine(-1) = %d, want 23", odd.SetOfLine(-1))
+	}
 	if cfg.LineElems(8) != 4 {
 		t.Errorf("LineElems(8) = %d, want 4", cfg.LineElems(8))
 	}

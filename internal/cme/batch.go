@@ -77,7 +77,7 @@ type BatchOptions struct {
 	// probabilistic), with per-candidate Degraded/Tier provenance. The
 	// zero value imposes no limits.
 	Budget budget.Budget
-	// NoGeom disables the geometry-parametric closed-form tier (see
+	// NoGeom disables the set-count closed-form tier (see
 	// geom.go), forcing every exact candidate through the fused
 	// enumerating solver — the ablation baseline for benchmarks and
 	// equivalence tests. Users opt out with Options.NoSymbolic; the tier
@@ -327,17 +327,17 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 	if mode.sampled {
 		serr = p.solveSampled(ctx, m, col, "solve.batch", states, *opt.Plan, workers, nil)
 	} else {
-		// Geometry-parametric tier (geom.go): plan columns first — it
-		// clears the need masks of members it will answer in closed form,
-		// so the fused pass below only solves the anchors and the
-		// unstable members — then fill (or refuse and re-solve) after.
-		// Only exact batches without a fault hook are eligible: plain
+		// Set-count tier (geom.go): plan line sizes first — it clears
+		// the need masks of members it will answer in closed form, so the
+		// fused pass below only solves the anchors and the unstable
+		// members — then fill (or refuse and re-solve) after. Only exact
+		// batches without a fault hook are eligible: plain
 		// deadline/point/scan budgets are fine (an interrupted anchor fails
-		// the fit's census check and falls through per reference, and a
+		// the census check and falls through per reference, and a
 		// closed-form fill costs the meter nothing), but injected faults
 		// must see the enumerating solver to keep fault-parity tests
 		// meaningful.
-		var gp []*geomColumn
+		var gp []*geomClass
 		if !opt.NoGeom && opt.Budget.Hook == nil && !p.opt.NoSymbolic && p.dyn == nil {
 			gp = p.planGeom(states)
 		}

@@ -7,11 +7,9 @@ import (
 	"cachemodel/internal/qpoly"
 )
 
-// The closed-form engine shared by the two parameter tiers: the
-// problem-size tier (scaling.go, parameter N) and the set-count tier
-// (geom.go, parameter NumSets). Each tier decides for itself which
-// references are eligible and which parameter values anchor a fit; the
-// protocol from there on is the same and lives here:
+// The closed-form engine of the two parameter tiers. The problem-size
+// tier (scaling.go, parameter N) decides which references are eligible
+// and which sizes anchor a fit, and then follows the whole protocol:
 //
 //  1. Census: only a complete, exact, unsampled report whose Analyzed
 //     equals its Volume may anchor a fit (exactCensus).
@@ -25,6 +23,12 @@ import (
 //  5. Refusal: any failure refuses the claim, and the reference falls
 //     through to an enumerating solve — extra work, never a wrong count.
 //  6. Provenance: the report records the outcome in one ClosedInfo.
+//
+// The set-count tier (geom.go, parameter NumSets) fits nothing: its
+// certificate proves the counts constant above the footprint span, so it
+// copies one anchor's census. It uses only steps 1, 5 and 6 — the census
+// check, fillClosed and ClosedInfo, whose shape it records as Period 1,
+// Degree 0.
 
 // closedHoldouts is the number of anchors past deg+1 that every fit must
 // reproduce exactly before it is trusted.
@@ -33,7 +37,7 @@ const closedHoldouts = 2
 // Closed-form axes: the free parameter of a ClosedInfo.
 const (
 	AxisSize = "size" // problem size N (ScalingSolver)
-	AxisSets = "sets" // number of cache sets (SolveBatch geometry columns)
+	AxisSets = "sets" // number of cache sets (SolveBatch line-size classes)
 )
 
 // ClosedInfo is the provenance of a closed-form tier for one report: which
@@ -44,12 +48,14 @@ type ClosedInfo struct {
 	// value for this report.
 	Axis  string `json:"axis"`
 	Param int64  `json:"param"`
-	// Anchor marks a report solved by enumeration to feed the fits.
+	// Anchor marks a report solved by enumeration to feed the fits (size
+	// tier) or the copies (set-count tier).
 	Anchor bool `json:"anchor,omitempty"`
-	// ClosedRefs counts references answered by closed-form evaluation
-	// (including PureColdRefs, which the set-count tier answers by
-	// counting alone); FallthroughRefs counts references the tier refused,
-	// which were re-solved by enumeration.
+	// ClosedRefs counts references answered in closed form: by a fit's
+	// evaluation (size tier), or by a copy of the anchor's census or by
+	// counting alone (PureColdRefs, included) on the set-count tier.
+	// FallthroughRefs counts references the tier refused, which were
+	// re-solved by enumeration.
 	ClosedRefs      int `json:"closed_refs"`
 	PureColdRefs    int `json:"pure_cold_refs,omitempty"`
 	FallthroughRefs int `json:"fallthrough_refs,omitempty"`

@@ -264,9 +264,9 @@ type RefReport struct {
 	// ClosedForm reports that the counts came from closed-form
 	// evaluation rather than from enumerating (or sampling) this
 	// reference's iteration space: either the scaling tier's per-residue
-	// polynomials in the problem size, or the geometry-parametric tier's
-	// fit in the number of sets (Report.Scaling and Report.Geom say
-	// which).
+	// polynomials in the problem size, or the set-count tier's copy of
+	// its line size's anchor or its pure-cold count (Report.Scaling and
+	// Report.Geom say which).
 	ClosedForm bool
 }
 
@@ -314,8 +314,8 @@ type Report struct {
 	// when the report came from a ScalingSolver (nil otherwise).
 	Scaling *ClosedInfo
 	// Geom carries the set-count closed-form provenance (AxisSets) when
-	// SolveBatch planned this candidate into a geometry column (nil when
-	// the tier never considered it).
+	// SolveBatch planned this candidate's line size (nil when the tier
+	// never considered it).
 	Geom *ClosedInfo
 }
 

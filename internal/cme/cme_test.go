@@ -1,6 +1,7 @@
 package cme
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -159,6 +160,49 @@ func triangularGuarded(n int64) *ir.Subroutine {
 		End().
 		End().End()
 	return b.Build()
+}
+
+// negt builds NEGT, a stencil whose reads reach below A's first element:
+//
+//	DO T = 1, passes
+//	  DO I = 1, n
+//	    B(I) = A(I-off) + A(I)
+//
+// Under the baseline layout A starts at address 0, so A(I-off) touches
+// negative addresses, whose memory lines are negative (floor division).
+func negt(n, off, passes int64) *ir.Subroutine {
+	b := ir.NewSub("NEGT")
+	A := b.Real8("A", n)
+	B := b.Real8("B", n)
+	b.Do("T", ir.Con(1), ir.Con(passes)).
+		Do("I", ir.Con(1), ir.Con(n)).
+		Assign("S1", ir.R(B, ir.Var("I")), ir.R(A, ir.Var("I").PlusConst(-off)), ir.R(A, ir.Var("I"))).
+		End().End()
+	return b.Build()
+}
+
+// TestNegativeAddressesMatchSimulator: the CME and the simulator agree on
+// the memory line of a negative address (floor, not truncation) and on
+// its set (a non-negative residue), so FindMisses equals the simulator per
+// reference on NEGT — uniformly generated — at set counts that are and
+// are not powers of two, at 1 and 2 workers and with enumeration forced.
+func TestNegativeAddressesMatchSimulator(t *testing.T) {
+	cfgs := []cache.Config{
+		{SizeBytes: 768, LineBytes: 32, Assoc: 1},  // 24 sets
+		{SizeBytes: 1024, LineBytes: 32, Assoc: 1}, // 32 sets
+		{SizeBytes: 1056, LineBytes: 32, Assoc: 1}, // 33 sets
+		{SizeBytes: 1536, LineBytes: 32, Assoc: 2}, // 24 sets
+	}
+	for _, pg := range []struct{ off, passes int64 }{{3, 2}, {3, 1}, {5, 1}, {5, 2}} {
+		for _, cfg := range cfgs {
+			for _, opt := range []Options{{Workers: 1}, {Workers: 2}, {Workers: 2, NoSymbolic: true}} {
+				t.Run(fmt.Sprintf("off%d/passes%d/%s/w%d/nosym=%v", pg.off, pg.passes, cfg, opt.Workers, opt.NoSymbolic), func(t *testing.T) {
+					np, a := prep(t, negt(64, pg.off, pg.passes), cfg, opt)
+					checkExact(t, np, a, cfg)
+				})
+			}
+		}
+	}
 }
 
 func TestTriangularGuardedConservative(t *testing.T) {

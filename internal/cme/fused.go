@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"cachemodel/internal/budget"
+	"cachemodel/internal/cache"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/poly"
@@ -75,7 +76,6 @@ type fcState struct {
 	// vecMemo and memoDisableAfter); nil under Options.NoMemo.
 	memo map[*reuse.Vector]*vecMemo
 
-	set      int64
 	walkDone bool
 	evicted  bool
 	scanned  int64
@@ -91,7 +91,6 @@ type fcState struct {
 // copied out of its fcState so the hot loop of fusedWalk scans a compact
 // contiguous array instead of chasing state pointers.
 type fcWalkEntry struct {
-	set     int64
 	setMask int64
 	numSets int64
 	assoc   int
@@ -216,14 +215,9 @@ func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, act
 	return perr
 }
 
-// arm resets a state's per-point walk fields for the access's line.
-func (s *fcState) arm(line int64) {
+// arm resets a state's per-point walk fields.
+func (s *fcState) arm() {
 	s.walkDone, s.evicted, s.scanned, s.key, s.vm = false, false, 0, "", nil
-	if s.setMask >= 0 {
-		s.set = line & s.setMask
-	} else {
-		s.set = line % s.numSets
-	}
 }
 
 // classifyFused classifies one access for all active candidates at once
@@ -239,7 +233,7 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 	if fc.lineShift >= 0 {
 		line = addr >> fc.lineShift
 	} else {
-		line = addr / g.lineBytes
+		line = cache.LineOf(addr, g.lineBytes)
 	}
 	consumer := trace.Time{Label: r.Stmt.Label, Idx: idx, Seq: r.Seq}
 
@@ -254,7 +248,7 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 		if fc.lineShift >= 0 {
 			paddr >>= fc.lineShift
 		} else {
-			paddr /= g.lineBytes
+			paddr = cache.LineOf(paddr, g.lineBytes)
 		}
 		if paddr != line {
 			continue
@@ -263,7 +257,7 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 		info := g.ls.memo[v]
 		fc.pend = fc.pend[:0]
 		for _, s := range fc.act {
-			s.arm(line)
+			s.arm()
 			if s.memo != nil && info.invMask != 0 {
 				vm := s.memo[v]
 				if vm == nil {
@@ -312,7 +306,7 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 	if fc.p.dyn != nil {
 		if producer, pref := fc.dynamicProducer(r, idx, consumer); pref != nil {
 			for _, s := range fc.act {
-				s.arm(line)
+				s.arm()
 			}
 			fc.pend = append(fc.pend[:0], fc.act...)
 			fc.fusedWalk(producer, consumer, line, false)
@@ -385,7 +379,7 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, 
 	walk := fc.walk[:0]
 	for _, s := range fc.pend {
 		s.scratch.reset()
-		walk = append(walk, fcWalkEntry{set: s.set, setMask: s.setMask,
+		walk = append(walk, fcWalkEntry{setMask: s.setMask,
 			numSets: s.numSets, assoc: s.assoc, scratch: s.scratch, st: s})
 	}
 	var pos int64
@@ -412,7 +406,8 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, 
 	// consumer, it is the line's most recent fetch and stops every walk at
 	// the same position; the paper's equations verbatim scan forwards and
 	// let k distinct set contentions anywhere in the interval evict. Set
-	// membership strength-reduces the modulo to a mask for power-of-two set
+	// membership is "NumSets divides al-line", which is sign-safe for
+	// negative lines, strength-reduced to a mask for power-of-two set
 	// counts. An attributing candidate blames r for each new contending
 	// line.
 	step := func(r *ir.NRef, addr int64) bool {
@@ -421,7 +416,7 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, 
 		if lineShift >= 0 {
 			al = addr >> lineShift
 		} else {
-			al = addr / lineBytes
+			al = cache.LineOf(addr, lineBytes)
 		}
 		if al == line {
 			if paperLRU {
@@ -443,7 +438,7 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, 
 			if w.setMask >= 0 {
 				in = x&w.setMask == 0
 			} else {
-				in = al%w.numSets == w.set
+				in = (al-line)%w.numSets == 0
 			}
 			if !in {
 				i++

@@ -6,78 +6,58 @@ import (
 	"sort"
 
 	"cachemodel/internal/budget"
+	"cachemodel/internal/cache"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/obs"
 )
 
-// Geometry-parametric sweeps: closed-form miss counts in the number of
-// sets (the AxisSets side of the closed-form engine in closed.go).
+// Geometry sweeps: the set-count tier (the AxisSets side of closed.go).
 //
 // The replacement equations see the cache geometry through exactly two
-// quantities: the line size (which shapes reuse vectors and cold
-// equations) and the set-mapping residue line mod NumSets. Within a sweep
-// column — candidates of one layout group sharing LineBytes and Assoc,
-// differing only in capacity — only NumSets varies, so the per-reference
-// miss counts are functions of S = NumSets alone. This tier answers most
-// of a column from a handful of anchor solves:
+// quantities: the line size, which shapes reuse vectors and cold
+// equations, and the set-mapping residue line mod NumSets. Two distinct
+// memory lines can contend for a set only if NumSets divides their
+// difference, i.e. only if they lie at least NumSets lines apart. Once
+// NumSets exceeds the program's footprint span in lines
+// (footprintSpanLines), no two distinct touched lines ever share a set,
+// so no replacement walk meets a contending line at any associativity:
+// every access whose cold equation holds is a hit, and the counts are
+// the line size's cold-only census, whatever the capacity or
+// associativity. This certificate is the whole tier:
+//
+//   - Stable class: within a layout group, every candidate of one line
+//     size with NumSets above the span. The first stable member in
+//     candidate order is the class's only anchor: it solves through the
+//     fused pass, and every other stable member copies its per-reference
+//     counts. A copy is made only from an exact census (exactCensus);
+//     otherwise the (member, ref) pair is refused and falls through to
+//     the fused enumerating solver — a refusal costs extra work, never a
+//     wrong count.
 //
 //   - Pure-cold rung: a reference with no feasible reuse producer
 //     (refSym.allCold, a line-size-only property) is all cold misses at
-//     every S. Zero anchor solves.
+//     every geometry of the line size, stable or not. Zero solves.
 //
-//   - Stable-region certificate: two distinct memory lines can contend
-//     for a set only if S divides their difference, i.e. only if they lie
-//     at least S lines apart. Once S exceeds the program's footprint span
-//     in lines (footprintSpanLines), no two distinct touched lines ever
-//     share a set: every replacement walk ends the same way and scans the
-//     same logical interval — the whole interval under PaperLRU, the
-//     suffix back to the reused line under exact LRU — at every such S.
-//     All counts are therefore provably constant over S > span, and the
-//     fit below runs only inside this certified region, so its claims are
-//     sound rather than merely spot-checked.
-//
-//   - Fit rung: within the stable region the geomAnchors cheapest stable
-//     members anchor one degree-0 fit per reference (fitCounts: one fit
-//     anchor plus closedHoldouts holdouts that must reproduce exactly),
-//     and every evaluation must pass the count identities. Any failure
-//     refuses the (member, ref) pair, which falls through to the fused
-//     enumerating solver — a refusal costs extra work, never a wrong
-//     count.
-//
-// Members at or below the span (where counts genuinely vary with S in a
-// way no low-degree polynomial captures) are never claimed: they solve
-// through the ordinary fused path, with provenance saying why. The tier
-// runs only for exact batches. Plain deadline/point/scan budgets keep it
+// Members at or below the span, where counts genuinely vary with the
+// geometry, solve through the ordinary fused path, with provenance
+// saying why. A line size is planned only when it has at least two
+// members, since a lone candidate has nothing to share. The tier runs
+// only for exact batches. Plain deadline/point/scan budgets keep it
 // eligible — an anchor the budget cuts short fails the census check, so
-// its column falls through per reference to the ordinary degradation
-// ladder, and closed-form fills cost the meter nothing — but fault-hooked
-// budgets and NoSymbolic disable it (both force enumeration for
-// fault-parity and equivalence testing).
+// its class falls through per reference to the ordinary degradation
+// ladder, and copies cost the meter nothing — but fault-hooked budgets
+// and NoSymbolic disable it (both force enumeration for fault-parity and
+// equivalence testing).
 
-// DefaultGeomMinColumn is the smallest sweep column (same line size and
-// associativity, distinct set counts) the geometry-parametric tier will
-// claim: below it the anchors cover everything and closed-form evaluation
-// gains nothing. Work partitioners (internal/dist) use it to decide when
-// keeping a column together in one solve is worth the coarser stealing
-// granularity.
-const DefaultGeomMinColumn = 4
+// geomClass is one planned line size of a layout group.
+type geomClass struct {
+	span    int64        // footprint span bound in lines (-1: none computable)
+	members []*batchCand // the line size's candidates, in candidate order
 
-// geomDegree is the fitted degree in NumSets: inside the certified stable
-// region every counter is constant, so one degree-0 fit per reference
-// (residue period 1) suffices, and a column needs geomAnchors anchors.
-const (
-	geomDegree  = 0
-	geomAnchors = geomDegree + 1 + closedHoldouts
-)
-
-// geomColumn is one planned column: the candidates of a layout group that
-// share line size and associativity, ordered by ascending set count.
-type geomColumn struct {
-	span int64 // footprint span bound in lines (-1: none computable)
-
-	anchors  []*batchCand // stable members the fused pass solves
-	deferred []*batchCand // stable members answered in closed form
-	other    []*batchCand // unstable members: ordinary fused path
+	// anchor is the first stable member: the fused pass solves it, and
+	// the other stable members copy it. Unstable members take the
+	// ordinary fused path.
+	anchor *batchCand
 
 	// cleared[cs][ri] marks the refs this plan removed from cs.need so the
 	// fused pass skips them; exactly these are filled (or restored on
@@ -85,56 +65,45 @@ type geomColumn struct {
 	cleared map[*batchCand][]bool
 
 	// pureCold[ri] marks references the pure-cold rung answers for every
-	// member; the fit rung answers the others for the deferred members.
+	// member; the anchor answers the others for the stable members.
 	pureCold []bool
 }
 
-// numSetsOf is the candidate's cache.Config.NumSets.
-func numSetsOf(cs *batchCand) int64 {
-	cfg := cs.a.cfg
-	return cfg.SizeBytes / (cfg.LineBytes * int64(cfg.Assoc))
-}
+// stable reports whether the certificate covers cs: more sets than the
+// footprint span in lines.
+func (gc *geomClass) stable(cs *batchCand) bool { return gc.span >= 0 && cs.a.numSets > gc.span }
 
-// planGeom partitions a layout group's candidates into geometry columns
-// and decides, per column, which members anchor, which defer to closed
-// form, and which references each rung covers. It clears the deferred
-// (member, ref) pairs from the need masks so the fused pass skips them.
-// nil means the tier has nothing to contribute to this group.
-func (p *Prepared) planGeom(states []*batchCand) []*geomColumn {
-	type colKey struct {
-		lineBytes int64
-		assoc     int
-	}
-	cols := map[colKey][]*batchCand{}
-	var order []colKey
+// planGeom partitions a layout group's candidates by line size and plans
+// each line size with at least two members. It clears the (member, ref)
+// pairs the tier will answer from the need masks so the fused pass skips
+// them. nil means the tier has nothing to contribute to this group.
+func (p *Prepared) planGeom(states []*batchCand) []*geomClass {
+	byLine := map[int64][]*batchCand{}
+	var order []int64
 	for _, cs := range states {
-		k := colKey{cs.a.cfg.LineBytes, cs.a.cfg.Assoc}
-		if _, ok := cols[k]; !ok {
-			order = append(order, k)
+		lb := cs.a.cfg.LineBytes
+		if _, ok := byLine[lb]; !ok {
+			order = append(order, lb)
 		}
-		cols[k] = append(cols[k], cs)
+		byLine[lb] = append(byLine[lb], cs)
 	}
-	var plan []*geomColumn
-	for _, k := range order {
-		members := cols[k]
-		if len(members) < DefaultGeomMinColumn {
-			continue
-		}
-		sorted := append([]*batchCand(nil), members...)
-		sort.Slice(sorted, func(i, j int) bool { return numSetsOf(sorted[i]) < numSetsOf(sorted[j]) })
-		if col := p.planColumn(k.lineBytes, sorted); col != nil {
-			plan = append(plan, col)
+	var plan []*geomClass
+	for _, lb := range order {
+		if members := byLine[lb]; len(members) >= 2 {
+			if gc := p.planClass(lb, members); gc != nil {
+				plan = append(plan, gc)
+			}
 		}
 	}
 	return plan
 }
 
-// planColumn builds one column's plan (nil when nothing can be claimed).
-// members arrive sorted by ascending set count, so anchors are the
-// cheapest stable solves.
-func (p *Prepared) planColumn(lineBytes int64, members []*batchCand) *geomColumn {
-	col := &geomColumn{
+// planClass builds one line size's plan (nil when nothing can be
+// claimed). members arrive in candidate order.
+func (p *Prepared) planClass(lineBytes int64, members []*batchCand) *geomClass {
+	gc := &geomClass{
 		span:     p.footprintSpanLines(lineBytes),
+		members:  members,
 		cleared:  map[*batchCand][]bool{},
 		pureCold: make([]bool, len(p.np.Refs)),
 	}
@@ -142,64 +111,60 @@ func (p *Prepared) planColumn(lineBytes int64, members []*batchCand) *geomColumn
 	anyPureCold := false
 	for ri, r := range p.np.Refs {
 		if s := sym[r]; s != nil && s.allCold && p.spaces[r.Stmt].Volume() > 0 {
-			col.pureCold[ri] = true
+			gc.pureCold[ri] = true
 			anyPureCold = true
 		}
 	}
-
-	// Partition members: the first geomAnchors stable members anchor and
-	// the rest defer to closed form.
+	var stable []*batchCand // stable members other than the anchor
 	for _, cs := range members {
-		switch s := numSetsOf(cs); {
-		case col.span < 0 || s <= col.span:
-			col.other = append(col.other, cs)
-		case len(col.anchors) < geomAnchors:
-			col.anchors = append(col.anchors, cs)
+		switch {
+		case !gc.stable(cs):
+		case gc.anchor == nil:
+			gc.anchor = cs
 		default:
-			col.deferred = append(col.deferred, cs)
+			stable = append(stable, cs)
 		}
 	}
-	if len(col.deferred) == 0 && !anyPureCold {
+	if len(stable) == 0 && !anyPureCold {
 		return nil
 	}
 
-	// Clear the rungs' (member, ref) pairs from the need masks. Pure-cold
-	// references clear for every member (the rung is S-independent); fit
-	// references clear only for deferred members.
-	clear := func(cs *batchCand, ri int) {
-		if !cs.need[ri] {
-			return // the result cache already answered it
-		}
-		cs.need[ri] = false
-		cl := col.cleared[cs]
-		if cl == nil {
-			cl = make([]bool, len(p.np.Refs))
-			col.cleared[cs] = cl
-		}
-		cl[ri] = true
-	}
+	// Pure-cold references clear for every member (the rung holds at every
+	// geometry of the line size); the others clear only for the stable
+	// members the anchor answers.
 	for ri := range p.np.Refs {
-		targets := col.deferred
-		if col.pureCold[ri] {
+		targets := stable
+		if gc.pureCold[ri] {
 			targets = members
 		}
 		for _, cs := range targets {
-			clear(cs, ri)
+			if !cs.need[ri] {
+				continue // the result cache already answered it
+			}
+			cs.need[ri] = false
+			cl := gc.cleared[cs]
+			if cl == nil {
+				cl = make([]bool, len(p.np.Refs))
+				gc.cleared[cs] = cl
+			}
+			cl[ri] = true
 		}
 	}
-	if len(col.cleared) == 0 {
+	if len(gc.cleared) == 0 {
 		return nil // everything was already cache-filled
 	}
-	mGeomAnchors.Add(int64(len(col.anchors)))
-	return col
+	if gc.anchor != nil {
+		mGeomAnchors.Inc()
+	}
+	return gc
 }
 
 // footprintSpanLines bounds the program's footprint span in memory lines
 // under the current layout: the difference between the largest and
-// smallest line index any reference can touch. Every candidate with more
-// sets than this span is interference-free (two distinct lines contend
-// only when at least NumSets lines apart). Returns -1 when no finite
-// bound exists.
+// smallest line index (cache.LineOf, the fused walk's floor) any
+// reference can touch. Every candidate with more sets than this span is
+// interference-free (two distinct lines contend only when at least
+// NumSets lines apart). Returns -1 when no finite bound exists.
 func (p *Prepared) footprintSpanLines(lineBytes int64) int64 {
 	minA, maxA := int64(0), int64(0)
 	seen := false
@@ -228,7 +193,7 @@ func (p *Prepared) footprintSpanLines(lineBytes int64) int64 {
 	if !seen {
 		return -1
 	}
-	return maxA/lineBytes - minA/lineBytes
+	return cache.LineOf(maxA, lineBytes) - cache.LineOf(minA, lineBytes)
 }
 
 // affineRange returns the minimum and maximum of an affine form over the
@@ -251,35 +216,22 @@ func affineRange(aff ir.Affine, lo, hi []int64) (int64, int64) {
 }
 
 // finishGeom completes the tier after the fused pass: it fills the
-// pure-cold and fitted rungs' reports, restores and re-solves every
-// refusal through the ordinary fused path, and stamps per-candidate
-// provenance. serr is the fused pass's outcome; on a pool error
-// (cancellation, panic) the deferred reports are left incomplete
+// pure-cold rung and the stable members' copies of their anchor, restores
+// and re-solves every refusal through the ordinary fused path, and stamps
+// per-candidate provenance. serr is the fused pass's outcome; on a pool
+// error (cancellation, panic) the cleared reports are left incomplete
 // (coherent partial results), exactly like an interrupted enumeration.
-// Budget exhaustion (m.Err with a clean pool) still fills: closed-form
-// evaluation costs the meter nothing, and an anchor the budget cut
-// short fails the census check, so its column's deferred refs fall
-// through per reference and rejoin the ordinary degradation ladder.
-func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Collector, workers int, plan []*geomColumn, serr error) error {
+// Budget exhaustion (m.Err with a clean pool) still fills: copies cost
+// the meter nothing, and an anchor the budget cut short fails the census
+// check, so its class's stable refs fall through per reference and
+// rejoin the ordinary degradation ladder.
+func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Collector, workers int, plan []*geomClass, serr error) error {
 	if serr != nil {
 		return serr
 	}
 	var resolve []*batchCand
-	resolveSeen := map[*batchCand]bool{}
 	for _, gc := range plan {
-		refused := p.fillColumn(gc)
-		for cs, refs := range refused {
-			for ri, bad := range refs {
-				if !bad {
-					continue
-				}
-				cs.need[ri] = true
-				if !resolveSeen[cs] {
-					resolveSeen[cs] = true
-					resolve = append(resolve, cs)
-				}
-			}
-		}
+		resolve = append(resolve, p.fillClass(gc)...)
 	}
 	if len(resolve) > 0 && m.Err() == nil {
 		// Fall-through: the refused (member, ref) pairs run the ordinary
@@ -290,116 +242,54 @@ func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Col
 	return nil
 }
 
-// fillColumn evaluates one column's rungs and returns the refused
-// (member → per-ref) masks (empty when everything claimed held).
-func (p *Prepared) fillColumn(col *geomColumn) map[*batchCand][]bool {
-	stats := map[*batchCand]*ClosedInfo{}
-	info := func(cs *batchCand) *ClosedInfo {
-		gi := stats[cs]
-		if gi == nil {
-			gi = &ClosedInfo{Axis: AxisSets, Param: numSetsOf(cs),
-				Period: 1, Degree: geomDegree, TotalRefs: len(p.np.Refs)}
-			stats[cs] = gi
-			cs.rep.Geom = gi
+// fillClass stamps one class's provenance and answers its cleared
+// references. A refused reference is restored to its member's need mask;
+// the members with any refusal are returned.
+func (p *Prepared) fillClass(gc *geomClass) []*batchCand {
+	var refused []*batchCand
+	for _, cs := range gc.members {
+		gi := &ClosedInfo{Axis: AxisSets, Param: cs.a.numSets, Period: 1, TotalRefs: len(p.np.Refs)}
+		switch {
+		case cs == gc.anchor:
+			gi.Anchor, gi.Why = true, "anchor"
+		case gc.span < 0:
+			gi.Why = "no finite footprint bound"
+		case !gc.stable(cs):
+			gi.Why = fmt.Sprintf("unstable: %d sets <= span %d lines", cs.a.numSets, gc.span)
 		}
-		return gi
-	}
-	refused := map[*batchCand][]bool{}
-	refuse := func(cs *batchCand, ri int) {
-		m := refused[cs]
-		if m == nil {
-			m = make([]bool, len(p.np.Refs))
-			refused[cs] = m
+		cl := gc.cleared[cs]
+		if cl == nil && gi.Why == "" {
+			continue // a stable member the result cache answered in full
 		}
-		m[ri] = true
-		info(cs).FallthroughRefs++
-		mGeomFallbacks.Inc()
-	}
-	for _, cs := range col.anchors {
-		info(cs).Anchor = true
-		info(cs).Why = "anchor"
-	}
-	for _, cs := range col.other {
-		if col.span < 0 {
-			info(cs).Why = "no finite footprint bound"
-		} else {
-			info(cs).Why = fmt.Sprintf("unstable: %d sets <= span %d lines", numSetsOf(cs), col.span)
-		}
-	}
-
-	// Pure-cold rung: all cold at every set count, no anchors consumed.
-	// Members are visited in plan order so provenance builds
-	// deterministically (the fills themselves are independent).
-	for _, group := range [][]*batchCand{col.anchors, col.deferred, col.other} {
-		for _, cs := range group {
-			cl := col.cleared[cs]
-			if cl == nil {
-				continue
-			}
-			for ri := range p.np.Refs {
-				if !col.pureCold[ri] || !cl[ri] {
-					continue
-				}
-				rr := cs.rep.Refs[ri]
-				fillClosed(rr, pureColdCounts(rr.Volume))
-				gi := info(cs)
-				gi.ClosedRefs++
-				gi.PureColdRefs++
-				mGeomEvals.Inc()
-				mGeomPureCold.Inc()
-			}
-		}
-	}
-
-	// Fit rung, one fit per reference over the anchors, built on first use.
-	for ri := range p.np.Refs {
-		if col.pureCold[ri] {
-			continue
-		}
-		var fit *countFit
-		fitted := false
-		for _, cs := range col.deferred {
-			if cl := col.cleared[cs]; cl == nil || !cl[ri] {
-				continue
-			}
-			if !fitted {
-				fitted = true
-				if fit = anchorFit(col.anchors, ri); fit != nil {
-					mGeomFits.Inc()
-				}
-			}
-			if fit == nil {
-				refuse(cs, ri)
+		cs.rep.Geom = gi
+		bad := false
+		for ri, c := range cl {
+			if !c {
 				continue
 			}
 			rr := cs.rep.Refs[ri]
-			c, ok := fit.at(numSetsOf(cs), rr.Volume)
-			if !ok {
-				refuse(cs, ri)
+			switch {
+			case gc.pureCold[ri]:
+				fillClosed(rr, pureColdCounts(rr.Volume))
+				gi.PureColdRefs++
+				mGeomPureCold.Inc()
+			case exactCensus(gc.anchor.rep.Refs[ri]):
+				// Only stable members clear a reference that is not pure
+				// cold, so the class has an anchor.
+				fillClosed(rr, countsOf(gc.anchor.rep.Refs[ri]))
+			default:
+				cs.need[ri] = true
+				gi.FallthroughRefs++
+				mGeomFallbacks.Inc()
+				bad = true
 				continue
 			}
-			fillClosed(rr, c)
-			info(cs).ClosedRefs++
+			gi.ClosedRefs++
 			mGeomEvals.Inc()
+		}
+		if bad {
+			refused = append(refused, cs)
 		}
 	}
 	return refused
-}
-
-// anchorFit fits reference ri over the anchors' censuses (nil when an
-// anchor's census is not exact or the fit fails its holdouts).
-func anchorFit(anchors []*batchCand, ri int) *countFit {
-	samples := make([]countSample, 0, len(anchors))
-	for _, cs := range anchors {
-		rr := cs.rep.Refs[ri]
-		if !exactCensus(rr) {
-			return nil
-		}
-		samples = append(samples, countSample{x: numSetsOf(cs), c: countsOf(rr)})
-	}
-	fit, err := fitCounts(geomDegree, samples)
-	if err != nil {
-		return nil
-	}
-	return fit
 }

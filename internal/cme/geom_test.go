@@ -43,7 +43,7 @@ func geomVsFused(t *testing.T, label string, p *Prepared, cands []Candidate, wor
 }
 
 // TestGeomStableColumnClosedForm: a column entirely above the footprint
-// span must solve three anchors and answer the rest in closed form,
+// span must solve one anchor and answer the rest in closed form,
 // bit-identical to the enumerating solver.
 func TestGeomStableColumnClosedForm(t *testing.T) {
 	// stencil1D(64): A and B are 64 reals = 512 B each, ~33 lines of 32 B
@@ -74,12 +74,83 @@ func TestGeomStableColumnClosedForm(t *testing.T) {
 			t.Errorf("candidate %s: %d fall-throughs inside the stable region", cands[i].Label, g.FallthroughRefs)
 		}
 	}
-	// Degree 0: 1 fit anchor + 2 holdouts = 3 anchors.
-	if anchors != 3 {
-		t.Errorf("anchors = %d, want 3", anchors)
+	// One stable class: its first member anchors, the rest copy it.
+	if anchors != 1 || !reps[0].Geom.Anchor {
+		t.Errorf("anchors = %d (first member anchor %v), want 1, the first", anchors, reps[0].Geom.Anchor)
 	}
-	if closed != len(cands)-3 {
-		t.Errorf("closed-form members = %d, want %d", closed, len(cands)-3)
+	if closed != len(cands)-1 {
+		t.Errorf("closed-form members = %d, want %d", closed, len(cands)-1)
+	}
+}
+
+// TestGeomGridOneAnchorPerLineSize: a grid of two line sizes ×
+// associativities {1, 2, 4} × three capacities, every member stable,
+// forms one class per line size: exactly one anchor each, at any
+// associativity, and every other member closed form, bit-identical to the
+// enumerating solver. A one-candidate batch has nothing to share and
+// carries no provenance.
+func TestGeomGridOneAnchorPerLineSize(t *testing.T) {
+	_, p := prepBatch(t, stencil1D(64), Options{})
+	var cands []Candidate
+	for _, size := range []int64{16 << 10, 24 << 10, 32 << 10} {
+		for _, lb := range []int64{32, 64} {
+			for _, assoc := range []int{1, 2, 4} {
+				cfg := cache.Config{SizeBytes: size, LineBytes: lb, Assoc: assoc}
+				cands = append(cands, Candidate{Label: cfg.String(), Config: cfg})
+			}
+		}
+	}
+	reps := geomVsFused(t, "grid", p, cands, 2)
+	anchors := map[int64]int{}
+	for i, rep := range reps {
+		g, lb := rep.Geom, cands[i].Config.LineBytes
+		switch {
+		case g == nil:
+			t.Errorf("candidate %s: no geom provenance", cands[i].Label)
+		case g.Anchor:
+			anchors[lb]++
+		case !g.Closed():
+			t.Errorf("candidate %s: not closed form: %+v", cands[i].Label, g)
+		}
+	}
+	for _, lb := range []int64{32, 64} {
+		if anchors[lb] != 1 {
+			t.Errorf("line %d: %d anchors, want 1", lb, anchors[lb])
+		}
+	}
+
+	solo, err := p.SolveBatch(context.Background(), cands[:1], BatchOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("solo SolveBatch: %v", err)
+	}
+	if solo[0].Geom != nil {
+		t.Errorf("one-candidate batch carries geom provenance %+v", solo[0].Geom)
+	}
+}
+
+// TestGeomNegativeAddressSpan: the footprint span floors negative
+// addresses the way the fused walk does. NEGT's A(I-3) reaches 24 bytes
+// below address 0, so its 32-byte lines run from -1 to 31: a span of 32
+// lines, not the 31 a truncating division reports. The 32-set
+// direct-mapped member has replacement misses, so certifying it stable
+// would copy wrong counts into the members above it.
+func TestGeomNegativeAddressSpan(t *testing.T) {
+	_, p := prepBatch(t, negt(64, 3, 2), Options{})
+	span := p.footprintSpanLines(32)
+	if span != 32 {
+		t.Fatalf("footprint span = %d lines, want 32", span)
+	}
+	var cands []Candidate
+	for sets := span; sets <= span+8; sets++ {
+		cfg := cache.Config{SizeBytes: sets * 32, LineBytes: 32, Assoc: 1}
+		cands = append(cands, Candidate{Label: cfg.String(), Config: cfg})
+	}
+	reps := geomVsFused(t, "negt", p, cands, 2)
+	if !strings.HasPrefix(reps[0].Geom.Why, "unstable") {
+		t.Errorf("%s: %+v, want unstable", cands[0].Label, reps[0].Geom)
+	}
+	if !reps[1].Geom.Anchor {
+		t.Errorf("%s: %+v, want the anchor", cands[1].Label, reps[1].Geom)
 	}
 }
 
@@ -295,43 +366,43 @@ var geomFuzzPrograms = []func() *ir.Subroutine{
 	func() *ir.Subroutine { return copyThenRead(48) },
 	func() *ir.Subroutine { return transpose2D(10) },
 	func() *ir.Subroutine { return triangularGuarded(12) },
+	func() *ir.Subroutine { return negt(64, 3, 2) },
 }
 
-// FuzzGeomParamVsFused: for random programs, line sizes, associativities
-// and size ladders — including non-power-of-two set counts and columns
-// straddling the stability span — the geometry-parametric tier must
-// produce per-ref miss counts bit-identical to the fused enumerating
+// FuzzGeomParamVsFused: for random programs, two associativities and
+// set-count ladders, over both line sizes in one batch — including
+// non-power-of-two set counts and ladders straddling the stability span,
+// so a stable class spans associativities — the geometry-parametric tier
+// must produce per-ref miss counts bit-identical to the fused enumerating
 // solver, and a budget hook must bypass the tier entirely.
 func FuzzGeomParamVsFused(f *testing.F) {
+	// assocA/assocB select associativity 1 + value mod 8, fromSets the
+	// first set count 1 + value mod 512, stepSets the step 1 + value mod 64.
 	f.Add(uint8(0), uint8(0), uint8(1), uint16(64), uint16(32), uint8(10))
-	f.Add(uint8(1), uint8(1), uint8(2), uint16(96), uint16(48), uint8(8))
-	f.Add(uint8(2), uint8(0), uint8(1), uint16(33), uint16(7), uint8(12))
-	f.Add(uint8(3), uint8(1), uint8(4), uint16(200), uint16(100), uint8(6))
-	f.Fuzz(func(t *testing.T, progSel, lineSel, assoc uint8, fromSets, stepSets uint16, count uint8) {
+	f.Add(uint8(1), uint8(1), uint8(0), uint16(96), uint16(48), uint8(8))
+	f.Add(uint8(2), uint8(0), uint8(3), uint16(33), uint16(7), uint8(12))
+	f.Add(uint8(3), uint8(3), uint8(7), uint16(200), uint16(100), uint8(6))
+	f.Add(uint8(4), uint8(0), uint8(1), uint16(30), uint16(0), uint8(9))
+	f.Fuzz(func(t *testing.T, progSel, assocA, assocB uint8, fromSets, stepSets uint16, count uint8) {
 		build := geomFuzzPrograms[int(progSel)%len(geomFuzzPrograms)]
-		lineBytes := []int64{32, 64}[int(lineSel)%2]
-		na := int64(assoc%4) + 1
-		n := int(count%16) + 4
+		assocs := []int{int(assocA%8) + 1}
+		if b := int(assocB%8) + 1; b != assocs[0] {
+			assocs = append(assocs, b)
+		}
+		n := int(count%12) + 2
 		from := int64(fromSets%512) + 1
 		step := int64(stepSets%64) + 1
 
 		_, p := prepBatch(t, build(), Options{})
 		var cands []Candidate
-		seen := map[int64]bool{}
 		for i := 0; i < n; i++ {
 			sets := from + int64(i)*step
-			if seen[sets] {
-				continue
+			for _, lineBytes := range []int64{32, 64} {
+				for _, na := range assocs {
+					cfg := cache.Config{SizeBytes: sets * lineBytes * int64(na), LineBytes: lineBytes, Assoc: na}
+					cands = append(cands, Candidate{Label: cfg.String(), Config: cfg})
+				}
 			}
-			seen[sets] = true
-			cfg := cache.Config{SizeBytes: sets * lineBytes * na, LineBytes: lineBytes, Assoc: int(na)}
-			if cfg.Validate() != nil {
-				continue
-			}
-			cands = append(cands, Candidate{Label: cfg.String(), Config: cfg})
-		}
-		if len(cands) < 4 {
-			return
 		}
 		geom, err := p.SolveBatch(context.Background(), cands, BatchOptions{Workers: 2})
 		if err != nil {

@@ -31,12 +31,11 @@ var (
 	mScalingEvals     = obs.Default.Counter("cme_scaling_closed_evals_total")
 	mScalingFallbacks = obs.Default.Counter("cme_scaling_fallbacks_total")
 
-	// Geometry-parametric tier (geom.go): fits per (column, ref, residue
-	// class), closed-form evaluations per (member, ref) — pure-cold fills
-	// count in both cme_geom_eval_total and cme_geom_purecold_total —
-	// anchor members fed to the fused solver, and refused pairs that fell
-	// through to enumeration.
-	mGeomFits      = obs.Default.Counter("cme_geom_fit_total")
+	// Set-count tier (geom.go): closed-form fills per (member, ref) —
+	// pure-cold fills count in both cme_geom_eval_total and
+	// cme_geom_purecold_total, anchor copies only in the first — anchors
+	// fed to the fused solver (one per planned line size), and refused
+	// pairs that fell through to enumeration.
 	mGeomEvals     = obs.Default.Counter("cme_geom_eval_total")
 	mGeomAnchors   = obs.Default.Counter("cme_geom_anchor_solves_total")
 	mGeomPureCold  = obs.Default.Counter("cme_geom_purecold_total")

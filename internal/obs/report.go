@@ -265,19 +265,15 @@ func ValidateRunReport(blob []byte) (*RunReport, error) {
 	if err := r.Dist.validate(); err != nil {
 		return nil, err
 	}
-	// Geometry-parametric tier counters must be mutually consistent: a
-	// closed-form evaluation comes from a fitted column or the pure-cold
-	// rung (which counts in both eval and purecold), and a fit can only
-	// exist if anchor members were solved to feed it.
+	// Set-count tier counters must be mutually consistent: a closed-form
+	// fill is a pure-cold fill (counted in both eval and purecold) or a
+	// copy of an anchor, and a copy can only exist if an anchor was solved
+	// to feed it.
 	geomEval := r.Metrics.Counters["cme_geom_eval_total"]
-	geomFit := r.Metrics.Counters["cme_geom_fit_total"]
 	geomPureCold := r.Metrics.Counters["cme_geom_purecold_total"]
 	geomAnchors := r.Metrics.Counters["cme_geom_anchor_solves_total"]
-	if geomEval > 0 && geomFit == 0 && geomPureCold == 0 {
-		return nil, fmt.Errorf("run report: %d cme_geom_eval_total with neither cme_geom_fit_total nor cme_geom_purecold_total", geomEval)
-	}
-	if geomFit > 0 && geomAnchors == 0 {
-		return nil, fmt.Errorf("run report: %d cme_geom_fit_total with no cme_geom_anchor_solves_total", geomFit)
+	if copies := geomEval - geomPureCold; copies > 0 && geomAnchors == 0 {
+		return nil, fmt.Errorf("run report: %d cme_geom_eval_total beyond cme_geom_purecold_total with no cme_geom_anchor_solves_total", copies)
 	}
 	if geomPureCold > geomEval {
 		return nil, fmt.Errorf("run report: cme_geom_purecold_total %d exceeds cme_geom_eval_total %d", geomPureCold, geomEval)

@@ -74,17 +74,17 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestValidateGeomCounters covers the geometry-parametric tier's counter
-// consistency rules: evals need a source rung, fits need anchors, and the
-// pure-cold sub-count can never exceed the evals it is part of.
+// TestValidateGeomCounters covers the set-count tier's counter
+// consistency rules: evals beyond the pure-cold fills are anchor copies
+// and need an anchor, and the pure-cold sub-count can never exceed the
+// evals it is part of.
 func TestValidateGeomCounters(t *testing.T) {
-	make := func(eval, fit, pureCold, anchors int64) []byte {
+	make := func(eval, pureCold, anchors int64) []byte {
 		rep := testReport(t)
 		cp := *rep
 		cp.Metrics.Counters = map[string]int64{
 			"cme_tiles_solved_total":       3,
 			"cme_geom_eval_total":          eval,
-			"cme_geom_fit_total":           fit,
 			"cme_geom_purecold_total":      pureCold,
 			"cme_geom_anchor_solves_total": anchors,
 		}
@@ -95,11 +95,11 @@ func TestValidateGeomCounters(t *testing.T) {
 		return blob
 	}
 	for name, blob := range map[string][]byte{
-		"fitted column":   make(61, 4, 0, 3),
-		"pure cold only":  make(8, 0, 8, 0),
-		"mixed rungs":     make(61, 3, 10, 3),
-		"tier never ran":  make(0, 0, 0, 0),
-		"anchors no fits": make(0, 0, 0, 5),
+		"anchor copies":     make(61, 0, 1),
+		"pure cold only":    make(8, 8, 0),
+		"mixed rungs":       make(61, 10, 2),
+		"tier never ran":    make(0, 0, 0),
+		"anchors no copies": make(0, 0, 5),
 	} {
 		if _, err := ValidateRunReport(blob); err != nil {
 			t.Errorf("%s: unexpected rejection: %v", name, err)
@@ -109,9 +109,9 @@ func TestValidateGeomCounters(t *testing.T) {
 		blob   []byte
 		substr string
 	}{
-		"eval without rung":  {make(10, 0, 0, 3), "neither"},
-		"fit without anchor": {make(10, 2, 0, 0), "no cme_geom_anchor_solves_total"},
-		"purecold over eval": {make(5, 1, 9, 3), "exceeds"},
+		"copies without anchor": {make(10, 0, 0), "no cme_geom_anchor_solves_total"},
+		"mixed without anchor":  {make(10, 4, 0), "no cme_geom_anchor_solves_total"},
+		"purecold over eval":    {make(5, 9, 3), "exceeds"},
 	} {
 		if _, err := ValidateRunReport(tc.blob); err == nil || !strings.Contains(err.Error(), tc.substr) {
 			t.Errorf("%s: want error containing %q, got %v", name, tc.substr, err)

@@ -114,10 +114,10 @@ type CandidateResult struct {
 	Refs            []RefResult `json:"refs,omitempty"`
 	Error           string      `json:"error,omitempty"`
 	// Closed-form provenance (cme.ClosedInfo), set by the problem-size
-	// tier (parameter-axis jobs) or the set-count tier (exact sweep
-	// columns): whether this candidate was answered in closed form, how
-	// many references were covered, whether it was solved exactly to
-	// anchor a fit, and why it was not answered in closed form.
+	// tier (parameter-axis jobs) or the set-count tier (exact sweeps):
+	// whether this candidate was answered in closed form, how many
+	// references were covered, whether it was solved exactly as an
+	// anchor, and why it was not answered in closed form.
 	ClosedForm     bool   `json:"closed_form,omitempty"`
 	ClosedFormRefs int    `json:"closed_form_refs,omitempty"`
 	ClosedAnchor   bool   `json:"closed_anchor,omitempty"`

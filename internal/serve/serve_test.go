@@ -307,10 +307,10 @@ func TestServeLadderKeysSeparateCaches(t *testing.T) {
 }
 
 // TestServeSweepGeomClosedForm posts an exact cache-size column to
-// /v1/sweep and checks the geometry-parametric tier on the wire: the
-// column splits into anchor rows (ClosedAnchor) and closed-form rows
-// (ClosedForm with full ref coverage), and a closed-form row's counts
-// are bit-identical to an exact /v1/analyze of the same geometry.
+// /v1/sweep and checks the set-count tier on the wire: the column splits
+// into one anchor row (ClosedAnchor) and closed-form rows (ClosedForm
+// with full ref coverage), and a closed-form row's counts are
+// bit-identical to an exact /v1/analyze of the same geometry.
 func TestServeSweepGeomClosedForm(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, MaxCandidates: 16})
 	id := submitJob(t, ts, "/v1/sweep",
@@ -346,8 +346,10 @@ func TestServeSweepGeomClosedForm(t *testing.T) {
 			t.Fatalf("row %s neither anchor nor closed form (why %q)", c.Label, c.ClosedWhy)
 		}
 	}
-	if anchors != 3 || closed != 5 {
-		t.Fatalf("column split %d anchors / %d closed, want 3/5", anchors, closed)
+	// One stable class: the first size anchors, the other seven copy it.
+	if anchors != 1 || closed != 7 || !res.Candidates[0].ClosedAnchor {
+		t.Fatalf("column split %d anchors / %d closed (first row anchor %v), want 1/7 with the first anchoring",
+			anchors, closed, res.Candidates[0].ClosedAnchor)
 	}
 
 	// Bit-identity against the enumerating path, through the public API.
