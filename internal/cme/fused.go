@@ -48,6 +48,14 @@ type fusedClassifier struct {
 	lbuf     []int         // reusable producer-point buffers
 	pbuf     []int64
 
+	// The walk in progress, read by visitAccess: the reused line, the
+	// paper-LRU flag and the count of accesses visited. visit is the
+	// method value fc.visitAccess, bound once so a walk allocates nothing.
+	wLine   int64
+	wPaper  bool
+	wVisits int64
+	visit   trace.Visitor
+
 	// lineShift strength-reduces addr/lineBytes to a shift for the
 	// (ubiquitous) power-of-two line sizes; -1 keeps the division.
 	lineShift int
@@ -60,6 +68,7 @@ type fusedClassifier struct {
 	nWalks    int64
 	nMemoHits int64
 	nSteps    int64
+	nVisits   int64
 	nMemoOff  int64
 }
 
@@ -88,7 +97,7 @@ type fcState struct {
 }
 
 // fcWalkEntry is the per-access working set of one undecided candidate,
-// copied out of its fcState so the hot loop of fusedWalk scans a compact
+// copied out of its fcState so the walk's visitor scans a compact
 // contiguous array instead of chasing state pointers.
 type fcWalkEntry struct {
 	setMask int64
@@ -102,6 +111,7 @@ func newFusedClassifier(g *fuseGroup, w *trace.Walker, p *Prepared) *fusedClassi
 	fc := &fusedClassifier{p: p, g: g, w: w, paperLRU: p.opt.PaperLRU,
 		states: make([]*fcState, len(g.cands)), lineShift: -1, ri: -1,
 		hCands: mFusedCandidates.NewLocal()}
+	fc.visit = fc.visitAccess
 	if g.lineBytes&(g.lineBytes-1) == 0 {
 		fc.lineShift = bits.TrailingZeros64(uint64(g.lineBytes))
 	}
@@ -130,8 +140,9 @@ func (fc *fusedClassifier) release() {
 	mWalks.Add(fc.nWalks)
 	mWalkMemoHits.Add(fc.nMemoHits)
 	mWalkSteps.Add(fc.nSteps)
+	mWalkVisits.Add(fc.nVisits)
 	mWalkMemoDisabled.Add(fc.nMemoOff)
-	fc.nWalks, fc.nMemoHits, fc.nSteps, fc.nMemoOff = 0, 0, 0, 0
+	fc.nWalks, fc.nMemoHits, fc.nSteps, fc.nVisits, fc.nMemoOff = 0, 0, 0, 0, 0
 }
 
 // classify decides one access of a one-candidate classifier and reports
@@ -282,7 +293,7 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 		}
 		if len(fc.pend) > 0 {
 			fc.hCands.Observe(int64(len(fc.pend)))
-			fc.fusedWalk(producer, consumer, line, fc.paperLRU)
+			fc.nVisits += fc.fusedWalk(producer, consumer, line, fc.paperLRU)
 			fc.nWalks += int64(len(fc.pend))
 			for _, s := range fc.pend {
 				fc.nSteps += s.scanned
@@ -362,14 +373,23 @@ func (fc *fusedClassifier) dynamicProducer(r *ir.NRef, idx []int64, consumer tra
 }
 
 // fusedWalk runs one shared interval traversal deciding the replacement
-// equation for every pending candidate. Each candidate keeps its own
+// equation for every pending candidate, and returns the number of
+// accesses the traversal visited. Each candidate keeps its own
 // distinct-line set, eviction threshold and stopping position; the
 // traversal ends as soon as every candidate is decided (or, under exact
 // LRU, when the reused line itself is touched — which decides everyone at
 // once, exactly as each candidate's own walk would have stopped there).
 // paperLRU selects the paper's verbatim equations: a forward scan that
 // never stops at the reused line.
-func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, paperLRU bool) {
+//
+// The walk is set-filtered. Candidate c counts an access only when its
+// line al satisfies al ≡ line (mod NumSets_c), so with g the gcd of the
+// pending set counts every contending access has al ≡ line (mod g), i.e.
+// its address mod LineBytes·g lies in the line-wide window at
+// (line mod g)·LineBytes. The walker solves for those accesses per leaf
+// row and skips the rest, handing each visit its position among all the
+// interval's accesses, so scan counts stay logical.
+func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, paperLRU bool) int64 {
 	// walk is the compacted undecided set: candidates are swap-removed the
 	// moment they decide, so the per-access inner loop costs Σ_c (own walk
 	// length), not |group| × (longest walk) — a decided small cache stops
@@ -377,96 +397,91 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, 
 	// stopped. Entries are values, not state pointers, so the loop scans a
 	// contiguous array. (fc.pend stays intact for the caller's memo stores.)
 	walk := fc.walk[:0]
+	var g int64
 	for _, s := range fc.pend {
 		s.scratch.reset()
 		walk = append(walk, fcWalkEntry{setMask: s.setMask,
 			numSets: s.numSets, assoc: s.assoc, scratch: s.scratch, st: s})
+		g = trace.Gcd(s.numSets, g)
 	}
-	var pos int64
-	lineBytes := fc.g.lineBytes
-	lineShift := fc.lineShift
-	// When every pending candidate has a power-of-two set count, candidate
-	// k's set test is (al^line)&mask_k == 0 and the masks are nested, so a
-	// single test against the smallest mask rejects an access that
-	// conflicts with no candidate at all — the overwhelmingly common case
-	// — without touching the per-candidate loop.
-	fastMask := int64(-1)
-	for _, s := range fc.pend {
-		if s.setMask < 0 {
-			fastMask = -1
-			break
-		}
-		if fastMask < 0 || s.setMask < fastMask {
-			fastMask = s.setMask
-		}
+	fc.walk, fc.wLine, fc.wPaper, fc.wVisits = walk, line, paperLRU, 0
+	set := line % g
+	if set < 0 {
+		set += g
 	}
-	// step applies one interval access of reference r to every undecided
-	// candidate and reports whether any remain. A touch of the reused line
-	// never contends: under exact LRU, which scans backwards from the
-	// consumer, it is the line's most recent fetch and stops every walk at
-	// the same position; the paper's equations verbatim scan forwards and
-	// let k distinct set contentions anywhere in the interval evict. Set
-	// membership is "NumSets divides al-line", which is sign-safe for
-	// negative lines, strength-reduced to a mask for power-of-two set
-	// counts. An attributing candidate blames r for each new contending
-	// line.
-	step := func(r *ir.NRef, addr int64) bool {
-		pos++
-		var al int64
-		if lineShift >= 0 {
-			al = addr >> lineShift
-		} else {
-			al = cache.LineOf(addr, lineBytes)
-		}
-		if al == line {
-			if paperLRU {
-				return true
-			}
-			for _, w := range walk {
-				w.st.scanned, w.st.walkDone = pos, true
-			}
-			walk = walk[:0]
-			return false
-		}
-		x := al ^ line
-		if fastMask >= 0 && x&fastMask != 0 {
-			return len(walk) > 0
-		}
-		for i := 0; i < len(walk); {
-			w := &walk[i]
-			var in bool
-			if w.setMask >= 0 {
-				in = x&w.setMask == 0
-			} else {
-				in = (al-line)%w.numSets == 0
-			}
-			if !in {
-				i++
-				continue
-			}
-			n, fresh := w.scratch.add(al)
-			if fresh && w.st.culprits != nil {
-				w.st.culprits = append(w.st.culprits, r)
-			}
-			if n >= w.assoc {
-				w.st.evicted, w.st.scanned, w.st.walkDone = true, pos, true
-				walk[i] = walk[len(walk)-1]
-				walk = walk[:len(walk)-1]
-				continue
-			}
-			i++
-		}
-		return len(walk) > 0
-	}
+	lb := fc.g.lineBytes
+	win := trace.Window{Period: lb * g, Lo: set * lb, Width: lb}
+	var total int64
 	if paperLRU {
-		fc.w.Between(producer, consumer, step)
+		total = fc.w.Between(producer, consumer, win, fc.visit)
 	} else {
-		fc.w.BetweenReverse(producer, consumer, step)
+		total = fc.w.BetweenReverse(producer, consumer, win, fc.visit)
 	}
 	// Interval exhausted with candidates still undecided: their walks
 	// scanned the whole interval and found no eviction.
-	for _, w := range walk {
-		w.st.scanned, w.st.walkDone = pos, true
+	for _, w := range fc.walk {
+		w.st.scanned, w.st.walkDone = total, true
 	}
-	fc.walk = walk[:0]
+	fc.walk = fc.walk[:0]
+	return fc.wVisits
+}
+
+// visitAccess is the walk's visitor (cached as fc.visit, so a walk
+// allocates nothing): it applies one in-window access of reference r at
+// position pos to every undecided candidate and reports whether any
+// remain. A touch of the reused line never contends: under exact LRU,
+// which scans backwards from the consumer, it is the line's most recent
+// fetch and stops every walk at the same position; the paper's equations
+// verbatim scan forwards and let k distinct set contentions anywhere in
+// the interval evict. Set membership is "NumSets divides al-line", which
+// is sign-safe for negative lines, strength-reduced to a mask for
+// power-of-two set counts. An attributing candidate blames r for each new
+// contending line.
+func (fc *fusedClassifier) visitAccess(r *ir.NRef, addr, pos int64) bool {
+	fc.wVisits++
+	var al int64
+	if fc.lineShift >= 0 {
+		al = addr >> fc.lineShift
+	} else {
+		al = cache.LineOf(addr, fc.g.lineBytes)
+	}
+	line := fc.wLine
+	walk := fc.walk
+	if al == line {
+		if fc.wPaper {
+			return true
+		}
+		for _, w := range walk {
+			w.st.scanned, w.st.walkDone = pos, true
+		}
+		fc.walk = walk[:0]
+		return false
+	}
+	x := al ^ line
+	for i := 0; i < len(walk); {
+		w := &walk[i]
+		var in bool
+		if w.setMask >= 0 {
+			in = x&w.setMask == 0
+		} else {
+			in = (al-line)%w.numSets == 0
+		}
+		if !in {
+			i++
+			continue
+		}
+		n, fresh := w.scratch.add(al)
+		if fresh && w.st.culprits != nil {
+			w.st.culprits = append(w.st.culprits, r)
+		}
+		if n >= w.assoc {
+			w.st.evicted, w.st.scanned, w.st.walkDone = true, pos, true
+			walk[i] = walk[len(walk)-1]
+			walk = walk[:len(walk)-1]
+			continue
+		}
+		i++
+	}
+	fc.walk = walk
+	return len(walk) > 0
 }

@@ -13,7 +13,13 @@ var (
 	mPointsEnumerated = obs.Default.Counter("cme_points_enumerated_total")
 	mWalks            = obs.Default.Counter("cme_walks_total")
 	mWalkMemoHits     = obs.Default.Counter("cme_walk_memo_hits_total")
-	mWalkSteps        = obs.Default.Counter("cme_walk_steps_total")
+	// mWalkSteps counts the logical positions the replacement walks
+	// scanned (each candidate's stopping position, memo replays
+	// excluded); mWalkVisits counts the accesses those walks actually
+	// touched — the set-filtered walker skips the rest arithmetically,
+	// so visits/steps is the skip ratio.
+	mWalkSteps  = obs.Default.Counter("cme_walk_steps_total")
+	mWalkVisits = obs.Default.Counter("cme_walk_visits_total")
 	// mWalkMemoDisabled counts reuse vectors whose memo arena the hit-rate
 	// gate dropped (memoDisableAfter consecutive probe misses).
 	mWalkMemoDisabled = obs.Default.Counter("cme_walk_memo_disabled_total")

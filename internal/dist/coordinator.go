@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -848,16 +849,24 @@ func (c *Coordinator) Complete(worker, sweep, unitKey string, rows []Row, errMsg
 
 // compactRowsLocked copies a unit result into exactly sized storage for
 // retention: the rows and each row's Refs lose the slack the JSON
-// decoder's append-doubling leaves, and the per-reference id and tier
-// strings are interned, so the many rows naming one reference share one
-// string. Only capacities and string storage change, so the rows stay
-// bit-identical.
+// decoder's append-doubling leaves, the per-reference id and tier strings
+// are interned, so the many rows naming one reference share one string,
+// and rows of the unit with equal Refs share one slice (the set-count
+// tier copies one anchor's counts to every stable geometry of a line
+// size, so most rows of a unit repeat another's). Only capacities and
+// storage sharing change, so the rows stay bit-identical; retained rows
+// are read-only.
 func (c *Coordinator) compactRowsLocked(rows []Row) []Row {
 	out := make([]Row, len(rows))
 	copy(out, rows)
+	var distinct [][]RefRow
 	for i := range out {
 		out[i].Tier = c.internLocked(out[i].Tier)
 		if len(out[i].Refs) == 0 {
+			continue
+		}
+		if k := slices.IndexFunc(distinct, func(d []RefRow) bool { return sameRefs(d, out[i].Refs) }); k >= 0 {
+			out[i].Refs = distinct[k]
 			continue
 		}
 		refs := make([]RefRow, len(out[i].Refs))
@@ -867,8 +876,20 @@ func (c *Coordinator) compactRowsLocked(rows []Row) []Row {
 			refs[j].Tier = c.internLocked(refs[j].Tier)
 		}
 		out[i].Refs = refs
+		distinct = append(distinct, refs)
 	}
 	return out
+}
+
+// sameRefs reports whether two reference rows encode identically: equal
+// fields, with Ratio compared by bits so a NaN matches itself and a
+// negative zero does not match a positive one.
+func sameRefs(a, b []RefRow) bool {
+	return slices.EqualFunc(a, b, func(x, y RefRow) bool {
+		xr, yr := math.Float64bits(x.Ratio), math.Float64bits(y.Ratio)
+		x.Ratio, y.Ratio = 0, 0
+		return x == y && xr == yr
+	})
 }
 
 // internLocked returns the table's copy of s, adding s while the table

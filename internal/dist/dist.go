@@ -259,7 +259,9 @@ func RenderRows(cands []WireCandidate, reps []*cme.Report, err error) []Row {
 const ReportSchemaV1 = "cachette/dist-report/v1"
 
 // MergedReport is the deterministic merge of a sweep's unit results: one
-// row per candidate, in grid order.
+// row per candidate, in grid order. Rows are read-only: rows of one unit
+// with equal per-reference counts may share one Refs slice with each
+// other and with the coordinator's retained copy.
 type MergedReport struct {
 	Schema     string     `json:"schema"`
 	Sweep      string     `json:"sweep"`

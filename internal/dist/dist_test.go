@@ -697,3 +697,74 @@ func TestWorkerCheckpointResume(t *testing.T) {
 		t.Errorf("checkpoint-replayed rows differ from baseline")
 	}
 }
+
+// TestCompactRowsShareIdenticalRefs: the coordinator retains one Refs
+// slice for the rows of a unit whose per-reference counts are equal,
+// without changing a byte of the rows, and keeps distinct counts apart.
+func TestCompactRowsShareIdenticalRefs(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer c.Close()
+	refs := func(hits int64) []RefRow {
+		return []RefRow{{ID: "A(I)", Volume: 10, Analyzed: 10, Hits: hits, Cold: 10 - hits, Tier: "exact"},
+			{ID: "B(I)", Volume: 10, Analyzed: 10, Hits: 3, Cold: 7, Tier: "exact", Ratio: 0.5}}
+	}
+	rows := make([]Row, 6)
+	for i := range rows {
+		hits := int64(4)
+		if i == 5 {
+			hits = 5
+		}
+		rows[i] = Row{Label: fmt.Sprintf("c%d", i), CacheBytes: 1024 << i, LineBytes: 32, Assoc: 1, Tier: "exact", Refs: refs(hits)}
+	}
+	want := mustJSON(t, rows)
+	c.mu.Lock()
+	got := c.compactRowsLocked(rows)
+	c.mu.Unlock()
+	if s := mustJSON(t, got); s != want {
+		t.Fatalf("compacted rows differ:\n got %s\nwant %s", s, want)
+	}
+	for i := 1; i < 5; i++ {
+		if &got[i].Refs[0] != &got[0].Refs[0] {
+			t.Errorf("row %d keeps its own Refs slice; identical rows must share one", i)
+		}
+	}
+	if &got[5].Refs[0] == &got[0].Refs[0] {
+		t.Error("row 5 shares Refs with row 0 but its counts differ")
+	}
+	if &got[0].Refs[0] == &rows[0].Refs[0] {
+		t.Error("retained Refs alias the decoded input")
+	}
+}
+
+// TestReportBytesWithSharedRefs: a sweep whose units repeat per-reference
+// counts across geometries still reports the single-process bytes, and
+// the coordinator retains fewer Refs slices than rows.
+func TestReportBytesWithSharedRefs(t *testing.T) {
+	sw := testSpec()
+	sw.CacheSizes = []int64{16384, 32768, 65536, 131072}
+	sw.Assocs = []int{1, 2}
+	want := mustJSON(t, baselineRows(t, sw))
+	c, srv := newTestCoordinator(t, Options{})
+	st, err := c.AddSweep(context.Background(), sw)
+	if err != nil {
+		t.Fatalf("AddSweep: %v", err)
+	}
+	runWorkers(t, srv.URL, 1, nil)
+	rep, err := c.Report(st.Sweep)
+	if err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	if got := mustJSON(t, rep.Rows); got != want {
+		t.Fatalf("rows differ from single-process baseline\n got: %.300s\nwant: %.300s", got, want)
+	}
+	backing := map[*RefRow]bool{}
+	for _, r := range rep.Rows {
+		backing[&r.Refs[0]] = true
+	}
+	if len(backing) >= len(rep.Rows) {
+		t.Errorf("%d rows retain %d Refs slices; rows with equal counts must share", len(rep.Rows), len(backing))
+	}
+}

@@ -278,6 +278,13 @@ func ValidateRunReport(blob []byte) (*RunReport, error) {
 	if geomPureCold > geomEval {
 		return nil, fmt.Errorf("run report: cme_geom_purecold_total %d exceeds cme_geom_eval_total %d", geomPureCold, geomEval)
 	}
+	// Replacement-walk counters: a walk visits only accesses at positions
+	// it scanned, so the set-filtered walker's visits never exceed the
+	// logical steps (visits/steps is its skip ratio).
+	walkSteps := r.Metrics.Counters["cme_walk_steps_total"]
+	if visits := r.Metrics.Counters["cme_walk_visits_total"]; visits > walkSteps {
+		return nil, fmt.Errorf("run report: cme_walk_visits_total %d exceeds cme_walk_steps_total %d", visits, walkSteps)
+	}
 	// Problem-size tier counters: every closed-form evaluation and every
 	// fit sample solve belongs to a residue-class fit.
 	scalingFits := r.Metrics.Counters["cme_scaling_residue_fits_total"]

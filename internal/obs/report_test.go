@@ -163,6 +163,37 @@ func TestValidateScalingCounters(t *testing.T) {
 	}
 }
 
+// TestValidateWalkCounters covers the replacement-walk rule: the accesses
+// a walk visits are at most the positions it scanned.
+func TestValidateWalkCounters(t *testing.T) {
+	make := func(steps, visits int64) []byte {
+		rep := testReport(t)
+		cp := *rep
+		cp.Metrics.Counters = map[string]int64{
+			"cme_tiles_solved_total": 3,
+			"cme_walk_steps_total":   steps,
+			"cme_walk_visits_total":  visits,
+		}
+		blob, err := json.Marshal(&cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	for name, blob := range map[string][]byte{
+		"filtered walks":  make(1600, 12),
+		"unfiltered walk": make(40, 40),
+		"no walks":        make(0, 0),
+	} {
+		if _, err := ValidateRunReport(blob); err != nil {
+			t.Errorf("%s: unexpected rejection: %v", name, err)
+		}
+	}
+	if _, err := ValidateRunReport(make(10, 11)); err == nil || !strings.Contains(err.Error(), "cme_walk_visits_total 11 exceeds") {
+		t.Errorf("visits beyond steps: want rejection, got %v", err)
+	}
+}
+
 // TestValidateJobOutcomes covers the server-run shape of the report:
 // job-level outcomes validate, serve_* metrics stand in for cme_* when
 // Jobs is present, and impossible counts are rejected.

@@ -1,13 +1,14 @@
-// Strength-reduced execution and interval walkers. The generic walkers in
-// trace.go call NRef.AddressAt per access, which re-evaluates the full
-// affine address expression (n multiply-adds plus bounds checks) at every
-// visit; the prepared walkers here flatten each reference's address affine
-// once, hoist the depth-prefix of the address and of every guard out of
-// the innermost loop, and reuse one scratch index vector across walks, so
-// the per-access cost of the inner loop is a single multiply-add.
+// Strength-reduced execution and set-filtered interval walkers. Both
+// flatten each reference's address affine once, hoist the depth-prefix of
+// the address and of every guard out of the innermost loop, and reuse one
+// scratch index vector, so an access of the inner loop costs a single
+// multiply-add. The interval walker goes further and solves, per leaf
+// row, which accesses fall in the caller's address window (see Walker).
 package trace
 
 import (
+	"math"
+
 	"cachemodel/internal/ir"
 )
 
@@ -38,6 +39,10 @@ type stmtPlan struct {
 	// scratch row bases, rewritten on every leaf-row entry.
 	guardBase []int64
 	refBase   []int64
+	// Walker span scratch: the statement's live innermost range [lo, hi]
+	// and each reference's next in-window value (noHit when none).
+	lo, hi int64
+	next   []int64
 }
 
 // rowEnter hoists the depth-prefix of every guard and address affine for
@@ -63,6 +68,34 @@ func (sp *stmtPlan) rowEnter(idx []int64, n int) {
 		}
 		sp.refBase[i] = v
 	}
+}
+
+// live sets [lo, hi] to the innermost values in [m1, m2] at which every
+// guard holds. A guard is affine in v, so each bounds v on one side, or
+// pins it (equality), or holds everywhere or nowhere (no v term).
+func (sp *stmtPlan) live(m1, m2 int64) {
+	lo, hi := m1, m2
+	for i := range sp.guards {
+		g := &sp.guards[i]
+		base, c := sp.guardBase[i], g.inner
+		switch {
+		case c == 0:
+			if base < 0 || g.isEq && base != 0 {
+				lo, hi = 1, 0
+			}
+		case g.isEq:
+			if base%c != 0 {
+				lo, hi = 1, 0
+			} else {
+				lo, hi = max(lo, -base/c), min(hi, -base/c)
+			}
+		case c > 0: // base + c·v ≥ 0 ⇔ v ≥ ⌈−base/c⌉
+			lo = max(lo, ceilDiv(-base, c))
+		default: // ⇔ v ≤ ⌊base/−c⌋
+			hi = min(hi, floorDiv(base, -c))
+		}
+	}
+	sp.lo, sp.hi = lo, hi
 }
 
 // guardsHold evaluates all guards at innermost value v from the hoisted
@@ -103,76 +136,69 @@ func newStmtPlan(st *ir.NStmt, n int) *stmtPlan {
 	}
 	sp.guardBase = make([]int64, len(sp.guards))
 	sp.refBase = make([]int64, len(sp.refs))
+	sp.next = make([]int64, len(sp.refs))
 	return sp
 }
 
-// execPlan is the prepared form of a normalised program for address-
-// carrying execution: the loop tree annotated with per-statement leaf
-// plans. Building it is cheap (linear in program text) relative to any
-// walk, and one plan is reusable across runs by a single goroutine.
-type execPlan struct {
-	np    *ir.NProgram
-	leafs map[*ir.NLoop][]*stmtPlan
-	idx   []int64
+// loopPlan is one loop of the prepared tree: its bounds and its child
+// loops, or at the leaf depth its statements' plans. Walks descend the
+// plan tree instead of looking plans up per row, and never allocate.
+type loopPlan struct {
+	bound ir.NBound
+	kids  []*loopPlan
+	stmts []*stmtPlan
 }
 
-// leafPlans builds per-leaf-loop plan slices for the whole tree, so walks
-// never allocate.
-func leafPlans(np *ir.NProgram) map[*ir.NLoop][]*stmtPlan {
-	leafs := map[*ir.NLoop][]*stmtPlan{}
-	var rec func(nl *ir.NLoop)
-	rec = func(nl *ir.NLoop) {
-		if len(nl.Stmts) > 0 {
-			plans := make([]*stmtPlan, len(nl.Stmts))
-			for i, st := range nl.Stmts {
-				plans[i] = newStmtPlan(st, np.Depth)
-			}
-			leafs[nl] = plans
+// planTree prepares the loop tree of np. Building it is cheap (linear in
+// program text) relative to any walk, and one tree is reusable across
+// runs by a single goroutine.
+func planTree(np *ir.NProgram) []*loopPlan {
+	var rec func(nl *ir.NLoop) *loopPlan
+	rec = func(nl *ir.NLoop) *loopPlan {
+		lp := &loopPlan{bound: nl.Bound}
+		for _, st := range nl.Stmts {
+			lp.stmts = append(lp.stmts, newStmtPlan(st, np.Depth))
 		}
 		for _, c := range nl.Loops {
-			rec(c)
+			lp.kids = append(lp.kids, rec(c))
 		}
+		return lp
 	}
-	for _, nl := range np.Top {
-		rec(nl)
+	top := make([]*loopPlan, len(np.Top))
+	for i, nl := range np.Top {
+		top[i] = rec(nl)
 	}
-	return leafs
-}
-
-func newExecPlan(np *ir.NProgram) *execPlan {
-	return &execPlan{np: np, leafs: leafPlans(np), idx: make([]int64, np.Depth)}
+	return top
 }
 
 // ExecuteAddr visits every reference access in execution order like
 // Execute, additionally passing the precomputed byte address. Arrays must
 // be laid out. The idx slice is reused; copy it if retained.
 func ExecuteAddr(np *ir.NProgram, visit func(r *ir.NRef, idx []int64, addr int64) bool) {
-	p := newExecPlan(np)
-	for _, nl := range np.Top {
-		if !p.exec(nl, 1, visit) {
+	idx := make([]int64, np.Depth)
+	for _, lp := range planTree(np) {
+		if !execAddr(lp, 1, idx, visit) {
 			return
 		}
 	}
 }
 
-func (p *execPlan) exec(nl *ir.NLoop, depth int, visit func(*ir.NRef, []int64, int64) bool) bool {
-	n := p.np.Depth
-	idx := p.idx
-	lo := nl.Bound.Lo.Eval(idx)
-	hi := nl.Bound.Hi.Eval(idx)
+func execAddr(lp *loopPlan, depth int, idx []int64, visit func(*ir.NRef, []int64, int64) bool) bool {
+	n := len(idx)
+	lo := lp.bound.Lo.Eval(idx)
+	hi := lp.bound.Hi.Eval(idx)
 	if depth == n {
 		// Leaf row: hoist guard and address prefixes, then sweep the
 		// innermost index with one multiply-add per access.
 		if lo > hi {
 			return true
 		}
-		plans := p.leafs[nl]
-		for _, sp := range plans {
+		for _, sp := range lp.stmts {
 			sp.rowEnter(idx, n)
 		}
 		for v := lo; v <= hi; v++ {
 			idx[n-1] = v
-			for _, sp := range plans {
+			for _, sp := range lp.stmts {
 				if !sp.guardsHold(v) {
 					continue
 				}
@@ -188,201 +214,421 @@ func (p *execPlan) exec(nl *ir.NLoop, depth int, visit func(*ir.NRef, []int64, i
 	}
 	for v := lo; v <= hi; v++ {
 		idx[depth-1] = v
-		for _, c := range nl.Loops {
-			if !p.exec(c, depth+1, visit) {
+		for _, c := range lp.kids {
+			if !execAddr(c, depth+1, idx, visit) {
 				return false
 			}
 		}
 	}
 	return true
 }
+
+// Window selects the accesses a filtered walk hands to its visitor: those
+// whose byte address addr satisfies (addr − Lo) mod Period < Width. The
+// replacement equations pass Period = LineBytes·g and the line-wide window
+// of the consumer's line mod g, where g divides every candidate's set
+// count, so the visitor sees every access that can map to the consumer's
+// set. Period ≥ 1 and 1 ≤ Width ≤ Period.
+type Window struct {
+	Period, Lo, Width int64
+}
+
+// holds reports whether addr lies in the window.
+func (win Window) holds(addr int64) bool {
+	return floorMod(addr-win.Lo, win.Period) < win.Width
+}
+
+// Visitor receives one in-window access of a filtered walk: its
+// reference, byte address and 1-based position among all accesses of the
+// interval in walk order. Return false to stop the walk.
+type Visitor func(r *ir.NRef, addr, pos int64) bool
 
 // Walker is a prepared, allocation-free interval walker for one program:
 // the replacement equations call Between/BetweenReverse millions of times,
 // so the walker owns its scratch index vector and per-statement plans
 // instead of rebuilding them per walk. A Walker is not safe for concurrent
 // use; give each worker goroutine its own (NewWalker is cheap).
+//
+// A walk is set-filtered: the outer loops are enumerated row by row, but
+// inside a leaf row only the accesses in the window are produced. Each
+// reference's next in-window value of the innermost index is solved from
+// its address residue and stride (firstIn), the references are merged in
+// walk order, and positions are counted arithmetically, so a row costs
+// O(references) plus O(1) per in-window access instead of O(accesses).
 type Walker struct {
-	np    *ir.NProgram
-	leafs map[*ir.NLoop][]*stmtPlan
+	top   []*loopPlan
 	idx   []int64
 	a, b  Time
-	visit func(*ir.NRef, int64) bool
+	win   Window
+	rev   bool
+	visit Visitor
+	pos   int64 // accesses of the interval passed so far
 }
 
 // NewWalker prepares a walker for the program. Arrays must be laid out.
 func NewWalker(np *ir.NProgram) *Walker {
-	return &Walker{np: np, leafs: leafPlans(np), idx: make([]int64, np.Depth)}
+	return &Walker{top: planTree(np), idx: make([]int64, np.Depth)}
 }
 
-// Between visits every access with time strictly between a and b in
-// execution order, passing the precomputed byte address. Return false from
-// visit to stop early. Equivalent to VisitBetween + AddressAt.
-func (w *Walker) Between(a, b Time, visit func(r *ir.NRef, addr int64) bool) {
-	if Compare(a, b) >= 0 {
-		return
-	}
-	w.a, w.b, w.visit = a, b, visit
-	for p, nl := range w.np.Top {
-		pos := p + 1
-		if pos < a.Label[0] {
-			continue
-		}
-		if pos > b.Label[0] {
-			break
-		}
-		if !w.walk(nl, 1, pos == a.Label[0], pos == b.Label[0]) {
-			break
-		}
-	}
-	w.visit = nil
+// Between walks the accesses with time strictly between a and b in
+// execution order and calls visit for those in the window, with their
+// positions among all accesses of the interval. It returns the position
+// at which visit stopped the walk, or else the interval's access count.
+func (w *Walker) Between(a, b Time, win Window, visit Visitor) int64 {
+	return w.run(a, b, win, false, visit)
 }
 
 // BetweenReverse is Between in reverse execution order (most recent
-// first). Equivalent to VisitBetweenReverse + AddressAt.
-func (w *Walker) BetweenReverse(a, b Time, visit func(r *ir.NRef, addr int64) bool) {
+// first); positions count from b backwards.
+func (w *Walker) BetweenReverse(a, b Time, win Window, visit Visitor) int64 {
+	return w.run(a, b, win, true, visit)
+}
+
+func (w *Walker) run(a, b Time, win Window, rev bool, visit Visitor) int64 {
 	if Compare(a, b) >= 0 {
-		return
+		return 0
 	}
-	w.a, w.b, w.visit = a, b, visit
-	for p := len(w.np.Top) - 1; p >= 0; p-- {
-		pos := p + 1
-		if pos < w.a.Label[0] {
-			break
+	w.a, w.b, w.win, w.rev, w.visit, w.pos = a, b, win, rev, visit, 0
+	w.loops(w.top, 0, true, true)
+	w.visit = nil
+	return w.pos
+}
+
+// loops walks the sibling loops at label depth k (0-based). lt (ht)
+// indicates that the label/index prefix chosen so far equals a's (b's)
+// prefix exactly, so the corresponding boundary still constrains deeper
+// choices.
+func (w *Walker) loops(ls []*loopPlan, k int, lt, ht bool) bool {
+	first, last := 1, len(ls)
+	if lt && w.a.Label[k] > first {
+		first = w.a.Label[k]
+	}
+	if ht && w.b.Label[k] < last {
+		last = w.b.Label[k]
+	}
+	for j := first; j <= last; j++ {
+		p := j
+		if w.rev {
+			p = first + last - j
 		}
-		if pos > w.b.Label[0] {
+		if !w.walk(ls[p-1], k+1, lt && p == w.a.Label[k], ht && p == w.b.Label[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+func (w *Walker) walk(lp *loopPlan, depth int, lt, ht bool) bool {
+	idx := w.idx
+	from := lp.bound.Lo.Eval(idx)
+	to := lp.bound.Hi.Eval(idx)
+	if lt && w.a.Idx[depth-1] > from {
+		from = w.a.Idx[depth-1]
+	}
+	if ht && w.b.Idx[depth-1] < to {
+		to = w.b.Idx[depth-1]
+	}
+	if from > to {
+		return true
+	}
+	if depth == len(idx) {
+		return w.row(lp.stmts, from, to, lt, ht)
+	}
+	for j := from; j <= to; j++ {
+		v := j
+		if w.rev {
+			v = from + to - j
+		}
+		idx[depth-1] = v
+		if !w.loops(lp.kids, depth, lt && v == w.a.Idx[depth-1], ht && v == w.b.Idx[depth-1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// row walks one leaf row over innermost values [from, to]. The values
+// equal to a's or b's innermost index, where the Seq bounds apply, go
+// access by access; everything between them is one span.
+func (w *Walker) row(plans []*stmtPlan, from, to int64, lt, ht bool) bool {
+	n := len(w.idx)
+	for _, sp := range plans {
+		sp.rowEnter(w.idx, n)
+	}
+	aEnd := lt && from == w.a.Idx[n-1]
+	bEnd := ht && to == w.b.Idx[n-1]
+	one := from == to
+	m1, m2 := from, to
+	if aEnd {
+		m1++
+	}
+	if bEnd {
+		m2--
+	}
+	if w.rev {
+		if bEnd && !w.point(plans, to, aEnd && one, true) {
+			return false
+		}
+		if m1 <= m2 && !w.span(plans, m1, m2) {
+			return false
+		}
+		if aEnd && !(bEnd && one) {
+			return w.point(plans, from, true, false)
+		}
+		return true
+	}
+	if aEnd && !w.point(plans, from, true, bEnd && one) {
+		return false
+	}
+	if m1 <= m2 && !w.span(plans, m1, m2) {
+		return false
+	}
+	if bEnd && !(aEnd && one) {
+		return w.point(plans, to, false, true)
+	}
+	return true
+}
+
+// point walks the accesses at innermost value v one by one: vlt (vht)
+// drops those at or before a (at or after b).
+func (w *Walker) point(plans []*stmtPlan, v int64, vlt, vht bool) bool {
+	for k := range plans {
+		sp := plans[w.order(k, len(plans))]
+		if !sp.guardsHold(v) {
 			continue
 		}
-		if !w.walkRev(w.np.Top[p], 1, pos == w.a.Label[0], pos == w.b.Label[0]) {
+		for j := range sp.refs {
+			i := w.order(j, len(sp.refs))
+			r := &sp.refs[i]
+			if vlt && r.ref.Seq <= w.a.Seq || vht && r.ref.Seq >= w.b.Seq {
+				continue
+			}
+			w.pos++
+			addr := sp.refBase[i] + r.inner*v
+			if w.win.holds(addr) && !w.visit(r.ref, addr, w.pos) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// order maps the k-th element of a walk over n to its textual index.
+func (w *Walker) order(k, n int) int {
+	if w.rev {
+		return n - 1 - k
+	}
+	return k
+}
+
+// span walks every access at innermost values [m1, m2] but visits only
+// the in-window ones. A guard is affine in v, so each statement is live
+// on one interval; each reference's next in-window v is solved, not
+// searched, and the references are merged in walk order.
+func (w *Walker) span(plans []*stmtPlan, m1, m2 int64) bool {
+	base := w.pos
+	var total int64
+	for _, sp := range plans {
+		sp.live(m1, m2)
+		if sp.lo > sp.hi {
+			continue
+		}
+		total += int64(len(sp.refs)) * (sp.hi - sp.lo + 1)
+		for i := range sp.refs {
+			start := sp.lo
+			if w.rev {
+				start = sp.hi
+			}
+			sp.next[i] = w.seek(sp, i, start)
+		}
+	}
+	for {
+		v, ok := w.earliest(plans)
+		if !ok {
 			break
 		}
-	}
-	w.visit = nil
-}
-
-func (w *Walker) walk(nl *ir.NLoop, depth int, lt, ht bool) bool {
-	n := w.np.Depth
-	idx := w.idx
-	from := nl.Bound.Lo.Eval(idx)
-	to := nl.Bound.Hi.Eval(idx)
-	if lt && w.a.Idx[depth-1] > from {
-		from = w.a.Idx[depth-1]
-	}
-	if ht && w.b.Idx[depth-1] < to {
-		to = w.b.Idx[depth-1]
-	}
-	if depth == n {
-		if from > to {
-			return true
-		}
-		plans := w.leafs[nl]
-		for _, sp := range plans {
-			sp.rowEnter(idx, n)
-		}
-		for v := from; v <= to; v++ {
-			idx[n-1] = v
-			vlt := lt && v == w.a.Idx[n-1]
-			vht := ht && v == w.b.Idx[n-1]
-			for _, sp := range plans {
-				if !sp.guardsHold(v) {
-					continue
-				}
-				for i := range sp.refs {
-					r := &sp.refs[i]
-					if vlt && r.ref.Seq <= w.a.Seq {
-						continue
-					}
-					if vht && r.ref.Seq >= w.b.Seq {
-						continue
-					}
-					if !w.visit(r.ref, sp.refBase[i]+r.inner*v) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	for v := from; v <= to; v++ {
-		idx[depth-1] = v
-		vlt := lt && v == w.a.Idx[depth-1]
-		vht := ht && v == w.b.Idx[depth-1]
-		for p, c := range nl.Loops {
-			pos := p + 1
-			if vlt && pos < w.a.Label[depth] {
+		for k := range plans {
+			s := w.order(k, len(plans))
+			sp := plans[s]
+			if v < sp.lo || v > sp.hi {
 				continue
 			}
-			if vht && pos > w.b.Label[depth] {
-				break
-			}
-			if !w.walk(c, depth+1, vlt && pos == w.a.Label[depth], vht && pos == w.b.Label[depth]) {
-				return false
+			for j := range sp.refs {
+				i := w.order(j, len(sp.refs))
+				if sp.next[i] != v {
+					continue
+				}
+				r := &sp.refs[i]
+				addr := sp.refBase[i] + r.inner*v
+				pos := base + w.rank(plans, v, s, i) + 1
+				if !w.visit(r.ref, addr, pos) {
+					w.pos = pos
+					return false
+				}
+				next := v + 1
+				if w.rev {
+					next = v - 1
+				}
+				sp.next[i] = w.seek(sp, i, next)
 			}
 		}
 	}
+	w.pos = base + total
 	return true
 }
 
-func (w *Walker) walkRev(nl *ir.NLoop, depth int, lt, ht bool) bool {
-	n := w.np.Depth
-	idx := w.idx
-	from := nl.Bound.Lo.Eval(idx)
-	to := nl.Bound.Hi.Eval(idx)
-	if lt && w.a.Idx[depth-1] > from {
-		from = w.a.Idx[depth-1]
+// noHit marks a reference with no further in-window access in the span.
+const noHit = math.MinInt64
+
+// seek returns the first innermost value at or after v, in walk order and
+// inside the statement's live range, at which reference i's access is in
+// the window (noHit if none).
+func (w *Walker) seek(sp *stmtPlan, i int, v int64) int64 {
+	limit := sp.hi - v
+	if w.rev {
+		limit = v - sp.lo
 	}
-	if ht && w.b.Idx[depth-1] < to {
-		to = w.b.Idx[depth-1]
+	if limit < 0 {
+		return noHit
 	}
-	if depth == n {
-		if from > to {
-			return true
-		}
-		plans := w.leafs[nl]
-		for _, sp := range plans {
-			sp.rowEnter(idx, n)
-		}
-		for v := to; v >= from; v-- {
-			idx[n-1] = v
-			vlt := lt && v == w.a.Idx[n-1]
-			vht := ht && v == w.b.Idx[n-1]
-			for si := len(plans) - 1; si >= 0; si-- {
-				sp := plans[si]
-				if !sp.guardsHold(v) {
-					continue
-				}
-				for i := len(sp.refs) - 1; i >= 0; i-- {
-					r := &sp.refs[i]
-					if vlt && r.ref.Seq <= w.a.Seq {
-						continue
-					}
-					if vht && r.ref.Seq >= w.b.Seq {
-						continue
-					}
-					if !w.visit(r.ref, sp.refBase[i]+r.inner*v) {
-						return false
-					}
-				}
-			}
-		}
-		return true
+	r := &sp.refs[i]
+	p := w.win.Period
+	step := floorMod(r.inner, p) // residue change per value walked
+	if w.rev {
+		step = floorMod(-r.inner, p)
 	}
-	for v := to; v >= from; v-- {
-		idx[depth-1] = v
-		vlt := lt && v == w.a.Idx[depth-1]
-		vht := ht && v == w.b.Idx[depth-1]
-		for p := len(nl.Loops) - 1; p >= 0; p-- {
-			pos := p + 1
-			if vlt && pos < w.a.Label[depth] {
-				break
-			}
-			if vht && pos > w.b.Label[depth] {
+	t := floorMod(sp.refBase[i]+r.inner*v-w.win.Lo, p)
+	k := firstIn(t, step, p, w.win.Width, limit)
+	switch {
+	case k < 0:
+		return noHit
+	case w.rev:
+		return v - k
+	default:
+		return v + k
+	}
+}
+
+// earliest returns the innermost value of the next pending in-window
+// access in walk order.
+func (w *Walker) earliest(plans []*stmtPlan) (int64, bool) {
+	best, ok := int64(0), false
+	for _, sp := range plans {
+		if sp.lo > sp.hi {
+			continue
+		}
+		for _, v := range sp.next {
+			if v == noHit {
 				continue
 			}
-			if !w.walkRev(nl.Loops[p], depth+1, vlt && pos == w.a.Label[depth], vht && pos == w.b.Label[depth]) {
-				return false
+			if !ok || (w.rev && v > best) || (!w.rev && v < best) {
+				best, ok = v, true
 			}
 		}
 	}
-	return true
+	return best, ok
 }
+
+// rank returns the 0-based position, among the span's accesses in walk
+// order, of reference i of statement s at innermost value v: the accesses
+// at the values already passed, plus those at v that come first.
+func (w *Walker) rank(plans []*stmtPlan, v int64, s, i int) int64 {
+	var k int64
+	for t, sp := range plans {
+		if sp.lo > sp.hi {
+			continue
+		}
+		nr := int64(len(sp.refs))
+		lo, hi := sp.lo, min(sp.hi, v-1)
+		if w.rev {
+			lo, hi = max(sp.lo, v+1), sp.hi
+		}
+		if hi >= lo {
+			k += nr * (hi - lo + 1)
+		}
+		if v >= sp.lo && v <= sp.hi && (!w.rev && t < s || w.rev && t > s) {
+			k += nr
+		}
+	}
+	return k + int64(w.order(i, len(plans[s].refs)))
+}
+
+// firstIn returns the least k in [0, limit] with (t + step·k) mod p < width,
+// or -1 when there is none; 0 ≤ t, step < p.
+func firstIn(t, step, p, width, limit int64) int64 {
+	if t < width {
+		return 0
+	}
+	if step == 0 {
+		return -1
+	}
+	var k int64
+	switch {
+	case p-step <= width:
+		// Downward steps of at most width cannot jump over the window.
+		k = ceilDiv(t-width+1, p-step)
+	case p > 1<<31:
+		// minMulIn's products could overflow: step the residue instead.
+		for k = 1; k <= limit; k++ {
+			if t += step; t >= p {
+				t -= p
+			}
+			if t < width {
+				return k
+			}
+		}
+		return -1
+	default:
+		// (t + step·k) mod p < width ⇔ (step·k) mod p ∈ [p−t, p−t+width−1],
+		// a range inside [1, p−1] because width ≤ t < p.
+		k = minMulIn(step, p, p-t, p-t+width-1, limit)
+	}
+	if k > limit {
+		return -1
+	}
+	return k
+}
+
+// minMulIn returns the least x ≥ 0 with lo ≤ (a·x) mod m ≤ hi, or -1 when
+// there is none or it exceeds limit; 0 ≤ a < m and 0 < lo ≤ hi < m. It is
+// Euclid's recursion: when no multiple of a lands in [lo, hi], a·x = m·y +
+// s with s ∈ [lo, hi] needs (m·y) mod a in the mirrored range, a smaller
+// instance over (m mod a, a), and the least such y gives the least x.
+func minMulIn(a, m, lo, hi, limit int64) int64 {
+	if a == 0 {
+		return -1
+	}
+	x := (lo + a - 1) / a
+	if x > limit {
+		return -1 // every solution is at least x
+	}
+	if a*x <= hi {
+		return x
+	}
+	y := minMulIn(m%a, a, a-hi%a, a-lo%a, math.MaxInt64)
+	if y < 0 {
+		return -1
+	}
+	return (lo + m*y + a - 1) / a
+}
+
+// floorMod returns the residue of x mod p in [0, p).
+func floorMod(x, p int64) int64 {
+	r := x % p
+	if r < 0 {
+		r += p
+	}
+	return r
+}
+
+// floorDiv returns ⌊x/d⌋ for d > 0.
+func floorDiv(x, d int64) int64 {
+	q := x / d
+	if x%d != 0 && x < 0 {
+		q--
+	}
+	return q
+}
+
+// ceilDiv returns ⌈x/d⌉ for d > 0.
+func ceilDiv(x, d int64) int64 { return -floorDiv(-x, d) }

@@ -64,10 +64,14 @@ func TestExecuteAddrMatchesExecute(t *testing.T) {
 }
 
 // TestWalkerMatchesVisitBetween: for random access-time pairs, the
-// prepared Walker must visit exactly the accesses (and addresses) the
-// generic interval walkers visit, in both directions.
+// prepared Walker must visit exactly the in-window accesses (addresses and
+// positions) the generic interval walkers produce, in both directions,
+// unfiltered and under line-wide windows of power-of-two and other
+// periods.
 func TestWalkerMatchesVisitBetween(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	wins := []Window{allAccesses, {Period: 64, Lo: 32, Width: 32}, {Period: 96, Lo: 64, Width: 32},
+		{Period: 72, Lo: -24, Width: 24}, {Period: 8, Lo: 0, Width: 8}}
 	for name, np := range map[string]*ir.NProgram{"twoNests": twoNests(5), "guarded": guardedNest(4)} {
 		acc := collect(np)
 		times := make([]Time, len(acc))
@@ -75,67 +79,40 @@ func TestWalkerMatchesVisitBetween(t *testing.T) {
 			times[i] = Time{Label: a.ref.Stmt.Label, Idx: a.idx, Seq: a.ref.Seq}
 		}
 		w := NewWalker(np)
-		type rec struct {
-			ref  *ir.NRef
-			addr int64
-		}
 		for trial := 0; trial < 60; trial++ {
 			x, y := rng.Intn(len(times)), rng.Intn(len(times))
 			if x > y {
 				x, y = y, x
 			}
-			a, b := times[x], times[y]
-			var wantF, gotF, wantR, gotR []rec
-			VisitBetween(np, a, b, func(r *ir.NRef, idx []int64) bool {
-				wantF = append(wantF, rec{r, r.AddressAt(idx)})
-				return true
-			})
-			w.Between(a, b, func(r *ir.NRef, addr int64) bool {
-				gotF = append(gotF, rec{r, addr})
-				return true
-			})
-			VisitBetweenReverse(np, a, b, func(r *ir.NRef, idx []int64) bool {
-				wantR = append(wantR, rec{r, r.AddressAt(idx)})
-				return true
-			})
-			w.BetweenReverse(a, b, func(r *ir.NRef, addr int64) bool {
-				gotR = append(gotR, rec{r, addr})
-				return true
-			})
-			for _, c := range []struct {
-				dir       string
-				got, want []rec
-			}{{"forward", gotF, wantF}, {"reverse", gotR, wantR}} {
-				if len(c.got) != len(c.want) {
-					t.Fatalf("%s %s (%v..%v): walker visited %d, generic %d", name, c.dir, a, b, len(c.got), len(c.want))
-				}
-				for i := range c.want {
-					if c.got[i] != c.want[i] {
-						t.Fatalf("%s %s: access %d: got %v want %v", name, c.dir, i, c.got[i], c.want[i])
-					}
+			for _, win := range wins {
+				for _, rev := range []bool{false, true} {
+					checkWalk(t, name, np, w, times[x], times[y], win, rev, -1)
 				}
 			}
 		}
 	}
 }
 
-// TestWalkerEarlyStop: returning false stops the walk exactly there.
+// TestWalkerEarlyStop: returning false stops the walk exactly there, and
+// the walk returns the stopping access's position.
 func TestWalkerEarlyStop(t *testing.T) {
 	np := twoNests(5)
 	acc := collect(np)
 	a := Time{Label: acc[0].ref.Stmt.Label, Idx: acc[0].idx, Seq: acc[0].ref.Seq}
 	b := Time{Label: acc[len(acc)-1].ref.Stmt.Label, Idx: acc[len(acc)-1].idx, Seq: acc[len(acc)-1].ref.Seq}
 	w := NewWalker(np)
-	for _, dir := range []string{"forward", "reverse"} {
+	for _, rev := range []bool{false, true} {
 		n := 0
-		visit := func(*ir.NRef, int64) bool { n++; return n < 4 }
-		if dir == "forward" {
-			w.Between(a, b, visit)
+		var last int64
+		visit := func(_ *ir.NRef, _, pos int64) bool { n++; last = pos; return n < 4 }
+		var got int64
+		if rev {
+			got = w.BetweenReverse(a, b, allAccesses, visit)
 		} else {
-			w.BetweenReverse(a, b, visit)
+			got = w.Between(a, b, allAccesses, visit)
 		}
-		if n != 4 {
-			t.Fatalf("%s: early stop visited %d accesses, want 4", dir, n)
+		if n != 4 || got != 4 || last != 4 {
+			t.Fatalf("rev=%v: early stop visited %d accesses and returned %d (last position %d), want 4", rev, n, got, last)
 		}
 	}
 }
