@@ -14,6 +14,7 @@ import (
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
 	"cachemodel/internal/obs"
+	"cachemodel/internal/reuse"
 	"cachemodel/internal/spec"
 	"cachemodel/internal/trace"
 )
@@ -62,7 +63,10 @@ func profileFlags(fs *flag.FlagSet) (start func() error, stop func() error, acti
 	return start, stop, active
 }
 
-// benchResult is one row of BENCH_solvers.json.
+// benchResult is one row of BENCH_solvers.json. A solver or simulator row
+// times a whole solve over its points; a layer row (reuse_generate) times
+// one pipeline layer and carries that layer's own count instead of the
+// point fields.
 type benchResult struct {
 	Name string `json:"name"`
 	// Workers is the effective worker count this row ran with — 1 for the
@@ -70,12 +74,14 @@ type benchResult struct {
 	// row is interpretable without reconstructing it from the row name.
 	Workers     int     `json:"workers"`
 	Ns          int64   `json:"ns"`
-	Points      int64   `json:"points"`
-	NsPerPoint  float64 `json:"ns_per_point"`
-	PointsPerS  float64 `json:"points_per_sec"`
-	Speedup     float64 `json:"speedup_vs_seq"`
-	MissRatio   float64 `json:"miss_ratio_pct"`
+	Points      int64   `json:"points,omitempty"`
+	NsPerPoint  float64 `json:"ns_per_point,omitempty"`
+	PointsPerS  float64 `json:"points_per_sec,omitempty"`
+	Speedup     float64 `json:"speedup_vs_seq,omitempty"`
+	MissRatio   float64 `json:"miss_ratio_pct,omitempty"`
 	ExactMisses int64   `json:"exact_misses,omitempty"`
+	// Vectors is the number of reuse vectors reuse_generate produced.
+	Vectors int64 `json:"vectors,omitempty"`
 	// SymbolicPct is the fraction (in percent) of classified points the
 	// symbolic fast path resolved without enumerating them; present only
 	// on rows that ran with the fast path enabled.
@@ -261,6 +267,25 @@ func cmdBench(args []string) error {
 	rep := benchReport{Program: p.Name, Size: *pf.size, Iters: *pf.iters, Cache: cfg.String(),
 		GoMaxProcs: runtime.GOMAXPROCS(0), Workers: *workers, Repeat: *repeat}
 
+	// Layer row: reuse vector generation, the set-up every solver row
+	// below repeats inside cme.New. It runs one uniformly generated set
+	// per worker, up to GOMAXPROCS.
+	var genDur time.Duration
+	var genVectors int64
+	for i := 0; i < *repeat; i++ {
+		t0 := time.Now()
+		vecs := reuse.Generate(np, cfg, reuse.Options{})
+		if d := time.Since(t0); i == 0 || d < genDur {
+			genDur = d
+		}
+		genVectors = 0
+		for _, vs := range vecs {
+			genVectors += int64(len(vs))
+		}
+	}
+	rep.Results = append(rep.Results, benchResult{Name: "reuse_generate", Workers: runtime.GOMAXPROCS(0),
+		Ns: genDur.Nanoseconds(), Vectors: genVectors})
+
 	solve := func(a *cme.Analyzer) *cme.Report {
 		r, _ := a.FindMissesCtx(ctx, budget.Budget{}) // unlimited: never errors
 		return r
@@ -364,6 +389,15 @@ func cmdBench(args []string) error {
 	}
 
 	if *check {
+		// The timed generation is the one the solvers classify with.
+		var used int64
+		a := newAnalyzer(1, false, false)
+		for _, r := range np.Refs {
+			used += int64(len(a.Vectors(r)))
+		}
+		if used != genVectors {
+			return fmt.Errorf("bench -check: reuse_generate produced %d vectors, the solvers used %d", genVectors, used)
+		}
 		if err := sameCounts("bench -check: findmisses_memo", seqRep, memoRep); err != nil {
 			return err
 		}

@@ -651,6 +651,10 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 	for _, r := range p.np.Refs {
 		totVol += p.spaces[r.Stmt].Volume()
 	}
+	// Only an armed limit or hook needs a per-point probe. A solve whose
+	// only trigger is a cancellable context runs probe-free, so it counts
+	// symbolically; runTile polls ctx itself.
+	limited := m.Armed()
 	target := int64(tileFactor * workers)
 	var items []*tileItem
 	for _, g := range order {
@@ -669,10 +673,14 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 			// Keep the reference's best replication dimension contiguous so
 			// tiling does not truncate symbolic runs. The choice derives
 			// from the symbolic info regardless of NoSymbolic, so both
-			// modes tile identically.
+			// modes tile identically. A probed solve enumerates every
+			// point in either mode, so it tiles without the symbolic info
+			// and never builds it.
 			avoid := -1
-			if sym := g.ls.sym[r]; sym != nil {
-				avoid = sym.avoid
+			if !limited {
+				if sym := p.symInfo(g.ls)[r]; sym != nil {
+					avoid = sym.avoid
+				}
 			}
 			for _, t := range p.spaces[r.Stmt].TilesAvoiding(n, avoid) {
 				items = append(items, &tileItem{g: g, ri: ri, tile: t,
@@ -694,10 +702,6 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 	}
 	close(queue)
 
-	// Only an armed limit or hook needs a per-point probe. A solve whose
-	// only trigger is a cancellable context runs probe-free, so it counts
-	// symbolically; runTile polls ctx itself.
-	limited := m.Armed()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var canceled bool

@@ -101,24 +101,25 @@ func programTraits(np *ir.NProgram) *depthTraits {
 }
 
 // memoTable derives the per-vector memoization eligibility for a program
-// and its reuse vectors. The masks depend only on the program structure
-// (bounds, guards, address coefficients — not array bases) and on the
-// vectors themselves, so one table serves every cache geometry and every
-// inter-array layout that shares the vectors' line size.
-func memoTable(np *ir.NProgram, vecs map[*ir.NRef][]*reuse.Vector) map[*reuse.Vector]memoInfo {
-	out := map[*reuse.Vector]memoInfo{}
-	n := np.Depth
-	if n == 0 || n > 64 {
-		return out
+// and its reuse vectors: per reference, one memoInfo per vector, parallel
+// to the reference's vector list. The masks depend only on the program
+// structure (bounds, guards, address coefficients — not array bases) and
+// on the vectors themselves, so one table serves every cache geometry and
+// every inter-array layout that shares the vectors' line size.
+func memoTable(np *ir.NProgram, vecs map[*ir.NRef][]*reuse.Vector) map[*ir.NRef][]memoInfo {
+	out := make(map[*ir.NRef][]memoInfo, len(vecs))
+	var t *depthTraits
+	if n := np.Depth; n > 0 && n <= 64 {
+		t = programTraits(np)
 	}
-	t := programTraits(np)
-	for _, vs := range vecs {
-		for _, v := range vs {
-			if _, done := out[v]; done {
-				continue
+	for r, vs := range vecs {
+		infos := make([]memoInfo, len(vs)) // zero masks: never memoized
+		if t != nil {
+			for i, v := range vs {
+				infos[i] = vectorMemoInfo(v, t.rect, t.zero, t.shared)
 			}
-			out[v] = vectorMemoInfo(v, t.rect, t.zero, t.shared)
 		}
+		out[r] = infos
 	}
 	return out
 }

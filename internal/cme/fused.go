@@ -3,13 +3,13 @@ package cme
 import (
 	"context"
 	"math/bits"
+	"slices"
 
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/poly"
-	"cachemodel/internal/reuse"
 	"cachemodel/internal/trace"
 )
 
@@ -59,9 +59,11 @@ type fusedClassifier struct {
 	// lineShift strength-reduces addr/lineBytes to a shift for the
 	// (ubiquitous) power-of-two line sizes; -1 keeps the division.
 	lineShift int
-	// ri is the reference of the last tile run (-1 before the first); the
-	// states' memos hold only its vectors' verdicts.
-	ri int
+	// ref is the reference of the last classified point (nil before the
+	// first); the states' memos hold only its vectors' verdicts, and
+	// infos is its memo table row.
+	ref   *ir.NRef
+	infos []memoInfo
 
 	// Local metric accumulators (flushed at release, never per point).
 	hCands    *obs.LocalHistogram // candidates per fused traversal
@@ -81,9 +83,11 @@ type fcState struct {
 	wayBytes int64
 	assoc    int
 	scratch  *walkScratch
-	// memo carries each vector's arena plus its hit-rate-gate state (see
-	// vecMemo and memoDisableAfter); nil under Options.NoMemo.
-	memo map[*reuse.Vector]*vecMemo
+	// memo carries, per position in the current reference's vector list,
+	// the vector's arena plus its hit-rate-gate state (see vecMemo and
+	// memoDisableAfter); nil under Options.NoMemo and on an attributing
+	// classifier, non-nil (possibly empty) otherwise.
+	memo []*vecMemo
 
 	walkDone bool
 	evicted  bool
@@ -109,7 +113,7 @@ type fcWalkEntry struct {
 
 func newFusedClassifier(g *fuseGroup, w *trace.Walker, p *Prepared) *fusedClassifier {
 	fc := &fusedClassifier{p: p, g: g, w: w, paperLRU: p.opt.PaperLRU,
-		states: make([]*fcState, len(g.cands)), lineShift: -1, ri: -1,
+		states: make([]*fcState, len(g.cands)), lineShift: -1,
 		hCands: mFusedCandidates.NewLocal()}
 	fc.visit = fc.visitAccess
 	if g.lineBytes&(g.lineBytes-1) == 0 {
@@ -120,7 +124,7 @@ func newFusedClassifier(g *fuseGroup, w *trace.Walker, p *Prepared) *fusedClassi
 		st := &fcState{numSets: a.numSets, setMask: a.setMask, wayBytes: a.wayBytes,
 			assoc: a.cfg.Assoc, scratch: newWalkScratch(a.cfg.Assoc)}
 		if !a.opt.NoMemo {
-			st.memo = map[*reuse.Vector]*vecMemo{}
+			st.memo = []*vecMemo{}
 		}
 		fc.states[i] = st
 	}
@@ -176,16 +180,6 @@ func (fc *fusedClassifier) classify(r *ir.NRef, idx []int64) (Outcome, int64) {
 // point (cold = 0).
 func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, active []int, parts []RefReport, p *budget.Probe) error {
 	r := fc.p.np.Refs[ri]
-	if ri != fc.ri {
-		// Tiles reach a classifier in reference-major order, and memo
-		// arenas are per reuse vector, i.e. per consuming reference: the
-		// previous reference's verdicts can never hit again, so free them
-		// rather than hold every reference's arena to the end of the solve.
-		for _, s := range fc.states {
-			clear(s.memo)
-		}
-		fc.ri = ri
-	}
 	fc.act = fc.act[:0]
 	for _, pos := range active {
 		fc.act = append(fc.act, fc.states[pos])
@@ -195,7 +189,7 @@ func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, act
 	// enumeration defines and parity holds by construction; cancellation
 	// alone is polled at the same cadence either way.
 	if p == nil && !fc.p.opt.NoSymbolic {
-		if sym := fc.g.ls.sym[r]; sym.usable() {
+		if sym := fc.p.symInfo(fc.g.ls)[r]; sym.usable() {
 			fc.runTileSym(ctx, r, sym, t, parts)
 			return nil
 		}
@@ -231,6 +225,22 @@ func (s *fcState) arm() {
 	s.walkDone, s.evicted, s.scanned, s.key, s.vm = false, false, 0, "", nil
 }
 
+// enterRef points the states' memos at reference r's vector list. Tiles
+// and samples reach a classifier in reference-major order, and memo arenas
+// are per reuse vector, i.e. per consuming reference: the previous
+// reference's verdicts can never hit again, so free them rather than hold
+// every reference's arena to the end of the solve.
+func (fc *fusedClassifier) enterRef(r *ir.NRef) {
+	n := len(fc.g.ls.vecs[r])
+	for _, s := range fc.states {
+		if s.memo != nil {
+			s.memo = slices.Grow(s.memo[:0], n)[:n]
+			clear(s.memo)
+		}
+	}
+	fc.ref, fc.infos = r, fc.g.ls.memo[r]
+}
+
 // classifyFused classifies one access for all active candidates at once
 // (§4.2): the cold equation, then the replacement equation, along the
 // reference's reuse vectors in order, then any non-uniform reuse. It
@@ -247,8 +257,11 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 		line = cache.LineOf(addr, g.lineBytes)
 	}
 	consumer := trace.Time{Label: r.Stmt.Label, Idx: idx, Seq: r.Seq}
+	if r != fc.ref {
+		fc.enterRef(r)
+	}
 
-	for _, v := range g.ls.vecs[r] {
+	for vi, v := range g.ls.vecs[r] {
 		plabel, pidx := v.ProducerPointBuf(idx, &fc.lbuf, &fc.pbuf)
 		// Cold equation — shared across the group: the producer access
 		// must exist and touch the same memory line.
@@ -265,15 +278,15 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 			continue
 		}
 		producer := trace.Time{Label: plabel, Idx: pidx, Seq: v.Producer.Seq}
-		info := g.ls.memo[v]
+		info := fc.infos[vi]
 		fc.pend = fc.pend[:0]
 		for _, s := range fc.act {
 			s.arm()
 			if s.memo != nil && info.invMask != 0 {
-				vm := s.memo[v]
+				vm := s.memo[vi]
 				if vm == nil {
 					vm = &vecMemo{entries: map[string]memoEntry{}}
-					s.memo[v] = vm
+					s.memo[vi] = vm
 				}
 				if !vm.off {
 					key := s.scratch.memoKey(info, idx, addr, s.wayBytes)

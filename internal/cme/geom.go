@@ -107,7 +107,7 @@ func (p *Prepared) planClass(lineBytes int64, members []*batchCand) *geomClass {
 		cleared:  map[*batchCand][]bool{},
 		pureCold: make([]bool, len(p.np.Refs)),
 	}
-	sym := p.lineState(lineBytes).sym
+	sym := p.symInfo(p.lineState(lineBytes))
 	anyPureCold := false
 	for ri, r := range p.np.Refs {
 		if s := sym[r]; s != nil && s.allCold && p.spaces[r.Stmt].Volume() > 0 {

@@ -48,9 +48,12 @@ type Prepared struct {
 
 // lineShared is the per-line-size slice of the geometry-invariant state.
 type lineShared struct {
-	vecs map[*ir.NRef][]*reuse.Vector
-	memo map[*reuse.Vector]memoInfo
-	sym  map[*ir.NRef]*refSym
+	lineBytes int64
+	vecs      map[*ir.NRef][]*reuse.Vector
+	memo      map[*ir.NRef][]memoInfo // per reference, parallel to vecs[r]
+
+	symOnce sync.Once
+	sym     map[*ir.NRef]*refSym // built on first use by Prepared.symInfo
 }
 
 // Prepare builds the geometry-invariant stage once. The program must be
@@ -79,8 +82,8 @@ func Prepare(np *ir.NProgram, opt Options) (*Prepared, error) {
 	return p, nil
 }
 
-// lineState returns (building on first use) the reuse vectors, memo table
-// and symbolic-region eligibility for one line size.
+// lineState returns (building on first use) the reuse vectors and memo
+// table for one line size; symInfo adds the symbolic-region eligibility.
 func (p *Prepared) lineState(lineBytes int64) *lineShared {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -97,13 +100,23 @@ func (p *Prepared) lineState(lineBytes int64) *lineShared {
 	return ls
 }
 
-// newLineShared derives the memo table and the symbolic-region
-// eligibility of one line size's reuse vectors; both read the same
-// geometry-invariant inputs, so they share the per-line cache.
+// newLineShared derives the memo table of one line size's reuse vectors.
+// The symbolic-region eligibility, which reads the same inputs, is built
+// on first use (symInfo).
 func (p *Prepared) newLineShared(lineBytes int64, vecs map[*ir.NRef][]*reuse.Vector) *lineShared {
-	ls := &lineShared{vecs: vecs, memo: memoTable(p.np, vecs)}
-	ls.sym = buildSymInfo(p.np, p.spaces, vecs, ls.memo, p.dyn, lineBytes)
-	return ls
+	return &lineShared{lineBytes: lineBytes, vecs: vecs, memo: memoTable(p.np, vecs)}
+}
+
+// symInfo returns the symbolic-region eligibility of one line size's
+// references, building it on first use. Only exact solves that may count
+// symbolically read it — the symbolic fast path, the batch tiler of an
+// unprobed solve and geometry planning — so sampled and probed solves
+// never pay for it.
+func (p *Prepared) symInfo(ls *lineShared) map[*ir.NRef]*refSym {
+	ls.symOnce.Do(func() {
+		ls.sym = buildSymInfo(p.np, p.spaces, ls.vecs, ls.memo, p.dyn, ls.lineBytes)
+	})
+	return ls.sym
 }
 
 // Analyzer stamps a geometry-dependent view of the Prepared program for

@@ -151,7 +151,7 @@ func producerSystem(v *reuse.Vector, depth int) ([]ir.NConstraint, bool) {
 // table, one table serves every capacity, associativity and layout that
 // shares the line size.
 func buildSymInfo(np *ir.NProgram, spaces map[*ir.NStmt]*poly.Space,
-	vecs map[*ir.NRef][]*reuse.Vector, memo map[*reuse.Vector]memoInfo,
+	vecs map[*ir.NRef][]*reuse.Vector, memo map[*ir.NRef][]memoInfo,
 	dyn map[*ir.NRef][]*reuse.DynamicPair, lineBytes int64) map[*ir.NRef]*refSym {
 
 	out := make(map[*ir.NRef]*refSym, len(np.Refs))
@@ -168,7 +168,7 @@ func buildSymInfo(np *ir.NProgram, spaces map[*ir.NStmt]*poly.Space,
 		}
 		sp := spaces[r.Stmt]
 		n := sp.Depth
-		vs := vecs[r]
+		vs, infos := vecs[r], memo[r]
 		rs.dims = make([]*dimSym, n)
 
 		// Empty replacement polytope: every vector's producer-existence
@@ -199,8 +199,8 @@ func buildSymInfo(np *ir.NProgram, spaces map[*ir.NStmt]*poly.Space,
 			}
 			ds := &dimSym{period: period, ivs: make([]ivSpec, 0, len(vs))}
 			ok := len(vs) > 0
-			for _, v := range vs {
-				if memo[v].invMask&(1<<k) == 0 {
+			for i, v := range vs {
+				if infos[i].invMask&(1<<k) == 0 {
 					ok = false
 					break
 				}

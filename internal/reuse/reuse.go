@@ -16,10 +16,11 @@
 package reuse
 
 import (
-	"fmt"
+	"cmp"
+	"encoding/binary"
 	"runtime"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -67,15 +68,15 @@ func (v *Vector) Interleaved() []int64 {
 }
 
 // Compare orders vectors by the interleaved lexicographic order; ascending
-// order is most-recent-producer-first.
+// order is most-recent-producer-first. It reads the label and index parts
+// in place, in interleaved order.
 func Compare(a, b *Vector) int {
-	ia, ib := a.Interleaved(), b.Interleaved()
-	for k := range ia {
-		if ia[k] != ib[k] {
-			if ia[k] < ib[k] {
-				return -1
-			}
-			return 1
+	for k := range a.LabelDiff {
+		if c := cmp.Compare(a.LabelDiff[k], b.LabelDiff[k]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.IdxDiff[k], b.IdxDiff[k]); c != 0 {
+			return c
 		}
 	}
 	return 0
@@ -84,12 +85,31 @@ func Compare(a, b *Vector) int {
 // nonNegative reports whether the interleaved vector is ⪰ 0; for the zero
 // vector the producer must precede the consumer textually.
 func (v *Vector) nonNegative() bool {
-	for _, x := range v.Interleaved() {
-		if x != 0 {
+	return nonNegative(v.LabelDiff, v.IdxDiff, v.Producer.Seq, v.Consumer.Seq)
+}
+
+// nonNegative is Vector.nonNegative over the vector's parts, so a
+// candidate is tested before a Vector is built for it.
+func nonNegative(labelDiff []int, idxDiff []int64, pseq, cseq int) bool {
+	for k, l := range labelDiff {
+		if l != 0 {
+			return l > 0
+		}
+		if x := idxDiff[k]; x != 0 {
 			return x > 0
 		}
 	}
-	return v.Producer.Seq < v.Consumer.Seq
+	return pseq < cseq
+}
+
+// listOrder is the order of a reference's vector list: interleaved order,
+// and at equal displacement the textually later (more recent) producer
+// first.
+func listOrder(a, b *Vector) int {
+	if c := Compare(a, b); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Producer.Seq, a.Producer.Seq)
 }
 
 // ProducerPoint maps a consumer iteration to the producer iteration the
@@ -130,18 +150,27 @@ func (v *Vector) ProducerPointBuf(idx []int64, lbuf *[]int, pbuf *[]int64) (labe
 }
 
 func (v *Vector) String() string {
-	parts := make([]string, 0, 2*len(v.LabelDiff))
-	for _, x := range v.Interleaved() {
-		parts = append(parts, fmt.Sprintf("%d", x))
-	}
-	kind := "T"
+	kind := byte('T')
 	if v.Spatial {
-		kind = "S"
+		kind = 'S'
 	}
 	if v.Cross {
-		kind = "X"
+		kind = 'X'
 	}
-	return fmt.Sprintf("%s(%s) %s<-%s", kind, strings.Join(parts, ","), v.Consumer.ID, v.Producer.ID)
+	b := append(make([]byte, 0, 64), kind, '(')
+	for k := range v.LabelDiff {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v.LabelDiff[k]), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, v.IdxDiff[k], 10)
+	}
+	b = append(b, ") "...)
+	b = append(b, v.Consumer.ID...)
+	b = append(b, "<-"...)
+	b = append(b, v.Producer.ID...)
+	return string(b)
 }
 
 // Options tunes candidate generation.
@@ -186,26 +215,17 @@ func Generate(np *ir.NProgram, cfg cache.Config, opt Options) map[*ir.NRef][]*Ve
 	// candidate sets depend only on (M, offset difference), which repeats
 	// heavily inside large sets such as Applu's 5×5 unrolled blocks).
 	genSet := func(set *UniformSet) map[*ir.NRef][]*Vector {
-		g := &generator{np: np, cfg: cfg, opt: opt, memo: map[string][][]int64{}}
+		g := newGenerator(np, cfg, opt, set)
 		part := make(map[*ir.NRef][]*Vector, len(set.Refs))
-		for _, rc := range set.Refs {
-			var vecs []*Vector
-			for _, rp := range set.Refs {
+		for ci, rc := range set.Refs {
+			g.acc = g.acc[:0]
+			for pi, rp := range set.Refs {
 				if opt.NoGroup && rp != rc {
 					continue
 				}
-				vecs = append(vecs, g.pair(rp, rc)...)
+				g.pair(rp, rc, g.offs[pi], g.offs[ci])
 			}
-			vecs = dedupe(vecs)
-			sort.Slice(vecs, func(i, j int) bool {
-				if c := Compare(vecs[i], vecs[j]); c != 0 {
-					return c < 0
-				}
-				// Equal displacement: prefer the textually later (more
-				// recent) producer.
-				return vecs[i].Producer.Seq > vecs[j].Producer.Seq
-			})
-			part[rc] = vecs
+			part[rc] = g.list()
 		}
 		return part
 	}
@@ -262,12 +282,13 @@ type UniformSet struct {
 func UniformSets(np *ir.NProgram) []*UniformSet {
 	var sets []*UniformSet
 	byKey := map[string]*UniformSet{}
+	var key []byte
 	for _, r := range np.Refs {
-		key := uniformKey(np.Depth, r)
-		s := byKey[key]
+		key = uniformKey(key[:0], np.Depth, r)
+		s := byKey[string(key)]
 		if s == nil {
 			s = &UniformSet{Array: r.Array}
-			byKey[key] = s
+			byKey[string(key)] = s
 			sets = append(sets, s)
 		}
 		s.Refs = append(s.Refs, r)
@@ -275,136 +296,188 @@ func UniformSets(np *ir.NProgram) []*UniformSet {
 	return sets
 }
 
-func uniformKey(n int, r *ir.NRef) string {
-	m, _ := r.AccessMatrix(n)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|", r.Array.Name)
-	for _, row := range m {
-		for _, c := range row {
-			fmt.Fprintf(&b, "%d,", c)
+// uniformKey appends the binary set key of r to buf: the array name and
+// every row of the access matrix over depth n.
+func uniformKey(buf []byte, n int, r *ir.NRef) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(r.Array.Name)))
+	buf = append(buf, r.Array.Name...)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Subs)))
+	for _, sub := range r.Subs {
+		for k := 1; k <= n; k++ {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(sub.At(k)))
 		}
-		b.WriteByte(';')
 	}
-	return b.String()
+	return buf
 }
 
+// generator derives the vectors of one uniformly generated set. Every
+// reference of the set shares the access matrix M, so M and its derived
+// systems are built once per set, and each reference's offset vector once.
 type generator struct {
 	np   *ir.NProgram
 	cfg  cache.Config
 	opt  Options
+	m    *linalg.Mat // the set's access matrix
+	rank int         // rows of m
+	offs [][]int64   // offset vector of each of the set's references
+	// memo maps a binary displacement key to its candidate vectors.
 	memo map[string][][]int64
+
+	// Scratch reused across pairs and consumers.
+	key  []byte
+	bT   []int64
+	b    []int64
+	ld   []int
+	acc  []Vector  // accepted vectors of the consumer in progress
+	ptrs []*Vector // acc in list order
 }
 
-// memoised runs gen once per key and caches the produced displacement
-// vectors.
-func (g *generator) memoised(key string, gen func(yield func([]int64))) [][]int64 {
-	if got, ok := g.memo[key]; ok {
-		return got
+func newGenerator(np *ir.NProgram, cfg cache.Config, opt Options, set *UniformSet) *generator {
+	n := np.Depth
+	rows, _ := set.Refs[0].AccessMatrix(n)
+	g := &generator{np: np, cfg: cfg, opt: opt, m: linalg.IntMat(rows...), rank: len(rows),
+		offs: make([][]int64, len(set.Refs)), memo: map[string][][]int64{},
+		bT: make([]int64, len(rows)), b: make([]int64, len(rows)), ld: make([]int, n)}
+	for i, r := range set.Refs {
+		_, g.offs[i] = r.AccessMatrix(n)
 	}
+	return g
+}
+
+// lookup returns the memoised candidates of the system tagged tag with
+// right-hand side b, and whether they were present. A hit allocates
+// nothing.
+func (g *generator) lookup(tag byte, b []int64) ([][]int64, bool) {
+	g.key = append(g.key[:0], tag)
+	for _, x := range b {
+		g.key = binary.LittleEndian.AppendUint64(g.key, uint64(x))
+	}
+	got, ok := g.memo[string(g.key)]
+	return got, ok
+}
+
+// store memoises the candidates yielded by gen under the key of the last
+// lookup.
+func (g *generator) store(gen func(yield func([]int64))) [][]int64 {
 	var out [][]int64
 	gen(func(r []int64) { out = append(out, append([]int64(nil), r...)) })
-	g.memo[key] = out
+	g.memo[string(g.key)] = out
 	return out
 }
 
-func intsKey(prefix string, xs ...int64) string {
-	var b strings.Builder
-	b.WriteString(prefix)
-	for _, x := range xs {
-		fmt.Fprintf(&b, ",%d", x)
+// solutions returns the candidates of M·r = b, the enumerated integral
+// solutions around a particular one. Temporal and cross-column vectors
+// solve the same system, so they share its memo entries.
+func (g *generator) solutions(b []int64) [][]int64 {
+	if got, ok := g.lookup('M', b); ok {
+		return got
 	}
-	return b.String()
-}
-
-// pair generates all candidate vectors from producer rp to consumer rc.
-func (g *generator) pair(rp, rc *ir.NRef) []*Vector {
-	n := g.np.Depth
-	mRows, mp := rp.AccessMatrix(n)
-	_, mc := rc.AccessMatrix(n)
-	rank := len(mRows)
-	M := linalg.IntMat(mRows...)
-
-	labelDiff := make([]int, n)
-	for k := 0; k < n; k++ {
-		labelDiff[k] = rc.Stmt.Label[k] - rp.Stmt.Label[k]
-	}
-
-	var out []*Vector
-	add := func(idx []int64, spatial, cross bool) {
-		if len(out) >= g.opt.MaxPerPair {
-			return
-		}
-		v := &Vector{Producer: rp, Consumer: rc, LabelDiff: labelDiff, IdxDiff: idx, Spatial: spatial, Cross: cross}
-		if v.nonNegative() {
-			out = append(out, v)
-		}
-	}
-
-	// Temporal: M·r = mp − mc   (equation (1)).
-	bT := make([]int64, rank)
-	for d := 0; d < rank; d++ {
-		bT[d] = mp[d] - mc[d]
-	}
-	for _, r := range g.memoised(intsKey("T", bT...), func(yield func([]int64)) {
-		if sol, ok := linalg.Solve(M, linalg.IntVec(bT...)); ok {
+	return g.store(func(yield func([]int64)) {
+		if sol, ok := linalg.Solve(g.m, linalg.IntVec(b...)); ok {
 			if p, ok := linalg.IntegralParticular(sol); ok {
 				g.enumerate(p, sol.Nullspace, yield)
 			}
 		}
-	}) {
+	})
+}
+
+// pair appends to g.acc every candidate vector from producer rp (offset
+// vector mp) to consumer rc (offset vector mc) that is ⪰ 0, at most
+// MaxPerPair of them.
+func (g *generator) pair(rp, rc *ir.NRef, mp, mc []int64) {
+	n := g.np.Depth
+	for k := 0; k < n; k++ {
+		g.ld[k] = rc.Stmt.Label[k] - rp.Stmt.Label[k]
+	}
+	var labelDiff []int // the pair's shared copy of g.ld, made on first use
+	accepted := 0
+	add := func(idx []int64, spatial, cross bool) {
+		if accepted >= g.opt.MaxPerPair || !nonNegative(g.ld, idx, rp.Seq, rc.Seq) {
+			return
+		}
+		if labelDiff == nil {
+			labelDiff = append([]int(nil), g.ld...)
+		}
+		g.acc = append(g.acc, Vector{Producer: rp, Consumer: rc, LabelDiff: labelDiff, IdxDiff: idx, Spatial: spatial, Cross: cross})
+		accepted++
+	}
+
+	// Temporal: M·r = mp − mc   (equation (1)).
+	bT := g.bT
+	for d := 0; d < g.rank; d++ {
+		bT[d] = mp[d] - mc[d]
+	}
+	for _, r := range g.solutions(bT) {
 		add(r, false, false)
 	}
 	if g.opt.NoSpatial {
-		return out
+		return
 	}
 
 	lineElems := g.cfg.LineElems(rp.Array.ElemSize)
-	if lineElems > 1 && rank >= 1 {
+	if lineElems > 1 && g.rank >= 1 {
 		// Spatial within a column: M'·r = m'p − m'c with the first-subscript
-		// displacement within a line (equation (2)).
-		Mp := M
-		var bS []int64
-		if rank > 1 {
-			Mp = M.DropRow(0)
-			bS = bT[1:]
-		} else {
-			Mp = linalg.NewMat(0, n)
-			bS = nil
-		}
-		for _, r := range g.memoised(intsKey("S", append(append([]int64(nil), bS...), mp[0]-mc[0])...), func(yield func([]int64)) {
-			if sol, ok := linalg.Solve(Mp, linalg.IntVec(bS...)); ok {
-				if p, ok := linalg.IntegralParticular(sol); ok {
-					m1 := M.Row(0)
-					g.enumerateSpatial(p, sol.Nullspace, m1, mp[0]-mc[0], lineElems, yield)
+		// displacement within a line (equation (2)). The memo key is the
+		// whole of bT: bT[1:] is the system, bT[0] the line offset.
+		spatial, ok := g.lookup('S', bT)
+		if !ok {
+			spatial = g.store(func(yield func([]int64)) {
+				Mp := linalg.NewMat(0, n)
+				if g.rank > 1 {
+					Mp = g.m.DropRow(0)
 				}
-			}
-		}) {
+				if sol, ok := linalg.Solve(Mp, linalg.IntVec(bT[1:]...)); ok {
+					if p, ok := linalg.IntegralParticular(sol); ok {
+						g.enumerateSpatial(p, sol.Nullspace, g.m.Row(0), bT[0], lineElems, yield)
+					}
+				}
+			})
+		}
+		for _, r := range spatial {
 			add(r, true, false)
 		}
 		// Spatial across adjacent columns (second kind, Fig. 3): the last
 		// element(s) of column c and the first of column c+1 share a line.
 		// Target subscript displacement (consumer − producer):
 		// Δ = (1 − d1 + e, 1, 0, ..., 0) and its mirror, e ∈ 0..L_s−2.
-		if !g.opt.NoCrossColumn && rank >= 2 && rp.Array.Dims[0] > 0 {
+		if !g.opt.NoCrossColumn && g.rank >= 2 && rp.Array.Dims[0] > 0 {
 			d1 := rp.Array.Dims[0]
 			for e := int64(0); e < lineElems-1; e++ {
-				for _, sign := range []int64{1, -1} {
-					b := make([]int64, rank)
+				for _, sign := range [2]int64{1, -1} {
+					b := g.b
 					copy(b, bT)
 					b[0] += sign * (1 - d1 + e)
 					b[1] += sign
-					for _, r := range g.memoised(intsKey("X", b...), func(yield func([]int64)) {
-						if sol, ok := linalg.Solve(M, linalg.IntVec(b...)); ok {
-							if p, ok := linalg.IntegralParticular(sol); ok {
-								g.enumerate(p, sol.Nullspace, yield)
-							}
-						}
-					}) {
+					for _, r := range g.solutions(b) {
 						add(r, true, true)
 					}
 				}
 			}
 		}
+	}
+}
+
+// list returns the consumer's accepted vectors in list order, each
+// (producer, displacement) once: a stable sort keeps the first-generated
+// of equal vectors, and one adjacent pass drops the rest. The vectors are
+// copied into one exactly sized backing array.
+func (g *generator) list() []*Vector {
+	if len(g.acc) == 0 {
+		return nil
+	}
+	g.ptrs = g.ptrs[:0]
+	for i := range g.acc {
+		g.ptrs = append(g.ptrs, &g.acc[i])
+	}
+	slices.SortStableFunc(g.ptrs, listOrder)
+	g.ptrs = slices.CompactFunc(g.ptrs, func(a, b *Vector) bool {
+		return a.Producer == b.Producer && Compare(a, b) == 0
+	})
+	backing := make([]Vector, len(g.ptrs))
+	out := make([]*Vector, len(g.ptrs))
+	for i, v := range g.ptrs {
+		backing[i] = *v
+		out[i] = &backing[i]
 	}
 	return out
 }
@@ -470,18 +543,4 @@ func (g *generator) enumerateSpatial(p linalg.Vec, kernel []linalg.Vec, m1 linal
 		}
 	}
 	rec(p, 0)
-}
-
-func dedupe(vecs []*Vector) []*Vector {
-	seen := map[string]bool{}
-	out := vecs[:0]
-	for _, v := range vecs {
-		key := fmt.Sprintf("%p|%v", v.Producer, v.Interleaved())
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, v)
-	}
-	return out
 }
