@@ -18,32 +18,33 @@ import (
 )
 
 // sweepLadder is `sweep` with a problem-size ladder: "how does the miss
-// ratio scale with the problem size?" for every geometry of the grid. Each
-// geometry fits the program family's per-reference counts as polynomials
-// of N per residue class and answers each ladder size by one |RIS| count
-// per reference plus evaluation, with per-size fall-through for sizes the
-// closed form cannot cover. Rows come in grid order, then ladder order.
+// ratio scale with the problem size?" for every geometry of the grid, as
+// one cme.SolveSurface. Each geometry fits the program family's
+// per-reference counts as polynomials of N per residue class and answers
+// each ladder size by one |RIS| count per reference plus evaluation, with
+// per-size fall-through for sizes the closed form cannot cover; every
+// exact solve runs once per size for all the geometries that need it,
+// through rc when it is non-nil. Rows come in grid order, then ladder
+// order.
 func sweepLadder(ctx context.Context, label string, fam *spec.Family, wcs []spec.Candidate, ns []int64,
-	opt cme.Options, perRef bool) (*sweepReport, []obs.CandidateProvenance, error) {
+	opt cme.Options, rc *cme.ResultCache, perRef bool) (*sweepReport, []obs.CandidateProvenance, error) {
 
 	rep := &sweepReport{Program: label, Iters: fam.Iters, Exact: true,
 		Candidates: len(wcs) * len(ns), GoMaxProcs: runtime.GOMAXPROCS(0), Workers: opt.Workers}
 	var cprov []obs.CandidateProvenance
 	start := time.Now()
-	for _, g := range spec.Solvers(wcs) {
-		s, err := cme.PrepareScaling(fam.Build, g.Config, opt, cme.ScalingOptions{})
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", g.Label, err)
-		}
-		reps, err := s.SolveLadder(ctx, ns)
-		if err != nil {
-			return nil, nil, err
-		}
-		printLadder(label, g.Config, s, ns, reps)
+	geoms := spec.Solvers(wcs)
+	reps, solvers, err := cme.SolveSurface(ctx, fam.Build, geoms, ns, opt, cme.BatchOptions{Cache: rc, Workers: opt.Workers})
+	if err != nil {
+		return nil, nil, err
+	}
+	for gi, g := range geoms {
+		s, rows := solvers[gi], reps[gi*len(ns):(gi+1)*len(ns)]
+		printLadder(label, g.Config, s, ns, rows)
 		if perRef {
 			printMissPolys(s)
 		}
-		for i, r := range reps {
+		for i, r := range rows {
 			row := sweepResult{Label: spec.LadderLabel(g.Label, ns[i]), N: ns[i], CacheSize: g.Config.SizeBytes,
 				LineSize: g.Config.LineBytes, Assoc: g.Config.Assoc,
 				MissRatio: r.MissRatio(), Tier: r.Tier.String(), ClosedForm: r.Scaling.Closed()}

@@ -131,7 +131,7 @@ func cmdSweep(args []string) error {
 		switch f.Name {
 		case "from", "to", "step", "ns":
 			hasLadder = true
-		case "size", "pad-array", "pads", "geom-bench", "geom-gate", "sim", "check", "resultcache":
+		case "size", "pad-array", "pads", "geom-bench", "geom-gate", "sim", "check":
 			gridOnly = append(gridOnly, "-"+f.Name)
 		case "size-const", "refs":
 			ladderOnly = append(ladderOnly, "-"+f.Name)
@@ -163,6 +163,13 @@ func cmdSweep(args []string) error {
 	ctx, stop := signalContext()
 	defer stop()
 	ctx = or.Context(ctx)
+	var rc *cme.ResultCache
+	if *rcFile != "" {
+		rc = cme.NewResultCache(0)
+		if err := rc.Load(*rcFile); err != nil {
+			return err
+		}
+	}
 
 	if ns != nil {
 		fam, err := pf.family(*sizeConst)
@@ -173,9 +180,14 @@ func cmdSweep(args []string) error {
 		if err := pstart(); err != nil {
 			return err
 		}
-		rep, cprov, err := sweepLadder(ctx, pf.label(), fam, wcs, ns, opt, *perRef)
+		rep, cprov, err := sweepLadder(ctx, pf.label(), fam, wcs, ns, opt, rc, *perRef)
 		if perr := pstop(); err == nil {
 			err = perr
+		}
+		if err == nil && rc != nil {
+			s := rc.Stats()
+			rep.ResultCache = &s
+			err = rc.Save(*rcFile)
 		}
 		if err != nil {
 			return err
@@ -202,14 +214,6 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	var rc *cme.ResultCache
-	if *rcFile != "" {
-		rc = cme.NewResultCache(0)
-		if err := rc.Load(*rcFile); err != nil {
-			return err
-		}
-	}
-
 	if err := pstart(); err != nil {
 		return err
 	}

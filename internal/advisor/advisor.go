@@ -330,20 +330,10 @@ func searchParameterClosed(ctx context.Context, build func(param int64) *ir.Prog
 	if err != nil || !s.ClosedFormEligible() {
 		return nil, false, nil
 	}
-	// The closed form only covers sizes at or beyond the fit window, and a
-	// fit costs degree+1+verify exact solves at window-sized samples. When
-	// every requested parameter is smaller than that, the "fast path" would
-	// cover nothing (or pay far more than the direct solves it replaces):
-	// run the plain per-candidate search instead.
-	maxParam := int64(0)
-	for _, v := range params {
-		if v > maxParam {
-			maxParam = v
-		}
-	}
-	if maxParam < s.MinClosedN() {
-		return nil, false, nil
-	}
+	// The closed form only covers sizes at or beyond the fit window, and
+	// EvalClosedCtx refuses smaller ones without solving anything: when
+	// every requested parameter is that small, nothing is covered and the
+	// plain per-candidate search runs instead.
 	type cand struct {
 		v      int64
 		ratio  float64

@@ -119,6 +119,12 @@ type BatchOptions struct {
 // the batch: its report stays nil and the call returns a *BatchError
 // naming every such candidate alongside the solved reports.
 func (p *Prepared) SolveBatch(ctx context.Context, cands []Candidate, opt BatchOptions) ([]*Report, error) {
+	return p.solveBatch(ctx, nil, cands, opt)
+}
+
+// solveBatch is SolveBatch charging m, or a meter of its own armed from
+// opt.Budget when m is nil (a surface charges one meter for every size).
+func (p *Prepared) solveBatch(ctx context.Context, m *budget.Meter, cands []Candidate, opt BatchOptions) ([]*Report, error) {
 	start := time.Now()
 	col := obs.FromContext(ctx)
 	ctx, span := obs.StartSpan(ctx, "solve.batch")
@@ -151,7 +157,9 @@ func (p *Prepared) SolveBatch(ctx context.Context, cands []Candidate, opt BatchO
 		p.warmAddresses()
 	}()
 
-	m := budget.NewMeter(ctx, opt.Budget)
+	if m == nil {
+		m = budget.NewMeter(ctx, opt.Budget)
+	}
 	reports := make([]*Report, len(cands))
 	// Layout groups over the solvable candidates, in first-appearance
 	// order.
@@ -383,7 +391,10 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 // budget-interrupted references: one shared Grace re-arms the meter,
 // incomplete exact-tier refs are resampled under the fallback plan (the
 // paper's widened interval after an exact pass), and whatever still
-// cannot finish drops to the closed-form probabilistic baseline.
+// cannot finish drops to the closed-form probabilistic baseline. A meter
+// grants one Grace: once it has been spent (by an earlier layout group,
+// or an earlier size of a surface), a second exhaustion drops straight
+// to the probabilistic rung.
 // Cancellation, isolated panics, injected transient faults and NoFallback
 // budgets abort instead of degrading — their partial counts carry no
 // guarantee worth papering over. Every report leaves with its aggregate
@@ -424,10 +435,12 @@ func (p *Prepared) degradeBatch(ctx context.Context, m *budget.Meter, states []*
 			}
 		}
 	}
-	if firstIncompleteTier == TierExact {
+	if firstIncompleteTier == TierExact && m.Spent().Graces == 0 {
 		m.Grace()
 		for _, cs := range states {
-			if !incomplete(cs) {
+			// Once the grace runs out, the other candidates' resamples
+			// would each classify a flush of points only to be discarded.
+			if !incomplete(cs) || m.Err() != nil {
 				continue
 			}
 			serr := cs.a.resampleIncomplete(m, cs.rep, fallback)

@@ -3,6 +3,7 @@ package cme
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,6 +51,16 @@ import (
 // evaluations are answered by the ordinary per-size solver, and the
 // Report's Scaling provenance (a ClosedInfo on AxisSize) says which path
 // produced the numbers.
+//
+// A surface is the tier over a set of cache geometries (SolveSurface; a
+// ladder is the surface of one). The family is probed once; each geometry
+// keeps its own fit state (period and fit window differ) and makes the
+// decisions it would make alone. Every exact solve — fit sample or
+// fall-through — is one per-size step: build and Prepare once per size,
+// then one SolveBatch over every geometry that needs the size, all
+// charging one meter. Solves run in waves: the first window of every
+// residue fit with the sizes no fit can cover, then the retries of failed
+// fits, then the sizes the fits left.
 
 // BuildFunc instantiates the program family at one problem size: a fully
 // normalised and laid-out program (the same front half the per-size
@@ -58,8 +69,10 @@ type BuildFunc func(n int64) (*ir.NProgram, error)
 
 // ScalingOptions configures the scaling solver.
 type ScalingOptions struct {
-	// Budget meters the internal exact solves (fit samples and
-	// fall-through sizes). Zero = unlimited.
+	// Budget meters the exact solves of one SolveLadder or EvalClosedCtx
+	// call — fit samples and fall-through sizes — with one meter for the
+	// whole call and at most one degradation grace, as a SolveBatch grid.
+	// Zero = unlimited.
 	Budget budget.Budget
 }
 
@@ -94,6 +107,18 @@ type residueFit struct {
 	refs map[string]*countFit
 }
 
+// scalingFamily is what the structural probes learn about a program
+// family. None of it depends on the cache geometry, so one probe serves
+// every geometry of a surface.
+type scalingFamily struct {
+	eligible bool
+	why      string // why the family is ineligible (when !eligible)
+	degree   int
+	reach    int64       // largest constant a chamber breakpoint can sit behind
+	refs     []*refScale // in template program order
+	elemGCD  int64       // gcd of the element sizes (0 without arrays)
+}
+
 // ScalingSolver is the closed-form scaling tier for one program family ×
 // cache configuration. It is safe for concurrent use.
 type ScalingSolver struct {
@@ -101,13 +126,8 @@ type ScalingSolver struct {
 	cfg   cache.Config
 	opt   Options
 	sopt  ScalingOptions
-
-	eligible bool
-	why      string // why the family is ineligible (when !eligible)
-	period   int64
-	degree   int
-	reach    int64       // largest constant a chamber breakpoint can sit behind
-	refs     []*refScale // in template program order
+	scalingFamily
+	period int64
 
 	mu    sync.Mutex
 	fits  map[int64]*residueFit
@@ -121,20 +141,43 @@ type ScalingSolver struct {
 // answers every size by fall-through. Options.NoSymbolic makes every
 // family ineligible without probing it.
 func PrepareScaling(build BuildFunc, cfg cache.Config, opt Options, sopt ScalingOptions) (*ScalingSolver, error) {
-	if err := cfg.Validate(); err != nil {
+	gs, err := prepareSurface(build, []Candidate{{Config: cfg}}, opt, sopt)
+	if err != nil {
 		return nil, err
 	}
-	s := &ScalingSolver{build: build, cfg: cfg, opt: opt, sopt: sopt,
-		fits: map[int64]*residueFit{},
+	return gs[0], nil
+}
+
+// prepareSurface validates every candidate geometry, probes the family
+// once and stamps one solver per geometry; geometries differ only in
+// their period.
+func prepareSurface(build BuildFunc, cands []Candidate, opt Options, sopt ScalingOptions) ([]*ScalingSolver, error) {
+	for _, c := range cands {
+		if err := c.Config.Validate(); err != nil {
+			return nil, err
+		}
 	}
+	var fam scalingFamily
 	if opt.NoSymbolic {
-		s.ineligible("closed form disabled by NoSymbolic")
-		return s, nil
-	}
-	if err := s.probe(); err != nil {
+		fam.ineligible("closed form disabled by NoSymbolic")
+	} else if err := fam.probe(build); err != nil {
 		return nil, err
 	}
-	return s, nil
+	gs := make([]*ScalingSolver, len(cands))
+	for i, c := range cands {
+		s := &ScalingSolver{build: build, cfg: c.Config, opt: opt, sopt: sopt, scalingFamily: fam,
+			fits: map[int64]*residueFit{}}
+		if !opt.NoSymbolic {
+			// Residue period: the set-wrap period of the cache geometry
+			// over the finest element granularity. Every affine address
+			// term a·n^k + ... repeats mod numSets·lineBytes when n
+			// advances by it.
+			setspan := c.Config.NumSets() * c.Config.LineBytes
+			s.period = max(setspan/linalg.GCD(setspan, fam.elemGCD), 1)
+		}
+		gs[i] = s
+	}
+	return gs, nil
 }
 
 // ClosedFormEligible reports whether the family passed the structural
@@ -158,38 +201,25 @@ func (s *ScalingSolver) Stats() ScalingStats {
 }
 
 // ineligible marks the whole family as fall-through-only.
-func (s *ScalingSolver) ineligible(format string, args ...any) {
-	s.eligible = false
-	s.why = fmt.Sprintf(format, args...)
+func (f *scalingFamily) ineligible(format string, args ...any) {
+	f.eligible = false
+	f.why = fmt.Sprintf(format, args...)
 }
 
 // probe instantiates the family at three consecutive sizes and lifts the
 // structure to parameter space.
-func (s *ScalingSolver) probe() error {
+func (f *scalingFamily) probe(build BuildFunc) error {
 	n0 := int64(scalingProbeN)
 	var nps [3]*ir.NProgram
 	for i := range nps {
-		np, err := s.build(n0 + int64(i))
+		np, err := build(n0 + int64(i))
 		if err != nil {
 			return fmt.Errorf("cme: scaling probe at n=%d: %w", n0+int64(i), err)
 		}
 		nps[i] = np
 	}
-
-	// Residue period: the set-wrap period of the cache geometry over the
-	// finest element granularity. Every affine address term a·n^k + ...
-	// repeats mod numSets·lineBytes when n advances by it.
-	setspan := s.cfg.NumSets() * s.cfg.LineBytes
-	g := setspan
 	for _, arr := range nps[0].Arrays {
-		g = linalg.GCD(g, arr.ElemSize)
-	}
-	if g == 0 {
-		g = 1
-	}
-	s.period = setspan / g
-	if s.period < 1 {
-		s.period = 1
+		f.elemGCD = linalg.GCD(f.elemGCD, arr.ElemSize)
 	}
 
 	// Structural match + affine lift of every statement space. Along the
@@ -198,7 +228,7 @@ func (s *ScalingSolver) probe() error {
 	// (MinClosedN).
 	if len(nps[1].Stmts) != len(nps[0].Stmts) || len(nps[2].Stmts) != len(nps[0].Stmts) ||
 		len(nps[1].Refs) != len(nps[0].Refs) || len(nps[2].Refs) != len(nps[0].Refs) {
-		s.ineligible("statement/reference structure varies with n")
+		f.ineligible("statement/reference structure varies with n")
 		return nil
 	}
 	spaces := make(map[*ir.NStmt]*poly.ParamSpace, len(nps[0].Stmts))
@@ -207,7 +237,7 @@ func (s *ScalingSolver) probe() error {
 		st1, st2 := nps[1].Stmts[i], nps[2].Stmts[i]
 		ps, ok := liftSpace(st, st1, st2, n0)
 		if !ok {
-			s.ineligible("statement %s: bounds or guards are not affine in n", st.Name)
+			f.ineligible("statement %s: bounds or guards are not affine in n", st.Name)
 			return nil
 		}
 		spaces[st] = ps
@@ -215,25 +245,25 @@ func (s *ScalingSolver) probe() error {
 		for _, b := range ps.Bounds {
 			if b.Lo.IsParam() || b.Hi.IsParam() {
 				nd++
-				s.reach = max(s.reach, abs64(b.Lo.Base.Const), abs64(b.Hi.Base.Const))
+				f.reach = max(f.reach, abs64(b.Lo.Base.Const), abs64(b.Hi.Base.Const))
 			}
 		}
 		for _, g := range ps.Guards {
-			s.reach = max(s.reach, abs64(g.Expr.Base.Const))
+			f.reach = max(f.reach, abs64(g.Expr.Base.Const))
 		}
 		if nd > maxNDims {
 			maxNDims = nd
 		}
 	}
-	s.degree = maxNDims
-	if s.degree == 0 {
-		s.degree = 1 // constant-size family: still fit a sanity slope
+	f.degree = maxNDims
+	if f.degree == 0 {
+		f.degree = 1 // constant-size family: still fit a sanity slope
 	}
 
 	for i, r := range nps[0].Refs {
 		r1, r2 := nps[1].Refs[i], nps[2].Refs[i]
 		if r.ID != r1.ID || r.ID != r2.ID || len(r.Subs) != len(r1.Subs) || len(r.Subs) != len(r2.Subs) {
-			s.ineligible("reference order varies with n")
+			f.ineligible("reference order varies with n")
 			return nil
 		}
 		ps := spaces[r.Stmt]
@@ -242,11 +272,11 @@ func (s *ScalingSolver) probe() error {
 			if pa, ok := liftAffine(sub, r1.Subs[d], r2.Subs[d], n0); ok {
 				sub = pa.Base
 			}
-			s.reach = max(s.reach, subscriptReach(sub, ps))
+			f.reach = max(f.reach, subscriptReach(sub, ps))
 		}
-		s.refs = append(s.refs, &refScale{ref: r, space: ps})
+		f.refs = append(f.refs, &refScale{ref: r, space: ps})
 	}
-	s.eligible = true
+	f.eligible = true
 	return nil
 }
 
@@ -332,108 +362,53 @@ func (s *ScalingSolver) MinClosedN() int64 {
 	return max(s.period, s.cfg.SizeBytes/s.cfg.LineBytes, scalingMinFitN, 2*s.reach+2)
 }
 
-// solveExactAt runs the ordinary exact tier at one size.
-func (s *ScalingSolver) solveExactAt(ctx context.Context, n int64) (*Report, error) {
-	np, err := s.build(n)
-	if err != nil {
-		return nil, err
-	}
-	a, err := New(np, s.cfg, s.opt)
-	if err != nil {
-		return nil, err
-	}
-	return a.FindMissesCtx(ctx, s.sopt.Budget)
+// fit returns the committed closed form of one residue class (nil
+// while the class is unfitted).
+func (s *ScalingSolver) fit(r int64) *residueFit {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fits[r]
 }
 
-// fitResidue lazily builds (and caches) the closed form of one residue
-// class from exact sample solves. It is called with s.mu NOT held.
-func (s *ScalingSolver) fitResidue(ctx context.Context, r int64) (*residueFit, error) {
+// commitFit records a residue class's fit and what it cost. A class
+// another call fitted first keeps that fit and its cost.
+func (s *ScalingSolver) commitFit(r int64, f *residueFit, solves int64) {
 	s.mu.Lock()
-	if f, ok := s.fits[r]; ok {
-		s.mu.Unlock()
-		return f, nil
-	}
-	s.mu.Unlock()
-
-	f, solves, err := s.fitResidueUncached(ctx, r)
-	if err != nil {
-		return nil, err // budget/cancellation: don't cache, don't fall back
-	}
-	s.mu.Lock()
-	if prev, ok := s.fits[r]; ok { // another goroutine won the race
-		s.mu.Unlock()
-		return prev, nil
+	defer s.mu.Unlock()
+	if s.fits[r] != nil {
+		return
 	}
 	s.fits[r] = f
 	s.stats.FitSolves += solves
-	s.mu.Unlock()
 	mScalingFits.Inc()
 	mScalingFitSolves.Add(solves)
-	return f, nil
 }
 
-func (s *ScalingSolver) fitResidueUncached(ctx context.Context, r int64) (*residueFit, int64, error) {
-	fitN := s.MinClosedN()
-	var solves int64
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		f, n, err := s.tryFit(ctx, r, fitN)
-		solves += n
-		if err == nil {
-			return f, solves, nil
-		}
-		if ctx.Err() != nil {
-			return nil, solves, err
-		}
-		lastErr = err
-		fitN *= 2 // the chamber guess was too low: push the window out
-	}
-	return &residueFit{ok: false, why: lastErr.Error()}, solves, nil
-}
-
-// tryFit solves degree+1+closedHoldouts sizes of the class at and beyond
-// fitN and fits every reference's counters through the closed-form engine.
-func (s *ScalingSolver) tryFit(ctx context.Context, r, fitN int64) (*residueFit, int64, error) {
-	nSamples := s.degree + 1 + closedHoldouts
-	base := fitN + mod64(r-fitN, s.period)
-	type sampleRep struct {
-		n   int64
-		rep *Report
-	}
-	var solves int64
-	samples := make([]sampleRep, 0, nSamples)
-	for k := 0; k < nSamples; k++ {
-		n := base + int64(k)*s.period
-		rep, err := s.solveExactAt(ctx, n)
-		solves++
-		if err != nil {
-			return nil, solves, err
-		}
-		samples = append(samples, sampleRep{n: n, rep: rep})
-	}
-
-	f := &residueFit{ok: true, base: base, refs: make(map[string]*countFit, len(s.refs))}
+// fitFrom fits every reference's counters through the closed-form engine
+// from the sample censuses of one window, based at its first size.
+func (s *ScalingSolver) fitFrom(ns []int64, reps []*Report) (*residueFit, error) {
+	f := &residueFit{ok: true, base: ns[0], refs: make(map[string]*countFit, len(s.refs))}
 	for _, rs := range s.refs {
 		id := rs.ref.ID
 		var cs []countSample
-		for _, sm := range samples {
-			rr := findRef(sm.rep, id)
+		for i, n := range ns {
+			rr := findRef(reps[i], id)
 			if rr == nil || !exactCensus(rr) {
-				return nil, solves, fmt.Errorf("sample solve at n=%d did not complete exactly for %s", sm.n, id)
+				return nil, fmt.Errorf("sample solve at n=%d did not complete exactly for %s", n, id)
 			}
-			if vol := rs.space.At(sm.n).Volume(); vol != rr.Volume {
-				return nil, solves, fmt.Errorf("lifted space of %s diverges at n=%d: |RIS| %d, exact %d",
-					id, sm.n, vol, rr.Volume)
+			if vol := rs.space.At(n).Volume(); vol != rr.Volume {
+				return nil, fmt.Errorf("lifted space of %s diverges at n=%d: |RIS| %d, exact %d",
+					id, n, vol, rr.Volume)
 			}
-			cs = append(cs, countSample{x: sm.n, c: countsOf(rr)})
+			cs = append(cs, countSample{x: n, c: countsOf(rr)})
 		}
 		rf, err := fitCounts(s.degree, cs)
 		if err != nil {
-			return nil, solves, fmt.Errorf("ref %s: %w", id, err)
+			return nil, fmt.Errorf("ref %s: %w", id, err)
 		}
 		f.refs[id] = rf
 	}
-	return f, solves, nil
+	return f, nil
 }
 
 func findRef(rep *Report, id string) *RefReport {
@@ -460,41 +435,34 @@ func mod64(n, m int64) int64 {
 	return v
 }
 
-// EvalClosedCtx evaluates the closed form at size n without ever solving
-// at n itself: it may spend fit solves (at small sample sizes) the first
-// time a residue class is touched, but never enumerates size n. ok
-// reports whether the closed form covers n; (nil, false, nil) means the
-// caller should fall through.
-func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bool, error) {
-	// Residue-class fits are anchored at or beyond the fit window
-	// (tryFit's base ≥ fitN), so no fit can ever cover a smaller n: refuse
-	// before spending fit solves that are guaranteed wasted.
-	if !s.eligible || n < s.MinClosedN() {
-		return nil, false, nil
+// closable reports whether a fit can ever cover size n.
+func (s *ScalingSolver) closable(n int64) bool { return s.eligible && n >= s.MinClosedN() }
+
+// evalClosed evaluates the closed form at size n from its class's fit;
+// nil means no fit covers n and the caller falls through.
+func (s *ScalingSolver) evalClosed(n int64) *Report {
+	if !s.closable(n) {
+		return nil
+	}
+	fit := s.fit(mod64(n, s.period))
+	if fit == nil || !fit.ok || n < fit.base {
+		return nil
 	}
 	start := time.Now()
-	r := mod64(n, s.period)
-	fit, err := s.fitResidue(ctx, r)
-	if err != nil {
-		return nil, false, err
-	}
-	if !fit.ok || n < fit.base {
-		return nil, false, nil
-	}
 	info := &ClosedInfo{Axis: AxisSize, Param: n, ClosedRefs: len(s.refs),
 		TotalRefs: len(s.refs), Period: s.period, Degree: s.degree}
 	rep := &Report{Config: s.cfg, Tier: TierExact, Scaling: info}
 	for _, rs := range s.refs {
 		rf := fit.refs[rs.ref.ID]
 		if rf == nil {
-			return nil, false, nil
+			return nil
 		}
 		vol := rs.space.At(n).Volume()
 		// A refused evaluation means the polynomial left its chamber:
 		// refuse rather than mispredict.
 		c, ok := rf.at(n, vol)
 		if !ok {
-			return nil, false, nil
+			return nil
 		}
 		rr := &RefReport{Ref: rs.ref, Volume: vol}
 		fillClosed(rr, c)
@@ -505,66 +473,59 @@ func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bo
 	s.stats.ClosedEvals++
 	s.mu.Unlock()
 	mScalingEvals.Inc()
-	return rep, true, nil
+	return rep
 }
 
-// EvalCtx answers one size: closed form when the ladder allows it,
-// otherwise graceful fall-through to the per-size exact solver (with the
-// fall-through recorded in the report's Scaling provenance).
-func (s *ScalingSolver) EvalCtx(ctx context.Context, n int64) (*Report, error) {
-	rep, ok, err := s.EvalClosedCtx(ctx, n)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return rep, nil
-	}
+// fellThrough stamps a per-size solve at n as this geometry's
+// fall-through row, with the reason the closed form did not answer.
+func (s *ScalingSolver) fellThrough(n int64, solved *Report) *Report {
 	why := s.why
 	if why == "" {
-		why = s.fallbackWhy(n)
+		why = fmt.Sprintf("n=%d below the closed-form minimum %d", n, s.MinClosedN())
 	}
-	rep, err = s.solveExactAt(ctx, n)
-	if rep != nil {
-		rep.Scaling = &ClosedInfo{Axis: AxisSize, Param: n,
-			FallthroughRefs: len(rep.Refs), TotalRefs: len(rep.Refs),
-			Period: s.period, Degree: s.degree, Why: why}
+	if s.closable(n) {
+		switch f := s.fit(mod64(n, s.period)); {
+		case f == nil:
+			why = "residue class not fitted"
+		case !f.ok:
+			why = "residue class fit failed: " + f.why
+		default:
+			why = fmt.Sprintf("n=%d below the fitted chamber base %d", n, f.base)
+		}
 	}
+	rep := copyReport(solved, s.cfg)
+	rep.Scaling = &ClosedInfo{Axis: AxisSize, Param: n,
+		FallthroughRefs: len(rep.Refs), TotalRefs: len(rep.Refs),
+		Period: s.period, Degree: s.degree, Why: why}
 	s.mu.Lock()
 	s.stats.Fallbacks++
 	s.mu.Unlock()
 	mScalingFallbacks.Inc()
-	return rep, err
+	return rep
 }
 
-func (s *ScalingSolver) fallbackWhy(n int64) string {
-	if m := s.MinClosedN(); n < m {
-		return fmt.Sprintf("n=%d below the closed-form minimum %d", n, m)
+// EvalClosedCtx evaluates the closed form at size n without ever solving
+// at n itself: it may spend fit solves (at small sample sizes, metered by
+// ScalingOptions.Budget) the first time a residue class is touched, but
+// never enumerates size n. ok reports whether the closed form covers n;
+// (nil, false, nil) means the caller should fall through. Below
+// MinClosedN it refuses without spending anything.
+func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bool, error) {
+	reps, err := solveSurface(ctx, []*ScalingSolver{s}, []int64{n}, BatchOptions{Budget: s.sopt.Budget, Workers: s.opt.Workers}, false)
+	if err != nil {
+		return nil, false, err
 	}
-	s.mu.Lock()
-	f := s.fits[mod64(n, s.period)]
-	s.mu.Unlock()
-	switch {
-	case f == nil:
-		return "residue class not fitted"
-	case !f.ok:
-		return "residue class fit failed: " + f.why
-	default:
-		return fmt.Sprintf("n=%d below the fitted chamber base %d", n, f.base)
-	}
+	return reps[0], reps[0] != nil, nil
 }
 
-// SolveLadder answers a whole size ladder. Sizes sharing a residue class
-// mod Period share one fit; the reports come back index-aligned with ns.
+// SolveLadder answers a whole size ladder: the surface of this one
+// geometry (see SolveSurface), metered by ScalingOptions.Budget as one
+// meter for the call. Sizes sharing a residue class mod Period share one
+// fit; the reports come back index-aligned with ns, each with its
+// Scaling provenance: closed form, or the per-size solve it fell through
+// to and why.
 func (s *ScalingSolver) SolveLadder(ctx context.Context, ns []int64) ([]*Report, error) {
-	out := make([]*Report, len(ns))
-	for i, n := range ns {
-		rep, err := s.EvalCtx(ctx, n)
-		if err != nil {
-			return out, err
-		}
-		out[i] = rep
-	}
-	return out, nil
+	return solveSurface(ctx, []*ScalingSolver{s}, ns, BatchOptions{Budget: s.sopt.Budget, Workers: s.opt.Workers}, true)
 }
 
 // MissPoly is the public closed form of one reference: the counter
@@ -603,4 +564,171 @@ func (s *ScalingSolver) MissPolys() []MissPoly {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].RefID < out[j].RefID })
 	return out
+}
+
+// SolveSurface answers every candidate geometry at every ladder size of
+// the family build describes: rows in candidate order, then ladder
+// order, plus the per-geometry solvers (fits, stats, closed forms). The
+// surface is exact (bopt.Plan is ignored) and candidate layouts are not
+// applied; bopt.Budget arms one meter for the whole call, with at most
+// one degradation grace, and bopt.Cache and bopt.Workers serve every
+// per-size solve.
+func SolveSurface(ctx context.Context, build BuildFunc, cands []Candidate, ns []int64, opt Options, bopt BatchOptions) ([]*Report, []*ScalingSolver, error) {
+	gs, err := prepareSurface(build, cands, opt, ScalingOptions{Budget: bopt.Budget})
+	if err != nil {
+		return nil, nil, err
+	}
+	reps, err := solveSurface(ctx, gs, ns, bopt, true)
+	return reps, gs, err
+}
+
+// sizeKey names one exact solve: a geometry at size n.
+type sizeKey struct {
+	g *ScalingSolver
+	n int64
+}
+
+// fitJob is one residue class's fit in progress.
+type fitJob struct {
+	g                *ScalingSolver
+	r, fitN, attempt int64
+}
+
+// sizes are the attempt's degree+1+closedHoldouts sample sizes of the
+// class at and beyond fitN; the first is the fit's base.
+func (j *fitJob) sizes() []int64 {
+	ns := make([]int64, j.g.degree+1+closedHoldouts)
+	for k := range ns {
+		ns[k] = j.fitN + mod64(j.r-j.fitN, j.g.period) + int64(k)*j.g.period
+	}
+	return ns
+}
+
+// solveSurface answers every geometry of gs (one family, one Options) at
+// every size of ns, in geometry order, then ladder order. Without
+// fallThrough only fits are solved, and a row the closed form does not
+// cover stays nil.
+func solveSurface(ctx context.Context, gs []*ScalingSolver, ns []int64, bopt BatchOptions, fallThrough bool) ([]*Report, error) {
+	if len(gs) == 0 {
+		return nil, nil
+	}
+	bopt.Plan = nil
+	m := budget.NewMeter(ctx, bopt.Budget)
+	progs := map[int64]*Prepared{}
+	reps := map[sizeKey]*Report{}
+	// solve is the per-size step: each size of need, in ascending order,
+	// is built and Prepared once per call and solved in one batch over
+	// the geometries that need it and have not solved it yet. A failed
+	// build, cancellation or a NoFallback exhaustion fails the call.
+	solve := func(need []sizeKey) error {
+		bySize := map[int64][]*ScalingSolver{}
+		var sizes []int64
+		for _, k := range need {
+			if reps[k] != nil || slices.Contains(bySize[k.n], k.g) {
+				continue
+			}
+			if len(bySize[k.n]) == 0 {
+				sizes = append(sizes, k.n)
+			}
+			bySize[k.n] = append(bySize[k.n], k.g)
+		}
+		slices.Sort(sizes)
+		for _, n := range sizes {
+			if progs[n] == nil {
+				np, err := gs[0].build(n)
+				if err == nil {
+					progs[n], err = Prepare(np, gs[0].opt)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			cands := make([]Candidate, len(bySize[n]))
+			for i, g := range bySize[n] {
+				cands[i] = Candidate{Label: g.cfg.String(), Config: g.cfg}
+			}
+			out, err := progs[n].solveBatch(ctx, m, cands, bopt)
+			if err != nil {
+				return err
+			}
+			for i, g := range bySize[n] {
+				reps[sizeKey{g, n}] = out[i]
+			}
+		}
+		return nil
+	}
+
+	var jobs []*fitJob
+	var need []sizeKey
+	for _, g := range gs {
+		for _, n := range ns {
+			if !g.closable(n) {
+				if fallThrough {
+					need = append(need, sizeKey{g, n})
+				}
+			} else if r := mod64(n, g.period); g.fit(r) == nil &&
+				!slices.ContainsFunc(jobs, func(j *fitJob) bool { return j.g == g && j.r == r }) {
+				jobs = append(jobs, &fitJob{g: g, r: r, fitN: g.MinClosedN()})
+			}
+		}
+	}
+	// Fit waves. A failed attempt retries with the window doubled (the
+	// chamber guess was too low) and the third failure is committed as
+	// the class's refusal. Once the meter has tripped, fitting stops: a
+	// census the budget cut short says nothing about the chamber, so the
+	// class stays unfitted for this call.
+	for len(jobs) > 0 {
+		for _, j := range jobs {
+			for _, n := range j.sizes() {
+				need = append(need, sizeKey{j.g, n})
+			}
+		}
+		if err := solve(need); err != nil {
+			return nil, err
+		}
+		need = nil
+		var retry []*fitJob
+		for _, j := range jobs {
+			samples := j.sizes()
+			sreps := make([]*Report, len(samples))
+			for i, n := range samples {
+				sreps[i] = reps[sizeKey{j.g, n}]
+			}
+			f, err := j.g.fitFrom(samples, sreps)
+			switch {
+			case err == nil:
+			case m.Err() != nil || m.Spent().Graces > 0:
+				continue
+			case j.attempt < 2:
+				j.attempt++
+				j.fitN *= 2
+				retry = append(retry, j)
+				continue
+			default:
+				f = &residueFit{why: err.Error()}
+			}
+			j.g.commitFit(j.r, f, int64(len(samples))*(j.attempt+1))
+		}
+		jobs = retry
+	}
+
+	// Closed rows, then one last wave for the rows they left (sizes no
+	// fit could cover ride it when no fit was needed).
+	need = nil
+	out := make([]*Report, len(gs)*len(ns))
+	var left []int
+	for i := range out {
+		g, n := gs[i/len(ns)], ns[i%len(ns)]
+		if out[i] = g.evalClosed(n); out[i] == nil && fallThrough {
+			left = append(left, i)
+			need = append(need, sizeKey{g, n})
+		}
+	}
+	if err := solve(need); err != nil {
+		return nil, err
+	}
+	for j, i := range left {
+		out[i] = need[j].g.fellThrough(need[j].n, reps[need[j]])
+	}
+	return out, nil
 }

@@ -1,7 +1,6 @@
 package cme
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -80,9 +79,9 @@ func FuzzScalingVsEnumerate(f *testing.F) {
 		span := 8 * s.MinClosedN()
 		for _, raw := range []uint16{n1, n2, n3} {
 			n := int64(raw)%span + 1
-			rep, err := s.EvalCtx(context.Background(), n)
+			rep, err := solveAt(s, n)
 			if err != nil {
-				t.Fatalf("EvalCtx(%d): %v", n, err)
+				t.Fatalf("SolveLadder(%d): %v", n, err)
 			}
 			checkScalingIdentity(t, build, cfg, n, rep)
 		}

@@ -25,6 +25,15 @@ func famOf(f func(n int64) *ir.Subroutine) BuildFunc {
 	}
 }
 
+// solveAt answers one size as a one-size ladder.
+func solveAt(s *ScalingSolver, n int64) (*Report, error) {
+	reps, err := s.SolveLadder(context.Background(), []int64{n})
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
+}
+
 // checkScalingIdentity pins one scaling report to a fresh per-size exact
 // solve: every counter of every reference must be bit-identical.
 func checkScalingIdentity(t *testing.T, build BuildFunc, cfg cache.Config, n int64, got *Report) {
@@ -77,9 +86,9 @@ func TestScalingBitIdentityStencil(t *testing.T) {
 	ladder := []int64{8, 12, 16, 31, 32, 33, 48, 63, 64, 65, 96, 100, 128, 160, 200, 256, 321}
 	closed := 0
 	for _, n := range ladder {
-		rep, err := s.EvalCtx(context.Background(), n)
+		rep, err := solveAt(s, n)
 		if err != nil {
-			t.Fatalf("EvalCtx(%d): %v", n, err)
+			t.Fatalf("SolveLadder(%d): %v", n, err)
 		}
 		if rep.Scaling == nil {
 			t.Fatalf("n=%d: no scaling provenance", n)
@@ -169,9 +178,9 @@ func TestScalingPureCold(t *testing.T) {
 		t.Fatalf("EvalClosedCtx(%d) = (%v, %v, %v), want a free refusal below MinClosedN", lo-1, rep, ok, err)
 	}
 	for _, n := range []int64{lo, lo + s.Period(), 100 * s.Period(), 15432 * s.Period()} {
-		rep, err := s.EvalCtx(context.Background(), n)
+		rep, err := solveAt(s, n)
 		if err != nil {
-			t.Fatalf("EvalCtx(%d): %v", n, err)
+			t.Fatalf("SolveLadder(%d): %v", n, err)
 		}
 		if !rep.Scaling.Closed() || rep.Scaling.PureColdRefs != 0 {
 			t.Fatalf("n=%d: provenance %+v, want closed form by fit alone", n, rep.Scaling)
@@ -242,9 +251,9 @@ func TestScalingMatchesFindMisses(t *testing.T) {
 			}
 			closedFrom := 4*s.MinClosedN() + s.Period()
 			for _, n := range tc.ns {
-				rep, err := s.EvalCtx(context.Background(), n)
+				rep, err := solveAt(s, n)
 				if err != nil {
-					t.Fatalf("EvalCtx(%d): %v", n, err)
+					t.Fatalf("SolveLadder(%d): %v", n, err)
 				}
 				checkScalingIdentity(t, build, tc.cfg, n, rep)
 				if n >= closedFrom && !rep.Scaling.Closed() {
@@ -268,7 +277,7 @@ func TestScalingIneligibleFallsThrough(t *testing.T) {
 	if s.ClosedFormEligible() {
 		t.Fatal("quadratic family must not be eligible")
 	}
-	rep, err := s.EvalCtx(context.Background(), 7)
+	rep, err := solveAt(s, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +298,7 @@ func TestScalingMissPolys(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 96 // ≡ 0 mod the 32-element set-wrap period
-	if _, err := s.EvalCtx(context.Background(), n); err != nil {
+	if _, err := solveAt(s, n); err != nil {
 		t.Fatal(err)
 	}
 	np, err := build(n)

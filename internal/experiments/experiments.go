@@ -18,7 +18,6 @@ import (
 	"cachemodel/internal/ir"
 	"cachemodel/internal/kernels"
 	"cachemodel/internal/prob"
-	"cachemodel/internal/reuse"
 	"cachemodel/internal/sampling"
 	"cachemodel/internal/spec"
 	"cachemodel/internal/trace"
@@ -120,40 +119,54 @@ func kernelPrograms(sc Scale) []*ir.Program {
 	}
 }
 
+// eachAssoc front-ends and Prepares every program once, then hands f the
+// simulator's result (and its time) and an Analyzer for each
+// associativity of the scale's cache, sharing reuse vectors across them.
+func eachAssoc(sc Scale, progs []*ir.Program, f func(prog string, assoc int, sim *trace.SimResult, simSecs float64, a *cme.Analyzer) error) error {
+	for _, p := range progs {
+		np, _, err := spec.FrontEnd{}.Run(p)
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.Name, err)
+		}
+		prep, err := cme.Prepare(np, cme.Options{})
+		if err != nil {
+			return err
+		}
+		for _, assoc := range []int{1, 2, 4} {
+			t0 := time.Now()
+			sim := trace.Simulate(np, sc.Cache(assoc))
+			simSecs := time.Since(t0).Seconds()
+			a, err := prep.Analyzer(sc.Cache(assoc))
+			if err == nil {
+				err = f(p.Name, assoc, sim, simSecs, a)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // RunTable3 reproduces Table 3 at the given scale.
 func RunTable3(sc Scale) ([]Table3Row, error) {
 	var rows []Table3Row
-	for _, p := range kernelPrograms(sc) {
-		np, _, err := spec.FrontEnd{}.Run(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		vecs := reuse.Generate(np, sc.Cache(1), reuse.Options{})
-		for _, assoc := range []int{1, 2, 4} {
-			cfg := sc.Cache(assoc)
-			t0 := time.Now()
-			sim := trace.Simulate(np, cfg)
-			simSecs := time.Since(t0).Seconds()
-			a, err := cme.New(np, cfg, cme.Options{Vectors: vecs})
-			if err != nil {
-				return nil, err
-			}
-			rep := a.FindMisses()
-			row := Table3Row{
-				Program:    p.Name,
-				Assoc:      assoc,
-				SimMisses:  sim.Misses,
-				FindMisses: rep.ExactMisses(),
-				SimRatio:   sim.MissRatio(),
-				FindRatio:  rep.MissRatio(),
-				Secs:       rep.Elapsed.Seconds(),
-				SimSecs:    simSecs,
-			}
-			row.AbsErr = abs(row.FindRatio - row.SimRatio)
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	err := eachAssoc(sc, kernelPrograms(sc), func(prog string, assoc int, sim *trace.SimResult, simSecs float64, a *cme.Analyzer) error {
+		rep := a.FindMisses()
+		rows = append(rows, Table3Row{
+			Program:    prog,
+			Assoc:      assoc,
+			SimMisses:  sim.Misses,
+			FindMisses: rep.ExactMisses(),
+			SimRatio:   sim.MissRatio(),
+			FindRatio:  rep.MissRatio(),
+			AbsErr:     abs(rep.MissRatio() - sim.MissRatio()),
+			Secs:       rep.Elapsed.Seconds(),
+			SimSecs:    simSecs,
+		})
+		return nil
+	})
+	return rows, err
 }
 
 // FormatTable3 renders Table 3 in the paper's layout.
@@ -184,34 +197,22 @@ type Table4Row struct {
 // RunTable4 reproduces Table 4 (c and w from the scale's plan).
 func RunTable4(sc Scale) ([]Table4Row, error) {
 	var rows []Table4Row
-	for _, p := range kernelPrograms(sc) {
-		np, _, err := spec.FrontEnd{}.Run(p)
+	err := eachAssoc(sc, kernelPrograms(sc), func(prog string, assoc int, sim *trace.SimResult, _ float64, a *cme.Analyzer) error {
+		rep, err := a.EstimateMisses(sc.Plan)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
+			return err
 		}
-		vecs := reuse.Generate(np, sc.Cache(1), reuse.Options{})
-		for _, assoc := range []int{1, 2, 4} {
-			cfg := sc.Cache(assoc)
-			sim := trace.Simulate(np, cfg)
-			a, err := cme.New(np, cfg, cme.Options{Vectors: vecs})
-			if err != nil {
-				return nil, err
-			}
-			rep, err := a.EstimateMisses(sc.Plan)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Table4Row{
-				Program:  p.Name,
-				Assoc:    assoc,
-				SimRatio: sim.MissRatio(),
-				EstRatio: rep.MissRatio(),
-				AbsErr:   abs(rep.MissRatio() - sim.MissRatio()),
-				Secs:     rep.Elapsed.Seconds(),
-			})
-		}
-	}
-	return rows, nil
+		rows = append(rows, Table4Row{
+			Program:  prog,
+			Assoc:    assoc,
+			SimRatio: sim.MissRatio(),
+			EstRatio: rep.MissRatio(),
+			AbsErr:   abs(rep.MissRatio() - sim.MissRatio()),
+			Secs:     rep.Elapsed.Seconds(),
+		})
+		return nil
+	})
+	return rows, err
 }
 
 // FormatTable4 renders Table 4.
@@ -293,37 +294,23 @@ func RunTable6(sc Scale) ([]Table6Row, error) {
 		kernels.Applu(sc.AppluN, sc.AppluIt),
 	}
 	var rows []Table6Row
-	for _, p := range progs {
-		np, _, err := spec.FrontEnd{}.Run(p)
+	err := eachAssoc(sc, progs, func(prog string, assoc int, sim *trace.SimResult, simSecs float64, a *cme.Analyzer) error {
+		rep, err := a.EstimateMisses(sc.Plan)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
+			return err
 		}
-		vecs := reuse.Generate(np, sc.Cache(1), reuse.Options{})
-		for _, assoc := range []int{1, 2, 4} {
-			cfg := sc.Cache(assoc)
-			t0 := time.Now()
-			sim := trace.Simulate(np, cfg)
-			simSecs := time.Since(t0).Seconds()
-			a, err := cme.New(np, cfg, cme.Options{Vectors: vecs})
-			if err != nil {
-				return nil, err
-			}
-			rep, err := a.EstimateMisses(sc.Plan)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Table6Row{
-				Program:  p.Name,
-				Assoc:    assoc,
-				SimRatio: sim.MissRatio(),
-				EstRatio: rep.MissRatio(),
-				AbsErr:   abs(rep.MissRatio() - sim.MissRatio()),
-				ExeSecs:  rep.Elapsed.Seconds(),
-				SimSecs:  simSecs,
-			})
-		}
-	}
-	return rows, nil
+		rows = append(rows, Table6Row{
+			Program:  prog,
+			Assoc:    assoc,
+			SimRatio: sim.MissRatio(),
+			EstRatio: rep.MissRatio(),
+			AbsErr:   abs(rep.MissRatio() - sim.MissRatio()),
+			ExeSecs:  rep.Elapsed.Seconds(),
+			SimSecs:  simSecs,
+		})
+		return nil
+	})
+	return rows, err
 }
 
 // FormatTable6 renders Table 6.

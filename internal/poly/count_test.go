@@ -165,7 +165,8 @@ func FuzzCountVsEnumerate(f *testing.F) {
 
 // TestEnumerateAllocFree pins the hot-path allocation budget: steady-state
 // enumeration (and tiled enumeration) must not allocate at all — the
-// scratch index vectors come from the pool.
+// scratch index vectors come from the pool. Under -race the pool drops
+// items at random, so only the enumeration itself is checked there.
 func TestEnumerateAllocFree(t *testing.T) {
 	sp := New([]ir.NBound{
 		bound(konst(1), konst(16)),
@@ -177,7 +178,7 @@ func TestEnumerateAllocFree(t *testing.T) {
 		sp.EnumerateTile(Tile{Dim: 0, Lo: 2, Hi: 9}, func([]int64) bool { n++; return true })
 	}
 	warm() // materialise the lazy caches and prime the pool
-	if avg := testing.AllocsPerRun(20, warm); avg != 0 {
+	if avg := testing.AllocsPerRun(20, warm); avg != 0 && !raceEnabled {
 		t.Errorf("Enumerate/EnumerateTile allocate %.1f times per run, want 0", avg)
 	}
 	if n == 0 {

@@ -49,7 +49,9 @@ type AnalyzeRequest struct {
 // SweepRequest is the POST /v1/sweep body: one program against a cache
 // design-space grid, mirroring `cachette sweep`. With a problem-size
 // ladder (ns, or from/to/step) every geometry is answered at every ladder
-// size by the closed-form problem-size tier; the program is then a family
+// size by the closed-form problem-size tier, as one surface solve whose
+// fit samples and fall-through sizes all charge the request's one Budget
+// and go through the server's result cache; the program is then a family
 // in SizeConst and its size is ignored.
 type SweepRequest struct {
 	ProgramSpec
@@ -189,10 +191,13 @@ func (o *Options) gridSpec(prio string, bs BudgetSpec, cands []cme.Candidate, ps
 }
 
 // ladderSpec admits a ladder sweep. The program is a problem-size family,
-// lifted once per geometry by the closed-form problem-size tier, which
-// answers the ladder by O(1) evaluation and solves sizes the closed form
-// cannot cover under the job's budget. Rows come in grid order, then
-// ladder order. A ladder is exact, and every geometry must be valid.
+// probed once and answered at every geometry × ladder size by one
+// cme.SolveSurface: the closed-form problem-size tier answers the ladder
+// by O(1) evaluation, and every exact solve it needs (fit samples, sizes
+// the closed form cannot cover) runs once per size for all geometries,
+// through the server's result cache, under the job's one meter. Rows
+// come in grid order, then ladder order. A ladder is exact, and every
+// geometry must be valid.
 func (o *Options) ladderSpec(req *SweepRequest, wcs []spec.Candidate, ns []int64) (*jobSpec, error) {
 	if !req.Exact {
 		return nil, fmt.Errorf("a problem-size ladder needs exact: true (the closed form is exact)")
@@ -221,20 +226,9 @@ func (o *Options) ladderSpec(req *SweepRequest, wcs []spec.Candidate, ns []int64
 	key := "sc:" + hex.EncodeToString(h.Sum(nil))[:32]
 	js.prepare = func(s *Server) (flight, error) {
 		return flight{key: key, solve: func(ctx context.Context, bud budget.Budget) ([]*cme.Report, error) {
-			reps := make([]*cme.Report, 0, len(cands))
-			for _, g := range geoms {
-				solver, err := cme.PrepareScaling(fam.Build, g.Config,
-					cme.Options{Workers: s.opt.SolveWorkers}, cme.ScalingOptions{Budget: bud})
-				if err != nil {
-					return reps, err
-				}
-				rs, err := solver.SolveLadder(ctx, ns)
-				reps = append(reps, rs...)
-				if err != nil {
-					return reps, err
-				}
-			}
-			return reps, nil
+			reps, _, err := cme.SolveSurface(ctx, fam.Build, geoms, ns, cme.Options{},
+				cme.BatchOptions{Cache: s.cache, Workers: s.opt.SolveWorkers, Budget: bud})
+			return reps, err
 		}}, nil
 	}
 	return js, nil

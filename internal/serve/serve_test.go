@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 
 	"cachemodel/internal/budget"
 	"cachemodel/internal/faultinject"
+	"cachemodel/internal/obs"
 	"cachemodel/internal/retry"
 )
 
@@ -303,6 +305,34 @@ func TestServeLadderKeysSeparateCaches(t *testing.T) {
 		for _, row := range rows {
 			sameRefsAsAnalyze(t, ts, row, 128)
 		}
+	}
+}
+
+// TestServeLadderCached: an identical ladder sweep submitted after the
+// first has finished goes through the server's result cache — its exact
+// solves (the fit samples and the fall-through size N=16) hit instead of
+// re-enumerating — and returns byte-equal rows. The fit samples stay
+// inside the job's default point budget, so neither run degrades.
+func TestServeLadderCached(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	const body = `{"program":"hydro","iters":2,"cache_sizes":[256],"line_sizes":[32],"assocs":[1],"ns":[16,128,160],"exact":true}`
+	hits := obs.Default.Counter("cme_resultcache_hits_total")
+	var rows [2][]byte
+	var grew int64
+	for i := range rows {
+		before := hits.Value()
+		jb := waitTerminal(t, ts, submitJob(t, ts, "/v1/sweep", body))
+		if jb.Status != StatusDone || jb.Result.Degraded || len(jb.Result.Candidates) != 3 {
+			t.Fatalf("ladder %d: status %s, result %+v", i, jb.Status, jb.Result)
+		}
+		rows[i], _ = json.Marshal(jb.Result.Candidates)
+		grew = hits.Value() - before
+	}
+	if grew <= 0 {
+		t.Fatalf("repeated ladder took no result-cache hits")
+	}
+	if !bytes.Equal(rows[0], rows[1]) {
+		t.Fatalf("repeated ladder rows differ:\n%s\n%s", rows[0], rows[1])
 	}
 }
 
