@@ -321,22 +321,28 @@ func cmdBench(args []string) error {
 	symRow.SymbolicPct = pct
 	rep.Results = append(rep.Results, symRow)
 
-	// findmisses_symbolic under a cancellable, never-cancelled context:
-	// cancellation alone arms no per-point checkpoint, so the row must
-	// match findmisses_symbolic's coverage.
-	var cancelDur time.Duration
-	var cancelRep *cme.Report
+	// findmisses_symbolic under a cancellable context (a dist worker's
+	// solve) and under a deadline plus caps far above the need (a served
+	// job's): both must match its counts and symbolic coverage.
 	cancelCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	pct = symPct(func() {
-		cancelDur, cancelRep = timeIt(func() *cme.Report {
-			r, _ := newAnalyzer(1, false, false).FindMissesCtx(cancelCtx, budget.Budget{})
-			return r
+	meteredRow := func(name string, ctx context.Context, b budget.Budget) (benchResult, *cme.Report) {
+		var d time.Duration
+		var r *cme.Report
+		pct := symPct(func() {
+			d, r = timeIt(func() *cme.Report {
+				r, _ := newAnalyzer(1, false, false).FindMissesCtx(ctx, b)
+				return r
+			})
 		})
-	})
-	cancelRow := row("findmisses_cancelctx", cancelDur, cancelRep)
-	cancelRow.SymbolicPct = pct
-	rep.Results = append(rep.Results, cancelRow)
+		br := row(name, d, r)
+		br.SymbolicPct = pct
+		rep.Results = append(rep.Results, br)
+		return br, r
+	}
+	cancelRow, cancelRep := meteredRow("findmisses_cancelctx", cancelCtx, budget.Budget{})
+	deadlineRow, deadlineRep := meteredRow("findmisses_deadline", ctx, budget.Budget{
+		Deadline: 10 * time.Minute, MaxPoints: 1 << 50, MaxScan: 1 << 50})
 
 	var parDur time.Duration
 	var parRep *cme.Report
@@ -407,11 +413,16 @@ func cmdBench(args []string) error {
 		if err := sameCounts("bench -check: findmisses_parallel", seqRep, parRep); err != nil {
 			return err
 		}
-		if err := sameCounts("bench -check: findmisses_cancelctx", seqRep, cancelRep); err != nil {
-			return err
-		}
-		if !*noSym && cancelRow.SymbolicPct == 0 {
-			return fmt.Errorf("bench -check: findmisses_cancelctx resolved no point symbolically")
+		for _, m := range []struct {
+			row benchResult
+			rep *cme.Report
+		}{{cancelRow, cancelRep}, {deadlineRow, deadlineRep}} {
+			if err := sameCounts("bench -check: "+m.row.Name, seqRep, m.rep); err != nil {
+				return err
+			}
+			if !*noSym && m.row.SymbolicPct == 0 {
+				return fmt.Errorf("bench -check: %s resolved no point symbolically", m.row.Name)
+			}
 		}
 		if simSeq != nil && simShard != nil {
 			if simSeq.Accesses != simShard.Accesses || simSeq.Misses != simShard.Misses {

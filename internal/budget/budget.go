@@ -8,7 +8,8 @@
 // The checkpoints are engineered to stay off the hot path: each worker
 // goroutine owns a Probe that accumulates counts locally and consults the
 // shared Meter only every few dozen points (or a few thousand scan steps),
-// so the per-point cost is an increment and a branch.
+// or sooner near a cap, so the per-point cost is a few increments and
+// compares. Regions counted without enumeration are charged whole.
 //
 // On exhaustion the solvers degrade instead of dying: FindMisses falls back
 // to EstimateMisses with the paper's widened fallback interval, and
@@ -20,6 +21,7 @@ package budget
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,21 +123,6 @@ func NewMeter(ctx context.Context, b Budget) *Meter {
 	return m
 }
 
-// Unlimited reports whether no limit, context or hook can ever trip the
-// meter, letting solvers skip checkpoint bookkeeping entirely.
-func (m *Meter) Unlimited() bool {
-	return !m.hasDeadline && m.maxPoints == 0 && m.maxScan == 0 &&
-		m.budget.Hook == nil && m.ctx.Done() == nil
-}
-
-// Armed reports whether a deadline, point cap, scan cap or hook is armed:
-// whether a solver must take a checkpoint per classified point. A meter
-// that is neither Armed nor Unlimited answers only to its context's
-// cancellation, which solvers poll at their own coarse cadence.
-func (m *Meter) Armed() bool {
-	return m.hasDeadline || m.maxPoints != 0 || m.maxScan != 0 || m.budget.Hook != nil
-}
-
 // NoFallback reports whether degradation is disabled for this run.
 func (m *Meter) NoFallback() bool { return m.budget.NoFallback }
 
@@ -213,25 +200,54 @@ func (m *Meter) Grace() {
 	m.tripped.Store(false)
 }
 
-// Probe returns a fresh per-goroutine probe.
-func (m *Meter) Probe() *Probe { return &Probe{m: m} }
+// Probe returns a fresh per-goroutine probe, or nil when no limit,
+// context or hook can ever trip the meter: solvers then skip checkpoint
+// bookkeeping entirely. A probe's first Check consults the meter, so a run
+// started under a cancelled context, a past deadline or a spent cap stops
+// at its first point.
+func (m *Meter) Probe() *Probe {
+	if !m.hasDeadline && m.maxPoints == 0 && m.maxScan == 0 &&
+		m.budget.Hook == nil && m.ctx.Done() == nil {
+		return nil
+	}
+	p := &Probe{m: m, pending: flushPoints - 1}
+	p.refresh()
+	return p
+}
 
 // Flush cadence: a probe consults the shared meter after this many points
 // or this much scan work, whichever comes first. Cancellation latency is
 // therefore bounded by ~flushPoints cheap classifications or one expensive
-// one.
+// one. Near a point or scan cap a probe flushes sooner (see Probe).
 const (
 	flushPoints = 64
 	flushScan   = 1 << 14
 )
 
 // Probe is the per-goroutine checkpoint counter. It batches updates so the
-// per-point cost is two additions and a compare.
+// per-point cost is two additions and a few compares. It caches its
+// headroom under each cap, refreshed at creation and at every flush, and
+// flushes as soon as its local counts pass it: with one worker a cap trips
+// at the first check past it, whatever the flush cadence and the charges.
 type Probe struct {
 	m       *Meter
 	points  int64
 	scan    int64
 	pending int
+	// Local counts that force a flush: one past each cap's headroom.
+	pointsAt, scanAt int64
+}
+
+// refresh recomputes the flush thresholds from the meter's totals.
+func (p *Probe) refresh() {
+	m := p.m
+	p.pointsAt, p.scanAt = math.MaxInt64, flushScan
+	if m.maxPoints > 0 {
+		p.pointsAt = max(m.maxPoints-m.points.Load()+1, 1)
+	}
+	if m.maxScan > 0 {
+		p.scanAt = min(p.scanAt, max(m.maxScan-m.scan.Load()+1, 1))
+	}
 }
 
 // Check records one classified iteration point and its interference-scan
@@ -242,10 +258,48 @@ func (p *Probe) Check(points, scan int64) error {
 	p.points += points
 	p.scan += scan
 	p.pending++
-	if p.pending >= flushPoints || p.scan >= flushScan || p.m.budget.Hook != nil {
+	if p.pending >= flushPoints || p.points >= p.pointsAt || p.scan >= p.scanAt || p.m.budget.Hook != nil {
 		return p.Flush()
 	}
 	return nil
+}
+
+// Charge accounts a region counted without enumeration: it flushes, then
+// reserves the region's whole point and scan volume at once. It refuses —
+// the caller then enumerates the region, so a cap trips where enumeration
+// puts it — when the reservation would pass a cap, when a Hook is
+// installed (hooked runs see every checkpoint), or after a trip. A nil
+// probe accepts every charge.
+func (p *Probe) Charge(points, scan int64) bool {
+	if p == nil {
+		return true
+	}
+	m := p.m
+	if m.budget.Hook != nil || p.Flush() != nil {
+		return false
+	}
+	if !reserve(&m.points, points, m.maxPoints) {
+		return false
+	}
+	if !reserve(&m.scan, scan, m.maxScan) {
+		m.points.Add(-points)
+		return false
+	}
+	p.refresh()
+	return true
+}
+
+// reserve adds n to c unless that would pass a nonzero cap.
+func reserve(c *atomic.Int64, n, cap int64) bool {
+	for {
+		cur := c.Load()
+		if cap > 0 && cur+n > cap {
+			return false
+		}
+		if c.CompareAndSwap(cur, cur+n) {
+			return true
+		}
+	}
 }
 
 // Flush publishes the probe's local counts and evaluates every limit.
@@ -256,6 +310,7 @@ func (p *Probe) Flush() error {
 	p.points, p.scan, p.pending = 0, 0, 0
 	n := m.checks.Add(1)
 	mFlushes.Inc()
+	defer p.refresh()
 	if m.budget.Hook != nil {
 		if err := m.budget.Hook(n); err != nil {
 			return m.trip(err)
@@ -280,9 +335,10 @@ func (p *Probe) Flush() error {
 }
 
 // Drain publishes any buffered counts without evaluating limits; call it
-// when a worker finishes so Spent() is complete.
+// when a worker finishes so Spent() is complete. A nil probe has nothing
+// to drain.
 func (p *Probe) Drain() {
-	if p.points != 0 || p.scan != 0 {
+	if p != nil && (p.points != 0 || p.scan != 0) {
 		p.m.points.Add(p.points)
 		p.m.scan.Add(p.scan)
 		p.points, p.scan, p.pending = 0, 0, 0

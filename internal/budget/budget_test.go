@@ -3,6 +3,7 @@ package budget
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,8 +15,8 @@ func TestZeroBudgetIsUnlimited(t *testing.T) {
 		t.Fatal("zero Budget should report IsZero")
 	}
 	m := NewMeter(nil, Budget{})
-	if !m.Unlimited() {
-		t.Fatal("meter over a zero budget and Background context should be Unlimited")
+	if m.Probe() != nil {
+		t.Fatal("meter over a zero budget and Background context should take no probe")
 	}
 	limited := []Budget{
 		{Deadline: time.Second},
@@ -27,14 +28,14 @@ func TestZeroBudgetIsUnlimited(t *testing.T) {
 		if b.IsZero() {
 			t.Fatalf("budget %d should not be IsZero", i)
 		}
-		if NewMeter(nil, b).Unlimited() {
-			t.Fatalf("meter over budget %d should not be Unlimited", i)
+		if NewMeter(nil, b).Probe() == nil {
+			t.Fatalf("meter over budget %d should take a probe", i)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if NewMeter(ctx, Budget{}).Unlimited() {
-		t.Fatal("meter over a cancellable context should not be Unlimited")
+	if NewMeter(ctx, Budget{}).Probe() == nil {
+		t.Fatal("meter over a cancellable context should take a probe")
 	}
 }
 
@@ -253,5 +254,139 @@ func TestConcurrentProbes(t *testing.T) {
 	// per worker.
 	if total > 50_000+workers*flushPoints {
 		t.Fatalf("workers classified %d points, cap 50000 (+%d slack)", total, workers*flushPoints)
+	}
+}
+
+// TestProbeTripsAtCap: with one probe, a point cap and a scan cap trip at
+// exactly the first check past the cap, whatever flush phase the probe is
+// in when it gets there — after a few checks, after an explicit flush, or
+// after a region Charge.
+func TestProbeTripsAtCap(t *testing.T) {
+	const limit = 1000
+	for _, dim := range []string{"points", "scan"} {
+		for _, warm := range []int{0, 1, 17, flushPoints - 1, flushPoints, 3*flushPoints + 5} {
+			for _, phase := range []string{"checks", "flush", "charge"} {
+				b := Budget{MaxPoints: limit}
+				if dim == "scan" {
+					b = Budget{MaxScan: limit}
+				}
+				m := NewMeter(nil, b)
+				p := m.Probe()
+				// Each check costs one point and one scan step, so the
+				// total crosses either cap at the same check.
+				switch phase {
+				case "checks":
+					for i := 0; i < warm; i++ {
+						if err := p.Check(1, 1); err != nil {
+							t.Fatalf("%s/%s/%d: warm-up check %d: %v", dim, phase, warm, i, err)
+						}
+					}
+				case "flush":
+					for i := 0; i < warm; i++ {
+						p.points++
+						p.scan++
+					}
+					if err := p.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				case "charge":
+					if !p.Charge(int64(warm), int64(warm)) {
+						t.Fatalf("%s/%d: charge refused far from the cap", dim, warm)
+					}
+				}
+				spent := int64(warm)
+				var err error
+				for err == nil && spent < 2*limit {
+					spent++
+					err = p.Check(1, 1)
+				}
+				if !errors.Is(err, cerr.ErrBudgetExceeded) || spent != limit+1 {
+					t.Errorf("%s/%s/%d: tripped at total %d (%v), want %d", dim, phase, warm, spent, err, limit+1)
+				}
+			}
+		}
+	}
+}
+
+// TestChargeRefuses: Charge reserves a region only on a meter that can
+// take all of it — never under a fault hook (hooked runs enumerate every
+// checkpoint), past a cap, or after a trip — and a refusal leaves the
+// meter's totals as the flush left them.
+func TestChargeRefuses(t *testing.T) {
+	var nilProbe *Probe
+	if !nilProbe.Charge(1<<40, 1<<40) {
+		t.Error("a nil probe refused a charge")
+	}
+
+	hooked := NewMeter(nil, Budget{Hook: func(int64) error { return nil }})
+	if hooked.Probe().Charge(1, 0) {
+		t.Error("Charge accepted under a Hook")
+	}
+	if s := hooked.Spent(); s.Points != 0 || s.Checkpoints != 0 {
+		t.Errorf("a refused hooked charge moved the meter: %+v", s)
+	}
+
+	for _, b := range []Budget{{MaxPoints: 100}, {MaxScan: 100}} {
+		m := NewMeter(nil, b)
+		p := m.Probe()
+		if !p.Charge(60, 60) {
+			t.Fatalf("%+v: first charge refused", b)
+		}
+		if p.Charge(41, 41) {
+			t.Errorf("%+v: charge past the cap accepted", b)
+		}
+		if s := m.Spent(); s.Points != 60 || s.Scan != 60 {
+			t.Errorf("%+v: refused charge left points=%d scan=%d, want 60/60", b, s.Points, s.Scan)
+		}
+		if !p.Charge(40, 40) {
+			t.Errorf("%+v: charge up to the cap refused", b)
+		}
+	}
+
+	m := NewMeter(nil, Budget{MaxPoints: 10})
+	p := m.Probe()
+	m.Trip(errors.New("external"))
+	if p.Charge(1, 0) {
+		t.Error("Charge accepted on a tripped meter")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if NewMeter(ctx, Budget{}).Probe().Charge(1, 0) {
+		t.Error("Charge accepted under a cancelled context")
+	}
+}
+
+// TestConcurrentCharges: probes charging and checking concurrently never
+// push the meter past the cap by more than one flush batch per probe.
+// Run under -race.
+func TestConcurrentCharges(t *testing.T) {
+	const limit, workers = 50_000, 8
+	m := NewMeter(nil, Budget{MaxPoints: limit})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := m.Probe()
+			defer p.Drain()
+			for i := 0; ; i++ {
+				if i%8 == 0 {
+					if !p.Charge(int64(w+1)*37, 0) && m.Err() != nil {
+						return
+					}
+					continue
+				}
+				if p.Check(1, 0) != nil {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !errors.Is(m.Err(), cerr.ErrBudgetExceeded) {
+		t.Fatalf("Meter.Err() = %v", m.Err())
+	}
+	if s := m.Spent(); s.Points > limit+workers*flushPoints {
+		t.Fatalf("Spent().Points = %d, cap %d (+%d slack)", s.Points, limit, workers*flushPoints)
 	}
 }

@@ -331,9 +331,8 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 		reports[ci] = cs.rep
 	}
 
-	var serr error
 	if mode.sampled {
-		serr = p.solveSampled(ctx, m, col, "solve.batch", states, *opt.Plan, workers, nil)
+		p.solveSampled(m, col, "solve.batch", states, *opt.Plan, workers, nil)
 	} else {
 		// Set-count tier (geom.go): plan line sizes first — it clears
 		// the need masks of members it will answer in closed form, so the
@@ -349,9 +348,9 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 		if !opt.NoGeom && opt.Budget.Hook == nil && !p.opt.NoSymbolic && p.dyn == nil {
 			gp = p.planGeom(states)
 		}
-		serr = p.solveExactFused(ctx, m, col, "solve.batch", states, workers)
+		p.solveExactFused(m, col, "solve.batch", states, workers)
 		if gp != nil {
-			serr = p.finishGeom(ctx, m, col, workers, gp, serr)
+			p.finishGeom(m, col, workers, gp)
 		}
 	}
 	// Publish solved results to the cache BEFORE any degradation:
@@ -373,10 +372,6 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 		fallback = mode.plan
 	}
 	derr := p.degradeBatch(ctx, m, states, fallback)
-	if derr == nil && serr != nil {
-		// Cancellation observed by the solver pool on an unlimited meter.
-		derr = serr
-	}
 	for dup, src := range dupOf {
 		if reports[src] == nil {
 			errs[dup] = errs[src]
@@ -535,7 +530,7 @@ func (p *Prepared) runLabeled(cand, ref, tile string, run func()) {
 // geometry, so a candidate's report does not depend on the batch around
 // it or on the worker count. A non-nil sink attributes every classified
 // access (AttributeMissesCtx); batches pass nil.
-func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.Collector, stage string, states []*batchCand, plan sampling.Plan, workers int, sink Attribution) error {
+func (p *Prepared) solveSampled(m *budget.Meter, col *obs.Collector, stage string, states []*batchCand, plan sampling.Plan, workers int, sink Attribution) {
 	type item struct {
 		cs *batchCand
 		ri int
@@ -556,30 +551,18 @@ func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.C
 		queue <- it
 	}
 	close(queue)
-	limited := !m.Unlimited()
 	var wg sync.WaitGroup
-	var canceled bool
-	var mu sync.Mutex
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer guardWorker(m)
 			walker := trace.NewWalker(p.np)
-			var pb *budget.Probe
-			if limited {
-				pb = m.Probe()
-				defer pb.Drain()
-			}
+			pb := m.Probe()
+			defer pb.Drain()
 			for it := range queue {
-				if ctx.Err() != nil {
-					mu.Lock()
-					canceled = true
-					mu.Unlock()
-					return
-				}
 				if m.Err() != nil {
-					return // another worker tripped the meter
+					return // the meter tripped
 				}
 				a := it.cs.a
 				fc := a.newClassifier(walker, sink != nil)
@@ -597,10 +580,6 @@ func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.C
 		}()
 	}
 	wg.Wait()
-	if canceled {
-		return cerr.ErrCanceled
-	}
-	return nil
 }
 
 // fuseGroup is the unit of exact solving: the candidates of one layout
@@ -626,7 +605,7 @@ type fuseGroup struct {
 // per-candidate reports in fixed item order, so the merged reports are
 // bit-identical at any worker count. A reference is Complete only if all
 // its tiles ran to completion. Progress is reported under stage.
-func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *obs.Collector, stage string, states []*batchCand, workers int) error {
+func (p *Prepared) solveExactFused(m *budget.Meter, col *obs.Collector, stage string, states []*batchCand, workers int) {
 	groups := map[int64]*fuseGroup{}
 	var order []*fuseGroup
 	for _, cs := range states {
@@ -664,10 +643,6 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 	for _, r := range p.np.Refs {
 		totVol += p.spaces[r.Stmt].Volume()
 	}
-	// Only an armed limit or hook needs a per-point probe. A solve whose
-	// only trigger is a cancellable context runs probe-free, so it counts
-	// symbolically; runTile polls ctx itself.
-	limited := m.Armed()
 	target := int64(tileFactor * workers)
 	var items []*tileItem
 	for _, g := range order {
@@ -686,16 +661,8 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 			// Keep the reference's best replication dimension contiguous so
 			// tiling does not truncate symbolic runs. The choice derives
 			// from the symbolic info regardless of NoSymbolic, so both
-			// modes tile identically. A probed solve enumerates every
-			// point in either mode, so it tiles without the symbolic info
-			// and never builds it.
-			avoid := -1
-			if !limited {
-				if sym := p.symInfo(g.ls)[r]; sym != nil {
-					avoid = sym.avoid
-				}
-			}
-			for _, t := range p.spaces[r.Stmt].TilesAvoiding(n, avoid) {
+			// modes tile identically.
+			for _, t := range p.spaces[r.Stmt].TilesAvoiding(n, p.symInfo(g.ls)[r].avoid) {
 				items = append(items, &tileItem{g: g, ri: ri, tile: t,
 					parts: make([]RefReport, len(g.active[ri]))})
 			}
@@ -716,8 +683,6 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 	close(queue)
 
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var canceled bool
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -730,17 +695,11 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 					fc.release()
 				}
 			}()
-			var pb *budget.Probe
-			if limited {
-				pb = m.Probe()
-				defer pb.Drain()
-			}
+			pb := m.Probe()
+			defer pb.Drain()
 			for it := range queue {
-				mu.Lock()
-				stop := canceled
-				mu.Unlock()
-				if stop || m.Err() != nil {
-					return
+				if m.Err() != nil {
+					return // the meter tripped
 				}
 				fc := fcs[it.g]
 				if fc == nil {
@@ -749,16 +708,10 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 				}
 				var rerr error
 				p.runLabeled(it.g.candLabel(it.ri), p.np.Refs[it.ri].ID, tileLabel(it.tile), func() {
-					rerr = fc.runTile(ctx, it.ri, it.tile, it.g.active[it.ri], it.parts, pb)
+					rerr = fc.runTile(it.ri, it.tile, it.g.active[it.ri], it.parts, pb)
 				})
 				if rerr != nil {
 					return // meter tripped; the merge leaves this ref incomplete
-				}
-				if ctx.Err() != nil {
-					mu.Lock()
-					canceled = true
-					mu.Unlock()
-					return
 				}
 				it.done = true
 				var delta int64
@@ -801,10 +754,6 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 			}
 		}
 	}
-	if canceled {
-		return cerr.ErrCanceled
-	}
-	return nil
 }
 
 // candLabel renders the fused candidates active for a reference as one

@@ -291,13 +291,15 @@ func BenchmarkBudgetOverhead(b *testing.B) {
 	})
 }
 
-// TestCancelOnlyContextCountsSymbolically: a solve whose only trigger is
-// a cancellable context takes no per-point probe, so it counts
-// symbolically exactly as a Background solve does, and its reports are
-// bit-identical to Background's. Cancelled after its first tile, the
-// same solve stops with ErrCanceled and degrades nothing. (Package tests
-// run sequentially, so global counter deltas are safe.)
-func TestCancelOnlyContextCountsSymbolically(t *testing.T) {
+// TestEveryMeterCountsSymbolically: an exact solve takes one path
+// whatever its meter. Under a cancellable context, a deadline, a point cap
+// or a scan cap (each far from binding) it counts symbolically exactly as
+// a Background solve does, with bit-identical reports, and its meter
+// accounts every classified point — those counted symbolically included.
+// Cancelled after its first tile, the same solve stops with ErrCanceled
+// and degrades nothing. (Package tests run sequentially, so global
+// counter deltas are safe.)
+func TestEveryMeterCountsSymbolically(t *testing.T) {
 	_, a := prepKernel(t, kernels.Tomcatv(12, 4), cache.Config{SizeBytes: 512, LineBytes: 32, Assoc: 2}, Options{})
 	var cands []Candidate
 	for _, cfg := range []cache.Config{
@@ -307,29 +309,60 @@ func TestCancelOnlyContextCountsSymbolically(t *testing.T) {
 	} {
 		cands = append(cands, Candidate{Label: cfg.String(), Config: cfg})
 	}
+	symC := obs.Default.Counter("cme_points_symbolic_total")
+	classC := obs.Default.Counter("cme_points_classified_total")
+	s0 := symC.Value()
 	want, err := a.p.SolveBatch(context.Background(), cands, BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("Background SolveBatch: %v", err)
 	}
+	if symC.Value() == s0 {
+		t.Fatal("Background solve counted no point symbolically")
+	}
+	// The need: what the solve spends under a meter that never binds.
+	need, err := a.p.SolveBatch(context.Background(), cands, BatchOptions{Workers: 2,
+		Budget: budget.Budget{MaxScan: 1 << 50}})
+	if err != nil {
+		t.Fatalf("measuring SolveBatch: %v", err)
+	}
+	points, scan := need[0].BudgetSpent.Points, need[0].BudgetSpent.Scan
+	if points == 0 || scan == 0 {
+		t.Fatalf("measuring run spent %d points, %d scan", points, scan)
+	}
 
-	symC := obs.Default.Counter("cme_points_symbolic_total")
-	s0 := symC.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := a.p.SolveBatch(ctx, cands, BatchOptions{Workers: 2})
-	if err != nil {
-		t.Fatalf("cancel-only SolveBatch: %v", err)
-	}
-	if d := symC.Value() - s0; d <= 0 {
-		t.Errorf("cancel-only solve counted %d points symbolically, want > 0", d)
-	}
-	for i := range cands {
-		if w, g := refCounts(want[i]), refCounts(got[i]); fmt.Sprint(w) != fmt.Sprint(g) {
-			t.Errorf("%s: cancel-only counts %v, Background %v", cands[i].Label, g, w)
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		b    budget.Budget
+	}{
+		{"background", context.Background(), budget.Budget{}},
+		{"cancel-only", ctx, budget.Budget{}},
+		{"deadline", context.Background(), budget.Budget{Deadline: 10 * time.Minute}},
+		{"point cap", context.Background(), budget.Budget{MaxPoints: 100 * points}},
+		{"scan cap", context.Background(), budget.Budget{MaxScan: 100 * scan}},
+	} {
+		s0, c0 := symC.Value(), classC.Value()
+		got, err := a.p.SolveBatch(tc.ctx, cands, BatchOptions{Workers: 2, Budget: tc.b})
+		if err != nil {
+			t.Fatalf("%s: SolveBatch: %v", tc.name, err)
 		}
-		if got[i].Degraded || got[i].Tier != TierExact || got[i].BudgetSpent.Points != 0 {
-			t.Errorf("%s: degraded=%v tier=%v points=%d, want an exact report with no metered points",
-				cands[i].Label, got[i].Degraded, got[i].Tier, got[i].BudgetSpent.Points)
+		if d := symC.Value() - s0; d <= 0 {
+			t.Errorf("%s: counted %d points symbolically, want > 0", tc.name, d)
+		}
+		metered := classC.Value() - c0
+		if tc.name == "background" {
+			metered = 0 // an unlimited meter takes no probe
+		}
+		for i := range cands {
+			if w, g := refCounts(want[i]), refCounts(got[i]); fmt.Sprint(w) != fmt.Sprint(g) {
+				t.Errorf("%s: %s: counts %v, Background %v", tc.name, cands[i].Label, g, w)
+			}
+			if got[i].Degraded || got[i].Tier != TierExact || got[i].BudgetSpent.Points != metered {
+				t.Errorf("%s: %s: degraded=%v tier=%v points=%d, want an exact report metering %d points",
+					tc.name, cands[i].Label, got[i].Degraded, got[i].Tier, got[i].BudgetSpent.Points, metered)
+			}
 		}
 	}
 

@@ -130,9 +130,10 @@ type Options struct {
 	// closed-form tiers (closed.go): SolveBatch skips the set-count tier
 	// and a ScalingSolver answers every size by fall-through. Reports are
 	// bit-identical either way — the fast paths reproduce exactly the
-	// verdicts enumeration would have produced, and budgeted or
-	// cancellable solves always enumerate — so this one opt-out exists
-	// for benchmarking the fast paths and for equivalence tests.
+	// verdicts enumeration would have produced, and under a budget they
+	// charge what they copy, so a cap trips at the point enumeration
+	// trips it — so this one opt-out exists for benchmarking the fast
+	// paths and for equivalence tests.
 	NoSymbolic bool
 	// Adaptive switches EstimateMisses to sequential sampling: points are
 	// drawn in chunks from the same per-reference RNG stream and a
@@ -442,8 +443,8 @@ func (a *Analyzer) FindMissesCtx(ctx context.Context, b budget.Budget) (*Report,
 	span.SetAttr("refs", len(a.np.Refs))
 	m := budget.NewMeter(ctx, b)
 	cs := a.solo(false)
-	serr := a.p.solveExactFused(ctx, m, col, "solve.exact", []*batchCand{cs}, workers)
-	return a.finish(ctx, m, cs, sampling.DefaultFallback, serr, start)
+	a.p.solveExactFused(m, col, "solve.exact", []*batchCand{cs}, workers)
+	return a.finish(ctx, m, cs, sampling.DefaultFallback, start)
 }
 
 // solo opens the analyzer as the single candidate of a batch solve.
@@ -452,12 +453,8 @@ func (a *Analyzer) solo(sampled bool) *batchCand { return newBatchCand(a, 0, "",
 // finish walks a solo solve's degradation ladder — SolveBatch's, on a
 // batch of one — and stamps the report's wall time. fallbackPlan is the
 // sampling plan of the TierSampled rung.
-func (a *Analyzer) finish(ctx context.Context, m *budget.Meter, cs *batchCand, fallbackPlan sampling.Plan, serr error, start time.Time) (*Report, error) {
+func (a *Analyzer) finish(ctx context.Context, m *budget.Meter, cs *batchCand, fallbackPlan sampling.Plan, start time.Time) (*Report, error) {
 	err := a.p.degradeBatch(ctx, m, []*batchCand{cs}, fallbackPlan)
-	if err == nil {
-		// Cancellation observed by the solver pool on an unlimited meter.
-		err = serr
-	}
 	cs.rep.Elapsed = time.Since(start)
 	return cs.rep, err
 }
@@ -543,11 +540,11 @@ func (a *Analyzer) estimate(ctx context.Context, b budget.Budget, plan sampling.
 	span.SetAttr("refs", len(a.np.Refs))
 	m := budget.NewMeter(ctx, b)
 	cs := a.solo(true)
-	serr := a.p.solveSampled(ctx, m, col, "solve.sampled", []*batchCand{cs}, plan, a.workers(), sink)
+	a.p.solveSampled(m, col, "solve.sampled", []*batchCand{cs}, plan, a.workers(), sink)
 	// The exact rung is already behind us: only census-sized references
 	// (analysed exhaustively) resample; the rest drop to the
 	// probabilistic tier.
-	return a.finish(ctx, m, cs, plan, serr, start)
+	return a.finish(ctx, m, cs, plan, start)
 }
 
 // planFor selects the sampling plan of one reference of the given volume:

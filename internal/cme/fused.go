@@ -1,7 +1,6 @@
 package cme
 
 import (
-	"context"
 	"math/bits"
 	"slices"
 
@@ -172,52 +171,44 @@ func (fc *fusedClassifier) classify(r *ir.NRef, idx []int64) (Outcome, int64) {
 
 // runTile classifies every point of reference ri inside the tile for the
 // candidates listed in active (positions into g.cands), accumulating each
-// candidate's counts into the parallel parts slice. ctx is polled every
-// 4096 points; an aborted tile leaves partial parts and is not marked
-// done by the caller. A non-nil probe is consulted per point with the
-// fused totals — len(active) classified points and the summed logical
-// scan work — so a one-candidate solve checkpoints Check(1, scanned) per
-// point (cold = 0).
-func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, active []int, parts []RefReport, p *budget.Probe) error {
+// candidate's counts into the parallel parts slice, through the symbolic
+// runner (symRunFused). A non-nil probe is checked per enumerated point
+// with the fused totals — len(active) points and the summed logical scan
+// work — and charged per replicated region. Its error stops the tile,
+// leaving parts with the counts up to and including the tripping point.
+func (fc *fusedClassifier) runTile(ri int, t poly.Tile, active []int, parts []RefReport, pb *budget.Probe) error {
 	r := fc.p.np.Refs[ri]
 	fc.act = fc.act[:0]
 	for _, pos := range active {
 		fc.act = append(fc.act, fc.states[pos])
 	}
-	// Symbolic fast path: solves without a probe only. Solves under a
-	// limit or hook enumerate, so every checkpoint lands on the point
-	// enumeration defines and parity holds by construction; cancellation
-	// alone is polled at the same cadence either way.
-	if p == nil && !fc.p.opt.NoSymbolic {
-		if sym := fc.p.symInfo(fc.g.ls)[r]; sym.usable() {
-			fc.runTileSym(ctx, r, sym, t, parts)
-			return nil
-		}
+	var sym *refSym
+	if !fc.p.opt.NoSymbolic {
+		sym = fc.p.symInfo(fc.g.ls)[r]
+	}
+	sp := fc.p.spaces[r.Stmt]
+	s := &symRunFused{fc: fc, r: r, sym: sym, sp: sp, t: t, parts: parts, pb: pb,
+		idx:    make([]int64, sp.Depth),
+		cuts:   make([][]int64, sp.Depth),
+		deltas: make([][]symDelta, sp.Depth),
 	}
 	var before int64
-	for k := range parts {
-		before += parts[k].Analyzed
+	for i := range parts {
+		before += parts[i].Analyzed
 	}
-	var perr error
-	n := 0
-	fc.p.spaces[r.Stmt].EnumerateTile(t, func(idx []int64) bool {
-		scanned, _ := fc.classifyFused(r, idx, parts)
-		if p != nil {
-			if perr = p.Check(int64(len(fc.act)), scanned); perr != nil {
-				return false
-			}
-		}
-		n++
-		return n&4095 != 0 || ctx.Err() == nil
-	})
+	if !s.countCold() {
+		s.run(0)
+	}
 	var after int64
-	for k := range parts {
-		after += parts[k].Analyzed
+	for i := range parts {
+		after += parts[i].Analyzed
 	}
+	rep := s.nRep * int64(len(parts))
 	mTilesSolved.Inc()
 	mPointsClassed.Add(after - before)
-	mPointsEnumerated.Add(after - before)
-	return perr
+	mPointsSymbolic.Add(rep)
+	mPointsEnumerated.Add(after - before - rep)
+	return s.err
 }
 
 // arm resets a state's per-point walk fields.

@@ -1,7 +1,6 @@
 package cme
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -35,7 +34,7 @@ import (
 //     wrong count.
 //
 //   - Pure-cold rung: a reference with no feasible reuse producer
-//     (refSym.allCold, a line-size-only property) is all cold misses at
+//     (refSym.isAllCold, a line-size-only property) is all cold misses at
 //     every geometry of the line size, stable or not. Zero solves.
 //
 // Members at or below the span, where counts genuinely vary with the
@@ -110,7 +109,7 @@ func (p *Prepared) planClass(lineBytes int64, members []*batchCand) *geomClass {
 	sym := p.symInfo(p.lineState(lineBytes))
 	anyPureCold := false
 	for ri, r := range p.np.Refs {
-		if s := sym[r]; s != nil && s.allCold && p.spaces[r.Stmt].Volume() > 0 {
+		if s := sym[r]; s.isAllCold() && p.spaces[r.Stmt].Volume() > 0 {
 			gc.pureCold[ri] = true
 			anyPureCold = true
 		}
@@ -218,17 +217,12 @@ func affineRange(aff ir.Affine, lo, hi []int64) (int64, int64) {
 // finishGeom completes the tier after the fused pass: it fills the
 // pure-cold rung and the stable members' copies of their anchor, restores
 // and re-solves every refusal through the ordinary fused path, and stamps
-// per-candidate provenance. serr is the fused pass's outcome; on a pool
-// error (cancellation, panic) the cleared reports are left incomplete
-// (coherent partial results), exactly like an interrupted enumeration.
-// Budget exhaustion (m.Err with a clean pool) still fills: copies cost
-// the meter nothing, and an anchor the budget cut short fails the census
-// check, so its class's stable refs fall through per reference and
-// rejoin the ordinary degradation ladder.
-func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Collector, workers int, plan []*geomClass, serr error) error {
-	if serr != nil {
-		return serr
-	}
+// per-candidate provenance. A tripped meter (a cap, a deadline,
+// cancellation, a panic) still fills: copies cost the meter nothing, and
+// an anchor the meter cut short fails the census check, so its class's
+// stable refs fall through per reference and are left to the ordinary
+// degradation ladder (or, after cancellation, incomplete).
+func (p *Prepared) finishGeom(m *budget.Meter, col *obs.Collector, workers int, plan []*geomClass) {
 	var resolve []*batchCand
 	for _, gc := range plan {
 		resolve = append(resolve, p.fillClass(gc)...)
@@ -237,9 +231,8 @@ func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Col
 		// Fall-through: the refused (member, ref) pairs run the ordinary
 		// fused enumerating solver — need masks now select exactly them.
 		sort.Slice(resolve, func(i, j int) bool { return resolve[i].ci < resolve[j].ci })
-		return p.solveExactFused(ctx, m, col, "solve.batch", resolve, workers)
+		p.solveExactFused(m, col, "solve.batch", resolve, workers)
 	}
-	return nil
 }
 
 // fillClass stamps one class's provenance and answers its cleared

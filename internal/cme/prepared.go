@@ -108,10 +108,8 @@ func (p *Prepared) newLineShared(lineBytes int64, vecs map[*ir.NRef][]*reuse.Vec
 }
 
 // symInfo returns the symbolic-region eligibility of one line size's
-// references, building it on first use. Only exact solves that may count
-// symbolically read it — the symbolic fast path, the batch tiler of an
-// unprobed solve and geometry planning — so sampled and probed solves
-// never pay for it.
+// references, building it on first use. Only exact solves read it — the
+// tile runner, the batch tiler and geometry planning.
 func (p *Prepared) symInfo(ls *lineShared) map[*ir.NRef]*refSym {
 	ls.symOnce.Do(func() {
 		ls.sym = buildSymInfo(p.np, p.spaces, ls.vecs, ls.memo, p.dyn, ls.lineBytes)

@@ -1,9 +1,10 @@
 package cme
 
 import (
-	"context"
 	"sort"
+	"sync"
 
+	"cachemodel/internal/budget"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/poly"
 	"cachemodel/internal/reuse"
@@ -43,27 +44,56 @@ import (
 //
 // Within a slab longer than the period P, the solver classifies the first
 // P values (the representatives) and replicates their aggregate outcomes
-// onto the remaining values. Solves under a budget probe (any limit, hook
-// or cancellable context) never take this path: they enumerate, so budget
-// trip points, degradation decisions and partial counts are those of
-// enumeration by construction.
+// onto the remaining values, whatever the meter: under a budget probe
+// every classified point is checked and every replicated (or counted)
+// region is charged before it is copied (budget.Probe.Charge), and a
+// refused charge enumerates the region in order instead. Points are thus
+// visited in enumeration order and a single-worker probe trips at the
+// first check past a cap, so trip points, degradation decisions and
+// partial counts are those of enumeration.
 
 // refSym is the per-reference symbolic-region precomputation.
 type refSym struct {
-	// allCold: no reuse vector's producer-existence system has any
-	// solution inside the reference's iteration space, so every point is a
-	// cold miss (the replacement polytope is empty) and the tile resolves
-	// by counting alone.
-	allCold bool
+	// The all-cold test's inputs (nil sp: the reference is not analysed).
+	sp       *poly.Space
+	vecs     []*reuse.Vector
+	coldOnce sync.Once
+	allCold  bool
 	// dims[k] describes depth k when it is eligible for replication.
 	dims []*dimSym
 	// avoid is the dimension the tiler should keep contiguous (-1: none).
-	avoid  int
-	anyDim bool
+	avoid int
 }
 
-// usable reports whether the fast path can improve on enumeration.
-func (s *refSym) usable() bool { return s != nil && (s.allCold || s.anyDim) }
+// isAllCold reports whether no reuse vector's producer-existence system
+// has a solution inside the reference's space: every point is a cold miss
+// and a tile resolves by counting alone. It is decided on first use, as
+// an empty system can cost a search of the whole space: a solve pays for
+// the references it runs, inside its workers, after its probes are armed.
+func (s *refSym) isAllCold() bool {
+	if s == nil || s.sp == nil {
+		return false
+	}
+	s.coldOnce.Do(func() {
+		s.allCold = true
+		for _, v := range s.vecs {
+			sys, ok := producerSystem(v, s.sp.Depth)
+			if !ok || s.sp.CountWith(poly.FullTile(), sys) > 0 {
+				s.allCold = false
+				return
+			}
+		}
+	})
+	return s.allCold
+}
+
+// dim returns depth k's replication dimension (nil: none).
+func (s *refSym) dim(k int) *dimSym {
+	if s == nil || k >= len(s.dims) {
+		return nil
+	}
+	return s.dims[k]
+}
 
 // dimSym is one eligible replication dimension of a reference.
 type dimSym struct {
@@ -169,22 +199,8 @@ func buildSymInfo(np *ir.NProgram, spaces map[*ir.NStmt]*poly.Space,
 		sp := spaces[r.Stmt]
 		n := sp.Depth
 		vs, infos := vecs[r], memo[r]
+		rs.sp, rs.vecs = sp, vs
 		rs.dims = make([]*dimSym, n)
-
-		// Empty replacement polytope: every vector's producer-existence
-		// system has no solution inside the consumer's space.
-		rs.allCold = true
-		for _, v := range vs {
-			sys, ok := producerSystem(v, n)
-			if !ok || sp.CountWith(poly.FullTile(), sys) > 0 {
-				rs.allCold = false
-				break
-			}
-		}
-		if rs.allCold {
-			continue
-		}
-
 		blo, bhi, bok := sp.BoundingBox()
 		for k := 0; k < n; k++ {
 			if !traits.zero[k] && !traits.shared[k] {
@@ -222,7 +238,6 @@ func buildSymInfo(np *ir.NProgram, spaces map[*ir.NStmt]*poly.Space,
 			}
 			if ok {
 				rs.dims[k] = ds
-				rs.anyDim = true
 				if rs.avoid < 0 && period == 1 {
 					rs.avoid = k
 				}
@@ -237,66 +252,56 @@ type symDelta struct {
 	analyzed, hits, cold, repl int64
 }
 
-// symRunFused executes one (reference, tile) solve with region
-// replication for a fuse group, bit-identical to plain enumeration of the
-// same tile. The line size (and hence every period and every slab) is
-// shared across the group, so one slab decomposition replicates every
-// candidate's aggregates at once; a solo solve is a group of one. It runs
-// only on solves without a budget probe.
+// symRunFused is one (reference, tile) solve of fusedClassifier.runTile,
+// bit-identical to plain enumeration of the same tile. A reference without
+// symbolic info (or a solve under Options.NoSymbolic) is the case where no
+// dimension replicates: the recursion enumerates every point. The line
+// size (and hence every period and every slab) is shared across the fuse
+// group, so one slab decomposition replicates every candidate's
+// aggregates at once.
 type symRunFused struct {
 	fc    *fusedClassifier
 	r     *ir.NRef
-	sym   *refSym
+	sym   *refSym // nil: enumerate
 	sp    *poly.Space
 	t     poly.Tile
 	parts []RefReport
-	ctx   context.Context
+	pb    *budget.Probe // nil on an unlimited meter
+	err   error         // the probe's trip, which stops the tile
 	idx   []int64
 	nRep  int64 // replicated points per candidate
-	nPts  int64 // classified points (context-poll cadence)
+	scan  int64 // logical scan work of the points run so far, summed over candidates
 
 	cuts   [][]int64
 	deltas [][]symDelta // per depth: P * len(parts) deltas, row-major
 }
 
-// runTileSym is fusedClassifier.runTile for a reference with a usable
-// symbolic precomputation.
-func (fc *fusedClassifier) runTileSym(ctx context.Context, r *ir.NRef, sym *refSym, t poly.Tile, parts []RefReport) {
-	sp := fc.p.spaces[r.Stmt]
-	var before int64
-	for i := range parts {
-		before += parts[i].Analyzed
+// countCold resolves an all-cold tile by counting alone, charging its
+// points (cold misses scan nothing); false leaves the tile to enumerate.
+func (s *symRunFused) countCold() bool {
+	if !s.sym.isAllCold() {
+		return false
 	}
-	s := &symRunFused{fc: fc, r: r, sym: sym, sp: sp, t: t, parts: parts, ctx: ctx,
-		idx:    make([]int64, sp.Depth),
-		cuts:   make([][]int64, sp.Depth),
-		deltas: make([][]symDelta, sp.Depth),
+	cnt := s.sp.CountTile(s.t)
+	if !s.pb.Charge(cnt*int64(len(s.parts)), 0) {
+		return false
 	}
-	if sym.allCold {
-		cnt := sp.CountTile(t)
-		for i := range parts {
-			parts[i].Analyzed += cnt
-			parts[i].Cold += cnt
-		}
-		s.nRep = cnt
-	} else {
-		s.run(0)
+	for i := range s.parts {
+		s.parts[i].Analyzed += cnt
+		s.parts[i].Cold += cnt
 	}
-	var after int64
-	for i := range parts {
-		after += parts[i].Analyzed
-	}
-	mTilesSolved.Inc()
-	mPointsClassed.Add(after - before)
-	mPointsSymbolic.Add(s.nRep * int64(len(parts)))
-	mPointsEnumerated.Add(after - before - s.nRep*int64(len(parts)))
+	s.nRep = cnt
+	return true
 }
 
 func (s *symRunFused) run(k int) bool {
 	if k == s.sp.Depth {
-		s.fc.classifyFused(s.r, s.idx, s.parts)
-		s.nPts++
-		return s.nPts&4095 != 0 || s.ctx.Err() == nil
+		scanned, _ := s.fc.classifyFused(s.r, s.idx, s.parts)
+		s.scan += scanned
+		if s.pb != nil {
+			s.err = s.pb.Check(int64(len(s.parts)), scanned)
+		}
+		return s.err == nil
 	}
 	lo, hi, ok := s.sp.RangeAt(k, s.idx)
 	if !ok {
@@ -313,15 +318,9 @@ func (s *symRunFused) run(k int) bool {
 			return true
 		}
 	}
-	d := s.sym.dims[k]
+	d := s.sym.dim(k)
 	if d == nil || hi-lo+1 <= d.period {
-		for v := lo; v <= hi; v++ {
-			s.idx[k] = v
-			if !s.run(k + 1) {
-				return false
-			}
-		}
-		return true
+		return s.enumerate(k, lo, hi)
 	}
 	// Slab decomposition: cut [lo, hi] where some vector's
 	// producer-existence interval opens or closes. Within a slab every
@@ -363,20 +362,22 @@ func (s *symRunFused) run(k int) bool {
 	return true
 }
 
-func (s *symRunFused) runSlab(k int, d *dimSym, lo, hi int64) bool {
-	if lo > hi {
-		return true
+// enumerate runs depth k's values lo..hi one by one.
+func (s *symRunFused) enumerate(k int, lo, hi int64) bool {
+	for v := lo; v <= hi; v++ {
+		s.idx[k] = v
+		if !s.run(k + 1) {
+			return false
+		}
 	}
+	return true
+}
+
+func (s *symRunFused) runSlab(k int, d *dimSym, lo, hi int64) bool {
 	n := hi - lo + 1
 	P := d.period
 	if n <= P {
-		for v := lo; v <= hi; v++ {
-			s.idx[k] = v
-			if !s.run(k + 1) {
-				return false
-			}
-		}
-		return true
+		return s.enumerate(k, lo, hi)
 	}
 	nc := int64(len(s.parts))
 	dl := s.deltas[k]
@@ -386,15 +387,20 @@ func (s *symRunFused) runSlab(k int, d *dimSym, lo, hi int64) bool {
 		dl = dl[:P*nc]
 	}
 	s.deltas[k] = dl
+	// points and scan accumulate the remainder lo+P..hi's volume: each
+	// representative's outcome repeats (n-1-j)/P more times.
+	var points, scan int64
 	for j := int64(0); j < P; j++ {
 		row := dl[j*nc : (j+1)*nc]
 		for i := range s.parts {
 			row[i] = symDelta{s.parts[i].Analyzed, s.parts[i].Hits, s.parts[i].Cold, s.parts[i].Repl}
 		}
+		scan0 := s.scan
 		s.idx[k] = lo + j
 		if !s.run(k + 1) {
 			return false
 		}
+		extra := (n - 1 - j) / P
 		for i := range s.parts {
 			row[i] = symDelta{
 				analyzed: s.parts[i].Analyzed - row[i].analyzed,
@@ -402,9 +408,14 @@ func (s *symRunFused) runSlab(k int, d *dimSym, lo, hi int64) bool {
 				cold:     s.parts[i].Cold - row[i].cold,
 				repl:     s.parts[i].Repl - row[i].repl,
 			}
+			points += extra * row[i].analyzed
 		}
+		scan += extra * (s.scan - scan0)
 	}
-	dl = s.deltas[k]
+	// Charge the remainder whole, or enumerate it when the meter refuses.
+	if !s.pb.Charge(points, scan) {
+		return s.enumerate(k, lo+P, hi)
+	}
 	for j := int64(0); j < P; j++ {
 		extra := (n - 1 - j) / P
 		if extra == 0 {
@@ -419,5 +430,6 @@ func (s *symRunFused) runSlab(k int, d *dimSym, lo, hi int64) bool {
 		}
 		s.nRep += extra * row[0].analyzed
 	}
+	s.scan += scan
 	return true
 }

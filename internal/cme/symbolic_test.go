@@ -3,12 +3,14 @@ package cme
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cerr"
 	"cachemodel/internal/faultinject"
+	"cachemodel/internal/ir"
 	"cachemodel/internal/kernels"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/trace"
@@ -75,36 +77,60 @@ func TestSymbolicOddGeometry(t *testing.T) {
 	}
 }
 
-// TestSymbolicBudgetParity: under a binding scan budget the symbolic path
-// replays the per-point cost stream of each counted region, so it must
-// degrade at exactly the same point as enumeration and produce a
-// bit-identical report, including per-reference provenance.
+// TestSymbolicBudgetParity: under a binding point or scan cap the
+// symbolic path charges each replicated region to the meter only when the
+// whole region fits and enumerates it otherwise, and a probe trips at the
+// first check past a cap, so it must degrade at exactly the point
+// enumeration does and produce a bit-identical report, including
+// per-reference provenance — after replicating some regions, or the test
+// compares enumeration with itself.
 func TestSymbolicBudgetParity(t *testing.T) {
 	cfg := cache.Config{SizeBytes: 512, LineBytes: 32, Assoc: 2}
-	for _, spec := range []string{"hydro", "sor2d", "transpose"} {
-		for _, s := range kernels.Suite() {
-			if s.Name != spec {
-				continue
-			}
-			_, plain := prepKernel(t, s.Build(10), cfg, Options{Workers: 1, NoSymbolic: true})
-			_, sym := prepKernel(t, s.Build(10), cfg, Options{Workers: 1})
-			full, err := plain.FindMissesCtx(context.Background(), budget.Budget{MaxScan: 1 << 50})
-			if err != nil {
-				t.Fatalf("%s: measuring run failed: %v", spec, err)
-			}
-			b := budget.Budget{MaxScan: full.BudgetSpent.Scan / 2}
-			if b.MaxScan == 0 {
-				t.Fatalf("%s: full run reported no scan work", spec)
-			}
+	fixtures := map[string]*ir.Program{"tomcatv-steps": kernels.Tomcatv(12, 8)}
+	for _, s := range kernels.Suite() {
+		switch s.Name {
+		case "hydro", "sor2d", "transpose":
+			fixtures[s.Name] = s.Build(10)
+		}
+	}
+	symC := obs.Default.Counter("cme_points_symbolic_total")
+	for name, prog := range fixtures {
+		_, plain := prepKernel(t, prog, cfg, Options{Workers: 1, NoSymbolic: true})
+		_, sym := prepKernel(t, prog, cfg, Options{Workers: 1})
+		full, err := plain.FindMissesCtx(context.Background(), budget.Budget{MaxScan: 1 << 50})
+		if err != nil {
+			t.Fatalf("%s: measuring run failed: %v", name, err)
+		}
+		if full.BudgetSpent.Scan == 0 {
+			t.Fatalf("%s: full run reported no scan work", name)
+		}
+		// transpose replicates nothing even unbudgeted: it keeps the
+		// enumerate-only case (no dimension replicates) under test.
+		s0 := symC.Value()
+		sym.FindMisses()
+		replicates := symC.Value() > s0
+		for _, b := range []budget.Budget{
+			{MaxScan: full.BudgetSpent.Scan / 2},
+			{MaxPoints: full.BudgetSpent.Points / 4},
+			{MaxPoints: full.BudgetSpent.Points / 2},
+		} {
+			label := fmt.Sprintf("%s %+v", name, b)
 			want, werr := plain.FindMissesCtx(context.Background(), b)
+			s0 := symC.Value()
 			got, gerr := sym.FindMissesCtx(context.Background(), b)
+			if replicates && symC.Value() == s0 {
+				t.Errorf("%s: the symbolic run replicated no point before it tripped", label)
+			}
 			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s: errors diverged: %v vs %v", spec, werr, gerr)
+				t.Fatalf("%s: errors diverged: %v vs %v", label, werr, gerr)
 			}
 			if !want.Degraded {
-				t.Fatalf("%s: budget %d did not force degradation", spec, b.MaxScan)
+				t.Fatalf("%s: budget did not force degradation", label)
 			}
-			sameRefReports(t, spec+" budgeted symbolic", want, got)
+			sameRefReports(t, label+" budgeted symbolic", want, got)
+		}
+		if !replicates && name != "transpose" {
+			t.Errorf("%s: the unbudgeted symbolic run replicated nothing", name)
 		}
 	}
 }

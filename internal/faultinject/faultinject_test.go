@@ -48,10 +48,10 @@ func TestErrorClassification(t *testing.T) {
 func TestThroughMeter(t *testing.T) {
 	inj := ExhaustAt(4)
 	m := budget.NewMeter(nil, budget.Budget{Hook: inj.Hook()})
-	if m.Unlimited() {
-		t.Fatal("a hooked meter must not be Unlimited")
-	}
 	p := m.Probe()
+	if p == nil {
+		t.Fatal("a hooked meter must take a probe")
+	}
 	var err error
 	var i int
 	for i = 1; i <= 10 && err == nil; i++ {

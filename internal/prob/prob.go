@@ -156,11 +156,8 @@ func EstimateCtx(ctx context.Context, np *ir.NProgram, cfg cache.Config, opt Opt
 	m := budget.NewMeter(ctx, b)
 	est := NewEstimator(np, cfg, opt)
 	rep := &Report{Config: cfg}
-	var p *budget.Probe
-	if !m.Unlimited() {
-		p = m.Probe()
-		defer p.Drain()
-	}
+	p := m.Probe()
+	defer p.Drain()
 	for _, r := range np.Refs {
 		if p != nil {
 			if err := p.Check(int64(est.opt.MembershipSamples), 0); err != nil {

@@ -105,10 +105,7 @@ func SimulateShardedCtx(ctx context.Context, np *ir.NProgram, cfg cache.Config, 
 	// shard owning its cache set. Budget checkpoints run here, at the same
 	// per-access granularity as the sequential path.
 	m := budget.NewMeter(ctx, b)
-	var p *budget.Probe
-	if !m.Unlimited() {
-		p = m.Probe()
-	}
+	p := m.Probe()
 	pending := make([][]shardItem, nsh)
 	for i := range pending {
 		pending[i] = pool.Get().([]shardItem)

@@ -141,11 +141,8 @@ func SimulatePolicyCtx(ctx context.Context, np *ir.NProgram, cfg cache.Config, p
 	sim := cache.NewSimulator(cfg)
 	sim.SetWritePolicy(policy)
 	m := budget.NewMeter(ctx, b)
-	var p *budget.Probe
-	if !m.Unlimited() {
-		p = m.Probe()
-		defer p.Drain()
-	}
+	p := m.Probe()
+	defer p.Drain()
 	// Per-reference counters live in a slice indexed by the reference's
 	// global Seq (its position in np.Refs); the map the API exposes is
 	// built once at the end, keeping a map lookup off the per-access path.
