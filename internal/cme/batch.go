@@ -317,37 +317,45 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 			continue
 		}
 		cs := newBatchCand(a, ci, cands[ci].Label, mode.sampled)
-		if opt.Cache != nil {
+		states = append(states, cs)
+		reports[ci] = cs.rep
+	}
+
+	// Set-count tier (geom.go): plan line sizes first. It clears the need
+	// masks of the (member, ref) pairs it will answer in closed form, so
+	// the fused pass below only solves the anchors and the unstable
+	// members; finishGeom fills (or refuses and re-solves) after. Planning
+	// comes before the result cache, so which pairs the tier answers, and
+	// the provenance it stamps, depend on the grid alone and never on
+	// what an earlier solve left in the cache. Only exact batches without
+	// a fault hook are eligible: plain deadline/point/scan budgets are
+	// fine (an interrupted anchor fails the census check and falls through
+	// per reference, and a closed-form fill costs the meter nothing), but
+	// injected faults must see the enumerating solver to keep fault-parity
+	// tests meaningful.
+	var gp []*geomClass
+	if !mode.sampled && !opt.NoGeom && opt.Budget.Hook == nil && !p.opt.NoSymbolic && p.dyn == nil {
+		gp = p.planGeom(states)
+	}
+	if opt.Cache != nil {
+		for _, cs := range states {
 			cs.keys = make([]rcKey, len(p.np.Refs))
 			for ri, r := range p.np.Refs {
-				cs.keys[ri] = refKey(p.Digest(), r, p.np, cands[ci].Config, mode)
+				cs.keys[ri] = refKey(p.Digest(), r, p.np, cands[cs.ci].Config, mode)
+				if !cs.need[ri] {
+					continue // the set-count tier answers it
+				}
 				if v, ok := opt.Cache.get(cs.keys[ri]); ok {
 					v.fill(cs.rep.Refs[ri])
 					cs.need[ri] = false
 				}
 			}
 		}
-		states = append(states, cs)
-		reports[ci] = cs.rep
 	}
 
 	if mode.sampled {
 		p.solveSampled(m, col, "solve.batch", states, *opt.Plan, workers, nil)
 	} else {
-		// Set-count tier (geom.go): plan line sizes first — it clears
-		// the need masks of members it will answer in closed form, so the
-		// fused pass below only solves the anchors and the unstable
-		// members — then fill (or refuse and re-solve) after. Only exact
-		// batches without a fault hook are eligible: plain
-		// deadline/point/scan budgets are fine (an interrupted anchor fails
-		// the census check and falls through per reference, and a
-		// closed-form fill costs the meter nothing), but injected faults
-		// must see the enumerating solver to keep fault-parity tests
-		// meaningful.
-		var gp []*geomClass
-		if !opt.NoGeom && opt.Budget.Hook == nil && !p.opt.NoSymbolic && p.dyn == nil {
-			gp = p.planGeom(states)
-		}
 		p.solveExactFused(m, col, "solve.batch", states, workers)
 		if gp != nil {
 			p.finishGeom(m, col, workers, gp)

@@ -137,9 +137,6 @@ func (p *Prepared) planClass(lineBytes int64, members []*batchCand) *geomClass {
 			targets = members
 		}
 		for _, cs := range targets {
-			if !cs.need[ri] {
-				continue // the result cache already answered it
-			}
 			cs.need[ri] = false
 			cl := gc.cleared[cs]
 			if cl == nil {
@@ -148,9 +145,6 @@ func (p *Prepared) planClass(lineBytes int64, members []*batchCand) *geomClass {
 			}
 			cl[ri] = true
 		}
-	}
-	if len(gc.cleared) == 0 {
-		return nil // everything was already cache-filled
 	}
 	if gc.anchor != nil {
 		mGeomAnchors.Inc()
@@ -250,13 +244,9 @@ func (p *Prepared) fillClass(gc *geomClass) []*batchCand {
 		case !gc.stable(cs):
 			gi.Why = fmt.Sprintf("unstable: %d sets <= span %d lines", cs.a.numSets, gc.span)
 		}
-		cl := gc.cleared[cs]
-		if cl == nil && gi.Why == "" {
-			continue // a stable member the result cache answered in full
-		}
 		cs.rep.Geom = gi
 		bad := false
-		for ri, c := range cl {
+		for ri, c := range gc.cleared[cs] {
 			if !c {
 				continue
 			}

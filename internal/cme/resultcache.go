@@ -29,16 +29,17 @@ type CacheStats struct {
 // the entry is valid wherever the key matches). Stored per reference over
 // the full tile — per-run tile partitions depend on the worker count, but
 // their merged sums do not, which is exactly what makes the entry
-// portable across runs.
+// portable across runs. Only exact and sampled results are ever stored:
+// SolveBatch publishes before the degradation ladder runs, so no cached
+// reference is probabilistic and none carries a Ratio.
 type cachedRef struct {
-	Volume   int64   `json:"volume"`
-	Analyzed int64   `json:"analyzed"`
-	Sampled  bool    `json:"sampled,omitempty"`
-	Hits     int64   `json:"hits"`
-	Cold     int64   `json:"cold"`
-	Repl     int64   `json:"repl"`
-	Tier     Tier    `json:"tier"`
-	Ratio    float64 `json:"ratio,omitempty"`
+	Volume   int64 `json:"volume"`
+	Analyzed int64 `json:"analyzed"`
+	Sampled  bool  `json:"sampled,omitempty"`
+	Hits     int64 `json:"hits"`
+	Cold     int64 `json:"cold"`
+	Repl     int64 `json:"repl"`
+	Tier     Tier  `json:"tier"`
 }
 
 func (v cachedRef) fill(rr *RefReport) {
@@ -49,13 +50,12 @@ func (v cachedRef) fill(rr *RefReport) {
 	rr.Cold = v.Cold
 	rr.Repl = v.Repl
 	rr.Tier = v.Tier
-	rr.Ratio = v.Ratio
 	rr.Complete = true
 }
 
 func snapRef(rr *RefReport) cachedRef {
 	return cachedRef{Volume: rr.Volume, Analyzed: rr.Analyzed, Sampled: rr.Sampled,
-		Hits: rr.Hits, Cold: rr.Cold, Repl: rr.Repl, Tier: rr.Tier, Ratio: rr.Ratio}
+		Hits: rr.Hits, Cold: rr.Cold, Repl: rr.Repl, Tier: rr.Tier}
 }
 
 // ResultCache is a content-addressed, LRU-bounded store of per-reference
@@ -321,10 +321,10 @@ func (v cachedRef) validate() error {
 		return fmt.Errorf("analyzed %d exceeds volume %d", v.Analyzed, v.Volume)
 	case v.Hits+v.Cold+v.Repl > v.Analyzed:
 		return fmt.Errorf("outcomes %d exceed analyzed %d", v.Hits+v.Cold+v.Repl, v.Analyzed)
+	case v.Tier == TierProbabilistic:
+		return fmt.Errorf("probabilistic tier: only complete exact or sampled results are cached")
 	case v.Tier < TierExact || v.Tier > TierProbabilistic:
 		return fmt.Errorf("unknown tier %d", v.Tier)
-	case v.Ratio < 0 || v.Ratio > 1:
-		return fmt.Errorf("ratio %g outside [0,1]", v.Ratio)
 	}
 	return nil
 }

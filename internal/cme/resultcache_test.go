@@ -230,7 +230,7 @@ func TestResultCacheLoadRejectsImpossibleEntry(t *testing.T) {
 		"analyzed>volume":  {Volume: 4, Analyzed: 5, Tier: TierExact},
 		"outcomes>counted": {Volume: 4, Analyzed: 4, Hits: 3, Cold: 2, Tier: TierExact},
 		"bad_tier":         {Volume: 4, Analyzed: 4, Tier: Tier(9)},
-		"bad_ratio":        {Volume: 4, Analyzed: 0, Tier: TierProbabilistic, Ratio: 1.5},
+		"probabilistic":    {Volume: 4, Analyzed: 0, Tier: TierProbabilistic},
 	} {
 		k := tk("k")
 		inner, err := json.Marshal([]diskEntry{{Key: hex.EncodeToString(k[:]), Val: val}})
@@ -392,7 +392,7 @@ func TestResultCacheLoadCorruptKeepsWarmEntries(t *testing.T) {
 func TestResultCacheStoreBytesPinned(t *testing.T) {
 	c := NewResultCache(0)
 	for _, name := range []string{"a", "b"} {
-		c.put(tk(name), cachedRef{Volume: 9, Analyzed: 8, Sampled: true, Hits: 3, Cold: 2, Repl: 1, Tier: TierSampled, Ratio: 0.25})
+		c.put(tk(name), cachedRef{Volume: 9, Analyzed: 8, Sampled: true, Hits: 3, Cold: 2, Repl: 1, Tier: TierSampled})
 	}
 	path := filepath.Join(t.TempDir(), "rc.json")
 	if err := c.Save(path); err != nil {
@@ -402,9 +402,9 @@ func TestResultCacheStoreBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"schema":"cachette/resultcache/v1","sum":"78c18a44cdce60dab486e5f11c8379e9a09bcda3921802b26e8c392a2ff507df","entries":[` +
-		`{"key":"ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb","val":{"volume":9,"analyzed":8,"sampled":true,"hits":3,"cold":2,"repl":1,"tier":1,"ratio":0.25}},` +
-		`{"key":"3e23e8160039594a33894f6564e1b1348bbd7a0088d42c4acb73eeaed59c009d","val":{"volume":9,"analyzed":8,"sampled":true,"hits":3,"cold":2,"repl":1,"tier":1,"ratio":0.25}}]}`
+	const want = `{"schema":"cachette/resultcache/v1","sum":"bfde70f46d1991b4d6722f587a86008f1506b2bee114f5b3015ea696e84a9b2d","entries":[` +
+		`{"key":"ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb","val":{"volume":9,"analyzed":8,"sampled":true,"hits":3,"cold":2,"repl":1,"tier":1}},` +
+		`{"key":"3e23e8160039594a33894f6564e1b1348bbd7a0088d42c4acb73eeaed59c009d","val":{"volume":9,"analyzed":8,"sampled":true,"hits":3,"cold":2,"repl":1,"tier":1}}]}`
 	if string(blob) != want {
 		t.Errorf("store bytes changed\n got: %s\nwant: %s", blob, want)
 	}

@@ -524,8 +524,11 @@ func (c *Coordinator) addSweep(ctx context.Context, sw *SweepSpec, journalledPru
 	// candidate is a unit of its own, the finest stealing granularity:
 	// those of budgeted sweeps (the budget is per unit, so regrouping
 	// would change how far it stretches) and of sampled ones, which do
-	// not fuse. Rows are bit-identical under any partition, so the merged
-	// report never depends on it.
+	// not fuse. Counts are bit-identical under any partition, but
+	// set-count provenance is not: a one-candidate unit has no line size
+	// to share, so a budgeted exact sweep's rows never carry it, while
+	// SolveLocal's whole-grid batch does. Only the unbudgeted partition
+	// keeps every row byte-identical to SolveLocal.
 	addUnitOf := func(idxs []int) {
 		ucs := make([]cme.Candidate, len(idxs))
 		uwcs := make([]WireCandidate, len(idxs))
@@ -849,11 +852,12 @@ func (c *Coordinator) Complete(worker, sweep, unitKey string, rows []Row, errMsg
 
 // compactRowsLocked copies a unit result into exactly sized storage for
 // retention: the rows and each row's Refs lose the slack the JSON
-// decoder's append-doubling leaves, the per-reference id and tier strings
-// are interned, so the many rows naming one reference share one string,
-// and rows of the unit with equal Refs share one slice (the set-count
-// tier copies one anchor's counts to every stable geometry of a line
-// size, so most rows of a unit repeat another's). Only capacities and
+// decoder's append-doubling leaves, the tier, closed-form reason and
+// per-reference id and tier strings are interned, so the many rows naming
+// one reference share one string, and rows of the unit with equal Refs
+// share one slice (the set-count tier copies one anchor's counts to every
+// stable geometry of a line size, so most rows of a unit repeat
+// another's). Only capacities and
 // storage sharing change, so the rows stay bit-identical; retained rows
 // are read-only.
 func (c *Coordinator) compactRowsLocked(rows []Row) []Row {
@@ -862,6 +866,7 @@ func (c *Coordinator) compactRowsLocked(rows []Row) []Row {
 	var distinct [][]RefRow
 	for i := range out {
 		out[i].Tier = c.internLocked(out[i].Tier)
+		out[i].ClosedWhy = c.internLocked(out[i].ClosedWhy)
 		if len(out[i].Refs) == 0 {
 			continue
 		}

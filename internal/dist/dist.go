@@ -18,12 +18,21 @@
 // back; the coordinator merges them in candidate order.
 //
 // Determinism argument (DESIGN.md §Distributed sweeps has the long form):
-// SolveBatch is bit-identical per candidate at any worker count, a unit's
-// batch over a candidate subset produces the same per-candidate reports
-// as the full batch, the wire rows exclude every nondeterministic field
-// (elapsed time, budget spend), and the merge writes rows by candidate
-// index — so the merged report is byte-identical to a single-process
-// SolveBatch run at any worker count or failure schedule.
+// every row is rendered by spec.Rows, the renderer serve uses too, so a
+// merged row carries the same fields, set-count provenance included, as
+// the /v1/sweep answer to the same grid. Rows exclude every
+// nondeterministic field (elapsed time, budget spend), and the merge
+// writes them by candidate index. For an unbudgeted sweep the unit
+// partition is fixed: an exact sweep's unit is a whole line-size fuse
+// group, so its batch picks the same set-count anchors as SolveLocal's
+// whole-grid batch, and SolveBatch is bit-identical per candidate at any
+// worker count. The merged report is then byte-identical to SolveLocal
+// at any worker count or failure schedule, also when a worker answers
+// from its result cache: the set-count tier plans before the cache is
+// read, so its provenance depends on the grid alone. A budgeted sweep is
+// cut into per-candidate units, so its rows never carry set-count
+// provenance, and it may degrade; as for SolveBatch itself, it keeps no
+// bit-identity guarantee.
 package dist
 
 import (
@@ -52,8 +61,10 @@ type SolveSpec struct {
 	Width      float64 `json:"width,omitempty"`      // default 0.05 (sampled)
 	Adaptive   bool    `json:"adaptive,omitempty"`
 	// Per-unit budget. A budgeted unit may degrade (recorded in row
-	// provenance); bit-identity to a single-process run is only guaranteed
-	// for unbudgeted sweeps, exactly as for SolveBatch itself.
+	// provenance), and each candidate of a budgeted sweep is a unit of
+	// its own, so its rows never carry set-count provenance; bit-identity
+	// to a single-process run is only guaranteed for unbudgeted sweeps,
+	// exactly as for SolveBatch itself.
 	MaxPoints int64 `json:"max_points,omitempty"`
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
@@ -132,41 +143,12 @@ func (s *SweepSpec) grid(lim spec.Limits) ([]WireCandidate, error) {
 // the exact candidate without sharing memory with the coordinator.
 type WireCandidate = spec.Candidate
 
-// RefRow is the per-reference row of a candidate result: the raw counts,
-// so bit-identity between a distributed and a single-process run is
-// checkable from the merged report alone.
-type RefRow struct {
-	ID       string  `json:"id"`
-	Volume   int64   `json:"volume"`
-	Analyzed int64   `json:"analyzed"`
-	Hits     int64   `json:"hits"`
-	Cold     int64   `json:"cold"`
-	Repl     int64   `json:"repl"`
-	Tier     string  `json:"tier"`
-	Ratio    float64 `json:"ratio,omitempty"`
-}
-
-// Row is one candidate's merged result. It deliberately carries no
-// timing or budget-spend fields: everything in a Row is deterministic for
-// an unbudgeted sweep, which is what makes the merged report
-// byte-comparable across worker counts and failure schedules.
-type Row struct {
-	Label           string   `json:"label"`
-	CacheBytes      int64    `json:"cache_bytes"`
-	LineBytes       int64    `json:"line_bytes"`
-	Assoc           int      `json:"assoc"`
-	MissRatioPct    float64  `json:"miss_ratio_pct"`
-	EstimatedMisses float64  `json:"estimated_misses"`
-	Accesses        int64    `json:"accesses"`
-	Tier            string   `json:"tier,omitempty"`
-	Degraded        bool     `json:"degraded,omitempty"`
-	Coverage        float64  `json:"coverage,omitempty"`
-	Refs            []RefRow `json:"refs,omitempty"`
-	Error           string   `json:"error,omitempty"`
-	// Pruned marks a candidate the advisor frontier pass eliminated: the
-	// ratio is the cheap-tier estimate, and no exact solve was spent.
-	Pruned bool `json:"pruned,omitempty"`
-}
+// RefRow and Row are the answer rows every front door shares (see
+// spec.Row); the names stay for callers that spell them from this package.
+type (
+	RefRow = spec.RefRow
+	Row    = spec.Row
+)
 
 // SolveLocal runs the sweep in this process — one Prepare, one
 // SolveBatch over the whole grid — and renders the same wire rows a
@@ -195,64 +177,15 @@ func (s *SweepSpec) SolveLocal(ctx context.Context, workers int) ([]Row, error) 
 	if err != nil {
 		return nil, err
 	}
-	reps, err := prep.SolveBatch(ctx, spec.Solvers(wcs), cme.BatchOptions{
+	cands := spec.Solvers(wcs)
+	reps, err := prep.SolveBatch(ctx, cands, cme.BatchOptions{
 		Plan: plan, Workers: workers, Budget: s.SolveSpec.budget(),
 	})
 	var be *cme.BatchError
 	if err != nil && !errors.As(err, &be) {
 		return nil, err
 	}
-	return RenderRows(wcs, reps, err), nil
-}
-
-// RenderRows renders a solve outcome into wire rows, index-aligned with
-// cands. It is the single rendering path shared by workers and by
-// single-process baselines, so "bit-identical" is a byte comparison of
-// the rendered rows, not a field-by-field argument.
-func RenderRows(cands []WireCandidate, reps []*cme.Report, err error) []Row {
-	var batch *cme.BatchError
-	errors.As(err, &batch)
-	rows := make([]Row, len(cands))
-	for i, wc := range cands {
-		row := Row{Label: wc.Label, CacheBytes: wc.CacheBytes, LineBytes: wc.LineBytes, Assoc: wc.Assoc}
-		var rep *cme.Report
-		if i < len(reps) {
-			rep = reps[i]
-		}
-		if rep == nil {
-			switch {
-			case batch != nil && batch.Errs[i] != nil:
-				// Strip the solver's "candidate %d (label): " wrapper: the
-				// index is batch-local, so it would differ between a unit's
-				// sub-batch and the single-process full batch and break the
-				// byte comparison. One unwrap removes exactly that layer.
-				e := batch.Errs[i]
-				if u := errors.Unwrap(e); u != nil {
-					e = u
-				}
-				row.Error = e.Error()
-			case err != nil:
-				row.Error = err.Error()
-			default:
-				row.Error = "no report"
-			}
-			rows[i] = row
-			continue
-		}
-		row.MissRatioPct = rep.MissRatio()
-		row.EstimatedMisses = rep.EstimatedMisses()
-		row.Accesses = rep.TotalAccesses()
-		row.Tier = rep.Tier.String()
-		row.Degraded = rep.Degraded
-		row.Coverage = rep.Coverage()
-		for _, rr := range rep.Refs {
-			row.Refs = append(row.Refs, RefRow{ID: rr.Ref.ID, Volume: rr.Volume,
-				Analyzed: rr.Analyzed, Hits: rr.Hits, Cold: rr.Cold, Repl: rr.Repl,
-				Tier: rr.Tier.String(), Ratio: rr.Ratio})
-		}
-		rows[i] = row
-	}
-	return rows
+	return spec.Rows(cands, reps, err), nil
 }
 
 // ReportSchemaV1 identifies the merged-report JSON document.

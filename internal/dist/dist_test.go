@@ -60,8 +60,9 @@ func baselineRows(t *testing.T, sw *SweepSpec) []Row {
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	reps, err := prep.SolveBatch(context.Background(), spec.Solvers(wcs), cme.BatchOptions{Plan: plan})
-	return RenderRows(wcs, reps, err)
+	cands := spec.Solvers(wcs)
+	reps, err := prep.SolveBatch(context.Background(), cands, cme.BatchOptions{Plan: plan})
+	return spec.Rows(cands, reps, err)
 }
 
 func mustJSON(t *testing.T, v any) string {
@@ -426,8 +427,7 @@ func TestJournalResume(t *testing.T) {
 		t.Fatalf("lease status %q", lr.Status)
 	}
 	// Solve the leased unit out of band, exactly as a worker would.
-	reps, serr := rawSolveBatch(t, lr.Unit)
-	if err := a.Complete("pre", lr.Sweep, lr.Unit.Key, RenderRows(lr.Unit.Candidates, reps, serr), "", nil); err != nil {
+	if err := a.Complete("pre", lr.Sweep, lr.Unit.Key, rawSolve(t, lr.Unit), "", nil); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
 	a.Close()
@@ -695,6 +695,52 @@ func TestWorkerCheckpointResume(t *testing.T) {
 	}
 	if got := mustJSON(t, rep.Rows); got != want {
 		t.Errorf("checkpoint-replayed rows differ from baseline")
+	}
+}
+
+// TestWarmCacheKeepsProvenance: a worker whose result cache already
+// holds one candidate, from an earlier single-candidate sweep, renders a
+// fuse-group sweep over a grid containing that candidate exactly as
+// SolveLocal does, set-count provenance included. Which pairs the
+// set-count tier answers depends on the grid alone, never on what the
+// cache holds.
+func TestWarmCacheKeepsProvenance(t *testing.T) {
+	grid := &SweepSpec{
+		ProgramSpec: ProgramSpec{Program: "tomcatv", Size: 12},
+		SolveSpec:   SolveSpec{Exact: true},
+		CacheSizes:  []int64{16384, 32768, 65536},
+		LineSizes:   []int64{32},
+		Assocs:      []int{1, 2},
+	}
+	rows := baselineRows(t, grid)
+	want := mustJSON(t, rows)
+	one := *grid
+	for _, r := range rows {
+		if r.ClosedForm && !r.ClosedAnchor {
+			one.CacheSizes, one.Assocs = []int64{r.CacheBytes}, []int{r.Assoc}
+			break
+		}
+	}
+	if len(one.CacheSizes) != 1 {
+		t.Fatalf("baseline has no closed-form member: %s", want)
+	}
+	cachePath := filepath.Join(t.TempDir(), "worker.cache")
+	for i, sw := range []*SweepSpec{&one, grid} {
+		c, srv := newTestCoordinator(t, Options{})
+		st, err := c.AddSweep(context.Background(), sw)
+		if err != nil {
+			t.Fatalf("AddSweep %d: %v", i, err)
+		}
+		runWorkers(t, srv.URL, 1, func(_ int, o *WorkerOptions) { o.CachePath = cachePath })
+		rep, err := c.Report(st.Sweep)
+		if err != nil {
+			t.Fatalf("Report %d: %v", i, err)
+		}
+		if sw == grid {
+			if got := mustJSON(t, rep.Rows); got != want {
+				t.Errorf("warm-cache rows differ from SolveLocal:\n got %s\nwant %s", got, want)
+			}
+		}
 	}
 }
 

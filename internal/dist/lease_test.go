@@ -242,7 +242,7 @@ func TestRawLeaseLoopHonouringHint(t *testing.T) {
 func rawSolve(t *testing.T, u *UnitSpec) []Row {
 	t.Helper()
 	reps, err := rawSolveBatch(t, u)
-	return RenderRows(u.Candidates, reps, err)
+	return spec.Rows(spec.Solvers(u.Candidates), reps, err)
 }
 
 // rawSolveBatch is rawSolve's solve, before rendering.

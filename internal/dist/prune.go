@@ -28,9 +28,10 @@ func pruneGrid(ctx context.Context, sw *SweepSpec, wcs []WireCandidate) (map[int
 	if err != nil {
 		return nil, err
 	}
-	cfgs := make([]cache.Config, len(wcs))
-	for i, wc := range wcs {
-		cfgs[i] = wc.Solver().Config
+	cands := spec.Solvers(wcs)
+	cfgs := make([]cache.Config, len(cands))
+	for i, c := range cands {
+		cfgs[i] = c.Config
 	}
 	choices, err := advisor.SearchConfigs(ctx, func() *ir.Program { return p }, cfgs, sw.options(), &prunePlan)
 	if err != nil && len(choices) == 0 {
@@ -45,20 +46,14 @@ func pruneGrid(ctx context.Context, sw *SweepSpec, wcs []WireCandidate) (map[int
 		ranked[ch.Label] = ch.MissRatio
 	}
 	pruned := map[int]Row{}
-	for i, wc := range wcs {
-		ratio, ok := ranked[wc.Label]
-		if !ok || surviving[wc.Label] {
+	for i, c := range cands {
+		ratio, ok := ranked[c.Label]
+		if !ok || surviving[c.Label] {
 			continue
 		}
-		pruned[i] = Row{
-			Label:        wc.Label,
-			CacheBytes:   wc.CacheBytes,
-			LineBytes:    wc.LineBytes,
-			Assoc:        wc.Assoc,
-			MissRatioPct: ratio,
-			Tier:         "sampled",
-			Pruned:       true,
-		}
+		row := spec.RowOf(c)
+		row.MissRatioPct, row.Tier, row.Pruned = ratio, "sampled", true
+		pruned[i] = row
 	}
 	return pruned, nil
 }

@@ -273,11 +273,12 @@ func (w *Worker) process(ctx context.Context, lr *LeaseResponse) error {
 	plan, err := u.Solve.plan()
 	var reps []*cme.Report
 	var solveErr error
+	cands := spec.Solvers(u.Candidates)
 	solveStart := time.Now()
 	if err != nil {
 		solveErr = err
 	} else {
-		reps, solveErr = prep.SolveBatch(solveCtx, spec.Solvers(u.Candidates), cme.BatchOptions{
+		reps, solveErr = prep.SolveBatch(solveCtx, cands, cme.BatchOptions{
 			Plan:    plan,
 			Cache:   w.rc,
 			Workers: w.opt.SolveWorkers,
@@ -322,7 +323,7 @@ func (w *Worker) process(ctx context.Context, lr *LeaseResponse) error {
 		// coordinator can retry or fail the unit.
 		return w.complete(ctx, lr, nil, solveErr.Error(), shard)
 	}
-	return w.complete(ctx, lr, RenderRows(u.Candidates, reps, solveErr), "", shard)
+	return w.complete(ctx, lr, spec.Rows(cands, reps, solveErr), "", shard)
 }
 
 // complete posts a unit outcome through the retry policy.

@@ -11,21 +11,21 @@ import (
 
 // solveOutcome is what one solve produced, shared verbatim between the
 // flight leader and every follower. Reports are read-only after the solve,
-// so sharing the slice is safe; per-candidate construction failures are
-// split out of err so a partially solved sweep still counts as a result.
+// so sharing the slice is safe. err is the solve's error as returned,
+// which the rows render; jobErr derives the job's failure from it.
 type solveOutcome struct {
 	reports []*cme.Report
-	batch   *cme.BatchError
 	err     error
 }
 
-// newOutcome splits a solve's per-candidate failures out of its error.
-func newOutcome(reps []*cme.Report, err error) *solveOutcome {
-	var berr *cme.BatchError
-	if errors.As(err, &berr) {
-		return &solveOutcome{reports: reps, batch: berr}
+// jobErr is the job's failure: the solve's error, except that
+// per-candidate construction failures alone (a *cme.BatchError) still
+// leave a partially solved sweep counted as a result.
+func (o *solveOutcome) jobErr() error {
+	if errors.As(o.err, new(*cme.BatchError)) {
+		return nil
 	}
-	return &solveOutcome{reports: reps, err: err}
+	return o.err
 }
 
 // flightGroup is a minimal singleflight keyed by the content address of a

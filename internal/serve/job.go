@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"cachemodel/internal/cerr"
-	"cachemodel/internal/cme"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/retry"
+	"cachemodel/internal/spec"
 )
 
 // JobStatus is the lifecycle of one admitted job. Shed requests never
@@ -82,47 +82,13 @@ func errKind(err error) string {
 	}
 }
 
-// RefResult is the per-reference row of a candidate result: the raw
-// counts, so bit-identity between two jobs is checkable from the API
-// alone.
-type RefResult struct {
-	ID       string  `json:"id"`
-	Volume   int64   `json:"volume"`
-	Analyzed int64   `json:"analyzed"`
-	Hits     int64   `json:"hits"`
-	Cold     int64   `json:"cold"`
-	Repl     int64   `json:"repl"`
-	Tier     string  `json:"tier"`
-	Ratio    float64 `json:"ratio,omitempty"`
-	// ClosedForm marks counts evaluated from the fitted closed form
-	// rather than an enumerating solve at this size.
-	ClosedForm bool `json:"closed_form,omitempty"`
-}
-
-// CandidateResult is one candidate's answer with full provenance.
-type CandidateResult struct {
-	Label           string      `json:"label"`
-	CacheBytes      int64       `json:"cache_bytes"`
-	LineBytes       int64       `json:"line_bytes"`
-	Assoc           int         `json:"assoc"`
-	MissRatioPct    float64     `json:"miss_ratio_pct"`
-	EstimatedMisses float64     `json:"estimated_misses"`
-	Accesses        int64       `json:"accesses"`
-	Tier            string      `json:"tier"`
-	Degraded        bool        `json:"degraded,omitempty"`
-	Coverage        float64     `json:"coverage"`
-	Refs            []RefResult `json:"refs,omitempty"`
-	Error           string      `json:"error,omitempty"`
-	// Closed-form provenance (cme.ClosedInfo), set by the problem-size
-	// tier (parameter-axis jobs) or the set-count tier (exact sweeps):
-	// whether this candidate was answered in closed form, how many
-	// references were covered, whether it was solved exactly as an
-	// anchor, and why it was not answered in closed form.
-	ClosedForm     bool   `json:"closed_form,omitempty"`
-	ClosedFormRefs int    `json:"closed_form_refs,omitempty"`
-	ClosedAnchor   bool   `json:"closed_anchor,omitempty"`
-	ClosedWhy      string `json:"closed_why,omitempty"`
-}
+// RefResult and CandidateResult are the answer rows every front door
+// shares (see spec.Row); the names stay for callers that spell them from
+// this package.
+type (
+	RefResult       = spec.RefRow
+	CandidateResult = spec.Row
+)
 
 // Result is a terminal job's outcome: candidate rows with provenance for
 // done jobs, a typed error for failed ones, and the solve fingerprint
@@ -301,52 +267,13 @@ func (h *hub) close() {
 }
 
 // resultFrom renders a solve outcome into the job's wire result.
-func resultFrom(key string, shared bool, spec *jobSpec, out *solveOutcome) *Result {
-	res := &Result{Key: key, Shared: shared}
-	if out.err != nil {
-		res.Error = &ErrorBody{Kind: errKind(out.err), Message: out.err.Error()}
+func resultFrom(key string, shared bool, js *jobSpec, out *solveOutcome) *Result {
+	res := &Result{Key: key, Shared: shared, Candidates: spec.Rows(js.cands, out.reports, out.err)}
+	if err := out.jobErr(); err != nil {
+		res.Error = &ErrorBody{Kind: errKind(err), Message: err.Error()}
 	}
-	for i, c := range spec.cands {
-		row := CandidateResult{Label: c.Label,
-			CacheBytes: c.Config.SizeBytes, LineBytes: c.Config.LineBytes, Assoc: c.Config.Assoc}
-		var rep *cme.Report
-		if i < len(out.reports) {
-			rep = out.reports[i]
-		}
-		if rep == nil {
-			if out.batch != nil && out.batch.Errs[i] != nil {
-				row.Error = out.batch.Errs[i].Error()
-			} else if out.err != nil {
-				row.Error = out.err.Error()
-			}
-			res.Candidates = append(res.Candidates, row)
-			continue
-		}
-		row.MissRatioPct = rep.MissRatio()
-		row.EstimatedMisses = rep.EstimatedMisses()
-		row.Accesses = rep.TotalAccesses()
-		row.Tier = rep.Tier.String()
-		row.Degraded = rep.Degraded
-		row.Coverage = rep.Coverage()
-		if rep.Degraded {
-			res.Degraded = true
-		}
-		ci := rep.Scaling
-		if ci == nil {
-			ci = rep.Geom
-		}
-		if ci != nil {
-			row.ClosedForm = ci.Closed()
-			row.ClosedFormRefs = ci.ClosedRefs
-			row.ClosedAnchor = ci.Anchor
-			row.ClosedWhy = ci.Why
-		}
-		for _, rr := range rep.Refs {
-			row.Refs = append(row.Refs, RefResult{ID: rr.Ref.ID, Volume: rr.Volume,
-				Analyzed: rr.Analyzed, Hits: rr.Hits, Cold: rr.Cold, Repl: rr.Repl,
-				Tier: rr.Tier.String(), Ratio: rr.Ratio, ClosedForm: rr.ClosedForm})
-		}
-		res.Candidates = append(res.Candidates, row)
+	for _, row := range res.Candidates {
+		res.Degraded = res.Degraded || row.Degraded
 	}
 	return res
 }

@@ -305,7 +305,8 @@ func (s *Server) runJob(j *Job) {
 	// meter) after a jittered backoff, unless the job was cancelled, the
 	// server is draining, or the schedule is exhausted — then it fails
 	// typed like anything else.
-	if out.err != nil && errors.Is(out.err, cerr.ErrTransient) &&
+	jobErr := out.jobErr()
+	if errors.Is(jobErr, cerr.ErrTransient) &&
 		!j.isCanceled() && !s.draining.Load() {
 		if d, ok := j.backoff.Next(); ok {
 			j.attempts++
@@ -327,7 +328,7 @@ func (s *Server) runJob(j *Job) {
 
 	res := resultFrom(key, shared, j.spec, out)
 	status := StatusDone
-	if out.err != nil {
+	if jobErr != nil {
 		status = StatusFailed
 	}
 	s.finalize(j, status, res)
@@ -362,14 +363,15 @@ func (s *Server) attempt(ctx context.Context, j *Job) (out *solveOutcome, key st
 	// becomes the new leader. Bounded by the context either way.
 	for {
 		out, shared = s.flight.do(ctx, fl.key, func() *solveOutcome {
-			return newOutcome(guard(func() ([]*cme.Report, error) {
+			reps, err := guard(func() ([]*cme.Report, error) {
 				return fl.solve(obs.NewContext(ctx, col), bud)
-			}))
+			})
+			return &solveOutcome{reports: reps, err: err}
 		})
 		if out == nil { // our own ctx ended while following
 			return &solveOutcome{err: fmt.Errorf("%w: while awaiting shared solve", cerr.ErrCanceled)}, fl.key, shared
 		}
-		if shared && out.err != nil && errors.Is(out.err, cerr.ErrCanceled) && ctx.Err() == nil {
+		if shared && errors.Is(out.jobErr(), cerr.ErrCanceled) && ctx.Err() == nil {
 			continue
 		}
 		return out, fl.key, shared
