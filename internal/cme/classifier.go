@@ -18,7 +18,7 @@ type memoInfo struct {
 	// needRes: at least one invariant depth has a shared nonzero address
 	// coefficient, so translations shift every address by a common delta
 	// and the key must capture the consumer address residue modulo
-	// LineBytes·NumSets to pin that delta to a multiple of the way size.
+	// LineBytes to pin that delta to a whole number of lines.
 	needRes bool
 }
 
@@ -153,12 +153,14 @@ func memoTable(np *ir.NProgram, vecs map[*ir.NRef][]*reuse.Vector) map[*ir.NRef]
 //
 // When every delta is zero (zeroAt on all masked depths) the verdict is
 // literally the same computation. Otherwise the common delta shifts every
-// address, and the memo key pins the delta to a multiple of the way size
-// wayBytes = LineBytes·NumSets by including the consumer address residue:
-// a shift of m·wayBytes moves every memory line by m·NumSets, preserving
-// line identity, set membership and distinctness — hence the verdict —
-// and the scan count rides along by the bijection. Cold-equation checks
-// stay outside the memo and run fresh at every point.
+// address, and the memo key pins the delta to a whole number of lines by
+// including the consumer address residue mod LineBytes. The walk reads
+// only line differences: a shift of m lines preserves line identity,
+// every set congruence (mod any NumSets, by mask or by %), distinctness,
+// window membership and the stop position — hence the verdict — and the
+// scan count rides along by the bijection (DESIGN §Memoized interference
+// scans, "Whole-line shifts", which §Period decomposition reuses).
+// Cold-equation checks stay outside the memo and run fresh at every point.
 func vectorMemoInfo(v *reuse.Vector, rect, zero, shared []bool) memoInfo {
 	pivot := len(v.LabelDiff)
 	for k := range v.LabelDiff {
@@ -274,10 +276,10 @@ func (s *walkScratch) add(line int64) (int, bool) {
 
 // memoKey appends the verdict-memo key for a vector to the scratch's key
 // buffer: the consumer indices at every non-invariant depth, plus (when
-// the invariant depths carry nonzero shared coefficients) the consumer
-// address residue modulo wayBytes = LineBytes·NumSets. The returned slice
-// aliases the buffer; it is only ever used for an immediate map operation.
-func (s *walkScratch) memoKey(info memoInfo, idx []int64, addr, wayBytes int64) []byte {
+// the invariant depths carry nonzero shared coefficients) off, the
+// consumer address residue mod LineBytes. The returned slice aliases the
+// buffer; it is only ever used for an immediate map operation.
+func (s *walkScratch) memoKey(info memoInfo, idx []int64, off int64) []byte {
 	buf := s.keyBuf[:0]
 	var tmp [8]byte
 	for d, v := range idx {
@@ -288,11 +290,7 @@ func (s *walkScratch) memoKey(info memoInfo, idx []int64, addr, wayBytes int64) 
 		buf = append(buf, tmp[:]...)
 	}
 	if info.needRes {
-		res := addr % wayBytes
-		if res < 0 {
-			res += wayBytes
-		}
-		binary.LittleEndian.PutUint64(tmp[:], uint64(res))
+		binary.LittleEndian.PutUint64(tmp[:], uint64(off))
 		buf = append(buf, tmp[:]...)
 	}
 	s.keyBuf = buf

@@ -164,9 +164,8 @@ type Analyzer struct {
 	ls  *lineShared // reuse vectors, memo table and symbolic info of cfg.LineBytes
 
 	// Set-index strength reduction for the classifier.
-	numSets  int64
-	wayBytes int64
-	setMask  int64 // numSets-1 when numSets is a power of two, else -1
+	numSets int64
+	setMask int64 // numSets-1 when numSets is a power of two, else -1
 
 	// defc and detc serve the one-off public Classify and ClassifyDetail
 	// APIs; solver passes build one classifier per worker instead.

@@ -77,11 +77,10 @@ type fusedClassifier struct {
 // pooled distinct-line scratch, its verdict memo, and the per-point
 // transient fields of the walk in progress.
 type fcState struct {
-	numSets  int64
-	setMask  int64 // numSets-1 when numSets is a power of two, else -1
-	wayBytes int64
-	assoc    int
-	scratch  *walkScratch
+	numSets int64
+	setMask int64 // numSets-1 when numSets is a power of two, else -1
+	assoc   int
+	scratch *walkScratch
 	// memo carries, per position in the current reference's vector list,
 	// the vector's arena plus its hit-rate-gate state (see vecMemo and
 	// memoDisableAfter); nil under Options.NoMemo and on an attributing
@@ -120,7 +119,7 @@ func newFusedClassifier(g *fuseGroup, w *trace.Walker, p *Prepared) *fusedClassi
 	}
 	for i, cs := range g.cands {
 		a := cs.a
-		st := &fcState{numSets: a.numSets, setMask: a.setMask, wayBytes: a.wayBytes,
+		st := &fcState{numSets: a.numSets, setMask: a.setMask,
 			assoc: a.cfg.Assoc, scratch: newWalkScratch(a.cfg.Assoc)}
 		if !a.opt.NoMemo {
 			st.memo = []*vecMemo{}
@@ -280,7 +279,7 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 					s.memo[vi] = vm
 				}
 				if !vm.off {
-					key := s.scratch.memoKey(info, idx, addr, s.wayBytes)
+					key := s.scratch.memoKey(info, idx, addr-line*g.lineBytes)
 					if e, ok := vm.entries[string(key)]; ok {
 						s.evicted, s.scanned, s.walkDone = e.evicted, e.scanned, true
 						fc.nMemoHits++

@@ -12,16 +12,18 @@ import (
 // rarely repeat must trip the hit-rate gate (memoDisableAfter consecutive
 // probe misses per vector) — and tripping it must not change a single
 // count relative to -nomemo, which is the ground truth the memo always
-// had to match. Tomcatv at this geometry walks ~138k times with enough
-// cold vectors that dozens of memo arenas get dropped mid-solve.
-// (Package tests run sequentially, so global counter deltas are safe.)
+// had to match. VCycle 32×2 at this geometry walks ~39k times and drops
+// 18 memo arenas mid-solve: its keys rarely repeat even under whole-line
+// shifts. (Tomcatv 40×2, the earlier fixture, now hits its memo 131k
+// times and drops none.) Package tests run sequentially, so global
+// counter deltas are safe.
 func TestMemoHitRateGate(t *testing.T) {
 	disabledC := obs.Default.Counter("cme_walk_memo_disabled_total")
 	hitsC := obs.Default.Counter("cme_walk_memo_hits_total")
 
 	cfg := cache.Config{SizeBytes: 4096, LineBytes: 32, Assoc: 2}
 	prog := func(opt Options) *Analyzer {
-		_, a := prepKernel(t, kernels.Tomcatv(40, 2), cfg, opt)
+		_, a := prepKernel(t, kernels.VCycle(32, 2), cfg, opt)
 		return a
 	}
 

@@ -127,7 +127,6 @@ func (p *Prepared) Analyzer(cfg cache.Config) (*Analyzer, error) {
 	}
 	a := &Analyzer{p: p, np: p.np, cfg: cfg, opt: p.opt, ls: p.lineState(cfg.LineBytes)}
 	a.numSets = cfg.NumSets()
-	a.wayBytes = cfg.LineBytes * a.numSets
 	// Addresses in the model are non-negative (layout validates bases), so
 	// a power-of-two set count lets the per-access set filter strength-
 	// reduce the modulo to a mask.

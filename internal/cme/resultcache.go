@@ -66,15 +66,18 @@ func snapRef(rr *RefReport) cachedRef {
 // Safe for concurrent use.
 //
 // Entries live in a slab of fixed-size chunks, linked by slot index into
-// a recency ring, so a resident entry costs its key, its value and two
-// int32 links, with no per-entry allocation.
+// a recency ring, and are found through an open-addressed index of slot
+// numbers, so a resident entry costs its key, its value, two int32 links
+// and at most two int32 index buckets, with no per-entry allocation.
 type ResultCache struct {
 	mu  sync.Mutex
 	cap int
-	// idx maps a key's first 8 bytes to its slot. get compares the full
-	// key, so two keys sharing a prefix cost a miss, never a wrong
-	// answer, and put lets the newer key take the slot.
-	idx  map[uint64]int32
+	// idx is a linearly probed table of slot numbers (0 = empty bucket),
+	// keyed by a key's first 8 bytes and kept at most half full. get
+	// compares the full key, so two keys sharing a prefix cost a miss,
+	// never a wrong answer, and put lets the newer key take the slot.
+	idx  []int32
+	n    int        // resident entries
 	slab [][]rcSlot // slot i is slab[i/rcChunk][i%rcChunk]; slot 0 is the ring's sentinel
 	used int32      // slots handed out, the sentinel included
 
@@ -109,7 +112,7 @@ func NewResultCache(capacity int) *ResultCache {
 	if capacity <= 0 {
 		capacity = 1 << 16
 	}
-	c := &ResultCache{cap: capacity, idx: map[uint64]int32{}}
+	c := &ResultCache{cap: capacity, idx: make([]int32, 16)}
 	c.grow()
 	c.used = 1 // the sentinel, linked to itself
 	return c
@@ -122,6 +125,51 @@ func (c *ResultCache) grow() {
 }
 
 func (c *ResultCache) slot(i int32) *rcSlot { return &c.slab[i/rcChunk][i%rcChunk] }
+
+// find returns the index bucket holding the slot whose key starts with
+// prefix p, or the empty bucket that ends p's probe sequence.
+func (c *ResultCache) find(p uint64) (int, bool) {
+	mask := uint64(len(c.idx) - 1)
+	for b := p & mask; ; b = (b + 1) & mask {
+		switch s := c.idx[b]; {
+		case s == 0:
+			return int(b), false
+		case c.slot(s).key.prefix() == p:
+			return int(b), true
+		}
+	}
+}
+
+// remove empties index bucket b, shifting later entries of its probe run
+// back so every resident slot stays reachable from its home bucket.
+func (c *ResultCache) remove(b int) {
+	mask := len(c.idx) - 1
+	for j := (b + 1) & mask; c.idx[j] != 0; j = (j + 1) & mask {
+		home := int(c.slot(c.idx[j]).key.prefix()) & mask
+		// The entry at j may fill the hole at b unless its home bucket
+		// lies cyclically in (b, j].
+		if (j-home)&mask >= (j-b)&mask {
+			c.idx[b] = c.idx[j]
+			b = j
+		}
+	}
+	c.idx[b] = 0
+	c.n--
+}
+
+// rehash rebuilds the index at size buckets (a power of two). Every slot
+// handed out is resident: eviction reuses a slot in place.
+func (c *ResultCache) rehash(size int) {
+	c.idx = make([]int32, size)
+	mask := uint64(size - 1)
+	for i := int32(1); i < c.used; i++ {
+		b := c.slot(i).key.prefix() & mask
+		for c.idx[b] != 0 {
+			b = (b + 1) & mask
+		}
+		c.idx[b] = i
+	}
+}
 
 // unlink takes slot i out of the recency ring.
 func (c *ResultCache) unlink(i int32) {
@@ -142,7 +190,8 @@ func (c *ResultCache) pushFront(i int32) {
 func (c *ResultCache) get(key rcKey) (cachedRef, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.idx[key.prefix()]; ok && c.slot(i).key == key {
+	if b, ok := c.find(key.prefix()); ok && c.slot(c.idx[b]).key == key {
+		i := c.idx[b]
 		c.unlink(i)
 		c.pushFront(i)
 		c.hits++
@@ -159,36 +208,45 @@ func (c *ResultCache) put(key rcKey, v cachedRef) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := key.prefix()
-	i, ok := c.idx[p]
+	b, ok := c.find(p)
+	var i int32
 	switch {
 	case ok:
+		i = c.idx[b]
 		c.unlink(i)
-	case len(c.idx) < c.cap:
+	case c.n < c.cap:
 		if int(c.used) == len(c.slab)*rcChunk {
 			c.grow()
 		}
 		i = c.used
 		c.used++
-		c.idx[p] = i
+		c.idx[b] = i
+		c.n++
 	default:
 		// At capacity: the least recent entry's slot takes the new one.
 		i = c.slot(0).prev
 		c.unlink(i)
-		delete(c.idx, c.slot(i).key.prefix())
-		c.idx[p] = i
+		old, _ := c.find(c.slot(i).key.prefix())
+		c.remove(old)
+		b, _ = c.find(p) // the removal may have shifted p's probe run
+		c.idx[b] = i
+		c.n++
 		c.evicted++
 		mCacheEvictions.Inc()
 	}
 	s := c.slot(i)
 	s.key, s.val = key, v
 	c.pushFront(i)
+	if 2*c.n > len(c.idx) {
+		c.rehash(2 * len(c.idx))
+	}
 }
 
 // Stats returns the counters (and current occupancy).
 func (c *ResultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evicted, Entries: len(c.idx)}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evicted, Entries: c.n}
 }
 
 // diskEntry is the JSON form of one persisted cache entry; Key is the
@@ -219,7 +277,7 @@ type diskStore struct {
 // store survives intact until the rename commits.
 func (c *ResultCache) Save(path string) error {
 	c.mu.Lock()
-	entries := make([]diskEntry, 0, len(c.idx))
+	entries := make([]diskEntry, 0, c.n)
 	for i := c.slot(0).prev; i != 0; i = c.slot(i).prev {
 		s := c.slot(i)
 		entries = append(entries, diskEntry{Key: hex.EncodeToString(s.key[:]), Val: s.val})

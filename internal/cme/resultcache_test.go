@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -466,5 +468,70 @@ func TestResultCachePrefixCollision(t *testing.T) {
 	}
 	if s := c.Stats(); s.Entries != 1 {
 		t.Errorf("%d entries, want 1", s.Entries)
+	}
+}
+
+// TestResultCacheIndexChurn holds the open-addressed index to a plain LRU
+// model under random puts and gets at capacity. Keys share their first
+// byte — the home bucket's low bits — so probe runs are long, wrap the
+// table and are cut by evictions, and some share all 8 prefix bytes.
+func TestResultCacheIndexChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	key := func() rcKey {
+		var k rcKey
+		rng.Read(k[:])
+		k[0] = byte(rng.Intn(4))
+		if rng.Intn(8) == 0 {
+			for i := 1; i < 8; i++ {
+				k[i] = 0 // a prefix shared with other such keys
+			}
+		}
+		return k
+	}
+	type ent struct {
+		k rcKey
+		v int64
+	}
+	for _, capacity := range []int{1, 7, 64, 300} {
+		c := NewResultCache(capacity)
+		var model []ent // least recent first
+		var pool []rcKey
+		for op := 0; op < 20000; op++ {
+			if len(pool) < 4*capacity || rng.Intn(3) == 0 {
+				pool = append(pool, key())
+			}
+			k := pool[rng.Intn(len(pool))]
+			at := slices.IndexFunc(model, func(e ent) bool { return e.k.prefix() == k.prefix() })
+			if rng.Intn(2) == 0 {
+				v, ok := c.get(k)
+				if at >= 0 && model[at].k == k {
+					e := model[at]
+					model = append(slices.Delete(model, at, at+1), e)
+					if !ok || v.Volume != e.v {
+						t.Fatalf("cap %d op %d: get = %v/%v, want %d", capacity, op, v.Volume, ok, e.v)
+					}
+				} else if ok {
+					t.Fatalf("cap %d op %d: get hit a key the model does not hold", capacity, op)
+				}
+				continue
+			}
+			v := int64(op)
+			c.put(k, rcVal(v))
+			switch {
+			case at >= 0:
+				model = slices.Delete(model, at, at+1)
+			case len(model) == capacity:
+				model = model[1:]
+			}
+			model = append(model, ent{k, v})
+			if s := c.Stats(); s.Entries != len(model) {
+				t.Fatalf("cap %d op %d: %d entries, model %d", capacity, op, s.Entries, len(model))
+			}
+		}
+		for _, e := range model {
+			if v, ok := c.get(e.k); !ok || v.Volume != e.v {
+				t.Fatalf("cap %d: resident key lost (%v/%v, want %d)", capacity, v.Volume, ok, e.v)
+			}
+		}
 	}
 }

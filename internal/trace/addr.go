@@ -20,6 +20,10 @@ type refPlan struct {
 	konst int64
 	coeff []int64 // full-length (np.Depth) coefficient vector
 	inner int64   // coeff[np.Depth-1]
+	// The Walker's residue change per innermost value walked, forward
+	// (inner mod stepP) and reverse (−inner mod stepP), cached for the
+	// window period stepP (0 = not yet computed).
+	stepP, stepFwd, stepRev int64
 }
 
 // guardPlan mirrors one guard constraint with its innermost coefficient
@@ -233,11 +237,6 @@ type Window struct {
 	Period, Lo, Width int64
 }
 
-// holds reports whether addr lies in the window.
-func (win Window) holds(addr int64) bool {
-	return floorMod(addr-win.Lo, win.Period) < win.Width
-}
-
 // Visitor receives one in-window access of a filtered walk: its
 // reference, byte address and 1-based position among all accesses of the
 // interval in walk order. Return false to stop the walk.
@@ -260,6 +259,7 @@ type Walker struct {
 	idx   []int64
 	a, b  Time
 	win   Window
+	mask  int64 // win.Period-1 when the period is a power of two, else -1
 	rev   bool
 	visit Visitor
 	pos   int64 // accesses of the interval passed so far
@@ -289,6 +289,10 @@ func (w *Walker) run(a, b Time, win Window, rev bool, visit Visitor) int64 {
 		return 0
 	}
 	w.a, w.b, w.win, w.rev, w.visit, w.pos = a, b, win, rev, visit, 0
+	w.mask = -1
+	if win.Period&(win.Period-1) == 0 {
+		w.mask = win.Period - 1
+	}
 	w.loops(w.top, 0, true, true)
 	w.visit = nil
 	return w.pos
@@ -405,7 +409,7 @@ func (w *Walker) point(plans []*stmtPlan, v int64, vlt, vht bool) bool {
 			}
 			w.pos++
 			addr := sp.refBase[i] + r.inner*v
-			if w.win.holds(addr) && !w.visit(r.ref, addr, w.pos) {
+			if w.mod(addr-w.win.Lo) < w.win.Width && !w.visit(r.ref, addr, w.pos) {
 				return false
 			}
 		}
@@ -493,11 +497,14 @@ func (w *Walker) seek(sp *stmtPlan, i int, v int64) int64 {
 	}
 	r := &sp.refs[i]
 	p := w.win.Period
-	step := floorMod(r.inner, p) // residue change per value walked
-	if w.rev {
-		step = floorMod(-r.inner, p)
+	if r.stepP != p {
+		r.stepP, r.stepFwd, r.stepRev = p, w.mod(r.inner), w.mod(-r.inner)
 	}
-	t := floorMod(sp.refBase[i]+r.inner*v-w.win.Lo, p)
+	step := r.stepFwd
+	if w.rev {
+		step = r.stepRev
+	}
+	t := w.mod(sp.refBase[i] + r.inner*v - w.win.Lo)
 	k := firstIn(t, step, p, w.win.Width, limit)
 	switch {
 	case k < 0:
@@ -507,6 +514,16 @@ func (w *Walker) seek(sp *stmtPlan, i int, v int64) int64 {
 	default:
 		return v + k
 	}
+}
+
+// mod returns x mod the window period in [0, Period): a mask for
+// power-of-two periods (two's complement makes it a floor residue for
+// negative x too), floorMod otherwise.
+func (w *Walker) mod(x int64) int64 {
+	if w.mask >= 0 {
+		return x & w.mask
+	}
+	return floorMod(x, w.win.Period)
 }
 
 // earliest returns the innermost value of the next pending in-window

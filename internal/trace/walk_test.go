@@ -152,6 +152,7 @@ func FuzzSetWalkVsScan(f *testing.F) {
 	f.Add(int64(3), uint32(20), uint32(7), int64(-13))
 	f.Add(int64(4), uint32(1), uint32(1), int64(0))
 	f.Add(int64(5), uint32(1<<31+37), uint32(24), int64(5))
+	f.Add(int64(6), uint32(256), uint32(32), int64(-200)) // masked period, negative Lo
 	f.Fuzz(func(t *testing.T, seed int64, period, width uint32, lo int64) {
 		rng := rand.New(rand.NewSource(seed))
 		np := randomNest(rng)
@@ -178,6 +179,76 @@ func FuzzSetWalkVsScan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// walkRecs runs one filtered walk and returns its visits and its result.
+func walkRecs(w *Walker, a, b Time, win Window, rev bool) ([]walkRec, int64) {
+	var got []walkRec
+	visit := func(r *ir.NRef, addr, pos int64) bool {
+		got = append(got, walkRec{r, addr, pos})
+		return true
+	}
+	if rev {
+		return got, w.BetweenReverse(a, b, win, visit)
+	}
+	return got, w.Between(a, b, win, visit)
+}
+
+// TestWalkerReusedAcrossWindows: one Walker serves walks whose windows
+// alternate between a power-of-two period (reduced by mask), a
+// non-power-of-two period (floorMod) and a negative Lo, as a fused walk's
+// period changes with its pending set counts. Every walk must equal a
+// fresh Walker's and the one-by-one oracle's, so a step residue cached
+// for the previous period cannot leak into the next walk.
+func TestWalkerReusedAcrossWindows(t *testing.T) {
+	wins := []Window{
+		{Period: 64, Lo: 32, Width: 32},
+		{Period: 96, Lo: 24, Width: 24},
+		{Period: 256, Lo: -200, Width: 32},
+		{Period: 20, Lo: -7, Width: 4},
+		{Period: 1, Lo: 0, Width: 1},
+	}
+	walked := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		np := randomNest(rng)
+		acc := collect(np)
+		if len(acc) < 2 || len(acc) > 20000 {
+			continue
+		}
+		w := NewWalker(np)
+		for trial := 0; trial < 6; trial++ {
+			x, y := rng.Intn(len(acc)), rng.Intn(len(acc))
+			if x > y {
+				x, y = y, x
+			}
+			a := Time{Label: acc[x].ref.Stmt.Label, Idx: acc[x].idx, Seq: acc[x].ref.Seq}
+			b := Time{Label: acc[y].ref.Stmt.Label, Idx: acc[y].idx, Seq: acc[y].ref.Seq}
+			for k := range wins {
+				win := wins[(k+trial)%len(wins)]
+				for _, rev := range []bool{false, true} {
+					name := fmt.Sprintf("seed %d", seed)
+					checkWalk(t, name, np, w, a, b, win, rev, -1)
+					got, gotN := walkRecs(w, a, b, win, rev)
+					want, wantN := walkRecs(NewWalker(np), a, b, win, rev)
+					if gotN != wantN || len(got) != len(want) {
+						t.Fatalf("%s rev=%v win=%+v: reused walker %d visits/%d, fresh %d/%d",
+							name, rev, win, len(got), gotN, len(want), wantN)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s rev=%v win=%+v: visit %d differs: reused %v, fresh %v",
+								name, rev, win, i, got[i], want[i])
+						}
+					}
+					walked++
+				}
+			}
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no nest produced a walk")
+	}
 }
 
 // TestFirstInMatchesStepping: the solved first in-window step equals the
