@@ -147,7 +147,7 @@ type (
 // iteration points, and a cap on interference-scan steps (the dominant
 // inner cost of the replacement equations). A zero Budget means unlimited.
 // When a budget trips, the solvers degrade down the ladder
-// FindMisses → EstimateMisses → probabilistic instead of failing, unless
+// FindMisses → EstimateMisses → bounded instead of failing, unless
 // NoFallback is set; cancellation via the context never degrades — it
 // returns the coherent partial result together with ErrCanceled.
 type Budget = budget.Budget
@@ -157,14 +157,15 @@ type BudgetSpent = budget.Spent
 
 // Tier identifies the rung of the degradation ladder that produced a
 // result: TierExact (every point solved), TierSampled (statistical
-// sample), TierProbabilistic (closed-form Fraguela-style estimate).
+// sample), TierBounded (the points an interrupted pass classified, read
+// as a sound bound on the misses; see RefReport.Bounds).
 type Tier = cme.Tier
 
 // Degradation-ladder rungs, strongest first.
 const (
-	TierExact         = cme.TierExact
-	TierSampled       = cme.TierSampled
-	TierProbabilistic = cme.TierProbabilistic
+	TierExact   = cme.TierExact
+	TierSampled = cme.TierSampled
+	TierBounded = cme.TierBounded
 )
 
 // Sentinel errors, matched with errors.Is. Wrapped variants carry
@@ -223,9 +224,10 @@ func FindMisses(np *NProgram, cfg Config, opt AnalyzeOptions) (*Report, error) {
 
 // FindMissesCtx is FindMisses under a context and a budget. On budget
 // exhaustion the analysis degrades — unfinished references are resampled
-// (TierSampled) and, if even that cannot finish, estimated in closed form
-// (TierProbabilistic) — and the report records the weakest tier used, so
-// a bounded call always returns a usable Report. On cancellation it
+// (TierSampled) and, if even that cannot finish, keep the counts they
+// reached as a bound whose upper end the miss ratio reports
+// (TierBounded) — and the report records the weakest tier used, so a
+// budgeted call always returns a usable Report. On cancellation it
 // returns the coherent partial report together with ErrCanceled.
 func FindMissesCtx(ctx context.Context, np *NProgram, cfg Config, opt AnalyzeOptions, b Budget) (rep *Report, err error) {
 	defer cerr.RecoverTo(&err)
@@ -243,8 +245,9 @@ func EstimateMisses(np *NProgram, cfg Config, opt AnalyzeOptions, plan Plan) (*R
 }
 
 // EstimateMissesCtx is EstimateMisses under a context and a budget, with
-// the same degradation and cancellation semantics as FindMissesCtx (the
-// sampled tier degrades straight to the probabilistic one).
+// the same degradation and cancellation semantics as FindMissesCtx (an
+// interrupted sample keeps the size it reached; a reference with no
+// sampled point is bounded).
 func EstimateMissesCtx(ctx context.Context, np *NProgram, cfg Config, opt AnalyzeOptions, plan Plan, b Budget) (rep *Report, err error) {
 	defer cerr.RecoverTo(&err)
 	a, err := cme.New(np, cfg, opt)

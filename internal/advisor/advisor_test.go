@@ -97,7 +97,7 @@ func TestDiagnoseSelfInterference(t *testing.T) {
 // attribution, so its per-reference counts equal EstimateMissesCtx's under
 // the same options and plan, at any worker count and with non-uniform
 // reuse resolved; its matrix does not depend on the worker count; and an
-// exhausted budget leaves a partial diagnosis, never a probabilistic one.
+// exhausted budget leaves a partial diagnosis, never a bounded one.
 func TestDiagnoseMatchesEstimate(t *testing.T) {
 	cfg := cache.Config{SizeBytes: 4096, LineBytes: 32, Assoc: 2}
 	progs := map[string]*ir.Program{"hydro": kernels.Hydro(32, 32), "mmt": kernels.MMT(24, 12, 12)}
@@ -157,8 +157,8 @@ func TestDiagnoseMatchesEstimate(t *testing.T) {
 			if rr.Complete {
 				complete++
 			}
-			if rr.Tier == cme.TierProbabilistic {
-				t.Errorf("%s: %s degraded to the probabilistic tier", name, rr.Ref.ID)
+			if rr.Tier == cme.TierBounded {
+				t.Errorf("%s: %s degraded to the bounded tier", name, rr.Ref.ID)
 			}
 		}
 		if complete == len(d.Refs) {

@@ -12,10 +12,10 @@
 // compares. Regions counted without enumeration are charged whole.
 //
 // On exhaustion the solvers degrade instead of dying: FindMisses falls back
-// to EstimateMisses with the paper's widened fallback interval, and
-// EstimateMisses falls back to the Fraguela-style probabilistic baseline.
-// Grace re-arms a tripped Meter with a small fresh allowance so the cheaper
-// tier can actually finish.
+// to EstimateMisses with the paper's widened fallback interval, and what
+// that cannot finish keeps the counts it reached as a sound bound on its
+// misses. Grace re-arms a tripped Meter with a small fresh allowance so
+// the cheaper tier can actually finish.
 package budget
 
 import (

@@ -74,8 +74,8 @@ type BatchOptions struct {
 	// Budget caps the whole batch (shared across candidates). On
 	// exhaustion each candidate's unfinished references walk the same
 	// degradation ladder as the solo solvers (sampled fallback, then
-	// probabilistic), with per-candidate Degraded/Tier provenance. The
-	// zero value imposes no limits.
+	// bounded), with per-candidate Degraded/Tier provenance. The zero
+	// value imposes no limits.
 	Budget budget.Budget
 	// NoGeom disables the set-count closed-form tier (see
 	// geom.go), forcing every exact candidate through the fused
@@ -364,7 +364,8 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 	// Publish solved results to the cache BEFORE any degradation:
 	// complete refs only, still at the requested tier, so neither a
 	// cancelled run nor a degraded one can poison the store (a degraded
-	// ref is re-completed at a cheaper tier under the same key).
+	// ref is re-completed at a cheaper tier under the same key, and no
+	// stored entry is ever bounded).
 	if opt.Cache != nil {
 		for _, cs := range states {
 			for ri := range p.np.Refs {
@@ -394,10 +395,11 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 // budget-interrupted references: one shared Grace re-arms the meter,
 // incomplete exact-tier refs are resampled under the fallback plan (the
 // paper's widened interval after an exact pass), and whatever still
-// cannot finish drops to the closed-form probabilistic baseline. A meter
+// cannot finish is settled on the counts it reached: an interrupted
+// sample stays TierSampled at the size it reached (its interval widens
+// with it), and every other reference becomes TierBounded. A meter
 // grants one Grace: once it has been spent (by an earlier layout group,
-// or an earlier size of a surface), a second exhaustion drops straight
-// to the probabilistic rung.
+// or an earlier size of a surface), a second exhaustion settles at once.
 // Cancellation, isolated panics, injected transient faults and NoFallback
 // budgets abort instead of degrading — their partial counts carry no
 // guarantee worth papering over. Every report leaves with its aggregate
@@ -420,53 +422,54 @@ func (p *Prepared) degradeBatch(ctx context.Context, m *budget.Meter, states []*
 	}
 	_, dspan := obs.StartSpan(ctx, "degrade")
 	defer dspan.End()
-	incomplete := func(cs *batchCand) bool {
-		for _, rr := range cs.rep.Refs {
-			if !rr.Complete {
-				return true
-			}
-		}
-		return false
-	}
 	// TierSampled rung, for references an exact pass left unfinished
 	// (skipped when the interrupted pass already was the sampling pass).
-	firstIncompleteTier := TierProbabilistic
+	// Every candidate with an unfinished reference is degraded.
+	resample := false
 	for _, cs := range states {
 		for _, rr := range cs.rep.Refs {
-			if !rr.Complete && rr.Tier < firstIncompleteTier {
-				firstIncompleteTier = rr.Tier
+			if !rr.Complete {
+				cs.rep.Degraded = true
+				resample = resample || rr.Tier == TierExact
 			}
 		}
 	}
-	if firstIncompleteTier == TierExact && m.Spent().Graces == 0 {
+	if resample && m.Spent().Graces == 0 {
 		m.Grace()
 		for _, cs := range states {
 			// Once the grace runs out, the other candidates' resamples
 			// would each classify a flush of points only to be discarded.
-			if !incomplete(cs) || m.Err() != nil {
+			if m.Err() != nil {
+				break
+			}
+			if !cs.rep.Degraded {
 				continue
 			}
-			serr := cs.a.resampleIncomplete(m, cs.rep, fallback)
-			cs.rep.Degraded = true
-			if serr != nil && errors.Is(serr, cerr.ErrCanceled) {
+			if serr := cs.a.resampleIncomplete(m, cs.rep, fallback); errors.Is(serr, cerr.ErrCanceled) {
 				settle()
 				return serr
 			}
 		}
 	}
-	// Probabilistic rung: closed-form, no iteration walks, cannot exhaust.
+	// Bounded rung: no further work, so it cannot exhaust.
 	for _, cs := range states {
-		if incomplete(cs) {
-			cs.a.probIncomplete(cs.rep)
-			cs.rep.Degraded = true
+		for _, rr := range cs.rep.Refs {
+			if rr.Complete {
+				continue
+			}
+			if !rr.Sampled || rr.Analyzed == 0 {
+				rr.Tier, rr.Sampled = TierBounded, false
+				mDegradeBounded.Inc()
+			} else {
+				mDegradeSampled.Inc()
+			}
+			rr.Complete = true
 		}
 	}
 	settle()
 	tier := TierExact
 	for _, cs := range states {
-		if cs.rep.Tier > tier {
-			tier = cs.rep.Tier
-		}
+		tier = max(tier, cs.rep.Tier)
 	}
 	dspan.SetAttr("tier", tier.String())
 	return nil

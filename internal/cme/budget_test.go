@@ -17,6 +17,7 @@ import (
 	"cachemodel/internal/layout"
 	"cachemodel/internal/normalize"
 	"cachemodel/internal/obs"
+	"cachemodel/internal/trace"
 )
 
 // prepKernel inlines, normalises and lays out a whole-program kernel.
@@ -236,34 +237,60 @@ func TestDegradationAtAnyCheckpoint(t *testing.T) {
 	}
 }
 
-// TestLadderReachesProbabilistic: a budget too small even for the sampled
-// grace allowance pushes the run down to the probabilistic tier, which
-// always completes.
-func TestLadderReachesProbabilistic(t *testing.T) {
+// TestLadderReachesBound: a budget too small even for the sampled grace
+// allowance leaves references on the bounded tier, which always completes
+// and whose upper end never undercounts the simulator. Each reference
+// that leaves the ladder is counted on its rung. (Package tests run
+// sequentially, so global counter deltas are safe.)
+func TestLadderReachesBound(t *testing.T) {
 	cfg := cache.Config{SizeBytes: 4096, LineBytes: 32, Assoc: 2}
-	_, a := prepKernel(t, kernels.Hydro(24, 24), cfg, Options{Workers: 1})
+	np, a := prepKernel(t, kernels.Hydro(24, 24), cfg, Options{Workers: 1})
+	sampledC := obs.Default.Counter("cme_degrade_sampled_refs_total")
+	boundedC := obs.Default.Counter("cme_degrade_bounded_refs_total")
+	s0, b0 := sampledC.Value(), boundedC.Value()
 	rep, err := a.FindMissesCtx(context.Background(), budget.Budget{MaxPoints: 1})
 	if err != nil {
 		t.Fatalf("err = %v, want graceful degradation", err)
 	}
-	if !rep.Degraded {
-		t.Fatal("1-point budget did not degrade")
+	if !rep.Degraded || rep.Tier != TierBounded {
+		t.Fatalf("1-point budget: degraded=%v tier=%v, want a degraded bounded report", rep.Degraded, rep.Tier)
 	}
 	checkCoherent(t, rep)
-	var probabilistic int
-	for i := range rep.Refs {
-		if !rep.Refs[i].Complete {
-			t.Fatalf("ref %s incomplete after full ladder", rep.Refs[i].Ref)
+	sim := trace.Simulate(np, cfg)
+	var sampled, bounded int64
+	for _, rr := range rep.Refs {
+		if !rr.Complete {
+			t.Fatalf("ref %s incomplete after full ladder", rr.Ref)
 		}
-		if rep.Refs[i].Tier == TierProbabilistic {
-			probabilistic++
+		switch rr.Tier {
+		case TierSampled:
+			sampled++
+		case TierBounded:
+			bounded++
+			var simMiss int64
+			if st := sim.PerRef[rr.Ref]; st != nil {
+				simMiss = st.Misses
+			}
+			if _, hi := rr.Bounds(); simMiss > hi {
+				t.Errorf("ref %s: simulator %d misses above the bound's upper end %d", rr.Ref.ID, simMiss, hi)
+			}
 		}
 	}
-	if probabilistic == 0 {
-		t.Fatalf("no ref reached the probabilistic tier (report tier %v)", rep.Tier)
+	if bounded == 0 {
+		t.Fatalf("no ref reached the bounded tier (report tier %v)", rep.Tier)
 	}
 	if rep.BudgetSpent.Graces == 0 {
 		t.Fatalf("BudgetSpent = %+v, want at least one grace re-arm recorded", rep.BudgetSpent)
+	}
+	if d := boundedC.Value() - b0; d != bounded {
+		t.Errorf("cme_degrade_bounded_refs_total rose by %d, want %d", d, bounded)
+	}
+	if d := sampledC.Value() - s0; d < sampled {
+		t.Errorf("cme_degrade_sampled_refs_total rose by %d, want at least the %d sampled refs", d, sampled)
+	}
+	if rep.MissRatio() < 100*float64(sim.Misses)/float64(sim.Accesses) {
+		t.Errorf("bounded report reads %.2f%%, below the simulator's %.2f%%",
+			rep.MissRatio(), 100*float64(sim.Misses)/float64(sim.Accesses))
 	}
 }
 

@@ -16,12 +16,15 @@
 // iteration-point granularity. On budget exhaustion the analysis degrades
 // instead of dying, down the ladder
 //
-//	FindMisses (exact) → EstimateMisses (widened interval) → probabilistic
+//	FindMisses (exact) → EstimateMisses (widened interval) → bounded
 //
 // recording per-reference provenance (Tier) and overall Degraded /
 // BudgetSpent fields in the Report so callers can see exactly what
-// produced the numbers. Context cancellation never degrades: the partial
-// report is returned together with ErrCanceled.
+// produced the numbers. The bounded rung runs no second model: it keeps
+// the pointwise counts the interrupted pass reached, which prove the
+// reference's misses lie in [classified misses, classified misses +
+// unclassified points] (RefReport.Bounds). Context cancellation never
+// degrades: the partial report is returned together with ErrCanceled.
 package cme
 
 import (
@@ -38,7 +41,6 @@ import (
 	"cachemodel/internal/ir"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/poly"
-	"cachemodel/internal/prob"
 	"cachemodel/internal/reuse"
 	"cachemodel/internal/sampling"
 	"cachemodel/internal/trace"
@@ -76,9 +78,10 @@ const (
 	// TierSampled: a statistically chosen sample classified
 	// (EstimateMisses).
 	TierSampled
-	// TierProbabilistic: the Fraguela-style closed-form baseline; no
-	// pointwise classification at all.
-	TierProbabilistic
+	// TierBounded: the pointwise counts an interrupted pass reached,
+	// read as the sound bound RefReport.Bounds; the miss ratio reports
+	// its upper end.
+	TierBounded
 )
 
 func (t Tier) String() string {
@@ -87,8 +90,8 @@ func (t Tier) String() string {
 		return "exact"
 	case TierSampled:
 		return "sampled"
-	case TierProbabilistic:
-		return "probabilistic"
+	case TierBounded:
+		return "bounded"
 	}
 	return "?"
 }
@@ -256,11 +259,11 @@ type RefReport struct {
 	Tier Tier
 	// Complete reports that the reference's analysis ran to completion at
 	// its Tier; false means the run was interrupted mid-reference and the
-	// counts cover only a prefix (or sample prefix) of the RIS.
+	// counts cover only a prefix (or sample prefix) of the RIS. The
+	// degradation ladder completes every reference it settles: a
+	// TierBounded reference's counts cover a prefix, and a TierSampled one
+	// may stop short of its planned sample size.
 	Complete bool
-	// Ratio holds the closed-form miss ratio when Tier is
-	// TierProbabilistic (no pointwise counts exist there).
-	Ratio float64
 	// ClosedForm reports that the counts came from closed-form
 	// evaluation rather than from enumerating (or sampling) this
 	// reference's iteration space: either the scaling tier's per-residue
@@ -273,15 +276,34 @@ type RefReport struct {
 // Misses returns cold + replacement misses among analysed points.
 func (r *RefReport) Misses() int64 { return r.Cold + r.Repl }
 
-// MissRatio returns the reference's estimated miss ratio in [0, 1].
+// MissRatio returns the reference's estimated miss ratio in [0, 1]. A
+// TierBounded reference reports the upper end of its Bounds, so a
+// degraded answer over-approximates, as the exact solver does.
 func (r *RefReport) MissRatio() float64 {
-	if r.Tier == TierProbabilistic {
-		return r.Ratio
+	if r.Tier == TierBounded {
+		if r.Volume == 0 {
+			return 0
+		}
+		_, hi := r.Bounds()
+		return float64(hi) / float64(r.Volume)
 	}
 	if r.Analyzed == 0 {
 		return 0
 	}
 	return float64(r.Misses()) / float64(r.Analyzed)
+}
+
+// Bounds returns the range of the reference's miss count that its
+// pointwise classifications prove: lo counts the misses among the
+// classified points and hi adds every point left unclassified, so a
+// complete exact reference has lo == hi. A sampled reference's points are
+// drawn with replacement and prove nothing about the rest of its RIS, so
+// its bounds are [0, Volume].
+func (r *RefReport) Bounds() (lo, hi int64) {
+	if r.Sampled {
+		return 0, r.Volume
+	}
+	return r.Misses(), r.Misses() + r.Volume - r.Analyzed
 }
 
 // HalfWidth returns the realised confidence half-width of the reference's
@@ -376,7 +398,7 @@ func (rep *Report) ExactMisses() int64 {
 
 // Coverage returns the fraction of the program's accesses that were
 // classified pointwise (1.0 for a complete FindMisses; lower when the run
-// was sampled, interrupted, or degraded to the probabilistic tier).
+// was sampled, interrupted, or degraded to the bounded tier).
 func (rep *Report) Coverage() float64 {
 	t := rep.TotalAccesses()
 	if t == 0 {
@@ -429,9 +451,9 @@ func (a *Analyzer) FindMisses() *Report {
 // ErrCanceled. On budget exhaustion it degrades: references the exact pass
 // did not finish are re-analysed by EstimateMisses under the paper's
 // widened fallback interval, and if even that exhausts its grace
-// allowance, by the closed-form probabilistic baseline — unless the budget
-// sets NoFallback, in which case the partial report is returned with
-// ErrBudgetExceeded.
+// allowance, keep their exact prefix as a bounded answer — unless the
+// budget sets NoFallback, in which case the partial report is returned
+// with ErrBudgetExceeded.
 func (a *Analyzer) FindMissesCtx(ctx context.Context, b budget.Budget) (*Report, error) {
 	start := time.Now()
 	col := obs.FromContext(ctx)
@@ -503,9 +525,9 @@ func (a *Analyzer) EstimateMisses(plan sampling.Plan) (*Report, error) {
 
 // EstimateMissesCtx is EstimateMisses under a context and a budget. With a
 // zero budget it is bit-identical to EstimateMisses. On cancellation it
-// returns the partial report with ErrCanceled; on budget exhaustion it
-// degrades unfinished references to the probabilistic baseline (or fails
-// with ErrBudgetExceeded under NoFallback).
+// returns the partial report with ErrCanceled; on budget exhaustion an
+// unfinished reference keeps the sample it reached, or is bounded when it
+// has none (or fails with ErrBudgetExceeded under NoFallback).
 func (a *Analyzer) EstimateMissesCtx(ctx context.Context, b budget.Budget, plan sampling.Plan) (*Report, error) {
 	return a.estimate(ctx, b, plan, nil)
 }
@@ -540,9 +562,10 @@ func (a *Analyzer) estimate(ctx context.Context, b budget.Budget, plan sampling.
 	m := budget.NewMeter(ctx, b)
 	cs := a.solo(true)
 	a.p.solveSampled(m, col, "solve.sampled", []*batchCand{cs}, plan, a.workers(), sink)
-	// The exact rung is already behind us: only census-sized references
-	// (analysed exhaustively) resample; the rest drop to the
-	// probabilistic tier.
+	// The exact rung is already behind us: only an interrupted
+	// census-sized reference (analysed exhaustively) earns a resample;
+	// otherwise each unfinished reference keeps the sample it reached, or
+	// is bounded.
 	return a.finish(ctx, m, cs, plan, start)
 }
 
@@ -673,7 +696,10 @@ func sampleAdaptive(sp *poly.Space, rng *rand.Rand, plan sampling.Plan, vol int6
 
 // resampleIncomplete re-analyses every incomplete reference with the
 // sampling solver under the (typically widened) plan, discarding the
-// biased partial counts of the interrupted exact prefix.
+// biased partial counts of the interrupted exact prefix. A resample the
+// budget cuts short is dropped and the reference's earlier counts are
+// restored: it and the references after it keep what the interrupted
+// pass classified for the ladder's last rung.
 func (a *Analyzer) resampleIncomplete(m *budget.Meter, rep *Report, plan sampling.Plan) error {
 	work := a.sampleWorker(plan, nil)
 	fc := a.newClassifier(trace.NewWalker(a.np), false)
@@ -684,47 +710,14 @@ func (a *Analyzer) resampleIncomplete(m *budget.Meter, rep *Report, plan samplin
 		if rr.Complete {
 			continue
 		}
+		prefix := *rr
 		rr.Analyzed, rr.Hits, rr.Cold, rr.Repl = 0, 0, 0, 0
 		rr.Sampled = false
 		if err := work(fc, rr.Ref, rr, p); err != nil {
-			// Leave this and the remaining refs incomplete; the caller
-			// drops them to the probabilistic rung.
-			rr.Analyzed, rr.Hits, rr.Cold, rr.Repl = 0, 0, 0, 0
-			rr.Sampled = false
-			rr.Complete = false
+			*rr = prefix
 			return err
 		}
+		mDegradeSampled.Inc()
 	}
 	return nil
-}
-
-// probIncomplete resolves every still-incomplete reference with the
-// Fraguela-style probabilistic baseline, reusing the analyzer's reuse
-// vectors (same line geometry, so the vectors transfer directly).
-func (a *Analyzer) probIncomplete(rep *Report) {
-	todo := false
-	for _, rr := range rep.Refs {
-		if !rr.Complete {
-			todo = true
-			break
-		}
-	}
-	if !todo {
-		return
-	}
-	est := prob.NewEstimator(a.np, a.cfg, prob.Options{
-		Reuse:   a.opt.Reuse,
-		Vectors: a.ls.vecs,
-		Seed:    a.opt.Seed,
-	})
-	for _, rr := range rep.Refs {
-		if rr.Complete {
-			continue
-		}
-		rr.Tier = TierProbabilistic
-		rr.Ratio = est.RefRatio(rr.Ref)
-		rr.Analyzed, rr.Hits, rr.Cold, rr.Repl = 0, 0, 0, 0
-		rr.Sampled = false
-		rr.Complete = true
-	}
 }

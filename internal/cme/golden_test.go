@@ -37,7 +37,7 @@ func sameRefReports(t *testing.T, label string, want, got *Report) {
 		}
 		if w.Volume != g.Volume || w.Analyzed != g.Analyzed || w.Sampled != g.Sampled ||
 			w.Hits != g.Hits || w.Cold != g.Cold || w.Repl != g.Repl ||
-			w.Tier != g.Tier || w.Complete != g.Complete || w.Ratio != g.Ratio {
+			w.Tier != g.Tier || w.Complete != g.Complete {
 			t.Errorf("%s: %s diverged:\n  want %+v\n  got  %+v", label, w.Ref.ID, *w, *g)
 		}
 	}

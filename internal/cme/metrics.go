@@ -31,6 +31,12 @@ var (
 	mBatchCands       = obs.Default.Counter("cme_batch_candidates_total")
 	mBatchDedup       = obs.Default.Counter("cme_batch_dedup_total")
 
+	// Degradation ladder: one increment per reference that leaves the
+	// ladder on the sampled rung (a grace resample, or an interrupted
+	// sample kept at the size it reached) or on the bounded rung.
+	mDegradeSampled = obs.Default.Counter("cme_degrade_sampled_refs_total")
+	mDegradeBounded = obs.Default.Counter("cme_degrade_bounded_refs_total")
+
 	// Closed-form scaling tier.
 	mScalingFits      = obs.Default.Counter("cme_scaling_residue_fits_total")
 	mScalingFitSolves = obs.Default.Counter("cme_scaling_fit_solves_total")

@@ -31,7 +31,7 @@ type CacheStats struct {
 // their merged sums do not, which is exactly what makes the entry
 // portable across runs. Only exact and sampled results are ever stored:
 // SolveBatch publishes before the degradation ladder runs, so no cached
-// reference is probabilistic and none carries a Ratio.
+// reference is bounded.
 type cachedRef struct {
 	Volume   int64 `json:"volume"`
 	Analyzed int64 `json:"analyzed"`
@@ -379,9 +379,9 @@ func (v cachedRef) validate() error {
 		return fmt.Errorf("analyzed %d exceeds volume %d", v.Analyzed, v.Volume)
 	case v.Hits+v.Cold+v.Repl > v.Analyzed:
 		return fmt.Errorf("outcomes %d exceed analyzed %d", v.Hits+v.Cold+v.Repl, v.Analyzed)
-	case v.Tier == TierProbabilistic:
-		return fmt.Errorf("probabilistic tier: only complete exact or sampled results are cached")
-	case v.Tier < TierExact || v.Tier > TierProbabilistic:
+	case v.Tier == TierBounded:
+		return fmt.Errorf("bounded tier: only complete exact or sampled results are cached")
+	case v.Tier < TierExact || v.Tier > TierBounded:
 		return fmt.Errorf("unknown tier %d", v.Tier)
 	}
 	return nil

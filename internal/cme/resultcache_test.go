@@ -232,7 +232,7 @@ func TestResultCacheLoadRejectsImpossibleEntry(t *testing.T) {
 		"analyzed>volume":  {Volume: 4, Analyzed: 5, Tier: TierExact},
 		"outcomes>counted": {Volume: 4, Analyzed: 4, Hits: 3, Cold: 2, Tier: TierExact},
 		"bad_tier":         {Volume: 4, Analyzed: 4, Tier: Tier(9)},
-		"probabilistic":    {Volume: 4, Analyzed: 0, Tier: TierProbabilistic},
+		"bounded":          {Volume: 4, Analyzed: 0, Tier: TierBounded},
 	} {
 		k := tk("k")
 		inner, err := json.Marshal([]diskEntry{{Key: hex.EncodeToString(k[:]), Val: val}})

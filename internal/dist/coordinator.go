@@ -870,7 +870,7 @@ func (c *Coordinator) compactRowsLocked(rows []Row) []Row {
 		if len(out[i].Refs) == 0 {
 			continue
 		}
-		if k := slices.IndexFunc(distinct, func(d []RefRow) bool { return sameRefs(d, out[i].Refs) }); k >= 0 {
+		if k := slices.IndexFunc(distinct, func(d []RefRow) bool { return slices.Equal(d, out[i].Refs) }); k >= 0 {
 			out[i].Refs = distinct[k]
 			continue
 		}
@@ -884,17 +884,6 @@ func (c *Coordinator) compactRowsLocked(rows []Row) []Row {
 		distinct = append(distinct, refs)
 	}
 	return out
-}
-
-// sameRefs reports whether two reference rows encode identically: equal
-// fields, with Ratio compared by bits so a NaN matches itself and a
-// negative zero does not match a positive one.
-func sameRefs(a, b []RefRow) bool {
-	return slices.EqualFunc(a, b, func(x, y RefRow) bool {
-		xr, yr := math.Float64bits(x.Ratio), math.Float64bits(y.Ratio)
-		x.Ratio, y.Ratio = 0, 0
-		return x == y && xr == yr
-	})
 }
 
 // internLocked returns the table's copy of s, adding s while the table

@@ -755,7 +755,7 @@ func TestCompactRowsShareIdenticalRefs(t *testing.T) {
 	defer c.Close()
 	refs := func(hits int64) []RefRow {
 		return []RefRow{{ID: "A(I)", Volume: 10, Analyzed: 10, Hits: hits, Cold: 10 - hits, Tier: "exact"},
-			{ID: "B(I)", Volume: 10, Analyzed: 10, Hits: 3, Cold: 7, Tier: "exact", Ratio: 0.5}}
+			{ID: "B(I)", Volume: 10, Analyzed: 10, Hits: 3, Cold: 7, Tier: "exact"}}
 	}
 	rows := make([]Row, 6)
 	for i := range rows {

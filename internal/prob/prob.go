@@ -44,10 +44,6 @@ type Options struct {
 	MembershipSamples int
 	// Seed seeds the membership sampling (0 = fixed default).
 	Seed int64
-	// Vectors, when non-nil, supplies precomputed reuse vectors instead
-	// of regenerating them (they depend only on the line geometry, so the
-	// CME analyzer's vectors transfer directly on the degradation path).
-	Vectors map[*ir.NRef][]*reuse.Vector
 }
 
 // RefEstimate is the per-reference probabilistic result.
@@ -77,67 +73,6 @@ func (r *Report) MissRatio() float64 {
 	return 100 * miss / acc
 }
 
-// Estimator holds the per-program state of the probabilistic model so that
-// per-reference estimates can be computed on demand — the CME solvers use
-// this as the last rung of their degradation ladder. The estimator owns a
-// single RNG; calling RefRatio over np.Refs in order reproduces Estimate
-// exactly.
-type Estimator struct {
-	np           *ir.NProgram
-	cfg          cache.Config
-	opt          Options
-	vecs         map[*ir.NRef][]*reuse.Vector
-	spaces       map[*ir.NStmt]*poly.Space
-	extents      []float64
-	refsPerPoint float64
-	rng          *rand.Rand
-}
-
-// NewEstimator prepares the probabilistic model for a laid-out program.
-func NewEstimator(np *ir.NProgram, cfg cache.Config, opt Options) *Estimator {
-	if opt.MembershipSamples == 0 {
-		opt.MembershipSamples = 64
-	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 12345
-	}
-	vecs := opt.Vectors
-	if vecs == nil {
-		vecs = reuse.Generate(np, cfg, opt.Reuse)
-	}
-	spaces := map[*ir.NStmt]*poly.Space{}
-	var totalPoints, totalAccesses int64
-	for _, s := range np.Stmts {
-		sp := poly.FromStmt(s)
-		spaces[s] = sp
-		totalPoints += sp.Volume()
-		totalAccesses += sp.Volume() * int64(len(s.Refs))
-	}
-	refsPerPoint := 1.0
-	if totalPoints > 0 {
-		refsPerPoint = float64(totalAccesses) / float64(totalPoints)
-	}
-	return &Estimator{
-		np: np, cfg: cfg, opt: opt,
-		vecs:         vecs,
-		spaces:       spaces,
-		extents:      averageExtents(np, spaces),
-		refsPerPoint: refsPerPoint,
-		rng:          rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Volume returns |RIS_R| for a reference of the prepared program.
-func (e *Estimator) Volume(r *ir.NRef) int64 { return e.spaces[r.Stmt].Volume() }
-
-// RefRatio returns the closed-form miss-ratio estimate of one reference
-// in [0, 1].
-func (e *Estimator) RefRatio(r *ir.NRef) float64 {
-	return missProbability(r, e.vecs[r], e.spaces[r.Stmt], e.spaces, e.cfg,
-		e.extents, e.refsPerPoint, e.rng, e.opt.MembershipSamples)
-}
-
 // Estimate runs the probabilistic model over a prepared program.
 func Estimate(np *ir.NProgram, cfg cache.Config, opt Options) (*Report, error) {
 	return EstimateCtx(context.Background(), np, cfg, opt, budget.Budget{})
@@ -154,20 +89,41 @@ func EstimateCtx(ctx context.Context, np *ir.NProgram, cfg cache.Config, opt Opt
 	}
 	start := time.Now()
 	m := budget.NewMeter(ctx, b)
-	est := NewEstimator(np, cfg, opt)
+	if opt.MembershipSamples == 0 {
+		opt.MembershipSamples = 64
+	}
+	seed := opt.Seed
+	if seed == 0 {
+		seed = 12345
+	}
+	rng := rand.New(rand.NewSource(seed))
+	vecs := reuse.Generate(np, cfg, opt.Reuse)
+	spaces := map[*ir.NStmt]*poly.Space{}
+	var totalPoints, totalAccesses int64
+	for _, s := range np.Stmts {
+		sp := poly.FromStmt(s)
+		spaces[s] = sp
+		totalPoints += sp.Volume()
+		totalAccesses += sp.Volume() * int64(len(s.Refs))
+	}
+	refsPerPoint := 1.0
+	if totalPoints > 0 {
+		refsPerPoint = float64(totalAccesses) / float64(totalPoints)
+	}
+	extents := averageExtents(np, spaces)
 	rep := &Report{Config: cfg}
 	p := m.Probe()
 	defer p.Drain()
 	for _, r := range np.Refs {
 		if p != nil {
-			if err := p.Check(int64(est.opt.MembershipSamples), 0); err != nil {
+			if err := p.Check(int64(opt.MembershipSamples), 0); err != nil {
 				rep.Elapsed = time.Since(start)
 				return rep, err
 			}
 		}
-		e := &RefEstimate{Ref: r, Volume: est.Volume(r)}
-		e.MissRatio = est.RefRatio(r)
-		rep.Refs = append(rep.Refs, e)
+		sp := spaces[r.Stmt]
+		rep.Refs = append(rep.Refs, &RefEstimate{Ref: r, Volume: sp.Volume(),
+			MissRatio: missProbability(r, vecs[r], sp, spaces, cfg, extents, refsPerPoint, rng, opt.MembershipSamples)})
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil

@@ -17,9 +17,12 @@ import (
 	"time"
 
 	"cachemodel/internal/budget"
+	"cachemodel/internal/cache"
 	"cachemodel/internal/faultinject"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/retry"
+	"cachemodel/internal/spec"
+	"cachemodel/internal/trace"
 )
 
 // newTestServer starts a server plus an httptest front end, draining both
@@ -539,6 +542,47 @@ func TestServeShedsOnPointPoolSaturation(t *testing.T) {
 
 	waitStatus(t, s, a, StatusRunning)
 	_ = a
+}
+
+// TestServeBudgetedAnalyzeIsBounded: an exact analyze whose point budget
+// exhausts the grace resample answers on the bounded tier, with no
+// second-model ratio on the wire, and its miss ratio (the upper end of the
+// bound) does not undercount the simulator.
+func TestServeBudgetedAnalyzeIsBounded(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, SolveWorkers: 1})
+	id := submitJob(t, ts, "/v1/analyze", `{"program":"hydro","size":24,"iters":24,"exact":true,`+
+		`"cache_bytes":4096,"line_bytes":32,"assoc":2,"budget":{"max_points":1}}`)
+	if jb := waitTerminal(t, ts, id); jb.Status != StatusDone {
+		t.Fatalf("job status %s, result %+v", jb.Status, jb.Result)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatalf("GET job: %v", err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if bytes.Contains(raw, []byte(`"ratio"`)) {
+		t.Errorf("job body carries a ratio key: %s", raw)
+	}
+	var jb jobBody
+	if err := json.Unmarshal(raw, &jb); err != nil {
+		t.Fatalf("decode job: %v", err)
+	}
+	if jb.Result == nil || len(jb.Result.Candidates) != 1 {
+		t.Fatalf("want 1 candidate, got %+v", jb.Result)
+	}
+	row := jb.Result.Candidates[0]
+	if row.Tier != "bounded" || !row.Degraded {
+		t.Fatalf("row tier %q degraded=%v, want a degraded bounded row", row.Tier, row.Degraded)
+	}
+	np, err := (&spec.Program{Program: "hydro", Size: 24, Iters: 24}).Prepare(spec.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := trace.Simulate(np, cache.Config{SizeBytes: 4096, LineBytes: 32, Assoc: 2})
+	if simPct := 100 * float64(sim.Misses) / float64(sim.Accesses); row.MissRatioPct < simPct {
+		t.Errorf("bounded row reads %.2f%%, below the simulator's %.2f%%", row.MissRatioPct, simPct)
+	}
 }
 
 // solveKeyFor computes the content address the server will use for a

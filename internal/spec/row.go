@@ -7,16 +7,16 @@ import (
 )
 
 // RefRow is the per-reference answer row: the raw counts, so bit-identity
-// between two answers is checkable from the wire alone.
+// between two answers is checkable from the wire alone. A bounded
+// reference's misses lie in [cold+repl, cold+repl+volume−analyzed].
 type RefRow struct {
-	ID       string  `json:"id"`
-	Volume   int64   `json:"volume"`
-	Analyzed int64   `json:"analyzed"`
-	Hits     int64   `json:"hits"`
-	Cold     int64   `json:"cold"`
-	Repl     int64   `json:"repl"`
-	Tier     string  `json:"tier"`
-	Ratio    float64 `json:"ratio,omitempty"`
+	ID       string `json:"id"`
+	Volume   int64  `json:"volume"`
+	Analyzed int64  `json:"analyzed"`
+	Hits     int64  `json:"hits"`
+	Cold     int64  `json:"cold"`
+	Repl     int64  `json:"repl"`
+	Tier     string `json:"tier"`
 	// ClosedForm marks counts evaluated from a closed form rather than
 	// an enumerating solve of this candidate.
 	ClosedForm bool `json:"closed_form,omitempty"`
@@ -117,6 +117,6 @@ func fill(row *Row, rep *cme.Report) {
 	for _, rr := range rep.Refs {
 		row.Refs = append(row.Refs, RefRow{ID: rr.Ref.ID, Volume: rr.Volume, Analyzed: rr.Analyzed,
 			Hits: rr.Hits, Cold: rr.Cold, Repl: rr.Repl,
-			Tier: rr.Tier.String(), Ratio: rr.Ratio, ClosedForm: rr.ClosedForm})
+			Tier: rr.Tier.String(), ClosedForm: rr.ClosedForm})
 	}
 }
