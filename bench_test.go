@@ -9,10 +9,12 @@
 package cachemodel_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"cachemodel"
+	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
 	"cachemodel/internal/experiments"
@@ -370,6 +372,26 @@ func BenchmarkTraceReplay(b *testing.B) {
 		accesses = res.Accesses
 	}
 	b.ReportMetric(float64(accesses), "accesses")
+}
+
+// BenchmarkSimulateSolverFixture replays the pinned solver fixture of
+// BENCH_solvers.json (Tomcatv 24 × 8, 32KB/32B/direct) through the
+// sequential and the two-way set-sharded simulator: its simulate_seq and
+// simulate_sharded_w2 rows. Each run takes a few milliseconds, so
+// `-count` resolves a change that the artifact's best-of-3 cannot.
+func BenchmarkSimulateSolverFixture(b *testing.B) {
+	np := prepared(b, cachemodel.ProgramTomcatv(24, 8))
+	cfg := cache.Config{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 1}
+	b.Run("seq", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			trace.Simulate(np, cfg)
+		}
+	})
+	b.Run("sharded_w2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			trace.SimulateShardedCtx(context.Background(), np, cfg, cache.FetchOnWrite, budget.Budget{}, 2)
+		}
+	})
 }
 
 // BenchmarkNormalize measures the §3.1 pre-processing on the largest

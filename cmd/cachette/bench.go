@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"cachemodel/internal/budget"
@@ -88,8 +89,10 @@ type benchResult struct {
 	SymbolicPct float64 `json:"symbolic_pct,omitempty"`
 }
 
-// benchReport is the BENCH_solvers.json document.
+// benchReport is the BENCH_solvers.json document. Command is the command
+// line that produced it.
 type benchReport struct {
+	Command    string        `json:"command"`
 	Program    string        `json:"program"`
 	Size       int64         `json:"size"`
 	Iters      int64         `json:"iters"`
@@ -100,19 +103,42 @@ type benchReport struct {
 	Results    []benchResult `json:"results"`
 }
 
+// pinnedBench is a committed solver bench artifact, the command that
+// regenerates it and the fixture that command runs. The artifacts form a
+// trajectory across changes only if every regeneration runs the same
+// command, so `cachette bench` without -out writes Path only when its
+// command line is exactly Command.
+type pinnedBench struct {
+	Path, Command  string
+	Program, Cache string
+	Size, Iters    int64
+	Repeat         int
+}
+
+var pinnedBenches = []pinnedBench{
+	{Path: "BENCH_solvers.json", Command: "cachette bench -program tomcatv -size 24 -iters 8 -repeat 3 -check",
+		Program: "Tomcatv", Cache: "32KB/32B/direct", Size: 24, Iters: 8, Repeat: 3},
+	// The adversarial fixture: dozens of references per leaf row, and
+	// walks that almost never touch the consumer's set.
+	{Path: "BENCH_solvers_applu.json", Command: "cachette bench -program applu -size 10 -iters 2 -check",
+		Program: "Applu", Cache: "32KB/32B/direct", Size: 10, Iters: 2, Repeat: 1},
+}
+
 // cmdBench times the solver variants against each other on one program and
 // emits a machine-readable BENCH_solvers.json: the sequential seed path
 // (one worker, no memo), the memoized sequential solver, the tile-parallel
 // solver, and the sequential vs set-sharded simulator. With -check it also
 // verifies that every variant produces counts bit-identical to the
-// sequential baseline and fails otherwise.
+// sequential baseline and fails otherwise. Without -out the report is
+// written to its pinned path when the command line is a pinned command
+// (pinnedBenches), and to stdout only otherwise.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	pf := addProgramFlags(fs, "tomcatv", 32, 1)
 	cs, ls, assoc := cacheFlags(fs)
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel worker count for the parallel variants")
 	repeat := fs.Int("repeat", 1, "timing repetitions (the fastest is reported)")
-	out := fs.String("out", "BENCH_solvers.json", "output path for the JSON report (- = stdout only)")
+	out := fs.String("out", "", "output path for the JSON report (- = stdout only; unset, a solver bench writes only a pinned command's artifact)")
 	check := fs.Bool("check", false, "verify all variants produce bit-identical counts")
 	noSym := fs.Bool("nosymbolic", false, "disable the symbolic region fast path in every solver row")
 	noSim := fs.Bool("nosim", false, "skip the simulator rows")
@@ -143,7 +169,7 @@ func cmdBench(args []string) error {
 			return err
 		}
 		dst := *out
-		if dst == "BENCH_solvers.json" {
+		if dst == "" {
 			dst = "BENCH_scaling.json"
 		}
 		or, err := oflags.start("bench")
@@ -167,7 +193,7 @@ func cmdBench(args []string) error {
 			return fmt.Errorf("bench -dist-workers: %v", err)
 		}
 		dst := *out
-		if dst == "BENCH_solvers.json" {
+		if dst == "" {
 			dst = "BENCH_dist.json"
 		}
 		return benchDist(pf, wcounts, dst, *check)
@@ -179,7 +205,7 @@ func cmdBench(args []string) error {
 		// geom-vs-fused benchmark row. -check arms the CI speedup gate
 		// (sweep itself only applies it on runners with >= 4 CPUs).
 		dst := *out
-		if dst == "BENCH_solvers.json" {
+		if dst == "" {
 			dst = "BENCH_sweep.json"
 		}
 		sargs := []string{
@@ -264,8 +290,23 @@ func cmdBench(args []string) error {
 		return 100 * float64(s) / float64(s+e)
 	}
 
-	rep := benchReport{Program: p.Name, Size: *pf.size, Iters: *pf.iters, Cache: cfg.String(),
+	rep := benchReport{Command: strings.Join(append([]string{"cachette", "bench"}, args...), " "),
+		Program: p.Name, Size: *pf.size, Iters: *pf.iters, Cache: cfg.String(),
 		GoMaxProcs: runtime.GOMAXPROCS(0), Workers: *workers, Repeat: *repeat}
+	dst := *out
+	if dst == "" {
+		// Only the pinned command regenerates a pinned artifact: any
+		// other run would overwrite it with rows of a different trajectory.
+		dst = "-"
+		for _, pb := range pinnedBenches {
+			if rep.Command == pb.Command {
+				dst = pb.Path
+			}
+		}
+		if dst == "-" {
+			fmt.Fprintln(os.Stderr, "cachette bench: not a pinned command; pass -out to write the report to a file")
+		}
+	}
 
 	// Layer row: reuse vector generation, the set-up every solver row
 	// below repeats inside cme.New. It runs one uniformly generated set
@@ -463,11 +504,11 @@ func cmdBench(args []string) error {
 		return err
 	}
 	blob = append(blob, '\n')
-	if *out != "-" {
-		if err := os.WriteFile(*out, blob, 0o644); err != nil {
+	if dst != "-" {
+		if err := os.WriteFile(dst, blob, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "cachette bench: wrote %s\n", *out)
+		fmt.Fprintf(os.Stderr, "cachette bench: wrote %s\n", dst)
 	}
 	os.Stdout.Write(blob)
 	return or.finish(ctx, p.Name, seqRep, nil)

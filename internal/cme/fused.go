@@ -9,6 +9,7 @@ import (
 	"cachemodel/internal/ir"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/poly"
+	"cachemodel/internal/reuse"
 	"cachemodel/internal/trace"
 )
 
@@ -59,10 +60,13 @@ type fusedClassifier struct {
 	// (ubiquitous) power-of-two line sizes; -1 keeps the division.
 	lineShift int
 	// ref is the reference of the last classified point (nil before the
-	// first); the states' memos hold only its vectors' verdicts, and
-	// infos is its memo table row.
-	ref   *ir.NRef
-	infos []memoInfo
+	// first); the states' memos hold only its vectors' verdicts, infos is
+	// its memo table row, vecs its reuse vectors and pspaces, parallel to
+	// vecs, each vector's producer iteration space.
+	ref     *ir.NRef
+	infos   []memoInfo
+	vecs    []*reuse.Vector
+	pspaces []*poly.Space
 
 	// Local metric accumulators (flushed at release, never per point).
 	hCands    *obs.LocalHistogram // candidates per fused traversal
@@ -70,6 +74,7 @@ type fusedClassifier struct {
 	nMemoHits int64
 	nSteps    int64
 	nVisits   int64
+	nRows     int64
 	nMemoOff  int64
 }
 
@@ -143,8 +148,9 @@ func (fc *fusedClassifier) release() {
 	mWalkMemoHits.Add(fc.nMemoHits)
 	mWalkSteps.Add(fc.nSteps)
 	mWalkVisits.Add(fc.nVisits)
+	mWalkRows.Add(fc.nRows)
 	mWalkMemoDisabled.Add(fc.nMemoOff)
-	fc.nWalks, fc.nMemoHits, fc.nSteps, fc.nVisits, fc.nMemoOff = 0, 0, 0, 0, 0
+	fc.nWalks, fc.nMemoHits, fc.nSteps, fc.nVisits, fc.nRows, fc.nMemoOff = 0, 0, 0, 0, 0, 0
 }
 
 // classify decides one access of a one-candidate classifier and reports
@@ -221,14 +227,19 @@ func (s *fcState) arm() {
 // reference's verdicts can never hit again, so free them rather than hold
 // every reference's arena to the end of the solve.
 func (fc *fusedClassifier) enterRef(r *ir.NRef) {
-	n := len(fc.g.ls.vecs[r])
+	vecs := fc.g.ls.vecs[r]
+	n := len(vecs)
 	for _, s := range fc.states {
 		if s.memo != nil {
 			s.memo = slices.Grow(s.memo[:0], n)[:n]
 			clear(s.memo)
 		}
 	}
-	fc.ref, fc.infos = r, fc.g.ls.memo[r]
+	fc.pspaces = fc.pspaces[:0]
+	for _, v := range vecs {
+		fc.pspaces = append(fc.pspaces, fc.p.spaces[v.Producer.Stmt])
+	}
+	fc.ref, fc.infos, fc.vecs = r, fc.g.ls.memo[r], vecs
 }
 
 // classifyFused classifies one access for all active candidates at once
@@ -251,11 +262,11 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 		fc.enterRef(r)
 	}
 
-	for vi, v := range g.ls.vecs[r] {
+	for vi, v := range fc.vecs {
 		plabel, pidx := v.ProducerPointBuf(idx, &fc.lbuf, &fc.pbuf)
 		// Cold equation — shared across the group: the producer access
 		// must exist and touch the same memory line.
-		if !fc.p.spaces[v.Producer.Stmt].Contains(pidx) {
+		if !fc.pspaces[vi].Contains(pidx) {
 			continue
 		}
 		paddr := v.Producer.AddressAt(pidx)
@@ -420,6 +431,7 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64, 
 	} else {
 		total = fc.w.BetweenReverse(producer, consumer, win, fc.visit)
 	}
+	fc.nRows += fc.w.Rows()
 	// Interval exhausted with candidates still undecided: their walks
 	// scanned the whole interval and found no eviction.
 	for _, w := range fc.walk {

@@ -20,6 +20,10 @@ var (
 	// so visits/steps is the skip ratio.
 	mWalkSteps  = obs.Default.Counter("cme_walk_steps_total")
 	mWalkVisits = obs.Default.Counter("cme_walk_visits_total")
+	// mWalkRows counts the leaf rows the walks entered; the walker skips
+	// the rows no reference can contend in and counts their accesses
+	// from their bounds.
+	mWalkRows = obs.Default.Counter("cme_walk_rows_total")
 	// mWalkMemoDisabled counts reuse vectors whose memo arena the hit-rate
 	// gate dropped (memoDisableAfter consecutive probe misses).
 	mWalkMemoDisabled = obs.Default.Counter("cme_walk_memo_disabled_total")

@@ -142,10 +142,73 @@ func randomNest(rng *rand.Rand) *ir.NProgram {
 	return np
 }
 
+// rowNest builds a laid-out normalised two-level nest for the walker's
+// row driver: an outer loop of up to 48 rows over one or two sibling leaf
+// loops of up to 24 values whose bounds are constant or triangular in
+// the outer index (so some rows are empty), statements with equality and
+// inequality guards over both indices, and references whose inner stride
+// is zero, within a window's width or beyond it, in either direction, and
+// whose outer stride is small or large, so that under one window some
+// rows wrap the period and others do not.
+func rowNest(rng *rand.Rand) *ir.NProgram {
+	np := &ir.NProgram{Name: "rows", Depth: 2}
+	small := func(k int) int64 { return int64(rng.Intn(2*k+1) - k) }
+	stride := func() int64 {
+		switch rng.Intn(3) {
+		case 0:
+			return small(3)
+		case 1:
+			return small(40)
+		}
+		return small(400)
+	}
+	outer := &ir.NLoop{Bound: ir.NBound{Lo: ir.Affine{Const: small(3), Coeff: []int64{0, 0}},
+		Hi: ir.Affine{Const: int64(8 + rng.Intn(40)), Coeff: []int64{0, 0}}}}
+	for c := 1 + rng.Intn(2); c > 0; c-- {
+		lo := ir.Affine{Const: small(4), Coeff: []int64{0, 0}}
+		hi := ir.Affine{Const: int64(rng.Intn(24)), Coeff: []int64{0, 0}}
+		switch rng.Intn(4) {
+		case 0: // lower triangle
+			hi.Coeff[0] = 1
+		case 1: // upper triangle
+			lo.Coeff[0] = 1
+			hi.Const += 24
+		case 2: // shrinking rows, empty past the diagonal
+			hi.Coeff[0] = -1
+		}
+		label := []int{1, len(outer.Loops) + 1}
+		leaf := &ir.NLoop{Bound: ir.NBound{Lo: lo, Hi: hi}}
+		bounds := []ir.NBound{outer.Bound, leaf.Bound}
+		for s := 1 + rng.Intn(3); s > 0; s-- {
+			st := &ir.NStmt{Label: label, Bounds: bounds, Name: fmt.Sprintf("S%d", len(np.Stmts)+1)}
+			for g := rng.Intn(3); g > 0; g-- {
+				expr := ir.Affine{Const: small(20), Coeff: []int64{small(2), small(2)}}
+				st.Guards = append(st.Guards, ir.NConstraint{Expr: expr, IsEq: rng.Intn(4) == 0})
+			}
+			for r := 1 + rng.Intn(3); r > 0; r-- {
+				arr := &ir.Array{Name: fmt.Sprintf("A%d", len(np.Refs)), ElemSize: 1 + int64(rng.Intn(16)),
+					Dims: []int64{0}, Base: int64(rng.Intn(1 << 16))}
+				sub := ir.Affine{Const: small(50), Coeff: []int64{stride(), stride()}}
+				ref := &ir.NRef{Array: arr, Subs: []ir.Affine{sub}, Write: rng.Intn(2) == 0,
+					Stmt: st, Seq: len(np.Refs), ID: fmt.Sprintf("%s.r%d", st.Name, len(st.Refs))}
+				st.Refs = append(st.Refs, ref)
+				np.Refs = append(np.Refs, ref)
+			}
+			leaf.Stmts = append(leaf.Stmts, st)
+			np.Stmts = append(np.Stmts, st)
+		}
+		outer.Loops = append(outer.Loops, leaf)
+	}
+	np.Top = []*ir.NLoop{outer}
+	return np
+}
+
 // FuzzSetWalkVsScan: on random nests, windows and time pairs, the
 // set-filtered walk visits exactly the in-window accesses the generic
 // walker produces, in the same order, with the same positions and the
-// same total; an early stop returns the stop position.
+// same total; an early stop returns the stop position. Each input checks
+// a random nest of depth 1–4 and a two-level rowNest, whose long row runs
+// exercise the row driver's jumps and skipped-row counts.
 func FuzzSetWalkVsScan(f *testing.F) {
 	f.Add(int64(1), uint32(96), uint32(32), int64(64))
 	f.Add(int64(2), uint32(64), uint32(32), int64(0))
@@ -153,32 +216,40 @@ func FuzzSetWalkVsScan(f *testing.F) {
 	f.Add(int64(4), uint32(1), uint32(1), int64(0))
 	f.Add(int64(5), uint32(1<<31+37), uint32(24), int64(5))
 	f.Add(int64(6), uint32(256), uint32(32), int64(-200)) // masked period, negative Lo
+	f.Add(int64(7), uint32(8192), uint32(32), int64(96))  // masked period, rows rarely wrap
+	f.Add(int64(8), uint32(1000), uint32(8), int64(-3))   // % period, strides beyond the width
 	f.Fuzz(func(t *testing.T, seed int64, period, width uint32, lo int64) {
 		rng := rand.New(rand.NewSource(seed))
-		np := randomNest(rng)
 		p := int64(period)
 		if p < 1 || p > 1<<33 {
 			p = 1 + p%997
 		}
 		win := Window{Period: p, Lo: lo % (4 * p), Width: 1 + int64(width)%p}
-		acc := collect(np)
-		if len(acc) == 0 || len(acc) > 20000 {
-			return
-		}
-		w := NewWalker(np)
-		for trial := 0; trial < 8; trial++ {
-			x, y := rng.Intn(len(acc)), rng.Intn(len(acc))
-			if trial > 0 && x > y {
-				x, y = y, x
-			}
-			a := Time{Label: acc[x].ref.Stmt.Label, Idx: acc[x].idx, Seq: acc[x].ref.Seq}
-			b := Time{Label: acc[y].ref.Stmt.Label, Idx: acc[y].idx, Seq: acc[y].ref.Seq}
-			for _, rev := range []bool{false, true} {
-				checkWalk(t, "fuzz", np, w, a, b, win, rev, -1)
-				checkWalk(t, "fuzz", np, w, a, b, win, rev, rng.Intn(4))
-			}
-		}
+		fuzzWalks(t, rng, randomNest(rng), win)
+		fuzzWalks(t, rng, rowNest(rng), win)
 	})
+}
+
+// fuzzWalks checks walks between random access pairs of np, both ways,
+// to the end and stopped early.
+func fuzzWalks(t *testing.T, rng *rand.Rand, np *ir.NProgram, win Window) {
+	acc := collect(np)
+	if len(acc) == 0 || len(acc) > 20000 {
+		return
+	}
+	w := NewWalker(np)
+	for trial := 0; trial < 8; trial++ {
+		x, y := rng.Intn(len(acc)), rng.Intn(len(acc))
+		if trial > 0 && x > y {
+			x, y = y, x
+		}
+		a := Time{Label: acc[x].ref.Stmt.Label, Idx: acc[x].idx, Seq: acc[x].ref.Seq}
+		b := Time{Label: acc[y].ref.Stmt.Label, Idx: acc[y].idx, Seq: acc[y].ref.Seq}
+		for _, rev := range []bool{false, true} {
+			checkWalk(t, np.Name, np, w, a, b, win, rev, -1)
+			checkWalk(t, np.Name, np, w, a, b, win, rev, rng.Intn(4))
+		}
+	}
 }
 
 // walkRecs runs one filtered walk and returns its visits and its result.
@@ -248,6 +319,38 @@ func TestWalkerReusedAcrossWindows(t *testing.T) {
 	}
 	if walked == 0 {
 		t.Fatal("no nest produced a walk")
+	}
+}
+
+// BenchmarkFirstIn times the two searches firstIn chooses between on
+// Applu's 32KB/32B direct-mapped window (period 32768, width 32): stepping
+// the residue, whose cost grows with the limit, and minMulIn, whose cost
+// does not. Their crossover sets stepLimit.
+func BenchmarkFirstIn(b *testing.B) {
+	const p, width = 32768, 32
+	rng := rand.New(rand.NewSource(1))
+	type in struct{ t, step int64 }
+	ins := make([]in, 1024)
+	for i := range ins {
+		ins[i] = in{width + rng.Int63n(p-width), 1 + rng.Int63n(p-1)}
+	}
+	var sink int64
+	for _, limit := range []int64{32, 64, 128} {
+		b.Run(fmt.Sprintf("step/limit=%d", limit), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				x := ins[i%len(ins)]
+				sink += stepIn(x.t, x.step, p, width, limit)
+			}
+		})
+		b.Run(fmt.Sprintf("euclid/limit=%d", limit), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				x := ins[i%len(ins)]
+				sink += minMulIn(x.step, p, p-x.t, p-x.t+width-1, limit)
+			}
+		})
+	}
+	if sink == 1 {
+		b.Log(sink)
 	}
 }
 
