@@ -93,7 +93,8 @@ type BatchOptions struct {
 // whole sweep instead of draining it per candidate:
 //
 //   - candidates are grouped by layout (array bases are global state, so
-//     layout groups run sequentially; everything below is within a group);
+//     layout groups run sequentially, and a batch with a candidate layout
+//     holds the Prepared exclusively; everything below is within a group);
 //   - exact-tier candidates sharing a line size are FUSED: the cold
 //     equation and the deciding reuse vector of an access depend only on
 //     the line size, so one interval walk classifies the access for every
@@ -118,6 +119,10 @@ type BatchOptions struct {
 // solved at all — invalid configuration, failed layout — does not abort
 // the batch: its report stays nil and the call returns a *BatchError
 // naming every such candidate alongside the solved reports.
+//
+// Concurrent calls on one Prepared are safe: batches of baseline
+// candidates run side by side, and a batch with a candidate layout waits
+// for them and runs alone.
 func (p *Prepared) SolveBatch(ctx context.Context, cands []Candidate, opt BatchOptions) ([]*Report, error) {
 	return p.solveBatch(ctx, nil, cands, opt)
 }
@@ -149,13 +154,23 @@ func (p *Prepared) solveBatch(ctx context.Context, m *budget.Meter, cands []Cand
 	}
 	mode := p.batchMode(opt.Plan)
 
-	// Snapshot the baseline layout; candidate layouts mutate global array
-	// bases, so the whole batch runs under this restore guard.
-	snap := p.snapshotBases()
-	defer func() {
-		snap.restore()
-		p.warmAddresses()
-	}()
+	// Candidate layouts mutate global array bases: such a batch holds the
+	// Prepared exclusively and runs under a restore guard. A batch of
+	// baseline candidates only reads the bases Prepare warmed, so batches
+	// like it run side by side.
+	var snap *baseSnapshot
+	if relayouts(cands) {
+		p.layoutMu.Lock()
+		defer p.layoutMu.Unlock()
+		snap = p.snapshotBases()
+		defer func() {
+			snap.restore()
+			p.warmAddresses()
+		}()
+	} else {
+		p.layoutMu.RLock()
+		defer p.layoutMu.RUnlock()
+	}
 
 	if m == nil {
 		m = budget.NewMeter(ctx, opt.Budget)
@@ -253,13 +268,29 @@ func (p *Prepared) warmAddresses() {
 	}
 }
 
+// relayouts reports whether any candidate applies a layout of its own.
+func relayouts(cands []Candidate) bool {
+	for _, c := range cands {
+		if c.Layout != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // applyLayout applies a candidate layout (nil = the Prepared baseline) and
-// re-warms addresses.
+// re-warms addresses. Without a snapshot the batch never left the
+// baseline, so there is nothing to restore.
 func (p *Prepared) applyLayout(lo *layout.Options, snap *baseSnapshot) error {
-	if lo == nil {
+	switch {
+	case lo != nil:
+		if err := layout.AssignProgram(p.np, *lo); err != nil {
+			return err
+		}
+	case snap != nil:
 		snap.restore()
-	} else if err := layout.AssignProgram(p.np, *lo); err != nil {
-		return err
+	default:
+		return nil
 	}
 	p.warmAddresses()
 	return nil

@@ -189,7 +189,7 @@ func New(np *ir.NProgram, cfg cache.Config, opt Options) (*Analyzer, error) {
 		return nil, err
 	}
 	if opt.Vectors != nil {
-		p.byLine[cfg.LineBytes] = p.newLineShared(cfg.LineBytes, opt.Vectors)
+		p.addLine(cfg.LineBytes, opt.Vectors)
 	}
 	return p.Analyzer(cfg)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cachemodel/internal/cache"
 	"cachemodel/internal/ir"
@@ -35,6 +36,11 @@ import (
 // Array base addresses are the one piece of global mutable state
 // (ir.Array.Base); Prepared captures a snapshot of the bases it was built
 // under so SolveBatch can restore them after applying candidate layouts.
+//
+// SolveBatch is safe for concurrent use on one Prepared. A batch whose
+// candidates all keep the baseline layout writes no array base and holds
+// the layout lock shared; a batch that applies a candidate layout holds it
+// exclusively, so concurrent batches never see each other's bases.
 type Prepared struct {
 	np     *ir.NProgram
 	opt    Options
@@ -42,8 +48,11 @@ type Prepared struct {
 	dyn    map[*ir.NRef][]*reuse.DynamicPair
 	digest [sha256.Size]byte
 
-	mu     sync.Mutex
-	byLine map[int64]*lineShared
+	layoutMu sync.RWMutex // shared by baseline batches, exclusive while bases move
+
+	mu      sync.Mutex
+	byLine  map[int64]*lineShared
+	vectors atomic.Int64 // reuse vectors held across byLine, read without mu
 }
 
 // lineShared is the per-line-size slice of the geometry-invariant state.
@@ -79,6 +88,9 @@ func Prepare(np *ir.NProgram, opt Options) (*Prepared, error) {
 		p.dyn = reuse.GenerateDynamic(np)
 	}
 	p.digest = programDigest(np, opt)
+	// Solver workers only read the linearised addresses; build them once
+	// here, so a baseline batch never writes them.
+	p.warmAddresses()
 	return p, nil
 }
 
@@ -95,17 +107,28 @@ func (p *Prepared) lineState(lineBytes int64) *lineShared {
 	// not consulted here: caller-supplied vectors describe one line size,
 	// and only New, which knows it, seeds the table with them.)
 	cfg := cache.Config{SizeBytes: lineBytes, LineBytes: lineBytes, Assoc: 1}
-	ls := p.newLineShared(lineBytes, reuse.Generate(p.np, cfg, p.opt.Reuse))
+	return p.addLine(lineBytes, reuse.Generate(p.np, cfg, p.opt.Reuse))
+}
+
+// addLine files one line size's reuse vectors with their memo table (p.mu
+// held, or p not yet shared) and counts them. The symbolic-region
+// eligibility, which reads the same inputs, is built on first use
+// (symInfo).
+func (p *Prepared) addLine(lineBytes int64, vecs map[*ir.NRef][]*reuse.Vector) *lineShared {
+	ls := &lineShared{lineBytes: lineBytes, vecs: vecs, memo: memoTable(p.np, vecs)}
 	p.byLine[lineBytes] = ls
+	n := 0
+	for _, vs := range vecs {
+		n += len(vs)
+	}
+	p.vectors.Add(int64(n))
 	return ls
 }
 
-// newLineShared derives the memo table of one line size's reuse vectors.
-// The symbolic-region eligibility, which reads the same inputs, is built
-// on first use (symInfo).
-func (p *Prepared) newLineShared(lineBytes int64, vecs map[*ir.NRef][]*reuse.Vector) *lineShared {
-	return &lineShared{lineBytes: lineBytes, vecs: vecs, memo: memoTable(p.np, vecs)}
-}
+// VectorCount is the number of reuse vectors p holds, summed over the
+// line sizes solved so far. It never waits on p's locks, so a store of
+// prepared programs can weigh its entries while they are being solved.
+func (p *Prepared) VectorCount() int64 { return p.vectors.Load() }
 
 // symInfo returns the symbolic-region eligibility of one line size's
 // references, building it on first use. Only exact solves read it — the
@@ -134,7 +157,9 @@ func (p *Prepared) Analyzer(cfg cache.Config) (*Analyzer, error) {
 	if a.numSets&(a.numSets-1) == 0 {
 		a.setMask = a.numSets - 1
 	}
-	// Solver workers only read the linearised addresses; build them now.
+	// Solver workers only read the linearised addresses. Prepare and every
+	// layout change build them, so this only reads them unless the bases
+	// were moved behind the Prepared's back.
 	p.warmAddresses()
 	return a, nil
 }

@@ -260,7 +260,6 @@ type workerStat struct {
 type Coordinator struct {
 	opt      Options
 	pruneSem chan struct{} // bounds concurrent prune passes
-	preps    *prepMemo     // prepared programs, for deriving unit keys
 
 	mu      sync.Mutex
 	sweeps  map[string]*sweepState
@@ -299,7 +298,6 @@ func New(opt Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opt:      opt,
 		pruneSem: make(chan struct{}, opt.PruneConcurrency),
-		preps:    newPrepMemo(),
 		sweeps:   map[string]*sweepState{},
 		leased:   map[string]*unit{},
 		byKey:    map[string]*unit{},
@@ -383,10 +381,9 @@ func (c *Coordinator) addSweep(ctx context.Context, sw *SweepSpec, journalledPru
 	if err != nil {
 		return nil, err
 	}
-	if err := sw.ProgramSpec.Check(lim); err != nil {
-		return nil, err
-	}
-	prep, err := c.preps.get(&sw.ProgramSpec, sw.SolveSpec)
+	// Unit keys come from the program's prepared form, shared with the
+	// process's workers and front doors.
+	prep, err := sw.ProgramSpec.Prepared(lim, sw.Adaptive)
 	if err != nil {
 		return nil, err
 	}

@@ -150,11 +150,12 @@ type (
 	Row    = spec.Row
 )
 
-// SolveLocal runs the sweep in this process — one Prepare, one
-// SolveBatch over the whole grid — and renders the same wire rows a
-// coordinator merges. It is the ground truth for `dist coordinate
-// -check` and the 1-worker baseline for `bench -dist`: a distributed run
-// is correct iff its merged rows match these bytes. Prune is rejected
+// SolveLocal runs the sweep in this process — one SolveBatch over the
+// whole grid, on the process's prepared form of the program — and
+// renders the same wire rows a coordinator merges. It is the ground
+// truth for `dist coordinate -check` and the 1-worker baseline for
+// `bench -dist`: a distributed run is correct iff its merged rows match
+// these bytes. Prune is rejected
 // (pruned rows carry advisor estimates, which a plain batch never
 // produces, so the comparison is meaningless by construction).
 func (s *SweepSpec) SolveLocal(ctx context.Context, workers int) ([]Row, error) {
@@ -165,11 +166,7 @@ func (s *SweepSpec) SolveLocal(ctx context.Context, workers int) ([]Row, error) 
 	if err != nil {
 		return nil, err
 	}
-	np, err := s.ProgramSpec.Prepare(spec.Limits{})
-	if err != nil {
-		return nil, err
-	}
-	prep, err := cme.Prepare(np, s.options())
+	prep, err := s.ProgramSpec.Prepared(spec.Limits{}, s.Adaptive)
 	if err != nil {
 		return nil, err
 	}

@@ -263,29 +263,27 @@ func rawSolveBatch(t *testing.T, u *UnitSpec) ([]*cme.Report, error) {
 	return prep.SolveBatch(context.Background(), spec.Solvers(u.Candidates), cme.BatchOptions{Plan: plan})
 }
 
-// len is the number of memoised programs.
-func (m *prepMemo) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lru.Len()
-}
-
-// TestPrepMemoBounded: a worker sent more distinct programs than the
-// memo's bound keeps at most prepMemoCap of them, and so does the
-// coordinator that derived their unit keys.
+// TestPrepMemoBounded: a coordinator and a worker sent more distinct
+// programs than the process's prepared-program store holds keep at most
+// spec.StoreEntries of them, evicting the rest. The programs are light
+// (about 100 reuse vectors each), so the entry bound is the one that
+// binds.
 func TestPrepMemoBounded(t *testing.T) {
+	entries := obs.Default.Gauge("spec_prepared_entries")
+	evictions := obs.Default.Counter("spec_prepared_evictions_total")
+	before := evictions.Value()
 	c, srv := newTestCoordinator(t, Options{})
-	for i := 0; i < prepMemoCap+4; i++ {
-		spec := &SweepSpec{
-			ProgramSpec: ProgramSpec{Program: "hydro", Size: int64(8 + i)},
+	for i := 0; i < spec.StoreEntries+4; i++ {
+		sw := &SweepSpec{
+			ProgramSpec: ProgramSpec{Program: "mmjki", Size: int64(8 + i)},
 			SolveSpec:   SolveSpec{Exact: true},
 			CacheSizes:  []int64{1024}, LineSizes: []int64{32}, Assocs: []int{1},
 		}
-		if _, err := c.AddSweep(context.Background(), spec); err != nil {
+		if _, err := c.AddSweep(context.Background(), sw); err != nil {
 			t.Fatalf("AddSweep %d: %v", i, err)
 		}
-		if n := c.preps.len(); n > prepMemoCap {
-			t.Fatalf("coordinator memo holds %d programs, bound %d", n, prepMemoCap)
+		if n := entries.Value(); n > spec.StoreEntries {
+			t.Fatalf("store holds %d programs, bound %d", n, spec.StoreEntries)
 		}
 	}
 	w, err := NewWorker(WorkerOptions{Coordinator: srv.URL, ID: "w0", Poll: 20 * time.Millisecond})
@@ -295,16 +293,19 @@ func TestPrepMemoBounded(t *testing.T) {
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
-	if n := w.preps.len(); n != prepMemoCap {
-		t.Fatalf("worker memo holds %d programs after %d distinct ones, want the bound %d", n, prepMemoCap+4, prepMemoCap)
+	if n := entries.Value(); n != spec.StoreEntries {
+		t.Fatalf("store holds %d programs after %d distinct ones, want the bound %d", n, spec.StoreEntries+4, spec.StoreEntries)
+	}
+	if d := evictions.Value() - before; d < 4 {
+		t.Fatalf("%d distinct programs evicted %d entries, want at least 4", spec.StoreEntries+4, d)
 	}
 }
 
 // TestPreparedProgramReused: a program the worker has already prepared
 // is not prepared again for a later sweep — no reuse vectors are
-// generated for its units — and concurrent submissions of one program
-// share one coordinator-side Prepare while deriving the same sweep ids a
-// serial coordinator does.
+// generated for its units — and concurrent submissions of a new program
+// share one Prepare while deriving the same sweep ids a serial
+// coordinator does.
 func TestPreparedProgramReused(t *testing.T) {
 	c, srv := newTestCoordinator(t, Options{})
 	w, err := NewWorker(WorkerOptions{Coordinator: srv.URL, ID: "w0"})
@@ -334,10 +335,14 @@ func TestPreparedProgramReused(t *testing.T) {
 		t.Fatalf("resubmitted program generated %d reuse vectors, want 0", d)
 	}
 
-	// Concurrent submissions, distinct grids, one program.
+	// Concurrent submissions, distinct grids, one program no other test
+	// prepares.
+	misses := obs.Default.Counter("spec_prepared_misses_total")
+	missesBefore := misses.Value()
 	specs := make([]*SweepSpec, 8)
 	for i := range specs {
 		s := testSpec()
+		s.Size = 41
 		s.CacheSizes = []int64{int64(1024 << i)}
 		specs[i] = s
 	}
@@ -358,8 +363,8 @@ func TestPreparedProgramReused(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := cc.preps.len(); n != 1 {
-		t.Fatalf("concurrent submissions of one program prepared %d entries, want 1", n)
+	if n := misses.Value() - missesBefore; n != 1 {
+		t.Fatalf("concurrent submissions of one program prepared it %d times, want 1", n)
 	}
 	serial, err := New(Options{})
 	if err != nil {

@@ -115,10 +115,9 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // Worker leases units from a coordinator, solves them through the result
 // cache, and posts rendered rows back.
 type Worker struct {
-	opt   WorkerOptions
-	cl    *Client
-	rc    *cme.ResultCache
-	preps *prepMemo // the prepare work shared across this worker's units
+	opt WorkerOptions
+	cl  *Client
+	rc  *cme.ResultCache
 }
 
 // NewWorker builds a worker and warms its result cache from CachePath
@@ -130,10 +129,9 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 		return nil, errors.New("dist worker: missing coordinator URL")
 	}
 	w := &Worker{
-		opt:   opt,
-		cl:    &Client{Base: opt.Coordinator, Worker: opt.ID},
-		rc:    cme.NewResultCache(opt.CacheCap),
-		preps: newPrepMemo(),
+		opt: opt,
+		cl:  &Client{Base: opt.Coordinator, Worker: opt.ID},
+		rc:  cme.NewResultCache(opt.CacheCap),
 	}
 	warm := opt.WarmPaths
 	if opt.CachePath != "" {
@@ -209,7 +207,9 @@ func (w *Worker) process(ctx context.Context, lr *LeaseResponse) error {
 		w.opt.Logf("dist worker %s: unit %.12s (%d candidates, seq %d)", w.opt.ID, u.Key, len(u.Candidates), u.Seq)
 	}
 
-	prep, err := w.preps.get(&u.Program, u.Solve)
+	// Units of one program share the process's prepared form of it, with
+	// every other worker and front door in the process.
+	prep, err := u.Program.Prepared(spec.Limits{}, u.Solve.Adaptive)
 	if err != nil {
 		// The coordinator admitted this spec, so a build failure here is a
 		// unit failure worth reporting, not a reason to die.

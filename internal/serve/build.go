@@ -84,8 +84,9 @@ type jobSpec struct {
 	cands []cme.Candidate
 	bud   budget.Budget
 	// prepare does an attempt's geometry-invariant work on the worker and
-	// yields its flight. A grid prepares its program and is keyed by
-	// Prepared.SolveKey; a ladder's key is fixed at admission.
+	// yields its flight. A grid looks its program up in the process's
+	// prepared-program store and is keyed by Prepared.SolveKey; a ladder's
+	// key is fixed at admission.
 	prepare func(s *Server) (flight, error)
 }
 
@@ -159,8 +160,9 @@ func (o *Options) specFromSweep(req *SweepRequest) (*jobSpec, error) {
 }
 
 // gridSpec admits a job that solves cands as one batch over the program
-// ps names. Everything else is admitted before the front end runs, so
-// every refusal costs no build.
+// ps names. Everything else is admitted before the program is built, so
+// every refusal costs no build; the program itself is admitted by
+// building it into the process's prepared-program store.
 func (o *Options) gridSpec(prio string, bs BudgetSpec, cands []cme.Candidate, ps *ProgramSpec,
 	exact bool, conf, width float64, adaptive bool) (*jobSpec, error) {
 
@@ -172,12 +174,15 @@ func (o *Options) gridSpec(prio string, bs BudgetSpec, cands []cme.Candidate, ps
 	if err != nil {
 		return nil, err
 	}
-	np, err := ps.Prepare(o.limits())
-	if err != nil {
+	prog := *ps
+	if _, err := prog.Prepared(o.limits(), adaptive); err != nil {
 		return nil, err
 	}
 	js.prepare = func(s *Server) (flight, error) {
-		prep, err := cme.Prepare(np, cme.Options{Adaptive: adaptive})
+		// Look the program up on every attempt rather than keep it: the
+		// job table retains finished jobs, and a Prepared they held would
+		// outlive its eviction from the store.
+		prep, err := prog.Prepared(spec.Limits{}, adaptive)
 		if err != nil {
 			return flight{}, err
 		}

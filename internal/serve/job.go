@@ -194,10 +194,17 @@ func (j *Job) isCanceled() bool {
 	return j.canceled
 }
 
+// setCancel arms the cancel func of the job's running attempt. A Cancel
+// that landed after the job left the queue but before its attempt armed
+// one fires it at once, so the attempt stops at its first checkpoint.
 func (j *Job) setCancel(fn context.CancelFunc) {
 	j.ctlMu.Lock()
 	j.cancel = fn
+	canceled := j.canceled
 	j.ctlMu.Unlock()
+	if canceled && fn != nil {
+		fn()
+	}
 }
 
 // terminal reports whether the job has finished.

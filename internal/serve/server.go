@@ -301,10 +301,10 @@ func (s *Server) runJob(j *Job) {
 		mFlightHits.Inc()
 	}
 
-	// A transient failure re-enqueues the whole job (fresh Prepare, fresh
-	// meter) after a jittered backoff, unless the job was cancelled, the
-	// server is draining, or the schedule is exhausted — then it fails
-	// typed like anything else.
+	// A transient failure re-enqueues the whole job (fresh program
+	// lookup, fresh meter) after a jittered backoff, unless the job was
+	// cancelled, the server is draining, or the schedule is exhausted —
+	// then it fails typed like anything else.
 	jobErr := out.jobErr()
 	if errors.Is(jobErr, cerr.ErrTransient) &&
 		!j.isCanceled() && !s.draining.Load() {
