@@ -307,7 +307,8 @@ func TestCLIScalingLadderCap(t *testing.T) {
 		{[]string{"sweep", "-ns", "64"}, "needs -exact"},
 		{append(ladder, "-ns", "64", "-check", "-sim"), "-check, -sim mean nothing"},
 		{append(ladder, "-ns", "64", "-pad-array", "ZA"), "-pad-array mean nothing"},
-		{append(ladder, "-ns", "64", "-geom-bench"), "-geom-bench mean nothing"},
+		{append(ladder, "-ns", "64", "-size", "8"), "-size mean nothing"},
+		{[]string{"sweep", "-exact", "-geom-bench"}, "flag provided but not defined: -geom-bench"},
 		{[]string{"sweep", "-size", "8", "-refs"}, "-refs need a problem-size ladder"},
 		{[]string{"sweep", "-size", "8", "-sizes", ","}, "empty candidate grid"},
 		{[]string{"sweep", "-size", "8", "-assocs", ""}, "empty candidate grid"},

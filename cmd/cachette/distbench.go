@@ -36,16 +36,16 @@ type distBenchRow struct {
 // baseline plus one row per worker count, every row byte-compared
 // against the baseline.
 type distBenchReport struct {
-	Program    string         `json:"program"`
-	Size       int64          `json:"size"`
-	Iters      int64          `json:"iters"`
+	benchHeader
 	Exact      bool           `json:"exact"`
 	Candidates int            `json:"candidates"`
 	Units      int            `json:"units"`
-	GoMaxProcs int            `json:"gomaxprocs"`
 	LocalNs    int64          `json:"local_ns"`
 	Results    []distBenchRow `json:"results"`
 }
+
+// distBenchWorkers are the worker counts bench -dist measures.
+var distBenchWorkers = []int{1, 4}
 
 // benchDist measures distributed sweep throughput across worker counts:
 // for each count, a fresh in-process coordinator serves HTTP leases to
@@ -54,7 +54,7 @@ type distBenchReport struct {
 // are byte-compared against a single-process SolveBatch baseline. With
 // check, any bit-identity violation fails, and on a machine with real
 // parallelism (>= 4 CPUs) so does a 4-worker speedup under 1.5x.
-func benchDist(pf *programFlags, wcounts []int64, out string, check bool) error {
+func benchDist(ctx context.Context, hdr benchHeader, pf *programFlags, check bool) (*distBenchReport, error) {
 	// A fixed 48-geometry exact grid: big enough that work stealing and
 	// the lease protocol are exercised, small enough for a CI smoke run.
 	sw, err := distSpec(pf, spec.Grid{
@@ -63,40 +63,34 @@ func benchDist(pf *programFlags, wcounts []int64, out string, check bool) error 
 		Assocs:     []int{1, 2},
 	}, dist.SolveSpec{Exact: true})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if sw == nil {
-		return fmt.Errorf("bench -dist: no program (set -program or -file)")
+		return nil, fmt.Errorf("bench -dist: no program (set -program or -file)")
 	}
 
-	ctx := context.Background()
 	t0 := time.Now()
 	baseline, err := sw.SolveLocal(ctx, 1)
 	if err != nil {
-		return fmt.Errorf("bench -dist: baseline: %v", err)
+		return nil, fmt.Errorf("bench -dist: baseline: %v", err)
 	}
 	localNs := time.Since(t0).Nanoseconds()
 	want, err := json.Marshal(baseline)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, r := range baseline {
 		if r.Error != "" {
-			return fmt.Errorf("bench -dist: baseline candidate %s failed: %s", r.Label, r.Error)
+			return nil, fmt.Errorf("bench -dist: baseline candidate %s failed: %s", r.Label, r.Error)
 		}
 	}
 
-	rep := distBenchReport{Program: *pf.name, Size: *pf.size, Iters: *pf.iters, Exact: true,
-		Candidates: len(baseline), GoMaxProcs: runtime.GOMAXPROCS(0), LocalNs: localNs}
+	rep := &distBenchReport{benchHeader: hdr, Exact: true, Candidates: len(baseline), LocalNs: localNs}
 	var w1Ns int64
-	for _, wc := range wcounts {
-		n := int(wc)
-		if n < 1 {
-			return fmt.Errorf("bench -dist: worker count %d", n)
-		}
+	for _, n := range distBenchWorkers {
 		row, units, err := benchDistOnce(ctx, sw, n, want)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rep.Units = units
 		if n == 1 {
@@ -122,7 +116,7 @@ func benchDist(pf *programFlags, wcounts []int64, out string, check bool) error 
 		maxRow := distBenchRow{}
 		for _, r := range rep.Results {
 			if !r.BitIdentical {
-				return fmt.Errorf("bench -dist -check: merged rows at %d workers differ from the single-process baseline", r.Workers)
+				return nil, fmt.Errorf("bench -dist -check: merged rows at %d workers differ from the single-process baseline", r.Workers)
 			}
 			// Only CPU-covered rows (those carrying a speedup) compete for
 			// the throughput gate: an oversubscribed row measures the
@@ -134,25 +128,13 @@ func benchDist(pf *programFlags, wcounts []int64, out string, check bool) error 
 		// The throughput gate needs real cores: a uniprocessor serialises
 		// the workers and proves only correctness, not scaling.
 		if runtime.GOMAXPROCS(0) >= 4 && maxRow.Workers >= 4 && maxRow.SpeedupVsW1 < 1.5 {
-			return fmt.Errorf("bench -dist -check: %d workers only %.2fx vs 1 worker (want >= 1.5x on %d CPUs)",
+			return nil, fmt.Errorf("bench -dist -check: %d workers only %.2fx vs 1 worker (want >= 1.5x on %d CPUs)",
 				maxRow.Workers, maxRow.SpeedupVsW1, runtime.GOMAXPROCS(0))
 		}
 		fmt.Fprintln(os.Stderr, "cachette bench -dist: all worker counts bit-identical to the single-process baseline")
 	}
 
-	blob, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if out != "-" {
-		if err := os.WriteFile(out, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "cachette bench: wrote %s\n", out)
-	}
-	os.Stdout.Write(blob)
-	return nil
+	return rep, nil
 }
 
 // benchDistOnce runs one timed sweep: a fresh coordinator (no dedup

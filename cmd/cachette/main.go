@@ -93,7 +93,8 @@ subcommands:
   sweep        sweep cache size/line/assoc, analytical vs simulated; with a size ladder,
                misses as a function of problem size N from a few fitted sample solves
   trace        emit the program's memory reference trace (R/W address lines)
-  bench        time the solver variants (sequential / memoized / parallel) and emit BENCH_solvers.json
+  bench        time the solver variants, or with -scaling, -sweep or -dist another layer, on one fixture;
+               only a pinned command line writes its BENCH_*.json (README "Parallel & profiled runs")
   obscheck     validate a run-report JSON written by -obs-out (or, with -trace, a trace-event JSON)
   serve        run the multi-tenant analysis server (HTTP/JSON + SSE + /metrics)
   dist         distributed sweeps: 'coordinate' shards work units to leased workers, 'work' solves them

@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -25,12 +23,13 @@ import (
 // per-size fall-through for sizes the closed form cannot cover; every
 // exact solve runs once per size for all the geometries that need it,
 // through rc when it is non-nil. Rows come in grid order, then ladder
-// order.
-func sweepLadder(ctx context.Context, label string, fam *spec.Family, wcs []spec.Candidate, ns []int64,
+// order; hdr heads the report.
+func sweepLadder(ctx context.Context, hdr benchHeader, fam *spec.Family, wcs []spec.Candidate, ns []int64,
 	opt cme.Options, rc *cme.ResultCache, perRef bool) (*sweepReport, []obs.CandidateProvenance, error) {
 
-	rep := &sweepReport{Program: label, Iters: fam.Iters, Exact: true,
-		Candidates: len(wcs) * len(ns), GoMaxProcs: runtime.GOMAXPROCS(0), Workers: opt.Workers}
+	hdr.Size = 0 // the ladder carries the problem sizes
+	label := hdr.Program
+	rep := &sweepReport{benchHeader: hdr, Exact: true, Candidates: len(wcs) * len(ns), Workers: opt.Workers}
 	var cprov []obs.CandidateProvenance
 	start := time.Now()
 	geoms := spec.Solvers(wcs)
@@ -128,10 +127,7 @@ type scalingRow struct {
 
 // scalingBenchReport is the BENCH_scaling.json document.
 type scalingBenchReport struct {
-	Program    string       `json:"program"`
-	Cache      string       `json:"cache"`
-	Iters      int64        `json:"iters"`
-	GoMaxProcs int          `json:"gomaxprocs"`
+	benchHeader
 	Workers    int          `json:"workers"`
 	Ladder     []int64      `json:"ladder"`
 	Period     int64        `json:"period"`
@@ -146,11 +142,20 @@ type scalingBenchReport struct {
 }
 
 // benchScaling is `cachette bench -scaling`: one symbolic solve plus one
-// closed-form evaluation per size against per-size re-enumeration over the
-// same ladder, with a bit-identity match check at every size.
-func benchScaling(ctx context.Context, program string, fam *spec.Family,
-	cfg cache.Config, workers int, ns []int64, out string, check bool) error {
+// closed-form evaluation per size of the ladder l against per-size
+// re-enumeration, with a bit-identity match check at every size. With
+// check, the closed form must cover the whole ladder and match it.
+func benchScaling(ctx context.Context, hdr benchHeader, pf *programFlags,
+	cfg cache.Config, workers int, l spec.Ladder, check bool) (*scalingBenchReport, error) {
 
+	ns, err := l.Sizes(cliLimits)
+	if err != nil {
+		return nil, err
+	}
+	fam, err := pf.family("N")
+	if err != nil {
+		return nil, err
+	}
 	opt := cme.Options{Workers: workers}
 
 	// Symbolic lap: prepare (3 probes + affine lift), lazy fits, then one
@@ -160,7 +165,7 @@ func benchScaling(ctx context.Context, program string, fam *spec.Family,
 	t0 := time.Now()
 	s, err := cme.PrepareScaling(fam.Build, cfg, opt, cme.ScalingOptions{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	prepNs := time.Since(t0).Nanoseconds()
 	closed := make([]*cme.Report, len(ns))
@@ -169,7 +174,7 @@ func benchScaling(ctx context.Context, program string, fam *spec.Family,
 		e0 := time.Now()
 		rep, ok, err := s.EvalClosedCtx(ctx, n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		closedNs[i] = time.Since(e0).Nanoseconds()
 		if ok {
@@ -186,24 +191,25 @@ func benchScaling(ctx context.Context, program string, fam *spec.Family,
 		e0 := time.Now()
 		np, err := fam.Build(n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		a, err := cme.New(np, cfg, opt)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rep, err := a.FindMissesCtx(ctx, budget.Budget{})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		exact[i], exactNs[i] = rep, time.Since(e0).Nanoseconds()
 	}
 	exactTotal := time.Since(x0).Nanoseconds()
 
 	st := s.Stats()
-	rep := scalingBenchReport{
-		Program: program, Cache: cfg.String(), Iters: fam.Iters,
-		GoMaxProcs: runtime.GOMAXPROCS(0), Workers: workers,
+	// The ladder carries the problem sizes.
+	hdr.Size, hdr.Cache = 0, cfg.String()
+	rep := &scalingBenchReport{
+		benchHeader: hdr, Workers: workers,
 		Ladder: ns, Period: s.Period(), FitSolves: st.FitSolves,
 		PrepNs: prepNs, ClosedNs: symTotal, ExactNs: exactTotal,
 	}
@@ -230,12 +236,12 @@ func benchScaling(ctx context.Context, program string, fam *spec.Family,
 
 	if check {
 		if !allClosed {
-			return fmt.Errorf("bench -scaling -check: closed form did not cover the whole ladder (%s)", s.Why())
+			return nil, fmt.Errorf("bench -scaling -check: closed form did not cover the whole ladder (%s)", s.Why())
 		}
 		if !allMatch {
 			for i, r := range rep.Rows {
 				if !r.Match {
-					return sameCounts(fmt.Sprintf("bench -scaling: N=%d", r.N), exact[i], closed[i])
+					return nil, sameCounts(fmt.Sprintf("bench -scaling: N=%d", r.N), exact[i], closed[i])
 				}
 			}
 		}
@@ -243,17 +249,5 @@ func benchScaling(ctx context.Context, program string, fam *spec.Family,
 			len(ns), rep.Speedup)
 	}
 
-	blob, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if out != "-" {
-		if err := os.WriteFile(out, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "cachette bench: wrote %s\n", out)
-	}
-	os.Stdout.Write(blob)
-	return nil
+	return rep, nil
 }

@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -36,34 +34,17 @@ type sweepResult struct {
 	Error      string  `json:"error,omitempty"`
 }
 
-// geomBenchRow is the geom_closed_form entry of BENCH_sweep.json: the
-// same exact grid solved with the geometry-parametric tier on and off
-// (the fused batch baseline), bit-identity verified, speedup gated in CI.
-type geomBenchRow struct {
-	Name            string  `json:"name"`
-	GeomNs          int64   `json:"geom_ns"`
-	FusedNs         int64   `json:"fused_ns"`
-	Speedup         float64 `json:"speedup_vs_fused"`
-	ClosedCands     int     `json:"closed_candidates"`
-	AnchorCands     int     `json:"anchor_candidates"`
-	FallthroughRefs int     `json:"fallthrough_refs"`
-	GoMaxProcs      int     `json:"gomaxprocs"`
-	Gated           bool    `json:"gated"`
-}
-
-// sweepReport is the BENCH_sweep.json document: the design-space results
-// plus the batch-vs-independent timing the CI perf gate checks.
+// sweepReport is the report of a sweep, and the BENCH_sweep.json document
+// of bench -sweep: the design-space results, plus the batch-vs-independent
+// timing of sweep -check or the geom_closed_form row of bench -sweep.
 type sweepReport struct {
-	Program    string `json:"program"`
-	Size       int64  `json:"size"`
-	Iters      int64  `json:"iters"`
+	benchHeader
 	Exact      bool   `json:"exact"`
 	Confidence string `json:"plan,omitempty"`
 	Candidates int    `json:"candidates"`
-	GoMaxProcs int    `json:"gomaxprocs"`
 	Workers    int    `json:"workers"`
 
-	BatchNs       int64   `json:"batch_ns"`
+	BatchNs       int64   `json:"batch_ns,omitempty"`
 	IndependentNs int64   `json:"independent_ns,omitempty"`
 	Speedup       float64 `json:"speedup_vs_independent,omitempty"`
 
@@ -74,13 +55,14 @@ type sweepReport struct {
 
 // cmdSweep evaluates a cache design space — size × line × associativity,
 // optionally crossed with inter-array paddings — against one program in a
-// single SolveBatch run over the geometry-invariant Prepared stage, and
-// emits BENCH_sweep.json. With -check every candidate is also solved by an
-// independent classic pipeline run (fresh normalise + New + solve), the
-// reports are verified bit-identical, and the batch-vs-independent speedup
-// is recorded; the command fails if the batch is slower. With a
-// problem-size ladder (-from/-to/-step or -ns) every geometry is answered
-// at every ladder size by the closed-form problem-size tier instead.
+// single SolveBatch run over the geometry-invariant Prepared stage, prints
+// a table and writes a JSON report to -out when it is set. With -check
+// every candidate is also solved by an independent classic pipeline run
+// (fresh normalise + New + solve), the reports are verified bit-identical,
+// and the batch-vs-independent speedup is recorded; the command fails if
+// the batch is slower. With a problem-size ladder (-from/-to/-step or -ns)
+// every geometry is answered at every ladder size by the closed-form
+// problem-size tier instead.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	pf := addProgramFlags(fs, "hydro", 32, 2)
@@ -98,11 +80,9 @@ func cmdSweep(args []string) error {
 	noSymbolic := fs.Bool("nosymbolic", false, "disable the symbolic region fast path (classify every point)")
 	workers := fs.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
 	check := fs.Bool("check", false, "re-solve every candidate independently, verify bit-identical reports, and gate on the speedup")
-	geomBench := fs.Bool("geom-bench", false, "re-solve the exact grid with the geometry-parametric tier off, verify bit-identity, and record the geom_closed_form speedup row")
-	geomGate := fs.Float64("geom-gate", 0, "with -geom-bench: fail unless the geom speedup reaches this factor (applied only when >= 4 CPUs)")
 	sim := fs.Bool("sim", false, "add an exact-simulator column (slow; display only)")
 	rcFile := fs.String("resultcache", "", "load/save the content-addressed result cache at this path")
-	out := fs.String("out", "BENCH_sweep.json", "output path for the JSON report (- = stdout only)")
+	out := fs.String("out", "-", "output path for the JSON report (- = write no report)")
 	pstart, pstop, prof := profileFlags(fs)
 	oflags := obsFlags(fs)
 	fs.Parse(args)
@@ -131,7 +111,7 @@ func cmdSweep(args []string) error {
 		switch f.Name {
 		case "from", "to", "step", "ns":
 			hasLadder = true
-		case "size", "pad-array", "pads", "geom-bench", "geom-gate", "sim", "check":
+		case "size", "pad-array", "pads", "sim", "check":
 			gridOnly = append(gridOnly, "-"+f.Name)
 		case "size-const", "refs":
 			ladderOnly = append(ladderOnly, "-"+f.Name)
@@ -163,6 +143,7 @@ func cmdSweep(args []string) error {
 	ctx, stop := signalContext()
 	defer stop()
 	ctx = or.Context(ctx)
+	hdr := pf.header("sweep", args)
 	var rc *cme.ResultCache
 	if *rcFile != "" {
 		rc = cme.NewResultCache(0)
@@ -180,7 +161,7 @@ func cmdSweep(args []string) error {
 		if err := pstart(); err != nil {
 			return err
 		}
-		rep, cprov, err := sweepLadder(ctx, pf.label(), fam, wcs, ns, opt, rc, *perRef)
+		rep, cprov, err := sweepLadder(ctx, hdr, fam, wcs, ns, opt, rc, *perRef)
 		if perr := pstop(); err == nil {
 			err = perr
 		}
@@ -237,8 +218,7 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	rep := sweepReport{Program: p.Name, Size: *pf.size, Iters: *pf.iters, Exact: *exact,
-		Candidates: len(cands), GoMaxProcs: runtime.GOMAXPROCS(0), Workers: *workers,
+	rep := sweepReport{benchHeader: hdr, Exact: *exact, Candidates: len(cands), Workers: *workers,
 		BatchNs: batchNs}
 	if plan != nil {
 		rep.Confidence = fmt.Sprintf("c=%g w=%g", plan.C, plan.W)
@@ -248,56 +228,6 @@ func cmdSweep(args []string) error {
 		rep.ResultCache = &s
 		if err := rc.Save(*rcFile); err != nil {
 			return err
-		}
-	}
-
-	// -geom-bench: re-solve the same exact grid on the same Prepared stage
-	// with the geometry-parametric tier on and off, verify the reports are
-	// bit-identical, and record the speedup the CI gate checks. The two
-	// runs are timed without the result cache so neither side is served
-	// pre-solved answers.
-	if *geomBench {
-		if !*exact {
-			return fmt.Errorf("sweep: -geom-bench requires -exact (the tier only runs for exact batches)")
-		}
-		tg := time.Now()
-		greps, gerr := prepd.SolveBatch(ctx, cands, cme.BatchOptions{Workers: *workers})
-		geomNs := time.Since(tg).Nanoseconds()
-		if gerr != nil {
-			return fmt.Errorf("sweep -geom-bench: geom run: %v", gerr)
-		}
-		tf := time.Now()
-		freps, ferr := prepd.SolveBatch(ctx, cands, cme.BatchOptions{Workers: *workers, NoGeom: true})
-		fusedNs := time.Since(tf).Nanoseconds()
-		if ferr != nil {
-			return fmt.Errorf("sweep -geom-bench: fused run: %v", ferr)
-		}
-		row := geomBenchRow{Name: "geom_closed_form", GeomNs: geomNs, FusedNs: fusedNs,
-			GoMaxProcs: runtime.GOMAXPROCS(0)}
-		if geomNs > 0 {
-			row.Speedup = float64(fusedNs) / float64(geomNs)
-		}
-		for i := range cands {
-			if err := sameCounts("sweep -geom-bench: "+cands[i].Label, freps[i], greps[i]); err != nil {
-				return fmt.Errorf("geom tier diverged from the fused baseline: %w", err)
-			}
-			if g := greps[i].Geom; g != nil {
-				if g.Closed() {
-					row.ClosedCands++
-				}
-				if g.Anchor {
-					row.AnchorCands++
-				}
-				row.FallthroughRefs += g.FallthroughRefs
-			}
-		}
-		row.Gated = *geomGate > 0 && row.GoMaxProcs >= 4
-		rep.GeomClosedForm = &row
-		fmt.Fprintf(os.Stderr, "cachette sweep: geom_closed_form %d/%d candidates closed (%d anchors, %d fall-through refs); geom %v vs fused %v (%.2fx)\n",
-			row.ClosedCands, len(cands), row.AnchorCands, row.FallthroughRefs,
-			time.Duration(geomNs), time.Duration(fusedNs), row.Speedup)
-		if row.Gated && row.Speedup < *geomGate {
-			return fmt.Errorf("sweep -geom-bench: speedup %.2fx below the %.1fx gate", row.Speedup, *geomGate)
 		}
 	}
 
@@ -336,40 +266,29 @@ func cmdSweep(args []string) error {
 	fmt.Printf("%10s %6s %6s %8s %10s %6s %10s\n", "size", "line", "assoc", "pad", "est %MR", "tier", "sim %MR")
 	var cprov []obs.CandidateProvenance
 	for i, c := range cands {
-		row := sweepResult{Label: c.Label, CacheSize: c.Config.SizeBytes, LineSize: c.Config.LineBytes,
-			Assoc: c.Config.Assoc, Pad: wcs[i].Pad}
-		cp := obs.CandidateProvenance{Label: c.Label}
-		r := reps[i]
-		if r == nil {
-			if berr != nil && berr.Errs[i] != nil {
-				row.Error = berr.Errs[i].Error()
-				cp.Error = row.Error
-			}
-			rep.Results = append(rep.Results, row)
-			cprov = append(cprov, cp)
+		var cerr error
+		if berr != nil {
+			cerr = berr.Errs[i]
+		}
+		row, cp := candidateRow(wcs[i], reps[i], cerr)
+		if reps[i] == nil {
 			fmt.Printf("%10d %6d %6d %8d %29s\n",
 				c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, wcs[i].Pad, "error: "+row.Error)
-			continue
-		}
-		row.MissRatio = r.MissRatio()
-		row.Tier = r.Tier.String()
-		row.ClosedForm = r.Geom.Closed()
-		cp.Tier = row.Tier
-		cp.Degraded = r.Degraded
-		cp.MissRatioPct = row.MissRatio
-		simCol := "-"
-		if *sim {
-			sr, err := simulateUnder(pf, c)
-			if err != nil {
-				return err
+		} else {
+			simCol := "-"
+			if *sim {
+				sr, err := simulateUnder(pf, c)
+				if err != nil {
+					return err
+				}
+				row.SimRatio = sr
+				simCol = fmt.Sprintf("%10.2f", sr)
 			}
-			row.SimRatio = sr
-			simCol = fmt.Sprintf("%10.2f", sr)
+			fmt.Printf("%10d %6d %6d %8d %10.2f %6s %10s\n",
+				c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, wcs[i].Pad, row.MissRatio, row.Tier, simCol)
 		}
 		rep.Results = append(rep.Results, row)
 		cprov = append(cprov, cp)
-		fmt.Printf("%10d %6d %6d %8d %10.2f %6s %10s\n",
-			c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, wcs[i].Pad, row.MissRatio, row.Tier, simCol)
 	}
 
 	if err := writeSweep(ctx, or, &rep, *out, cprov); err != nil {
@@ -386,18 +305,28 @@ func cmdSweep(args []string) error {
 // writeSweep writes the JSON report to out ("-" writes no file) and
 // finishes the run report.
 func writeSweep(ctx context.Context, or *obsRun, rep *sweepReport, out string, cprov []obs.CandidateProvenance) error {
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(out, rep, nil); err != nil {
 		return err
 	}
-	blob = append(blob, '\n')
-	if out != "-" {
-		if err := os.WriteFile(out, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "cachette sweep: wrote %s\n", out)
-	}
 	return or.finish(ctx, rep.Program, nil, cprov)
+}
+
+// candidateRow is one grid candidate's report row and run-report
+// provenance: its geometry and pad, then its answer r, or, when r is nil,
+// the error err that failed it.
+func candidateRow(wc spec.Candidate, r *cme.Report, err error) (sweepResult, obs.CandidateProvenance) {
+	row := sweepResult{Label: wc.Label, CacheSize: wc.CacheBytes, LineSize: wc.LineBytes, Assoc: wc.Assoc, Pad: wc.Pad}
+	cp := obs.CandidateProvenance{Label: wc.Label}
+	if r == nil {
+		if err != nil {
+			row.Error = err.Error()
+			cp.Error = row.Error
+		}
+		return row, cp
+	}
+	row.MissRatio, row.Tier, row.ClosedForm = r.MissRatio(), r.Tier.String(), r.Geom.Closed()
+	cp.Tier, cp.Degraded, cp.MissRatioPct = row.Tier, r.Degraded, row.MissRatio
+	return row, cp
 }
 
 // soloSolve runs the classic per-candidate pipeline from scratch — load,

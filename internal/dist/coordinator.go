@@ -31,12 +31,6 @@ type Options struct {
 	MaxProblemSize int64
 	// MaxCandidates bounds a sweep's candidate grid (default 4096).
 	MaxCandidates int
-	// PruneConcurrency bounds how many advisor prune passes may solve at
-	// once (default 1). The prune pass is CPU-heavy and runs in the
-	// submitting caller — on a serve mount that is the HTTP handler
-	// goroutine, outside the job API's admission control — so it must not
-	// be able to pin every core under concurrent submissions.
-	PruneConcurrency int
 	// MaxRetainedSweeps bounds how many sweeps the coordinator keeps in
 	// memory (default 256; negative retains everything). When the bound is
 	// exceeded the oldest *finished* sweeps are evicted — their reports
@@ -65,6 +59,13 @@ type Options struct {
 	after func(time.Duration) <-chan time.Time
 }
 
+// pruneConcurrency bounds how many advisor prune passes may solve at
+// once. The prune pass is CPU-heavy and runs in the submitting caller — on
+// a serve mount that is the HTTP handler goroutine, outside the job API's
+// admission control — so it must not be able to pin every core under
+// concurrent submissions.
+const pruneConcurrency = 1
+
 func (o Options) withDefaults() Options {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
@@ -77,9 +78,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxCandidates <= 0 {
 		o.MaxCandidates = 4096
-	}
-	if o.PruneConcurrency <= 0 {
-		o.PruneConcurrency = 1
 	}
 	if o.MaxRetainedSweeps == 0 {
 		o.MaxRetainedSweeps = 256
@@ -297,7 +295,7 @@ func New(opt Options) (*Coordinator, error) {
 	opt = opt.withDefaults()
 	c := &Coordinator{
 		opt:      opt,
-		pruneSem: make(chan struct{}, opt.PruneConcurrency),
+		pruneSem: make(chan struct{}, pruneConcurrency),
 		sweeps:   map[string]*sweepState{},
 		leased:   map[string]*unit{},
 		byKey:    map[string]*unit{},
@@ -577,7 +575,7 @@ func (c *Coordinator) addSweep(ctx context.Context, sw *SweepSpec, journalledPru
 }
 
 // runPrune runs the advisor prune pass under the concurrency bound: at
-// most Options.PruneConcurrency grids solve at once, the rest queue here
+// most pruneConcurrency grids solve at once, the rest queue here
 // (or give up with the caller's context).
 func (c *Coordinator) runPrune(ctx context.Context, spec *SweepSpec, wcs []WireCandidate) (map[int]Row, error) {
 	select {

@@ -49,21 +49,41 @@ type WorkerOptions struct {
 	// worker's lease request until a unit is queued, and answers an
 	// expired hold with a hint to ask again at once.
 	Poll time.Duration
-	// MaxLeaseFailures bounds consecutive failed lease rounds (each round
-	// is already a full HTTPPolicy retry schedule) before the worker gives
-	// up and exits with the error — a coordinator that exited after its
-	// sweeps finished must not leave workers spinning forever (default 10;
-	// < 0 means retry forever).
-	MaxLeaseFailures int
-	// HTTPPolicy retries worker→coordinator calls (lease, heartbeat,
-	// complete). The default is 4 attempts of full-jitter backoff from
-	// 50ms, seeded from the worker id so tests stay deterministic.
-	HTTPPolicy retry.Policy
 	// Hook, when set, installs a budget hook for the unit about to be
 	// solved — the chaos-test seam (return ErrKilled to die mid-unit).
 	Hook func(unitKey string) budget.Hook
 	// Logf receives worker lifecycle lines (nil = silent).
 	Logf func(format string, args ...any)
+}
+
+// maxLeaseFailures bounds consecutive failed lease rounds (each round is
+// already a full httpPolicy retry schedule) before the worker gives up and
+// exits with the error: a coordinator that exited after its sweeps
+// finished must not leave workers spinning forever.
+const maxLeaseFailures = 10
+
+// httpPolicy retries the worker's calls to the coordinator (lease,
+// heartbeat, complete): 4 attempts of full-jitter backoff from 50ms,
+// seeded from the worker id so tests stay deterministic. Transport errors
+// and 5xx are retryable; a 4xx answer is a protocol outcome the loop must
+// see, not retry into.
+func httpPolicy(id string) retry.Policy {
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return retry.Policy{
+		Attempts:   4,
+		Base:       50 * time.Millisecond,
+		Max:        time.Second,
+		FullJitter: true,
+		Seed:       int64(h.Sum64()),
+		RetryIf: func(err error) bool {
+			var he *HTTPError
+			if errors.As(err, &he) {
+				return he.Code >= 500
+			}
+			return true
+		},
+	}
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
@@ -81,31 +101,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.Poll <= 0 {
 		o.Poll = 500 * time.Millisecond
 	}
-	if o.MaxLeaseFailures == 0 {
-		o.MaxLeaseFailures = 10
-	}
-	if o.HTTPPolicy.Attempts == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(o.ID))
-		o.HTTPPolicy = retry.Policy{
-			Attempts:   4,
-			Base:       50 * time.Millisecond,
-			Max:        time.Second,
-			FullJitter: true,
-			Seed:       int64(h.Sum64()),
-		}
-	}
-	if o.HTTPPolicy.RetryIf == nil {
-		// Transport errors and 5xx are retryable; a 4xx answer is a
-		// protocol outcome the loop must see, not retry into.
-		o.HTTPPolicy.RetryIf = func(err error) bool {
-			var he *HTTPError
-			if errors.As(err, &he) {
-				return he.Code >= 500
-			}
-			return true
-		}
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -115,9 +110,10 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 // Worker leases units from a coordinator, solves them through the result
 // cache, and posts rendered rows back.
 type Worker struct {
-	opt WorkerOptions
-	cl  *Client
-	rc  *cme.ResultCache
+	opt  WorkerOptions
+	cl   *Client
+	rc   *cme.ResultCache
+	http retry.Policy // httpPolicy(opt.ID)
 }
 
 // NewWorker builds a worker and warms its result cache from CachePath
@@ -129,9 +125,10 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 		return nil, errors.New("dist worker: missing coordinator URL")
 	}
 	w := &Worker{
-		opt: opt,
-		cl:  &Client{Base: opt.Coordinator, Worker: opt.ID},
-		rc:  cme.NewResultCache(opt.CacheCap),
+		opt:  opt,
+		cl:   &Client{Base: opt.Coordinator, Worker: opt.ID},
+		rc:   cme.NewResultCache(opt.CacheCap),
+		http: httpPolicy(opt.ID),
 	}
 	warm := opt.WarmPaths
 	if opt.CachePath != "" {
@@ -157,7 +154,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		var lr *LeaseResponse
-		err := retry.Do(ctx, w.opt.HTTPPolicy, func() error {
+		err := retry.Do(ctx, w.http, func() error {
 			var err error
 			lr, err = w.cl.Lease(ctx, w.opt.ID)
 			return err
@@ -167,7 +164,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			leaseFails++
-			if w.opt.MaxLeaseFailures >= 0 && leaseFails >= w.opt.MaxLeaseFailures {
+			if leaseFails >= maxLeaseFailures {
 				return fmt.Errorf("dist worker %s: coordinator unreachable after %d lease rounds: %w", w.opt.ID, leaseFails, err)
 			}
 			w.opt.Logf("dist worker %s: lease: %v", w.opt.ID, err)
@@ -252,7 +249,7 @@ func (w *Worker) process(ctx context.Context, lr *LeaseResponse) error {
 			case <-t.C:
 			}
 			var ok bool
-			err := retry.Do(solveCtx, w.opt.HTTPPolicy, func() error {
+			err := retry.Do(solveCtx, w.http, func() error {
 				var err error
 				ok, err = w.cl.Heartbeat(solveCtx, w.opt.ID, lr.Sweep, u.Key)
 				return err
@@ -328,7 +325,7 @@ func (w *Worker) process(ctx context.Context, lr *LeaseResponse) error {
 
 // complete posts a unit outcome through the retry policy.
 func (w *Worker) complete(ctx context.Context, lr *LeaseResponse, rows []Row, errMsg string, shard *obs.SpanSnapshot) error {
-	err := retry.Do(ctx, w.opt.HTTPPolicy, func() error {
+	err := retry.Do(ctx, w.http, func() error {
 		return w.cl.Complete(ctx, w.opt.ID, lr.Sweep, lr.Unit.Key, rows, errMsg, shard)
 	})
 	if err != nil && ctx.Err() == nil {

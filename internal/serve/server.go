@@ -65,14 +65,9 @@ type Options struct {
 	CacheCap int
 	// RetainJobs is how many terminal jobs stay queryable (default 1024).
 	RetainJobs int
-	// ProgressInterval throttles per-job SSE progress events (default 250ms).
-	ProgressInterval time.Duration
 	// RetryPolicy schedules transient-failure re-enqueues of whole jobs
 	// (default 3 attempts, 10ms base, jittered).
 	RetryPolicy retry.Policy
-	// IOPolicy retries transient result-cache load/flush I/O (default 3
-	// attempts retrying any error — disk blips are not typed transient).
-	IOPolicy retry.Policy
 	// JobHook, when set, installs a budget hook per job (fault injection
 	// in tests; the hook sees every solver checkpoint).
 	JobHook func(jobID string) budget.Hook
@@ -84,6 +79,14 @@ type Options struct {
 	// Logf receives server lifecycle lines (nil = silent).
 	Logf func(format string, args ...any)
 }
+
+// progressInterval throttles per-job SSE progress events.
+const progressInterval = 250 * time.Millisecond
+
+// ioPolicy retries transient result-cache load/flush I/O: 3 attempts,
+// retrying any error (disk blips are not typed transient).
+var ioPolicy = retry.Policy{Attempts: 3, Base: 10 * time.Millisecond,
+	RetryIf: func(error) bool { return true }}
 
 func (o Options) withDefaults() Options {
 	if o.QueueCap <= 0 {
@@ -107,15 +110,8 @@ func (o Options) withDefaults() Options {
 	if o.RetainJobs <= 0 {
 		o.RetainJobs = 1024
 	}
-	if o.ProgressInterval <= 0 {
-		o.ProgressInterval = 250 * time.Millisecond
-	}
 	if o.RetryPolicy.Attempts == 0 {
 		o.RetryPolicy = retry.Policy{Attempts: 3, Base: 10 * time.Millisecond, Jitter: true}
-	}
-	if o.IOPolicy.Attempts == 0 {
-		o.IOPolicy = retry.Policy{Attempts: 3, Base: 10 * time.Millisecond,
-			RetryIf: func(error) bool { return true }}
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -156,7 +152,7 @@ func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	cache := cme.NewResultCache(opt.CacheCap)
 	if opt.CachePath != "" {
-		err := retry.Do(context.Background(), opt.IOPolicy, func() error {
+		err := retry.Do(context.Background(), ioPolicy, func() error {
 			return cache.Load(opt.CachePath)
 		})
 		if err != nil {
@@ -346,7 +342,7 @@ func (s *Server) attempt(ctx context.Context, j *Job) (out *solveOutcome, key st
 	col.OnProgress(func(e obs.Event) {
 		j.events.publish(Event{Stage: e.Stage, Done: e.Done, Total: e.Total,
 			Current: e.Current, ElapsedMs: e.Elapsed.Milliseconds()})
-	}, s.opt.ProgressInterval)
+	}, progressInterval)
 	defer col.Finish()
 
 	bud := spec.bud
@@ -484,7 +480,7 @@ func (s *Server) flushCache() error {
 	if s.opt.CachePath == "" {
 		return nil
 	}
-	err := retry.Do(context.Background(), s.opt.IOPolicy, func() error {
+	err := retry.Do(context.Background(), ioPolicy, func() error {
 		return s.cache.Save(s.opt.CachePath)
 	})
 	if err != nil {

@@ -89,6 +89,39 @@ func TestStoreBoundsVectors(t *testing.T) {
 	}
 }
 
+// TestStoreTrimsOnlyWhenAProgramEnters: an entry that grows past the
+// vector bound while it is solved stays through later hits, and is
+// trimmed when the next program enters.
+func TestStoreTrimsOnlyWhenAProgramEnters(t *testing.T) {
+	s := newPreparedStore(16, 1)
+	for _, key := range []string{"mmjki", "hydro"} {
+		if _, err := s.get(key, prepareFor(t, key, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heavy, _ := s.get("hydro", nil)
+	solveLine32(t, heavy)
+	if heavy.VectorCount() <= 1 {
+		t.Fatalf("hydro holds %d reuse vectors, want more than the bound", heavy.VectorCount())
+	}
+	rebuild := func() (*cme.Prepared, error) { return nil, fmt.Errorf("rebuilt") }
+	if _, err := s.get("mmjki", rebuild); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := s.get("hydro", rebuild); again != heavy {
+		t.Fatal("a hit trimmed the entry grown past the bound")
+	}
+	if _, err := s.get("lk21", prepareFor(t, "lk21", 16)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.entries["hydro"]; ok {
+		t.Error("the entry grown past the bound outlived the next program to enter")
+	}
+	if _, ok := s.entries["lk21"]; !ok {
+		t.Error("the store dropped the entry just used")
+	}
+}
+
 // TestStoreBuildsOnce: concurrent misses on one key build it once and
 // share the result, and a build error is kept like a result.
 func TestStoreBuildsOnce(t *testing.T) {
